@@ -2,9 +2,10 @@
 construction, covolume evaluation, and the growth-constant assemblies.
 
 Output is deterministic by construction: every number is rendered through
-exact decimal rounding, dictionaries are built in fixed order, and the
-parallel Euler-product path reduces in a fixed chunk order.  Identical
-invocations therefore produce byte-identical reports.
+exact decimal rounding, dictionaries are built in fixed order, and the Euler
+products come from one sequential outward-rounded pass over the primes.
+Identical invocations therefore produce byte-identical reports.  --threads
+is accepted and validated for compatibility but has no effect.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .counting import BoundParams, lower_growth_assemble, upper_growth_assemble
+from .counting import BoundParams, _is_prime, lower_growth_assemble, upper_growth_assemble
 from .errors import (
     EmptyReport,
     LatcountError,
@@ -43,7 +44,7 @@ from .pisot_tower import (
     tower_degrees,
     tower_lookup,
 )
-from .prasad import covolume, covolume_synthetic, covolume_upper_c1
+from .prasad import coarse_bound, covolume, covolume_synthetic, covolume_upper_c1
 
 _DIGITS = 12  # decimal places on every rendered endpoint
 
@@ -314,23 +315,15 @@ def cmd_covolume(args, params: BoundParams) -> Report:
             p0=args.p0,
             prime_bound=args.prime_bound,
             precision=args.prec,
-            threads=args.threads,
         )
         report.extra["field"] = str(k.min_poly)
-        coarse_bound = max(100, args.prime_bound // 10)
-        if coarse_bound < args.prime_bound:
-            coarse = covolume(
-                k, ext, data,
-                p0=args.p0,
-                prime_bound=coarse_bound,
-                precision=args.prec,
-                threads=args.threads,
-            )
-            nested = coarse.value.encloses(result.value)
+        if result.coarse_value is not None:
+            nested = result.coarse_value.encloses(result.value)
             report.extra["nesting_check"] = "ok" if nested else "violated"
             report.notes.append(
                 f"interval at prime bound {args.prime_bound} nests inside the "
-                f"bound-{coarse_bound} interval: {'ok' if nested else 'VIOLATED'}"
+                f"bound-{coarse_bound(args.prime_bound)} interval: "
+                f"{'ok' if nested else 'VIOLATED'}"
             )
     report.extra["value"] = _iv(result.value)
     report.extra["disc_factor"] = _iv(result.disc_factor)
@@ -471,7 +464,7 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--prime-bound", type=int, default=default, help="Euler product truncation (default 100000, min 100)")
     parser.add_argument("--format", choices=("table", "json", "csv"), default=default)
     parser.add_argument("--config", default=default, help="JSON config file")
-    parser.add_argument("--threads", type=int, default=default, help="worker threads for Euler products")
+    parser.add_argument("--threads", type=int, default=default, help="accepted for compatibility; must be >= 1, has no effect")
 
 
 def _build_parser() -> _Parser:
@@ -536,7 +529,12 @@ def _load_config(path):
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise LatcountError("config file must hold a JSON object")
+    if not isinstance(config.get("bound_params", {}), dict):
+        raise LatcountError("config key bound_params must be a JSON object")
+    return config
 
 
 def _resolve(args, config):
@@ -547,12 +545,19 @@ def _resolve(args, config):
     )
     args.format = args.format or config.get("format", "table")
     args.threads = args.threads if args.threads is not None else int(config.get("threads", 1))
+    if args.format not in ("table", "json", "csv"):
+        raise LatcountError(f"unknown format {args.format!r} in config")
     if args.prec < 64:
         raise LatcountError("precision must be at least 64 bits")
     if args.prime_bound < 100:
         raise LatcountError("prime bound must be at least 100")
     if args.threads < 1:
         raise LatcountError("thread count must be positive")
+    p0 = getattr(args, "p0", None)
+    if p0 is not None and not _is_prime(p0):
+        raise LatcountError(f"p0 must be a prime, got {p0}")
+    if getattr(args, "level", 0) < 0:
+        raise LatcountError("tower level must be nonnegative")
     params = BoundParams.from_config(config.get("bound_params", {}))
     for attr, field in (("c4", "c4"), ("C1", "C1"), ("s_embed", "s_embed")):
         value = getattr(args, attr, None)
@@ -573,7 +578,10 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     config = _load_config(args.config)
-    params = _resolve(args, config)
+    try:
+        params = _resolve(args, config)
+    except TypeError as exc:  # a config value of the wrong JSON type
+        raise LatcountError(f"invalid config value: {exc}") from None
     handlers = {
         "field": cmd_field,
         "pisot": cmd_pisot,

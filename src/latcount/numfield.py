@@ -28,12 +28,13 @@ from .errors import (
 from .interval import (
     ComplexBox,
     RealInterval,
+    _sqrt_fraction_up,
     exp_fraction,
     pi_interval,
     round_down,
     round_up,
 )
-from .polymod import distinct_degree_degrees, prime_list
+from .polymod import _trim, distinct_degree_degrees, prime_list
 
 _MAX_REFINE_ROUNDS = 10
 
@@ -129,12 +130,6 @@ class Polynomial:
 # ============================================================== exact algebra
 # on rational coefficient tuples (constant first)
 
-def _fp_trim(f: list) -> list:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def _fp_rem(a: list, b: list) -> list:
     """a mod b over Q."""
     a = list(a)
@@ -147,14 +142,14 @@ def _fp_rem(a: list, b: list) -> list:
             for i, bc in enumerate(b):
                 a[shift + i] -= c * bc
         a.pop()
-        _fp_trim(a)
+        _trim(a)
     return a
 
 
 def _resultant(a: list, b: list) -> Fraction:
     """Res(a, b) over Q by the Euclidean recurrence."""
-    a = _fp_trim([Fraction(c) for c in a])
-    b = _fp_trim([Fraction(c) for c in b])
+    a = _trim([Fraction(c) for c in a])
+    b = _trim([Fraction(c) for c in b])
     if not a or not b:
         return Fraction(0)
     res = Fraction(1)
@@ -186,7 +181,7 @@ def poly_discriminant(poly: Polynomial) -> int:
 def element_norm(element: "FieldElement") -> Fraction:
     """N_{k/Q}(e) = Res(min_poly, coordinate polynomial); exact rational."""
     f = list(element.field.min_poly.coefficients)
-    g = _fp_trim(list(element.coords))
+    g = _trim(list(element.coords))
     if not g:
         return Fraction(0)
     return _resultant(f, g)
@@ -195,8 +190,8 @@ def element_norm(element: "FieldElement") -> Fraction:
 # ================================================================ real roots
 
 def _sturm_chain(coeffs: Sequence[int]) -> list:
-    p0 = _fp_trim([Fraction(c) for c in coeffs])
-    p1 = _fp_trim([Fraction(i * c) for i, c in enumerate(coeffs)][1:])
+    p0 = _trim([Fraction(c) for c in coeffs])
+    p1 = _trim([Fraction(i * c) for i, c in enumerate(coeffs)][1:])
     chain = [p0, p1]
     while len(chain[-1]) - 1 > 0:
         r = [-c for c in _fp_rem(chain[-2], chain[-1])]
@@ -320,14 +315,6 @@ def _eval_complex(coeffs, a: Fraction, b: Fraction):
     return re, im
 
 
-def _sqrt_up(q: Fraction, prec: int) -> Fraction:
-    n = -((-q.numerator << (2 * prec)) // q.denominator)
-    r = isqrt(n)
-    if r * r != n:
-        r += 1
-    return Fraction(r, 1 << prec)
-
-
 def _certify_boxes(poly: Polynomial, seeds, prec: int):
     """Turn seeds into disjoint upper-half-plane boxes, one root each.
 
@@ -347,7 +334,7 @@ def _certify_boxes(poly: Polynomial, seeds, prec: int):
         den = gr * gr + gi * gi
         if den == 0:
             return None
-        rho = _sqrt_up(Fraction(d * d) * (fr * fr + fi * fi) / den, grid + 8)
+        rho = _sqrt_fraction_up(Fraction(d * d) * (fr * fr + fi * fi) / den, grid + 8)
         if rho > halfwidth_cap:
             return None
         if b - rho <= 0:

@@ -7,27 +7,26 @@ volume formula
 
     D^(dim/2) * (D_rel)^(s/2) * (prod_i m_i!/(2 pi)^(m_i+1))^d * E * Lambda.
 
-All truncated products are exact rationals; every transcendental enters as
-a certified interval, so the reported covolume is a true enclosure.
+The truncated Euler products come from one pass over the primes that keeps
+floor- and ceil-rounded fixed-point integers per zeta argument, so they
+enclose the exact rational products; every transcendental enters as a
+certified interval, so the reported covolume is a true enclosure.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence, Tuple
 
 from .errors import NonIntegralOrder
-from .interval import RealInterval, exp_fraction, pi_interval
+from .interval import RealInterval, exp_fraction, pi_interval, round_down, round_up
 from .liedata import LieTypeData, split_signs
 from .numfield import NumberField, element_norm
 from .pisot_tower import QuadraticExtensionData, SyntheticField
 from .polymod import distinct_degree_degrees, prime_list
-
-_CHUNK = 4096
-
 
 # ========================================================== finite group data
 
@@ -68,9 +67,6 @@ class PrimeSplitting:
     conservative: bool  # ramified verdict forced by disc(Z[theta]), not the field disc
 
 
-_split_cache: dict = {}
-
-
 def prime_splitting(k: NumberField, p: int) -> PrimeSplitting:
     """Residue degrees of p from the defining polynomial.
 
@@ -78,113 +74,105 @@ def prime_splitting(k: NumberField, p: int) -> PrimeSplitting:
     discriminant is prime to p this is only an index obstruction, flagged
     `conservative` (the true splitting is unknown without the maximal order).
     """
-    key = (k.min_poly.coefficients, k.disc, p)
-    hit = _split_cache.get(key)
-    if hit is not None:
-        return hit
     if k.zk_disc % p == 0:
-        res = PrimeSplitting(p, (), True, k.abs_disc % p != 0)
-    else:
-        degs = distinct_degree_degrees(list(k.min_poly.coefficients), p)
-        assert degs is not None and sum(degs) == k.degree
-        res = PrimeSplitting(p, degs, False, False)
-    _split_cache[key] = res
-    return res
+        return PrimeSplitting(p, (), True, k.abs_disc % p != 0)
+    degs = distinct_degree_degrees(list(k.min_poly.coefficients), p)
+    assert degs is not None and sum(degs) == k.degree
+    return PrimeSplitting(p, degs, False, False)
 
 
 # ======================================================== zeta Euler products
 
-def _quot_floor(num: int, den: int, prec: int) -> Fraction:
-    # floor(num/den) on the 2^-prec grid without normalizing Fraction(num, den);
-    # the gcd of two multi-megabit products dominates runtime otherwise.
-    return Fraction((num << prec) // den, 1 << prec)
+_GUARD = 64  # fixed-point bits below the output grid of the Euler pass
 
 
-def _quot_ceil(num: int, den: int, prec: int) -> Fraction:
-    return Fraction(-((-num << prec) // den), 1 << prec)
+def coarse_bound(prime_bound: int) -> int:
+    """Prime bound of the snapshot that the nesting check compares against."""
+    return max(100, prime_bound // 10)
 
 
-def _prod_tree(values: list) -> int:
-    if not values:
-        return 1
-    while len(values) > 1:
-        values = [
-            values[i] * values[i + 1] if i + 1 < len(values) else values[i]
-            for i in range(0, len(values), 2)
-        ]
-    return values[0]
+def _zeta_pass(
+    k: NumberField, s_values: Sequence[int], bounds: Sequence[int], precision: int
+) -> list:
+    """One pass over the primes <= bounds[-1] for every s in s_values.
 
-
-def _zeta_chunk(k: NumberField, primes: Sequence[int], s: int):
-    """Exact (numerator, denominator, ramified_list) over one prime block."""
-    nums, dens, ram = [], [], []
-    for p in primes:
-        sp = prime_splitting(k, p)
-        if sp.ramified:
-            ram.append(p)
-            continue
-        for f in sp.residue_degrees:
-            pf = p ** (f * s)
-            nums.append(pf)
-            dens.append(pf - 1)
-    return _prod_tree(nums), _prod_tree(dens), ram
+    Per s, lo and hi are fixed-point integers scaled by 2^(precision + _GUARD):
+    each unramified factor q/(q-1), q = p^(f s), is applied to lo rounded
+    down and to hi rounded up, and a ramified p multiplies only hi, by
+    (1-p^-s)^-d.  At each bound (ascending order) the tail
+    sum_{p > bound} p^-s <= bound^(1-s)/(s-1) is applied to hi, and the result
+    is a dict s -> enclosure on the 2^-precision grid.
+    """
+    if min(s_values) < 2:
+        raise ValueError("zeta truncation needs s >= 2")
+    if bounds[0] < 2:
+        raise ValueError("prime_bound must be >= 2")
+    d = k.degree
+    s_values = sorted(set(s_values))
+    one = 1 << (precision + _GUARD)
+    lo = dict.fromkeys(s_values, one)
+    hi = dict.fromkeys(s_values, one)
+    primes = prime_list(bounds[-1])
+    start = 0
+    out = []
+    for bound in bounds:
+        stop = bisect_right(primes, bound)
+        for p in primes[start:stop]:
+            sp = prime_splitting(k, p)
+            for s in s_values:
+                for f in sp.residue_degrees:
+                    q1 = p ** (f * s) - 1
+                    lo[s] += lo[s] // q1
+                    hi[s] += -(-hi[s] // q1)
+                if sp.ramified:
+                    q1 = p ** s - 1
+                    for _ in range(d):
+                        hi[s] += -(-hi[s] // q1)
+        start = stop
+        snapshot = {}
+        for s in s_values:
+            tail = exp_fraction(Fraction(2 * d, (s - 1) * bound ** (s - 1)), precision + 16)
+            snapshot[s] = RealInterval(
+                round_down(Fraction(lo[s], one), precision),
+                round_up(Fraction(hi[s], one) * tail.hi, precision),
+            )
+        out.append(snapshot)
+    return out
 
 
 def dedekind_zeta_partial(
-    k: NumberField,
-    s: int,
-    prime_bound: int,
-    precision: int = 128,
-    threads: int = 1,
+    k: NumberField, s: int, prime_bound: int, precision: int = 128
 ) -> RealInterval:
     """Certified enclosure [P, P*R*T] of the degree-s zeta value of k.
 
-    P is the exact Euler product over unramified p <= prime_bound; R brackets
-    the ramified factors by [1, (1-p^-s)^-d]; T bounds the tail via
-    sum_{p > bound} p^-s <= bound^(1-s)/(s-1).  The truncated part is exact
-    rational arithmetic combined in a fixed chunk order, so the result does
-    not depend on the thread count.
+    P is the Euler product over unramified p <= prime_bound; R brackets the
+    ramified factors by [1, (1-p^-s)^-d]; T bounds the tail via
+    sum_{p > bound} p^-s <= bound^(1-s)/(s-1).  The truncated product is one
+    pass of outward-rounded fixed-point integers (see _zeta_pass), so the
+    result is deterministic and encloses the exact rational product.
     """
-    if s < 2:
-        raise ValueError("zeta truncation needs s >= 2")
-    if prime_bound < 2:
-        raise ValueError("prime_bound must be >= 2")
-    primes = [p for p in prime_list(prime_bound) if p <= prime_bound]
-    chunks = [primes[i : i + _CHUNK] for i in range(0, len(primes), _CHUNK)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _zeta_chunk(k, c, s), chunks))
-    else:
-        parts = [_zeta_chunk(k, c, s) for c in chunks]
-    num = _prod_tree([part[0] for part in parts])
-    den = _prod_tree([part[1] for part in parts])
-    d = k.degree
-    ram_upper = Fraction(1)
-    for part in parts:
-        for p in part[2]:
-            ps = p ** s
-            ram_upper *= Fraction(ps, ps - 1) ** d
-    tail_exponent = Fraction(2 * d, (s - 1) * prime_bound ** (s - 1))
-    tail = exp_fraction(tail_exponent, precision + 16)
-    up = ram_upper * tail.hi
-    lo = _quot_floor(num, den, precision)
-    hi = _quot_ceil(num * up.numerator, den * up.denominator, precision)
-    return RealInterval(lo, hi)
+    return _zeta_pass(k, [s], [prime_bound], precision)[0][s]
+
+
+def _euler_products(
+    k: NumberField, data: LieTypeData, bounds: Sequence[int], precision: int
+) -> list:
+    """prod_i zeta_k(m_i + 1) at each bound, from one pass over the primes."""
+    wp = precision + 16
+    out = []
+    for zetas in _zeta_pass(k, [m + 1 for m in data.exponents], bounds, wp):
+        product = RealInterval.point(1)
+        for m in data.exponents:
+            product = product * zetas[m + 1]
+        out.append(product.round_out(precision))
+    return out
 
 
 def euler_product_E(
-    k: NumberField,
-    data: LieTypeData,
-    prime_bound: int,
-    precision: int = 128,
-    threads: int = 1,
+    k: NumberField, data: LieTypeData, prime_bound: int, precision: int = 128
 ) -> RealInterval:
     """prod_i zeta_k(m_i + 1) as a certified interval (split-form local factors)."""
-    wp = precision + 16
-    out = RealInterval.point(1)
-    for m in data.exponents:
-        out = out * dedekind_zeta_partial(k, m + 1, prime_bound, wp, threads)
-    return out.round_out(precision)
+    return _euler_products(k, data, [prime_bound], precision)[0]
 
 
 # ================================================================= covolume
@@ -197,6 +185,8 @@ class CovolumeResult:
     euler_factor: RealInterval
     lambda_bound: RealInterval
     prime_bound_used: int
+    # value at coarse_bound(prime_bound_used), when that bound is lower
+    coarse_value: Optional[RealInterval] = None
 
     def factor_product(self) -> RealInterval:
         return (
@@ -221,13 +211,14 @@ def covolume(
     p0: Optional[int] = None,
     prime_bound: int = 100000,
     precision: int = 128,
-    threads: int = 1,
 ) -> CovolumeResult:
     """Volume-formula enclosure for a concrete base field.
 
     The relative-discriminant factor (D_rel)^(s/2) is folded into
     disc_factor as the bracket [1, rel_bound^(s/2)]; lambda_bound is
-    [1, p0^(d dim)] when a distinguished ramified place is declared.
+    [1, p0^(d dim)] when a distinguished ramified place is declared.  The
+    same Euler pass also yields coarse_value, the covolume truncated at
+    coarse_bound(prime_bound), whenever that bound is below prime_bound.
     """
     wp = precision + 16
     d = k.degree
@@ -244,20 +235,22 @@ def covolume(
             RealInterval.point(rel_int).pow_frac(Fraction(s, 2), wp)
         )
     arch = _arch_unit(data, wp).pow_int(d, wp)
-    euler = euler_product_E(k, data, prime_bound, wp, threads)
+    coarse = coarse_bound(prime_bound)
+    bounds = [coarse, prime_bound] if coarse < prime_bound else [prime_bound]
+    *coarse_euler, euler = _euler_products(k, data, bounds, wp)
     lam = (
         RealInterval(1, Fraction(p0) ** (d * data.dim))
         if p0 is not None
         else RealInterval.point(1)
     )
-    value = disc * arch * euler * lam
     return CovolumeResult(
-        value=value,
+        value=disc * arch * euler * lam,
         disc_factor=disc,
         arch_factor=arch,
         euler_factor=euler,
         lambda_bound=lam,
         prime_bound_used=prime_bound,
+        coarse_value=disc * arch * coarse_euler[0] * lam if coarse_euler else None,
     )
 
 

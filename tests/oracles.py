@@ -8,6 +8,7 @@ brackets.  Slow and obviously correct beats fast and shared-with-the-code.
 
 from fractions import Fraction
 from itertools import product
+from math import comb, factorial
 
 
 # ------------------------------------------------ resultants / discriminants
@@ -242,3 +243,35 @@ def dirichlet_l2_bracket(residues, period: int, n_terms: int):
             partial += Fraction(c, n * n)
     tail = Fraction(1, n_terms)
     return partial - tail, partial + tail
+
+
+def bernoulli(n: int) -> Fraction:
+    """B_n (with B_1 = -1/2) from the recurrence sum_{k<=m} C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b[n]
+
+
+def _atan_inv_bracket(m: int, n_terms: int):
+    """atan(1/m) between two consecutive partial sums of its alternating series."""
+    partial = Fraction(0)
+    for k in range(n_terms + 1):
+        prev = partial
+        partial += Fraction((-1) ** k, (2 * k + 1) * m ** (2 * k + 1))
+    return min(prev, partial), max(prev, partial)
+
+
+def pi_bracket(n_terms: int = 300):
+    """[lo, hi] for pi from Euler's pi/4 = atan(1/2) + atan(1/3)."""
+    a_lo, a_hi = _atan_inv_bracket(2, n_terms)
+    b_lo, b_hi = _atan_inv_bracket(3, n_terms)
+    return 4 * (a_lo + b_lo), 4 * (a_hi + b_hi)
+
+
+def zeta_even_bracket(s: int, pi=None):
+    """[lo, hi] for zeta(s), s even >= 2: |B_s| (2 pi)^s / (2 s!)."""
+    assert s >= 2 and s % 2 == 0
+    lo, hi = pi or pi_bracket()
+    scale = abs(bernoulli(s)) / (2 * factorial(s))
+    return scale * (2 * lo) ** s, scale * (2 * hi) ** s

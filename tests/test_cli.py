@@ -70,6 +70,17 @@ def test_exit_codes(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     assert entry(["--config", str(missing), "lie", "dump"]) == 1
     capsys.readouterr()
+    for argv in (
+        ["growth", "lower", "--tower", "martinet", "--type", "A2",
+         "--pprime", "3", "--p0", "-3"],
+        ["covolume", "--field", "Q", "--type", "A1", "--p0", "0"],
+        ["covolume", "--tower", "martinet", "--type", "A1", "--p0", "-2"],
+        ["covolume", "--tower", "martinet", "--type", "A1", "--p0", "4"],
+    ):
+        assert entry(argv) == 1
+        assert capsys.readouterr().err == f"error: p0 must be a prime, got {argv[-1]}\n"
+    assert entry(["covolume", "--tower", "martinet", "--type", "A1", "--level", "-1"]) == 1
+    assert capsys.readouterr().err == "error: tower level must be nonnegative\n"
 
 
 def test_usage_errors_exit_64(capsys):
@@ -264,6 +275,36 @@ def test_config_file_and_precedence(capsys, tmp_path):
         capsys, ["--config", str(cfg), "--prec", "128", "lie", "dump"]
     )
     assert doc["precision"] == "128"
+
+
+def test_config_top_level_must_be_object(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[]")
+    assert entry(["--config", str(cfg), "lie", "dump"]) == 1
+    assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
+
+
+def test_config_bound_params_must_be_object(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bound_params": 3}))
+    assert entry(["--config", str(cfg), "lie", "dump"]) == 1
+    assert capsys.readouterr().err == (
+        "error: config key bound_params must be a JSON object\n"
+    )
+    cfg.write_text(json.dumps({"prec": [192]}))
+    assert entry(["--config", str(cfg), "lie", "dump"]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid config value")
+
+
+def test_threads_flag_has_no_effect(capsys):
+    # --threads is validated but unused: the Euler product is one sequential pass
+    argv = ["covolume", "--field", "x^2-x-1", "--type", "A1", "--prime-bound", "10000"]
+    outs = []
+    for threads in ("1", "4"):
+        assert entry(argv + ["--threads", threads]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "nesting_check: ok" in outs[0]
 
 
 def test_global_flags_both_positions(capsys):

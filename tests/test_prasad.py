@@ -24,10 +24,12 @@ from latcount.prasad import (
 
 from oracles import (
     dirichlet_l2_bracket,
+    pi_bracket,
     sl2_order_brute,
     sp4_order_f2,
     su3_order_f2,
     zeta2_bracket,
+    zeta_even_bracket,
 )
 
 A1 = root_system("A", 1)
@@ -124,6 +126,21 @@ def test_zeta_nesting():
         assert coarse.encloses(fine)
 
 
+def test_zeta_large_s_bernoulli_oracle():
+    # for large s the outward rounding, not the tail, sets the width
+    q = field_from_polynomial("x-1")
+    pi = pi_bracket()
+    assert RealInterval(*zeta2_bracket(4000)).encloses(
+        RealInterval(*zeta_even_bracket(2, pi))
+    )
+    for s in range(2, 31, 2):
+        zeta = RealInterval(*zeta_even_bracket(s, pi))
+        coarse = dedekind_zeta_partial(q, s, 10 ** 3)
+        fine = dedekind_zeta_partial(q, s, 10 ** 4)
+        assert coarse.encloses(zeta) and fine.encloses(zeta), s
+        assert coarse.encloses(fine), s
+
+
 def test_zeta_golden_against_dirichlet_factorization():
     # zeta_k(2) = zeta(2) L(2, chi_5) for k = Q(sqrt 5)
     k = field_from_polynomial("x^2-x-1", known_disc=5)
@@ -135,13 +152,6 @@ def test_zeta_golden_against_dirichlet_factorization():
     assert iv.intersect(oracle) is not None
 
 
-def test_zeta_thread_determinism():
-    k = field_from_polynomial("x^2-x-1", known_disc=5)
-    one = dedekind_zeta_partial(k, 2, 10 ** 5, threads=1)
-    four = dedekind_zeta_partial(k, 2, 10 ** 5, threads=4)
-    assert one.lo == four.lo and one.hi == four.hi
-
-
 def test_covolume_rationals_a1():
     q = field_from_polynomial("x-1")
     res = covolume(q, None, A1, prime_bound=10 ** 4)
@@ -150,6 +160,10 @@ def test_covolume_rationals_a1():
     assert res.factor_product().encloses(res.value)
     assert res.disc_factor.contains(1)
     assert res.prime_bound_used == 10 ** 4
+    # the same pass snapshots the bound-1000 value, which must nest
+    assert res.coarse_value.encloses(res.value)
+    assert covolume(q, None, A1, prime_bound=1000).value == res.coarse_value
+    assert covolume(q, None, A1, prime_bound=100).coarse_value is None
 
 
 def test_covolume_lambda_bracket():
@@ -171,13 +185,6 @@ def test_covolume_outer_needs_extension():
     # 5^(dim/2) = 625 times the bracket [1, (4^d |N|)^(s/2)] = [1, 1024]
     assert res.disc_factor.lo == 625
     assert res.disc_factor.hi == 640000
-
-
-def test_covolume_thread_determinism():
-    k = field_from_polynomial("x^2-x-1", known_disc=5)
-    one = covolume(k, None, A1, prime_bound=10 ** 4, threads=1)
-    four = covolume(k, None, A1, prime_bound=10 ** 4, threads=4)
-    assert one.value.lo == four.value.lo and one.value.hi == four.value.hi
 
 
 def test_c1_martinet_pin():

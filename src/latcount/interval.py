@@ -11,6 +11,13 @@ The enclosure discipline used throughout the package:
 * everything else (division, roots, exp, log, pi, ...) rounds outward only,
   so the returned interval always contains the exact result.
 
+The exp, ln, atan and atanh series behind the transcendental kernels are
+summed in fixed-point integers scaled by 2^F, with F a few guard bits above
+the working precision: floor-rounded terms give the lower end, ceil-rounded
+terms plus an explicit truncation bound the upper end (Brent & Zimmermann,
+Modern Computer Arithmetic, section 4.4).  The constants pi, ln 2 and e are
+kept per precision in small LRU caches.
+
 Nothing in here consults floating point.
 """
 
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -272,78 +280,120 @@ def _sqrt_fraction_up(q: Fraction, prec: int) -> Fraction:
     return Fraction(r, 1 << prec)
 
 
-# ---------------------------------------------------------------- constants
+# ---------------------------------------------------------------- series
+#
+# In the fixed-point sums below an integer x stands for x / 2^F (see the
+# module docstring).  The guard bits of F absorb one unit of rounding per
+# term.
 
-_const_cache: dict = {}
+
+def _series_bits(prec: int) -> int:
+    """Fixed-point scale F for a series whose sum must be good to 2^-prec."""
+    return prec + 8 + prec.bit_length()
 
 
+def _from_fixed(lo: int, hi: int, F: int) -> RealInterval:
+    return RealInterval(Fraction(lo, 1 << F), Fraction(hi, 1 << F))
+
+
+@lru_cache(maxsize=32)
 def pi_interval(prec: int) -> RealInterval:
-    """Machin's formula with exact rational partial sums."""
-    key = ("pi", prec)
-    if key not in _const_cache:
-        wp = prec + _GUARD
-        s = 16 * _atan_inv(5, wp) - 4 * _atan_inv(239, wp)
-        _const_cache[key] = s.round_out(prec)
-    return _const_cache[key]
+    """Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239), from fixed-point series."""
+    wp = prec + _GUARD
+    s = 16 * _atan_inv(5, wp) - 4 * _atan_inv(239, wp)
+    return s.round_out(prec)
 
 
 def _atan_inv(m: int, prec: int) -> RealInterval:
     # atan(1/m) = sum (-1)^k / ((2k+1) m^(2k+1)); alternating, so the
-    # truncation error is bounded by the first omitted term.
-    eps = Fraction(1, 1 << (prec + 4))
-    total = Fraction(0)
+    # truncation error is bounded by the first omitted term.  p_lo and p_hi
+    # are exactly floor and ceil of 2^F / m^(2k+1), because repeated floor
+    # (ceil) division equals one floor (ceil) division by the product.
+    F = _series_bits(prec)
+    cut = 1 << (F - prec - 4)  # 2^-(prec+4) at scale 2^F
+    m2 = m * m
+    p_lo = (1 << F) // m
+    p_hi = -(-(1 << F) // m)
+    lo = hi = 0
     k = 0
-    mk = m  # m^(2k+1)
     while True:
-        term = Fraction(1, (2 * k + 1) * mk)
-        if term < eps:
-            break
-        total += term if k % 2 == 0 else -term
+        t_lo = p_lo // (2 * k + 1)
+        t_hi = -(-p_hi // (2 * k + 1))
+        if t_hi < cut:
+            return _from_fixed(lo - t_hi, hi + t_hi, F)
+        if k % 2 == 0:
+            lo += t_lo
+            hi += t_hi
+        else:
+            lo -= t_hi
+            hi -= t_lo
         k += 1
-        mk *= m * m
-    return RealInterval(total - eps, total + eps)
+        p_lo //= m2
+        p_hi = -(-p_hi // m2)
 
 
+@lru_cache(maxsize=32)
 def ln2_interval(prec: int) -> RealInterval:
-    key = ("ln2", prec)
-    if key not in _const_cache:
-        _const_cache[key] = _atanh_series(Fraction(1, 3), prec + _GUARD).round_out(prec)
-    return _const_cache[key]
+    return _atanh_series(Fraction(1, 3), prec + _GUARD).round_out(prec)
+
+
+def _atanh_fixed(a: int, b: int, prec: int) -> tuple:
+    """(lo, hi) with [lo, hi] / 2^_series_bits(prec) enclosing 2 atanh(a/b).
+
+    2 atanh(z) = ln((1+z)/(1-z)) for 0 <= z = a/b < 1; a monotone series
+    with the geometric tail bound z^(2N+1) / ((2N+1)(1-z^2)).
+    """
+    F = _series_bits(prec)
+    cut = 1 << (F - prec - 4)
+    z_lo = (a << F) // b
+    z_hi = -(-(a << F) // b)
+    z2_lo = (z_lo * z_lo) >> F
+    z2_hi = -(-(z_hi * z_hi) >> F)
+    one_minus_z2 = (1 << F) - z2_hi  # <= (1 - z^2) 2^F
+    p_lo, p_hi = z_lo, z_hi  # z^(2k+1) 2^F, rounded down and up
+    lo = hi = 0
+    k = 0
+    while True:
+        lo += p_lo // (2 * k + 1)
+        hi += -(-p_hi // (2 * k + 1))
+        p_lo = (p_lo * z2_lo) >> F
+        p_hi = -(-(p_hi * z2_hi) >> F)
+        k += 1
+        tail = -(-(p_hi << F) // ((2 * k + 1) * one_minus_z2))
+        if tail < cut:
+            return 2 * lo, 2 * (hi + tail)
 
 
 def _atanh_series(z: Fraction, prec: int) -> RealInterval:
-    # ln((1+z)/(1-z)) = 2 atanh(z) for 0 <= z < 1, monotone series with a
-    # geometric tail bound 2 z^(2N+1) / ((2N+1)(1-z^2)).
     assert 0 <= z < 1
-    eps = Fraction(1, 1 << (prec + 4))
-    z2 = z * z
-    total = Fraction(0)
-    zk = z
+    lo, hi = _atanh_fixed(z.numerator, z.denominator, prec)
+    return _from_fixed(lo, hi, _series_bits(prec))
+
+
+def _exp_series(r: int, d: int, prec: int, F: int) -> RealInterval:
+    # e^f = sum f^k / k! for f = r / d in [0, 1], summed at scale 2^F >= 2^prec
+    # until a term drops below 2^-(prec+4).  For f = 1, t_lo and t_hi are
+    # exactly floor and ceil of 2^F / k!.
+    cut = 1 << (F - prec - 4)
+    f_lo = (r << F) // d
+    f_hi = -(-(r << F) // d)
+    lo = hi = 0
+    t_lo = t_hi = 1 << F
     k = 0
-    while True:
-        term = zk / (2 * k + 1)
-        total += term
-        zk *= z2
+    while t_hi >= cut:
+        lo += t_lo
+        hi += t_hi
         k += 1
-        tail = zk / ((2 * k + 1) * (1 - z2))
-        if tail < eps:
-            return RealInterval(2 * total, 2 * (total + tail))
+        t_lo = (t_lo * f_lo) // (k << F)
+        t_hi = -(-(t_hi * f_hi) // (k << F))
+    # remaining tail < 2 * term since term ratios are <= 1/2 from here on
+    return _from_fixed(lo, hi + 2 * t_hi, F)
 
 
+@lru_cache(maxsize=32)
 def exp1_interval(prec: int) -> RealInterval:
-    key = ("e", prec)
-    if key not in _const_cache:
-        eps = Fraction(1, 1 << (prec + _GUARD))
-        total = Fraction(0)
-        term = Fraction(1)
-        k = 0
-        while term >= eps:
-            total += term
-            k += 1
-            term /= k
-        # remaining tail < 2 * term since term ratios are < 1/2 from here on
-        _const_cache[key] = RealInterval(total, total + 2 * term).round_out(prec)
-    return _const_cache[key]
+    wp = prec + _GUARD
+    return _exp_series(1, 1, wp, _series_bits(wp)).round_out(prec)
 
 
 def exp_fraction(q: Rat, prec: int) -> RealInterval:
@@ -354,19 +404,11 @@ def exp_fraction(q: Rat, prec: int) -> RealInterval:
     if q < 0:
         return exp_fraction(-q, prec + _GUARD).recip(prec)
     wp = prec + _GUARD
-    n = q.numerator // q.denominator
-    f = q - n
+    n, r = divmod(q.numerator, q.denominator)
     acc = exp1_interval(wp + n.bit_length() + 4).pow_int(n, wp) if n else RealInterval.point(1)
-    # Taylor sum for the fractional part, 0 <= f < 1
-    total = Fraction(0)
-    term = Fraction(1)
-    k = 0
-    eps = Fraction(1, 1 << (wp + 4))
-    while term >= eps:
-        total += term
-        k += 1
-        term = term * f / k
-    frac_part = RealInterval(total, total + 2 * term)
+    # Taylor sum for the fractional part; acc < 2^(3n/2) scales its
+    # rounding error, which the extra 3n/2 bits of F cancel.
+    frac_part = _exp_series(r, q.denominator, wp, _series_bits(wp) + 3 * n // 2)
     return (acc * frac_part).round_out(prec)
 
 
@@ -378,17 +420,20 @@ def ln_fraction(q: Rat, prec: int) -> RealInterval:
     if q == 1:
         return RealInterval.point(0)
     wp = prec + _GUARD
-    # normalize q = m * 2^e with 1 <= m < 2
-    e = q.numerator.bit_length() - q.denominator.bit_length()
-    m = q / Fraction(2) ** e
-    if m >= 2:
-        m /= 2
-        e += 1
-    elif m < 1:
-        m *= 2
+    # normalize q = m * 2^e with m = num / den, 1 <= m < 2; q / 2^e lies in
+    # (1/2, 2) for this e, so at most one doubling is needed
+    num, den = q.numerator, q.denominator
+    e = num.bit_length() - den.bit_length()
+    if e >= 0:
+        den <<= e
+    else:
+        num <<= -e
+    if num < den:
+        num <<= 1
         e -= 1
-    z = (m - 1) / (m + 1)
-    lnm = _atanh_series(z, wp)
+    # ln m = 2 atanh(z) with z = (m - 1) / (m + 1)
+    lo, hi = _atanh_fixed(num - den, num + den, wp)
+    lnm = _from_fixed(lo, hi, _series_bits(wp))
     return (lnm + e * ln2_interval(wp + abs(e).bit_length() + 2)).round_out(prec)
 
 

@@ -17,8 +17,6 @@ from fractions import Fraction
 from math import factorial, isqrt
 from typing import Optional, Sequence, Tuple, Union
 
-from mpmath import mp
-
 from .errors import (
     InvalidDiscriminant,
     PrecisionExhausted,
@@ -285,11 +283,15 @@ def _bisect_refine(poly: Polynomial, lo: Fraction, hi: Fraction, prec: int):
 # ============================================================= complex roots
 
 def _mpf_to_fraction(x, bits: int) -> Fraction:
+    from mpmath import mp
+
     return Fraction(int(mp.floor(mp.ldexp(x, bits))), 1 << bits)
 
 
 def _complex_seeds(poly: Polynomial, r2: int, workprec: int):
     """Uncertified upper-half-plane root approximations, as exact rationals."""
+    from mpmath import mp  # imported here: only complex roots need it
+
     try:
         with mp.workprec(workprec):
             coeffs = [mp.mpf(c) for c in reversed(poly.coefficients)]

@@ -7,7 +7,9 @@ and distinct-degree factorization degrees.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import compress
 
 
 def primes_up_to(n: int) -> list:
@@ -18,7 +20,7 @@ def primes_up_to(n: int) -> list:
     for p in range(2, int(n ** 0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(compress(range(n + 1), sieve))
 
 
 @lru_cache(maxsize=8)
@@ -27,9 +29,9 @@ def _cached_primes(bucket: int) -> tuple:
 
 
 def prime_list(n: int) -> tuple:
-    """Cached ascending primes <= n (sieve size bucketed upward)."""
-    bucket = 100000 if n <= 100000 else 1 << (n - 1).bit_length()
-    return tuple(p for p in _cached_primes(bucket) if p <= n)
+    """Cached ascending primes <= n (sieve size: the next power of two)."""
+    primes = _cached_primes(1 << max(n - 1, 1).bit_length())
+    return primes[: bisect_right(primes, n)]
 
 
 def _trim(f: list) -> list:

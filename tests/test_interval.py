@@ -1,17 +1,24 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from hypothesis import given, settings, strategies as st
+from mpmath import libmp, mp
 
 from latcount.interval import (
     ComplexBox,
     RealInterval,
+    _atan_inv,
+    _atanh_series,
     decimal_str,
+    exp1_interval,
     exp_fraction,
     interval_strs,
     iroot_ceil,
     iroot_floor,
+    ln2_interval,
     ln_fraction,
     log2_fraction,
     pi_interval,
@@ -133,3 +140,103 @@ def test_complex_box():
     assert sq.re.contains(Fraction(-1)) and sq.im.contains(Fraction(0))
     assert i_box.abs_sq().contains(Fraction(1))
     assert i_box.conjugate().im.contains(Fraction(-1))
+
+
+# ------------------------------------------------- kernels against mpmath
+
+PRECS = (64, 128, 528, 2048)
+KERNEL_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+# small integers and 100-600-bit ones, for numerators and denominators
+_ints = st.one_of(st.integers(1, 2 ** 20), st.integers(2 ** 99, 2 ** 600))
+
+
+@st.composite
+def positive_rationals(draw):
+    return Fraction(draw(_ints), draw(_ints))
+
+
+@st.composite
+def exponents(draw):
+    """Rationals in [-64, 64] with the same numerator and denominator sizes."""
+    d = draw(_ints)
+    return Fraction(draw(st.integers(-64 * d, 64 * d)), d)
+
+
+def _exact(x) -> Fraction:
+    return Fraction(*libmp.to_rational(x._mpf_))
+
+
+def _assert_encloses(iv, fn, q, prec, *args):
+    """iv contains fn(q) as mpmath computes it at 4 * prec bits."""
+    with mp.workprec(4 * prec):
+        ref = _exact(fn(mp.mpf(q.numerator) / q.denominator, *args))
+    slack = (abs(ref) + 1) / 2 ** (4 * prec - 16)  # the reference's own error
+    assert iv.lo - slack <= ref <= iv.hi + slack
+    assert iv.width() <= (abs(ref) + 1) / 2 ** (prec - 4)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@KERNEL_SETTINGS
+@given(q=exponents())
+def test_exp_fraction_encloses(prec, q):
+    _assert_encloses(exp_fraction(q, prec), mp.exp, q, prec)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@KERNEL_SETTINGS
+@given(q=positive_rationals())
+def test_ln_fraction_encloses(prec, q):
+    _assert_encloses(ln_fraction(q, prec), mp.log, q, prec)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@KERNEL_SETTINGS
+@given(q=positive_rationals())
+def test_log2_fraction_encloses(prec, q):
+    _assert_encloses(log2_fraction(q, prec), mp.log, q, prec, 2)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@KERNEL_SETTINGS
+@given(d=_ints, data=st.data())
+def test_atanh_series_encloses(prec, d, data):
+    z = Fraction(data.draw(st.integers(0, d // 3)), d)
+    iv = _atanh_series(z, prec)
+    _assert_encloses(iv, lambda x: 2 * mp.atanh(x), z, prec)
+    assert iv.width() <= Fraction(1, 2 ** (prec + 2))
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@KERNEL_SETTINGS
+@given(m=st.integers(2, 1000))
+def test_atan_inv_encloses(prec, m):
+    iv = _atan_inv(m, prec)
+    _assert_encloses(iv, lambda x: mp.atan(1 / x), Fraction(m), prec)
+    assert iv.width() <= Fraction(1, 2 ** (prec + 2))
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_constants_width(prec):
+    for fn, ref in ((pi_interval, mp.pi), (ln2_interval, mp.ln2), (exp1_interval, mp.e)):
+        with mp.workprec(4 * prec):
+            value = _exact(+ref)
+        iv = fn(prec)
+        assert iv.lo < value < iv.hi
+        assert iv.width() <= Fraction(4, 2 ** prec)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(q=positive_rationals())
+def test_exp_of_ln_round_trip(q):
+    ln_q = ln_fraction(q, 128)
+    assert exp_fraction(ln_q.lo, 128).lo <= q <= exp_fraction(ln_q.hi, 128).hi
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    code = "import sys, latcount.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

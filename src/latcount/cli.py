@@ -389,7 +389,12 @@ def _parse_residues(text: str) -> list:
     pairs = []
     for part in text.split(","):
         p, _, f = part.partition(":")
-        pairs.append((int(p.strip()), int(f.strip() or "1")))
+        try:
+            pairs.append((int(p.strip()), int(f.strip() or "1")))
+        except ValueError:
+            raise LatcountError(
+                f"cannot parse --residues {text!r}: expected p:f pairs such as 2:1,3:1"
+            ) from None
     return pairs
 
 
@@ -565,7 +570,12 @@ def _resolve(args, config):
             if field == "s_embed":
                 value = int(value)
             else:
-                value = Fraction(str(value))
+                try:
+                    value = Fraction(str(value))
+                except (ValueError, ZeroDivisionError):
+                    raise LatcountError(
+                        f"--{attr} must be a rational number such as 1/2, got {value!r}"
+                    ) from None
             params = replace(
                 params,
                 **{field: value},

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import EmptyReport, ResidueBudgetExceeded
@@ -279,7 +280,7 @@ def lower_growth_assemble(
     rows = []
     for d in degrees:
         sub = d * d // 4
-        discount = -((-c4.numerator * d) // c4.denominator) if c4 else 0
+        discount = ceil(c4 * d)
         net = sub - discount
         rows.append(
             GrowthRow(

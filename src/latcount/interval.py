@@ -85,12 +85,6 @@ class RealInterval:
         q = Fraction(q)
         return cls(q, q)
 
-    @classmethod
-    def from_fraction(cls, q: Rat, prec: int) -> "RealInterval":
-        """Tightest prec-bit dyadic enclosure of an exact rational."""
-        q = Fraction(q)
-        return cls(round_down(q, prec), round_up(q, prec))
-
     # -- exact arithmetic ---------------------------------------------
 
     def __add__(self, other):
@@ -158,9 +152,7 @@ class RealInterval:
     def sqrt(self, prec: int) -> "RealInterval":
         if self.lo < 0:
             raise ValueError("sqrt of an interval with negative lower bound")
-        return RealInterval(
-            _sqrt_fraction_down(self.lo, prec), _sqrt_fraction_up(self.hi, prec)
-        )
+        return self.nth_root(2, prec)
 
     def nth_root(self, n: int, prec: int) -> "RealInterval":
         if self.lo < 0:
@@ -265,19 +257,6 @@ class RealInterval:
 
     def __hash__(self):
         return hash((self.lo, self.hi))
-
-
-def _sqrt_fraction_down(q: Fraction, prec: int) -> Fraction:
-    n = (q.numerator << (2 * prec)) // q.denominator
-    return Fraction(math.isqrt(n), 1 << prec)
-
-
-def _sqrt_fraction_up(q: Fraction, prec: int) -> Fraction:
-    n = -((-q.numerator << (2 * prec)) // q.denominator)
-    r = math.isqrt(n)
-    if r * r != n:
-        r += 1
-    return Fraction(r, 1 << prec)
 
 
 # ---------------------------------------------------------------- series

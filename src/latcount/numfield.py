@@ -5,6 +5,13 @@ made here: discriminants and norms are exact integers/rationals, embeddings
 are certified enclosures (Sturm isolation for real roots, exact residual
 bounds around refined seeds for complex ones), and irreducibility is decided,
 not guessed.
+
+Real roots are isolated and refined on integers: the Sturm chain is kept as
+integer polynomials, each remainder scaled by the positive lcm of its
+denominators, and isolation and bisection read only the sign of q^deg f(p/q)
+at dyadic points p/q.  The irreducibility subset test skips every set of
+roots whose interval sum contains no integer before it multiplies out the
+candidate factor.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import ceil, factorial, floor, isqrt, lcm
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -26,7 +33,6 @@ from .errors import (
 from .interval import (
     ComplexBox,
     RealInterval,
-    _sqrt_fraction_up,
     exp_fraction,
     pi_interval,
     round_down,
@@ -66,16 +72,6 @@ class Polynomial:
         return Polynomial(
             tuple(i * c for i, c in enumerate(self.coefficients))[1:]
         )
-
-    def __call__(self, x):
-        """Horner evaluation; works for Fraction, RealInterval and ComplexBox."""
-        if isinstance(x, (int, Fraction)):
-            acc: object = Fraction(self.coefficients[-1])
-        else:
-            acc = x * 0 + self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * x + c
-        return acc
 
     @classmethod
     def from_string(cls, text: str) -> "Polynomial":
@@ -132,7 +128,7 @@ def _fp_rem(a: list, b: list) -> list:
     """a mod b over Q."""
     a = list(a)
     db = len(b) - 1
-    inv = 1 / b[-1]
+    inv = Fraction(1, b[-1])
     while len(a) - 1 >= db:
         c = a[-1] * inv
         if c:
@@ -188,22 +184,30 @@ def element_norm(element: "FieldElement") -> Fraction:
 # ================================================================ real roots
 
 def _sturm_chain(coeffs: Sequence[int]) -> list:
-    p0 = _trim([Fraction(c) for c in coeffs])
-    p1 = _trim([Fraction(i * c) for i, c in enumerate(coeffs)][1:])
-    chain = [p0, p1]
-    while len(chain[-1]) - 1 > 0:
-        r = [-c for c in _fp_rem(chain[-2], chain[-1])]
+    """Sturm sequence of f as integer polynomials.
+
+    Each remainder is scaled by the positive lcm of its denominators, which
+    keeps every sign the count reads.
+    """
+    chain = [list(coeffs), [i * c for i, c in enumerate(coeffs)][1:]]
+    while len(chain[-1]) > 1:
+        r = _fp_rem(chain[-2], chain[-1])
         if not r:
             break  # nontrivial gcd; caller must have ensured squarefreeness
-        chain.append(r)
+        m = lcm(*(c.denominator for c in r))
+        chain.append([-c.numerator * (m // c.denominator) for c in r])
     return chain
 
 
-def _eval_fp(f: list, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
+def _sign_at(f: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial f at x, by Horner on q^deg f(p/q)."""
+    p, q = x.numerator, x.denominator
+    acc = f[-1]
+    qk = 1
+    for c in reversed(f[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return (acc > 0) - (acc < 0)
 
 
 def _sign_changes(values) -> int:
@@ -212,17 +216,7 @@ def _sign_changes(values) -> int:
 
 
 def _sturm_count_below(chain, x: Fraction) -> int:
-    return _sign_changes(_eval_fp(f, x) for f in chain)
-
-
-def _sturm_at_minus_inf(chain) -> int:
-    return _sign_changes(
-        (f[-1] if (len(f) - 1) % 2 == 0 else -f[-1]) for f in chain
-    )
-
-
-def _sturm_at_plus_inf(chain) -> int:
-    return _sign_changes(f[-1] for f in chain)
+    return _sign_changes(_sign_at(f, x) for f in chain)
 
 
 def _cauchy_bound(coeffs) -> int:
@@ -236,21 +230,21 @@ def _cauchy_bound(coeffs) -> int:
 def _isolate_real_roots(poly: Polynomial) -> list:
     """Disjoint dyadic intervals (a, b) with a sign change, one real root each."""
     chain = _sturm_chain(poly.coefficients)
+    f = chain[0]
     big = Fraction(_cauchy_bound(poly.coefficients))
-    total = _sturm_at_minus_inf(chain) - _sturm_at_plus_inf(chain)
-    if total == 0:
-        return []
+    # every root lies in (-M, M), so this count is the number of real roots
+    total = _sturm_count_below(chain, -big) - _sturm_count_below(chain, big)
     out = []
-    stack = [(-big, big, _sturm_count_below(chain, -big) - _sturm_count_below(chain, big))]
+    stack = [(-big, big, total)]
     while stack:
         a, b, count = stack.pop()
         if count == 0:
             continue
-        if count == 1 and _eval_fp(chain[0], a) * _eval_fp(chain[0], b) < 0:
+        if count == 1 and _sign_at(f, a) * _sign_at(f, b) < 0:
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        if _eval_fp(chain[0], mid) == 0:
+        if _sign_at(f, mid) == 0:
             # a rational root: legal only for degree-1 input, handled upstream
             raise ReduciblePolynomial(f"rational root {mid} of {poly}")
         va = _sturm_count_below(chain, a)
@@ -266,14 +260,14 @@ def _isolate_real_roots(poly: Polynomial) -> list:
 def _bisect_refine(poly: Polynomial, lo: Fraction, hi: Fraction, prec: int):
     """Shrink a sign-change bracket to width <= 2^-prec."""
     target = Fraction(1, 1 << prec)
-    f = [Fraction(c) for c in poly.coefficients]
-    sign_lo = 1 if _eval_fp(f, lo) > 0 else -1
+    f = poly.coefficients
+    sign_lo = _sign_at(f, lo)
     while hi - lo > target:
         mid = (lo + hi) / 2
-        v = _eval_fp(f, mid)
-        if v == 0:
+        s = _sign_at(f, mid)
+        if s == 0:
             raise ReduciblePolynomial(f"rational root {mid} of {poly}")
-        if (1 if v > 0 else -1) == sign_lo:
+        if s == sign_lo:
             lo = mid
         else:
             hi = mid
@@ -336,7 +330,9 @@ def _certify_boxes(poly: Polynomial, seeds, prec: int):
         den = gr * gr + gi * gi
         if den == 0:
             return None
-        rho = _sqrt_fraction_up(Fraction(d * d) * (fr * fr + fi * fi) / den, grid + 8)
+        rho = RealInterval.point(
+            Fraction(d * d) * (fr * fr + fi * fi) / den
+        ).nth_root(2, grid + 8).hi
         if rho > halfwidth_cap:
             return None
         if b - rho <= 0:
@@ -423,15 +419,6 @@ class NumberField:
             f"complex embeddings of {self.min_poly} at {prec} bits"
         )
 
-    def root_enclosures(self, prec: Optional[int] = None):
-        """All d root enclosures: real intervals, then conjugate box pairs."""
-        reals, boxes = self.embeddings(prec)
-        full = list(reals)
-        for box in boxes:
-            full.append(box)
-            full.append(box.conjugate())
-        return tuple(full)
-
     def element(self, coords) -> "FieldElement":
         return FieldElement(self, coords)
 
@@ -508,28 +495,13 @@ def _try_integer_candidate(coeff_ivs):
     """Unique integer inside each interval, or None/'wide'."""
     cand = []
     for iv in coeff_ivs:
-        lo = -((-iv.lo.numerator) // iv.lo.denominator)  # ceil
-        hi = iv.hi.numerator // iv.hi.denominator        # floor
+        lo, hi = ceil(iv.lo), floor(iv.hi)
         if lo > hi:
             return None
         if lo != hi:
             return "wide"
         cand.append(lo)
     return cand
-
-
-def _divides_exactly(f: Polynomial, g: list) -> bool:
-    """Does the monic integer poly g (constant first) divide f over Z?"""
-    a = list(f.coefficients)
-    dg = len(g) - 1
-    if dg < 1:
-        return False
-    for shift in range(len(a) - 1 - dg, -1, -1):
-        c = a[shift + dg]
-        if c:
-            for i, gc in enumerate(g):
-                a[shift + i] -= c * gc
-    return all(c == 0 for c in a[:dg])
 
 
 def _assert_irreducible(poly: Polynomial, field_prec: int, get_enclosures):
@@ -553,18 +525,23 @@ def _assert_irreducible(poly: Polynomial, field_prec: int, get_enclosures):
         ]
         widened = False
         for mask in range(1, 1 << len(units)):
-            size = sum(units[i][0] for i in range(len(units)) if mask >> i & 1)
+            chosen = [u for i, u in enumerate(units) if mask >> i & 1]
+            size = sum(u[0] for u in chosen)
             if size not in sizes:
                 continue
+            # a monic integer factor has an integer x^(size-1) coefficient,
+            # minus the sum of its roots: test that before any product
+            minus_trace = sum((u[1][-2] for u in chosen), RealInterval.point(0))
+            if ceil(minus_trace.lo) > floor(minus_trace.hi):
+                continue
             prod = [RealInterval.point(1)]
-            for i in range(len(units)):
-                if mask >> i & 1:
-                    prod = _interval_poly_mul(prod, units[i][1])
+            for _, factor in chosen:
+                prod = _interval_poly_mul(prod, factor)
             cand = _try_integer_candidate(prod[:-1])
             if cand == "wide":
                 widened = True
                 continue
-            if cand is not None and _divides_exactly(poly, cand + [1]):
+            if cand is not None and not _fp_rem(poly.coefficients, cand + [1]):
                 raise ReduciblePolynomial(
                     f"{poly} has factor of degree {size}"
                 )
@@ -596,9 +573,9 @@ def field_from_polynomial(
         raise ValueError("defining polynomial must have degree >= 1")
 
     if d == 1:
-        field = NumberField(
-            poly, 1, 1, 0, known_disc or 1, 1, precision, [], {}
-        )
+        if known_disc not in (None, 1):
+            raise InvalidDiscriminant(f"the rationals have disc 1, not {known_disc}")
+        field = NumberField(poly, 1, 1, 0, 1, 1, precision, [], {})
         field.embeddings(precision)
         return field
 
@@ -627,6 +604,14 @@ def field_from_polynomial(
         if q <= 0 or isqrt(q) ** 2 != q:
             raise InvalidDiscriminant(
                 "disc(Z[theta]) / known_disc must be a positive square"
+            )
+        if known_disc % 4 not in (0, 1):
+            raise InvalidDiscriminant(
+                f"known_disc {known_disc} is not 0 or 1 mod 4 (Stickelberger)"
+            )
+        if abs(known_disc) < 3 or d > minkowski_degree_bound(abs(known_disc)):
+            raise InvalidDiscriminant(
+                f"no field of degree {d} has |disc| = {abs(known_disc)} (Minkowski)"
             )
         field.disc = known_disc
     return field
@@ -723,8 +708,8 @@ def evaluate_at_embeddings(element: FieldElement, precision: int):
     wp = precision + 16
     for _ in range(_MAX_REFINE_ROUNDS):
         reals, boxes = k.embeddings(wp)
-        r_out = [_horner_interval(element.coords, r) for r in reals]
-        b_out = [_horner_box(element.coords, b) for b in boxes]
+        r_out = [_horner(element.coords, r) for r in reals]
+        b_out = [_horner(element.coords, b) for b in boxes]
         if all(iv.width() <= target for iv in r_out) and all(
             b.re.width() <= target and b.im.width() <= target for b in b_out
         ):
@@ -735,15 +720,9 @@ def evaluate_at_embeddings(element: FieldElement, precision: int):
     raise PrecisionExhausted(f"embedding images at {precision} bits")
 
 
-def _horner_interval(coords, x: RealInterval) -> RealInterval:
-    acc = RealInterval.point(0)
-    for c in reversed(coords):
-        acc = acc * x + c
-    return acc
-
-
-def _horner_box(coords, x: ComplexBox) -> ComplexBox:
-    acc = ComplexBox(RealInterval.point(0), RealInterval.point(0))
+def _horner(coords, x):
+    """Horner evaluation at a RealInterval or a ComplexBox."""
+    acc = x * 0
     for c in reversed(coords):
         acc = acc * x + c
     return acc

@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -324,7 +324,7 @@ def quadratic_extension(
         )
     d, D = k.degree, k.abs_disc
     scaled = D * D * (1 << (2 * d)) * norm
-    disc_bound = -((-scaled.numerator) // scaled.denominator)  # exact ceiling
+    disc_bound = ceil(scaled)
     if delta is None:
         # for |disc| = 1 the rd formula's D^expo factor is 1 whatever delta is
         delta = (

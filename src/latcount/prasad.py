@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import ceil, factorial
 from typing import Optional, Sequence, Tuple
 
 from .errors import NonIntegralOrder
@@ -230,7 +230,7 @@ def covolume(
                 "outer forms need quadratic extension data for the (D_rel)^(s/2) factor"
             )
         rel = Fraction(1 << (2 * d)) * abs_norm_bound(ext)
-        rel_int = -((-rel.numerator) // rel.denominator)
+        rel_int = ceil(rel)
         disc = disc * RealInterval(1, 1).hull(
             RealInterval.point(rel_int).pow_frac(Fraction(s, 2), wp)
         )

@@ -81,6 +81,21 @@ def test_exit_codes(capsys, tmp_path):
         assert capsys.readouterr().err == f"error: p0 must be a prime, got {argv[-1]}\n"
     assert entry(["covolume", "--tower", "martinet", "--type", "A1", "--level", "-1"]) == 1
     assert capsys.readouterr().err == "error: tower level must be nonnegative\n"
+    assert entry(["field", "--poly", "x^2+1", "--known-disc", "-1"]) == 1
+    assert "Stickelberger" in capsys.readouterr().err
+    for argv, flag in (
+        (["growth", "upper", "--residues", "2:x"], "--residues"),
+        (["growth", "upper", "--residues", "2:1:3"], "--residues"),
+        (["growth", "lower", "--tower", "martinet", "--type", "A1",
+          "--pprime", "3", "--c4", "abc"], "--c4"),
+        (["growth", "lower", "--tower", "martinet", "--type", "A1",
+          "--pprime", "3", "--c4", "1/0"], "--c4"),
+        (["growth", "upper", "--C1", "x"], "--C1"),
+    ):
+        assert entry(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert "invalid literal" not in err.lower()
 
 
 def test_usage_errors_exit_64(capsys):

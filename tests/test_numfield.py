@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latcount.errors import (
     InvalidDiscriminant,
@@ -23,6 +24,7 @@ from latcount.numfield import (
     minkowski_witness,
     poly_discriminant,
     root_discriminant,
+    _sign_at,
 )
 
 from oracles import discriminant_oracle
@@ -72,14 +74,52 @@ def test_irreducible_accepted_without_rational_roots():
     assert field_from_polynomial("x^4-10x^2+1").signature == (4, 0)
 
 
+# minimal polynomials of 2 cos(2 pi / n), constant coefficient first
+PSI = {
+    13: (-1, 3, 6, -4, -5, 1, 1),
+    21: (1, -8, 8, 6, -6, -1, 1),
+    56: (1, 0, -24, 0, 86, 0, -104, 0, 53, 0, -12, 0, 1),
+    72: (1, 0, -36, 0, 105, 0, -112, 0, 54, 0, -12, 0, 1),
+    84: (1, 0, -16, 0, 60, 0, -78, 0, 44, 0, -11, 0, 1),
+}
+
+
+@pytest.mark.parametrize("n", (56, 72, 84))
+def test_real_cyclotomic_degree_12_irreducible(n):
+    # totally real of degree 12: the subset test meets every size 1..6
+    k = field_from_polynomial(PSI[n])
+    assert k.signature == (12, 0)
+
+
+def test_real_cyclotomic_product_has_degree_6_factor():
+    f = [0] * 13
+    for i, a in enumerate(PSI[13]):
+        for j, b in enumerate(PSI[21]):
+            f[i + j] += a * b
+    with pytest.raises(ReduciblePolynomial, match="has factor of degree 6"):
+        field_from_polynomial(f)
+
+
 def test_known_disc_validation():
     assert field_from_polynomial("x^2-5", known_disc=5).disc == 5
+    assert field_from_polynomial("x^2-12", known_disc=12).disc == 12
+    assert field_from_polynomial("x^3-3x+1", known_disc=81).disc == 81
     with pytest.raises(InvalidDiscriminant):
         field_from_polynomial("x^2-5", known_disc=-5)   # wrong sign
     with pytest.raises(InvalidDiscriminant):
         field_from_polynomial("x^2-5", known_disc=3)    # not a divisor
     with pytest.raises(InvalidDiscriminant):
         field_from_polynomial("x^2-5", known_disc=10)   # quotient 2 not square
+    # divisors with a square quotient that no field of the degree can have
+    for spec, disc in (
+        ("x^2+1", -1),      # 3 mod 4 (Stickelberger), |disc| < 3
+        ("x^2-12", 3),      # 3 mod 4
+        ("x^3-3x+1", 1),    # |disc| < 3
+        ("x^3-3x+1", 9),    # cubic fields have |disc| >= 23
+        ("x-1", 7),         # the rationals have disc 1
+    ):
+        with pytest.raises(InvalidDiscriminant):
+            field_from_polynomial(spec, known_disc=disc)
 
 
 def test_norm_multiplicative():
@@ -202,3 +242,52 @@ def test_polynomial_parsing():
         with pytest.raises(ValueError):
             Polynomial.from_string(bad)
     assert str(Polynomial((-1, -1, 1))) == "x^2 - x - 1"
+
+
+def _exact_sign(f, x):
+    value = sum(Fraction(c) * x ** i for i, c in enumerate(f))
+    return (value > 0) - (value < 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    f=st.lists(st.integers(-50, 50), min_size=1, max_size=9).filter(lambda f: f[-1] != 0),
+    x=st.fractions(max_denominator=2 ** 40),
+    root=st.none() | st.tuples(st.integers(-30, 30), st.integers(1, 30)),
+)
+def test_sign_at_matches_exact_evaluation(f, x, root):
+    if root is not None:
+        # (q x - p) f has the exact rational root p / q
+        p, q = root
+        g = [0] * (len(f) + 1)
+        for i, c in enumerate(f):
+            g[i] -= p * c
+            g[i + 1] += q * c
+        f, x = g, Fraction(p, q)
+        assert _sign_at(f, x) == 0
+    assert _sign_at(f, x) == _exact_sign(f, x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(f=st.lists(st.integers(-20, 20), min_size=2, max_size=6).map(lambda f: f + [1]))
+def test_real_brackets_are_aligned_dyadic_cells(f):
+    try:
+        k = field_from_polynomial(f, 64)
+    except ReduciblePolynomial:
+        assume(False)
+    previous = None
+    for prec in (64, 128, 512):
+        reals, _ = k.embeddings(prec)
+        assert len(reals) == k.r1
+        cell = Fraction(1, 1 << prec)
+        for iv in reals:
+            w = iv.width()
+            # refined to the aligned 2^-prec cell, or already the narrower
+            # power-of-two cell that isolated the root
+            assert w == cell or (w < cell and (iv.lo, iv.hi) in k._real_brackets)
+            assert w.numerator == 1 and w.denominator & (w.denominator - 1) == 0
+            assert (iv.lo / w).denominator == 1
+            assert _exact_sign(f, iv.lo) * _exact_sign(f, iv.hi) < 0
+        if previous is not None:
+            assert all(a.encloses(b) for a, b in zip(previous, reals))
+        previous = reals

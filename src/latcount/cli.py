@@ -19,7 +19,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .counting import BoundParams, _is_prime, lower_growth_assemble, upper_growth_assemble
+from .counting import (
+    BoundParams,
+    _is_prime,
+    lower_growth_assemble,
+    read_int,
+    read_rational,
+    upper_growth_assemble,
+)
 from .errors import (
     EmptyReport,
     LatcountError,
@@ -286,7 +293,7 @@ def cmd_covolume(args, params: BoundParams) -> Report:
         )
         result = covolume_synthetic(synth, data, p0, precision=args.prec)
         c1 = covolume_upper_c1(entry.rd_constant, None, data, p0, args.prec)
-        c1_pow = RealInterval(c1.lo ** degree, c1.hi ** degree)
+        c1_pow = c1 ** degree
         report.extra["tower"] = entry.name
         report.extra["level"] = str(args.level)
         report.extra["degree"] = str(degree)
@@ -542,14 +549,18 @@ def _load_config(path):
     return config
 
 
+def _config_int(config, key, default):
+    return read_int(config.get(key, default), f"invalid config value: {key}")
+
+
 def _resolve(args, config):
-    args.prec = args.prec if args.prec is not None else int(config.get("prec", 128))
-    args.prime_bound = (
-        args.prime_bound if args.prime_bound is not None
-        else int(config.get("prime_bound", 100000))
-    )
+    if args.prec is None:
+        args.prec = _config_int(config, "prec", 128)
+    if args.prime_bound is None:
+        args.prime_bound = _config_int(config, "prime_bound", 100000)
     args.format = args.format or config.get("format", "table")
-    args.threads = args.threads if args.threads is not None else int(config.get("threads", 1))
+    if args.threads is None:
+        args.threads = _config_int(config, "threads", 1)
     if args.format not in ("table", "json", "csv"):
         raise LatcountError(f"unknown format {args.format!r} in config")
     if args.prec < 64:
@@ -564,34 +575,23 @@ def _resolve(args, config):
     if getattr(args, "level", 0) < 0:
         raise LatcountError("tower level must be nonnegative")
     params = BoundParams.from_config(config.get("bound_params", {}))
-    for attr, field in (("c4", "c4"), ("C1", "C1"), ("s_embed", "s_embed")):
+    flags = {}
+    for attr in ("c4", "C1", "s_embed"):
         value = getattr(args, attr, None)
         if value is not None:
-            if field == "s_embed":
-                value = int(value)
-            else:
-                try:
-                    value = Fraction(str(value))
-                except (ValueError, ZeroDivisionError):
-                    raise LatcountError(
-                        f"--{attr} must be a rational number such as 1/2, got {value!r}"
-                    ) from None
-            params = replace(
-                params,
-                **{field: value},
-                defaulted=tuple(d for d in params.defaulted if d != field),
-            )
-    return params
+            # argparse already made --s-embed an int
+            flags[attr] = value if attr == "s_embed" else read_rational(value, f"--{attr}")
+    return replace(
+        params,
+        **flags,
+        defaulted=tuple(d for d in params.defaulted if d not in flags),
+    )
 
 
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _load_config(args.config)
-    try:
-        params = _resolve(args, config)
-    except TypeError as exc:  # a config value of the wrong JSON type
-        raise LatcountError(f"invalid config value: {exc}") from None
+    params = _resolve(args, _load_config(args.config))
     handlers = {
         "field": cmd_field,
         "pisot": cmd_pisot,

@@ -132,6 +132,32 @@ def _ceil_pow_product(scale: int, x: Rat, expo: Fraction) -> int:
     return iroot_ceil(-(-num // den), b)
 
 
+def read_rational(value, label: str) -> Fraction:
+    """A rational from a JSON number or a string such as "1/2"; anything else,
+    bools included, raises a ValueError that names label (a key or a flag)."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError(f"{label} must be a rational number such as 1/2, got {value!r}")
+
+
+def read_int(value, label: str) -> int:
+    """An integer from an integral JSON number or a decimal string; anything
+    else, bools included, raises a ValueError that names label."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{label} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Non-explicit constants of the counting chain, supplied not derived.
@@ -171,11 +197,8 @@ class BoundParams:
             raise ValueError(f"unknown bound parameter(s): {sorted(extra)}")
         kwargs = {}
         for key in known & set(block):
-            raw = block[key]
-            if key == "s_embed":
-                kwargs[key] = int(raw)
-            else:
-                kwargs[key] = Fraction(str(raw)) if isinstance(raw, str) else Fraction(raw)
+            read = read_int if key == "s_embed" else read_rational
+            kwargs[key] = read(block[key], f"invalid config value: {key}")
         defaulted = tuple(sorted(known - set(block)))
         return cls(defaulted=defaulted, **kwargs)
 

@@ -5,9 +5,10 @@ The enclosure discipline used throughout the package:
 * endpoints are ``fractions.Fraction`` values; every interval returned by a
   public operation at precision ``prec`` has endpoints on the grid
   ``Z * 2**-prec`` (dyadic rationals),
-* addition, subtraction and multiplication are exact (dyadics are closed
-  under them; transient non-dyadic endpoints from scaling by a rational are
-  allowed inside a computation and removed by the final ``round_out``),
+* addition, subtraction, multiplication and nonnegative integer powers are
+  exact (dyadics are closed under them; transient non-dyadic endpoints from
+  scaling by a rational are allowed inside a computation and removed by the
+  final ``round_out``),
 * everything else (division, roots, exp, log, pi, ...) rounds outward only,
   so the returned interval always contains the exact result.
 
@@ -126,6 +127,16 @@ class RealInterval:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n: int) -> "RealInterval":
+        """self**n for an integer n >= 0; even powers of an interval that
+        straddles 0 start at 0."""
+        if n < 0:
+            raise ValueError("exact powers need n >= 0")
+        lo, hi = sorted((self.lo ** n, self.hi ** n))
+        if n and n % 2 == 0 and self.lo < 0 < self.hi:
+            lo = 0
+        return RealInterval(lo, hi)
+
     # -- rounded arithmetic -------------------------------------------
 
     def round_out(self, prec: int) -> "RealInterval":
@@ -170,17 +181,7 @@ class RealInterval:
         """self**n with outward rounding; n may be negative if 0 is excluded."""
         if n < 0:
             return self.pow_int(-n, prec + _GUARD).recip(prec)
-        if n == 0:
-            return RealInterval.point(1)
-        # even powers of sign-straddling intervals clamp at zero
-        if n % 2 == 0 and self.lo < 0 < self.hi:
-            m = max(-self.lo, self.hi)
-            return RealInterval(0, m ** n).round_out(prec)
-        a = self.lo ** n
-        b = self.hi ** n
-        if a > b:
-            a, b = b, a
-        return RealInterval(a, b).round_out(prec)
+        return (self ** n).round_out(prec)
 
     def exp(self, prec: int) -> "RealInterval":
         return RealInterval(

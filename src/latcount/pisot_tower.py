@@ -6,6 +6,13 @@ multiply t of them into a product that is negative at exactly t places, and
 pass to k[sqrt(alpha)], whose discriminant and root discriminant admit the
 explicit bounds implemented here.  Tower entries with bounded root
 discriminant are catalog data, not constructions.
+
+A Pisot certificate for theta in a degree-d field of |disc| D also caps the
+big place, theta <= 2^(d-1) sqrt(D), and the norm, |N(1 - theta)| <= D^delta
+with D^delta = 3^(d-1) sqrt(D) + (3/2)^(d-1).  Both caps are decided exactly
+on rationals by comparing squares, so only the embeddings need interval
+enclosures.  Their refinement, and every other interval escalation here,
+doubles the start precision under numfield's refinement budget.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .errors import (
 )
 from .interval import RealInterval, log2_fraction
 from .numfield import (
+    _MAX_REFINE_ROUNDS,
     FieldElement,
     NumberField,
     derived_minkowski_C,
@@ -35,7 +43,6 @@ from .numfield import (
     evaluate_at_embeddings,
 )
 
-_PREC_CAP = 1 << 13
 _PREFILTER_MARGIN = 1e-6
 
 
@@ -49,7 +56,7 @@ class PisotCertificate:
     place_index: int
     enclosures: Tuple[RealInterval, ...]
     norm_one_minus: Fraction      # exact N(1 - theta)
-    delta_bound: RealInterval     # D^delta with the per-field delta
+    delta_bound: RealInterval     # the norm cap D^delta; a point for square D
     precision: int
 
     @property
@@ -89,14 +96,27 @@ class SyntheticField:
 
 # ==================================================================== delta
 
+def _norm_cap(d: int, D: int, prec: int) -> RealInterval:
+    """3^(d-1) sqrt(D) + (3/2)^(d-1) on the 2^-prec grid, at most 2^(2-prec)
+    wide; the exact point when D is a perfect square."""
+    wp = prec + 2 * d  # then 3^(d-1) times sqrt's 2^-wp width is below 2^-(prec+2)
+    cap = RealInterval.point(D).sqrt(wp) * 3 ** (d - 1) + Fraction(3, 2) ** (d - 1)
+    return cap.round_out(prec)
+
+
+def _within_norm_cap(n1: Fraction, d: int, D: int) -> bool:
+    """Exactly whether n1 <= 3^(d-1) sqrt(D) + (3/2)^(d-1), for n1 >= 0."""
+    r = n1 - Fraction(3, 2) ** (d - 1)
+    return r <= 0 or r * r <= 9 ** (d - 1) * D
+
+
 def delta_for_field(k: NumberField, prec: int = 64) -> RealInterval:
     """Smallest exponent with 3^(d-1) sqrt(D) + (3/2)^(d-1) <= D^delta."""
     d, D = k.degree, k.abs_disc
     if D < 2:
         raise ValueError("delta needs |disc| >= 2")
     wp = prec + 16
-    bound = RealInterval.point(D).sqrt(wp) * (3 ** (d - 1)) + Fraction(3, 2) ** (d - 1)
-    return bound.log2(wp).div(log2_fraction(D, wp), prec)
+    return _norm_cap(d, D, wp).log2(wp).div(log2_fraction(D, wp), prec)
 
 
 def delta_universal(prec: int = 64) -> RealInterval:
@@ -126,11 +146,6 @@ def _is_square_fraction(q: Fraction) -> bool:
     )
 
 
-def _sqrt_d_exact(D: int) -> Optional[int]:
-    r = isqrt(D)
-    return r if r * r == D else None
-
-
 def _certify_pisot(
     k: NumberField,
     element: FieldElement,
@@ -140,55 +155,27 @@ def _certify_pisot(
     """Certified decision: Pisot at place_index within the proof bounds.
 
     Returns (enclosures, precision) on acceptance, None on rejection.  The
-    only undecidable boundary cases (an embedding exactly +-1, the value
-    exactly at the v1 cap, the norm exactly at its cap) are resolved by
-    exact rational tests, so escalation always terminates.
+    norm cap is decided exactly before any embedding is evaluated; the v1
+    cap is compared by squares.  No boundary case needs exact arithmetic:
+    an embedding exactly +-1 makes the element +-1, and v1 exactly at its
+    cap makes theta^2 rational, so every |theta_j| equals v1 > 1.
     """
     d, D = k.degree, k.abs_disc
-    sqrtD = _sqrt_d_exact(D)
-    one_minus = 1 - element
-    n1 = abs(element_norm(one_minus))
+    if not _within_norm_cap(abs(element_norm(1 - element)), d, D):
+        return None
+    v1_cap_sq = 4 ** (d - 1) * D
     prec = start_prec
-    while prec <= _PREC_CAP:
+    for _ in range(_MAX_REFINE_ROUNDS):
         vals = evaluate_at_embeddings(element, prec)
         vp = vals[place_index]
-        ok = True
-        if not vp.lo > 1:
-            if vp.hi <= 1:
-                return None
-            ok = False
-        for j, v in enumerate(vals):
-            if j == place_index:
-                continue
-            a = v.abs()
-            if not a.hi < 1:
-                if a.lo >= 1:
-                    return None
-                ok = False
-        if ok:
-            wp = prec + 16
-            v1_cap = RealInterval.point(D).sqrt(wp) * (1 << (d - 1))
-            if not vp.hi <= v1_cap.lo:
-                if vp.lo > v1_cap.hi:
-                    return None
-                # boundary v1 = 2^(d-1) sqrt(D) iff element^2 = 2^(2d-2) D;
-                # the positive branch is known since vp.lo > 1 held above
-                sq = element * element
-                cap_el = k.element([(1 << (2 * d - 2)) * D] + [0] * (d - 1))
-                if sq != cap_el:
-                    ok = False
-            if ok:
-                norm_cap = RealInterval.point(D).sqrt(wp) * (3 ** (d - 1)) + Fraction(3, 2) ** (d - 1)
-                if not n1 <= norm_cap.lo:
-                    if n1 > norm_cap.hi:
-                        return None
-                    if sqrtD is not None:
-                        exact_cap = 3 ** (d - 1) * sqrtD + Fraction(3, 2) ** (d - 1)
-                        if n1 > exact_cap:
-                            return None
-                    else:
-                        ok = False  # rational n1 cannot equal the irrational cap
-        if ok:
+        others = [v.abs() for j, v in enumerate(vals) if j != place_index]
+        if (
+            vp.hi <= 1
+            or any(a.lo >= 1 for a in others)
+            or (vp.lo > 0 and vp.lo * vp.lo > v1_cap_sq)
+        ):
+            return None
+        if vp.lo > 1 and all(a.hi < 1 for a in others) and vp.hi * vp.hi <= v1_cap_sq:
             return vals, prec
         prec *= 2
     raise PrecisionExhausted(f"pisot certification of {element.coords}")
@@ -227,15 +214,12 @@ def find_pisot(
         if res is None:
             continue
         enclosures, used_prec = res
-        wp = used_prec + 16
-        delta = delta_for_field(k, wp)
-        delta_bound = RealInterval.point(k.abs_disc).pow_interval(delta, used_prec)
         return PisotCertificate(
             element=element,
             place_index=place_index,
             enclosures=enclosures,
             norm_one_minus=element_norm(1 - element),
-            delta_bound=delta_bound,
+            delta_bound=_norm_cap(d, k.abs_disc, used_prec),
             precision=used_prec,
         )
     raise SearchExhausted(
@@ -283,7 +267,7 @@ def certified_signs(k: NumberField, element: FieldElement, precision: int = 64):
     if element.is_zero():
         raise AlphaZero("the zero element has no signs")
     prec = precision
-    while prec <= _PREC_CAP:
+    for _ in range(_MAX_REFINE_ROUNDS):
         vals = evaluate_at_embeddings(element, prec)[: k.r1]
         signs = []
         for v in vals:
@@ -309,7 +293,6 @@ def splitting_pattern(k: NumberField, element: FieldElement) -> Tuple[str, ...]:
 def quadratic_extension(
     k: NumberField,
     alpha: FieldElement,
-    delta: Optional[RealInterval] = None,
     precision: int = 128,
 ) -> QuadraticExtensionData:
     """Bound data for l = k[sqrt(alpha)]: t complex places, disc and rd caps."""
@@ -325,13 +308,8 @@ def quadratic_extension(
     d, D = k.degree, k.abs_disc
     scaled = D * D * (1 << (2 * d)) * norm
     disc_bound = ceil(scaled)
-    if delta is None:
-        # for |disc| = 1 the rd formula's D^expo factor is 1 whatever delta is
-        delta = (
-            delta_for_field(k, precision)
-            if k.abs_disc >= 2
-            else RealInterval.point(1)
-        )
+    # for |disc| = 1 the rd formula's D^expo factor is 1 whatever delta is
+    delta = delta_for_field(k, precision) if D >= 2 else RealInterval.point(1)
     wp = precision + 16
     via_disc = RealInterval.point(disc_bound).nth_root(2 * d, wp)
     expo = (delta * t + 2) * Fraction(1, 2 * d)
@@ -390,7 +368,6 @@ def fixed_signature_sequence(
     entry: TowerEntry,
     t: int,
     levels: int = 3,
-    delta: Optional[RealInterval] = None,
     precision: int = 128,
 ) -> list:
     """Synthetic degree-2d fields with r2 = t and a level-independent rd cap.
@@ -400,8 +377,7 @@ def fixed_signature_sequence(
     """
     if t < 1:
         raise InvalidT(f"t must be >= 1, got {t}")
-    if delta is None:
-        delta = delta_universal(precision)
+    delta = delta_universal(precision)
     wp = precision + 16
     expo = (delta * t + 2) * Fraction(1, 2)
     bound = (entry.rd_constant.pow_interval(expo, wp) * 2).round_out(precision)

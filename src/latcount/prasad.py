@@ -258,12 +258,6 @@ def abs_norm_bound(ext: QuadraticExtensionData) -> Fraction:
     return abs(element_norm(ext.alpha))
 
 
-def _pow_exact(iv: RealInterval, n: int) -> RealInterval:
-    """iv**n without grid rounding; requires a nonnegative interval."""
-    assert iv.lo >= 0
-    return RealInterval(iv.lo ** n, iv.hi ** n)
-
-
 def _zeta2_unit(data: LieTypeData, wp: int) -> RealInterval:
     """(pi^2/6)^rank: the zeta(2)^d-style per-degree Euler upper bound."""
     z2 = (pi_interval(wp).pow_int(2, wp) * Fraction(1, 6)).round_out(wp)
@@ -329,8 +323,8 @@ def covolume_synthetic(
     else:
         disc_units, arch_unit = units[0], units[1]
     # exact endpoint powers keep value.hi equal to c1.hi**d
-    disc = _pow_exact(disc_units, d)
-    arch = _pow_exact(arch_unit, d)
+    disc = disc_units ** d
+    arch = arch_unit ** d
     euler = RealInterval(1, units[-1].hi ** d)
     lam = RealInterval(1, units[-2].hi ** d)
     value = disc * arch * euler * lam

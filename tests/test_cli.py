@@ -115,6 +115,9 @@ def test_pisot_golden(capsys):
     assert doc["reverified"] == "yes"
     flags = [row["pisot_place"] for row in doc["rows"]]
     assert flags.count("yes") == 1
+    # reverification doubles to 8400 bits, inside the refinement budget
+    doc = _run_json(capsys, ["pisot", "--poly", "x^2-x-1", "--prec", "4200", "--format", "json"])
+    assert doc["reverified"] == "yes"
 
 
 def test_tower_listing_and_sequence(capsys):
@@ -309,6 +312,29 @@ def test_config_bound_params_must_be_object(capsys, tmp_path):
     cfg.write_text(json.dumps({"prec": [192]}))
     assert entry(["--config", str(cfg), "lie", "dump"]) == 1
     assert capsys.readouterr().err.startswith("error: invalid config value")
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"bound_params": {"C1": "1/0"}}, "C1"),
+    ({"bound_params": {"C1": "abc"}}, "C1"),
+    ({"bound_params": {"C1": True}}, "C1"),
+    ({"bound_params": {"c4": None}}, "c4"),
+    ({"bound_params": {"f1": [1]}}, "f1"),
+    ({"bound_params": {"s_embed": "x"}}, "s_embed"),
+    ({"bound_params": {"s_embed": 2.7}}, "s_embed"),
+    ({"prec": "abc"}, "prec"),
+    ({"prec": True}, "prec"),
+    ({"prime_bound": "1e5"}, "prime_bound"),
+    ({"threads": "two"}, "threads"),
+    ({"threads": None}, "threads"),
+])
+def test_config_values_are_validated(capsys, tmp_path, doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert entry(["--config", str(cfg), "lie", "dump"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid config value: {key} ")
+    assert "invalid literal" not in err.lower() and "Traceback" not in err
 
 
 def test_threads_flag_has_no_effect(capsys):

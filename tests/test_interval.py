@@ -104,6 +104,14 @@ def test_interval_functions_enclose():
 def test_pow_int_and_div():
     iv = RealInterval(Fraction(-3, 2), Fraction(2))
     assert iv.pow_int(2, 64).encloses(RealInterval(0, Fraction(9, 4)))
+    assert (iv ** 2).lo == 0 and (iv ** 2).hi == 4
+    assert (iv ** 3).lo == Fraction(-27, 8) and (iv ** 3).hi == 8
+    assert (iv ** 0).lo == (iv ** 0).hi == 1
+    third = RealInterval(Fraction(1, 3), Fraction(2, 3))
+    assert (third ** 5).hi == Fraction(32, 243)  # exact, off the dyadic grid
+    assert third.pow_int(5, 64).encloses(third ** 5)
+    with pytest.raises(ValueError):
+        iv ** -1
     with pytest.raises(ZeroDivisionError):
         iv.recip(64)
     a = RealInterval(2, 3)

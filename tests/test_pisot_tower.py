@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import ceil, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import libmp, mp
 
 from latcount.errors import (
     AlphaPossiblySquare,
@@ -14,6 +17,8 @@ from latcount.errors import (
 from latcount.interval import RealInterval
 from latcount.numfield import element_norm, field_from_polynomial
 from latcount.pisot_tower import (
+    _norm_cap,
+    _within_norm_cap,
     certified_signs,
     delta_for_field,
     delta_universal,
@@ -54,6 +59,64 @@ def test_golden_certificate():
     assert Fraction("8.20") < cert.delta_bound.lo
     assert cert.delta_bound.hi < Fraction("8.22")
     assert reverify_certificate(cert)
+
+
+def _mp_cap(d, D, prec):
+    """3^(d-1) sqrt(D) + (3/2)^(d-1) as mpmath computes it at prec bits."""
+    with mp.workprec(prec):
+        cap = 3 ** (d - 1) * mp.sqrt(D) + mp.mpf(1.5) ** (d - 1)
+    return Fraction(*libmp.to_rational(cap._mpf_))
+
+
+@st.composite
+def norm_cap_cases(draw):
+    """(n1, d, D): n1 anywhere in [0, 2 cap] or on the 2^-64 grid next to it."""
+    d = draw(st.integers(2, 8))
+    D = draw(st.one_of(st.integers(2, 10 ** 6), st.integers(2, 1000).map(lambda r: r * r)))
+    cap = _mp_cap(d, D, 64)
+    n1 = draw(st.one_of(
+        st.fractions(0, ceil(2 * cap), max_denominator=10 ** 6),
+        st.integers(-8, 8).map(lambda j: Fraction(round(cap * 2 ** 64) + j, 2 ** 64)),
+    ))
+    return n1, d, D
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=norm_cap_cases(), prec=st.sampled_from((64, 128, 512)))
+def test_norm_cap_exact_and_enclosed(case, prec):
+    # n1 is 2^-64 away from an irrational cap by far more than the 4x
+    # reference error; a square D makes the cap a dyadic that mpmath hits
+    n1, d, D = case
+    ref = _mp_cap(d, D, 4 * max(prec, 64))
+    assert _within_norm_cap(n1, d, D) == (n1 <= ref)
+    cap = _norm_cap(d, D, prec)
+    slack = ref / 2 ** (4 * prec - 16)
+    assert cap.lo - slack <= ref <= cap.hi + slack
+    assert cap.width() <= Fraction(4, 2 ** prec)
+    if isqrt(D) ** 2 == D:
+        exact = 3 ** (d - 1) * isqrt(D) + Fraction(3, 2) ** (d - 1)
+        assert cap.lo == cap.hi == exact
+        assert _within_norm_cap(exact, d, D)
+        assert not _within_norm_cap(exact + Fraction(1, 2 ** 64), d, D)
+
+
+@pytest.mark.parametrize("a", range(-1, 5))
+def test_shanks_delta_bound_is_exact(a):
+    # x^3 - a x^2 - (a+3) x - 1 has disc (a^2+3a+9)^2, so the cap is rational
+    k = field_from_polynomial([-1, -(a + 3), -a, 1])
+    cert = find_pisot(k)
+    assert cert.delta_bound.lo == cert.delta_bound.hi == 9 * (a * a + 3 * a + 9) + Fraction(9, 4)
+
+
+@pytest.mark.parametrize("poly", ["x^2-x-1", "x^3-x^2-3x+1", "x^4-4x^2+2"])
+@pytest.mark.parametrize("prec", [64, 128, 512])
+def test_delta_bound_encloses_cap(poly, prec):
+    k = field_from_polynomial(poly)
+    cert = find_pisot(k, precision=prec)
+    ref = _mp_cap(k.degree, k.abs_disc, 4 * cert.precision)
+    slack = ref / 2 ** (4 * cert.precision - 16)
+    assert cert.delta_bound.lo - slack <= ref <= cert.delta_bound.hi + slack
+    assert cert.delta_bound.width() <= Fraction(4, 2 ** cert.precision)
 
 
 def test_certificate_other_place():

@@ -96,15 +96,7 @@ class Report:
         return self._render_table()
 
     def _param_block(self) -> dict:
-        p = self.params
-        return {
-            "C": _rat(p.C),
-            "C1": _rat(p.C1),
-            "C2": _rat(p.C2),
-            "c4": _rat(p.c4),
-            "f1": _rat(p.f1),
-            "s_embed": str(p.s_embed),
-        }
+        return {k: str(v) for k, v in self.params.as_dict().items()}
 
     def _render_json(self) -> str:
         doc = {"schema": 1, "version": __version__, "command": self.command}
@@ -208,7 +200,7 @@ def cmd_pisot(args, params: BoundParams) -> Report:
     cert = find_pisot(k, args.place, args.radius, args.prec)
     report = Report("pisot", args.prec, args.prime_bound, params)
     report.extra["poly"] = str(k.min_poly)
-    report.extra["element"] = ",".join(str(c) for c in cert.element.coords)
+    report.extra["element"] = str(cert.element)
     report.extra["place_index"] = str(cert.place_index)
     report.extra["norm_one_minus"] = _rat(cert.norm_one_minus)
     report.extra["delta_bound"] = _iv(cert.delta_bound)

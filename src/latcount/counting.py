@@ -107,16 +107,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-        p += 1 if p == 2 else 2
-    return True  # q itself is prime
+    return q >= 2 and distinct_prime_count(q) == 1
 
 
 def _ceil_pow_product(scale: int, x: Rat, expo: Fraction) -> int:

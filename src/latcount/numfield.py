@@ -8,8 +8,10 @@ not guessed.
 
 Real roots are isolated and refined on integers: the Sturm chain is kept as
 integer polynomials, each remainder scaled by the positive lcm of its
-denominators, and isolation and bisection read only the sign of q^deg f(p/q)
-at dyadic points p/q.  The irreducibility subset test skips every set of
+denominators, and every bracket is an aligned dyadic cell (j, e), the
+interval [j/2^e, (j+1)/2^e].  Isolation and bisection read only the sign of
+2^(k deg f) f(a/2^k) at the cell ends a/2^k; a Fraction is built only for the
+final enclosure.  The irreducibility subset test skips every set of
 roots whose interval sum contains no integer before it multiplies out the
 candidate factor.
 """
@@ -199,79 +201,82 @@ def _sturm_chain(coeffs: Sequence[int]) -> list:
     return chain
 
 
-def _sign_at(f: Sequence[int], x: Fraction) -> int:
-    """Sign of the integer polynomial f at x, by Horner on q^deg f(p/q)."""
-    p, q = x.numerator, x.denominator
+def _sign_at(f: Sequence[int], a: int, k: int) -> int:
+    """Sign of 2^(k deg f) f(a / 2^k) for an integer polynomial f, by Horner
+    with shifts; k may be negative."""
+    if k < 0:
+        a, k = a << -k, 0
     acc = f[-1]
-    qk = 1
+    shift = 0
     for c in reversed(f[:-1]):
-        qk *= q
-        acc = acc * p + c * qk
+        shift += k
+        acc = acc * a + (c << shift)
     return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(values) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _dyadic(a: int, k: int) -> Fraction:
+    return Fraction(a, 1 << k) if k >= 0 else Fraction(a << -k)
 
 
-def _sturm_count_below(chain, x: Fraction) -> int:
-    return _sign_changes(_sign_at(f, x) for f in chain)
-
-
-def _cauchy_bound(coeffs) -> int:
-    """Power-of-two integer M with all roots in (-M, M)."""
+def _cauchy_exponent(coeffs) -> int:
+    """m with all roots in (-2^m, 2^m)."""
     lead = abs(coeffs[-1])
     m = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
     bound = 1 + (m + lead - 1) // lead
-    return 1 << bound.bit_length()
+    return bound.bit_length()
 
 
 def _isolate_real_roots(poly: Polynomial) -> list:
-    """Disjoint dyadic intervals (a, b) with a sign change, one real root each."""
+    """Aligned dyadic cells (j, e), one real root in each [j/2^e, (j+1)/2^e].
+
+    The cells come from bisecting [-2^m, 0] and [0, 2^m]; each stacked cell
+    carries the Sturm sign changes at both of its ends.
+    """
     chain = _sturm_chain(poly.coefficients)
-    f = chain[0]
-    big = Fraction(_cauchy_bound(poly.coefficients))
-    # every root lies in (-M, M), so this count is the number of real roots
-    total = _sturm_count_below(chain, -big) - _sturm_count_below(chain, big)
-    out = []
-    stack = [(-big, big, total)]
-    while stack:
-        a, b, count = stack.pop()
-        if count == 0:
-            continue
-        if count == 1 and _sign_at(f, a) * _sign_at(f, b) < 0:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if _sign_at(f, mid) == 0:
+
+    def changes(a, k):
+        """Sign changes of the chain at a/2^k, which must not be a root."""
+        signs = [_sign_at(g, a, k) for g in chain]
+        if signs[0] == 0:
             # a rational root: legal only for degree-1 input, handled upstream
-            raise ReduciblePolynomial(f"rational root {mid} of {poly}")
-        va = _sturm_count_below(chain, a)
-        vm = _sturm_count_below(chain, mid)
-        vb = _sturm_count_below(chain, b)
-        stack.append((a, mid, va - vm))
-        stack.append((mid, b, vm - vb))
-    out.sort()
+            raise ReduciblePolynomial(f"rational root {_dyadic(a, k)} of {poly}")
+        signs = [s for s in signs if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    m = _cauchy_exponent(poly.coefficients)
+    v_lo, v_hi = changes(-1, -m), changes(1, -m)
+    # every root lies in (-2^m, 2^m), so this count is the number of real roots
+    total = v_lo - v_hi
+    v_0 = changes(0, 0)
+    out = []
+    # right halves are popped first, so the cells come out descending
+    stack = [(-1, -m, v_lo, v_0), (0, -m, v_0, v_hi)]
+    while stack:
+        j, e, va, vb = stack.pop()
+        if va - vb == 1:
+            out.append((j, e))
+        elif va - vb > 1:
+            vm = changes(2 * j + 1, e + 1)
+            stack.append((2 * j, e + 1, va, vm))
+            stack.append((2 * j + 1, e + 1, vm, vb))
+    out.reverse()
     assert len(out) == total
     return out
 
 
-def _bisect_refine(poly: Polynomial, lo: Fraction, hi: Fraction, prec: int):
-    """Shrink a sign-change bracket to width <= 2^-prec."""
-    target = Fraction(1, 1 << prec)
+def _refine(poly: Polynomial, j: int, e: int, prec: int) -> RealInterval:
+    """The aligned 2^-prec subcell of the root's cell (j, e), or the cell
+    itself where it is already narrower."""
     f = poly.coefficients
-    sign_lo = _sign_at(f, lo)
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        s = _sign_at(f, mid)
+    sign_lo = _sign_at(f, j, e)
+    while e < prec:
+        j, e = 2 * j, e + 1
+        s = _sign_at(f, j + 1, e)
         if s == 0:
-            raise ReduciblePolynomial(f"rational root {mid} of {poly}")
+            raise ReduciblePolynomial(f"rational root {_dyadic(j + 1, e)} of {poly}")
         if s == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+            j += 1
+    return RealInterval(_dyadic(j, e), _dyadic(j + 1, e))
 
 
 # ============================================================= complex roots
@@ -366,7 +371,7 @@ class NumberField:
         self.disc = disc          # signed; known_disc if supplied, else disc(Z[theta])
         self.zk_disc = zk_disc    # signed disc(Z[theta])
         self.precision = precision
-        self._real_brackets = real_brackets
+        self._real_cells = real_brackets  # isolating cells (j, e), ascending
         self._emb_cache = emb_cache
 
     @property
@@ -387,8 +392,7 @@ class NumberField:
         if prec in self._emb_cache:
             return self._emb_cache[prec]
         reals = tuple(
-            RealInterval(*_bisect_refine(self.min_poly, lo, hi, prec))
-            for lo, hi in self._real_brackets
+            _refine(self.min_poly, j, e, prec) for j, e in self._real_cells
         ) if self.degree > 1 else (
             RealInterval.point(-self.min_poly.coefficients[0]),
         )
@@ -583,13 +587,13 @@ def field_from_polynomial(
     if zk_disc == 0:
         raise ReduciblePolynomial(f"{poly} has a repeated factor")
 
-    brackets = _isolate_real_roots(poly)
-    r1 = len(brackets)
+    cells = _isolate_real_roots(poly)
+    r1 = len(cells)
     r2 = (d - r1) // 2
     if (zk_disc < 0) != (r2 % 2 == 1):
         raise AssertionError("discriminant sign inconsistent with signature")
 
-    field = NumberField(poly, d, r1, r2, zk_disc, zk_disc, precision, brackets, {})
+    field = NumberField(poly, d, r1, r2, zk_disc, zk_disc, precision, cells, {})
     field.embeddings(precision)
     _assert_irreducible(poly, precision, field.embeddings)
 
@@ -693,6 +697,10 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"
+
+    def __str__(self):
+        """The coordinates as comma-separated rationals, e.g. 1,-1/2."""
+        return ",".join(str(c) for c in self.coords)
 
 
 def evaluate_at_embeddings(element: FieldElement, precision: int):

@@ -178,7 +178,7 @@ def _certify_pisot(
         if vp.lo > 1 and all(a.hi < 1 for a in others) and vp.hi * vp.hi <= v1_cap_sq:
             return vals, prec
         prec *= 2
-    raise PrecisionExhausted(f"pisot certification of {element.coords}")
+    raise PrecisionExhausted(f"pisot certification of {element}")
 
 
 def find_pisot(
@@ -280,7 +280,7 @@ def certified_signs(k: NumberField, element: FieldElement, precision: int = 64):
         else:
             return tuple(signs)
         prec *= 2
-    raise SignUncertifiable(f"sign of {element.coords} straddles zero")
+    raise SignUncertifiable(f"sign of {element} straddles zero")
 
 
 def splitting_pattern(k: NumberField, element: FieldElement) -> Tuple[str, ...]:

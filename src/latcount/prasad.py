@@ -201,7 +201,8 @@ def _arch_unit(data: LieTypeData, wp: int) -> RealInterval:
     scale = 1
     for m in data.exponents:
         scale *= factorial(m)
-    return (two_pi.pow_int(total_exp, wp).recip(wp) * scale).round_out(wp)
+    # divide last: (2 pi)^-N alone can sit below the 2^-wp grid (N = 128 for E8)
+    return RealInterval.point(scale).div(two_pi ** total_exp, wp)
 
 
 def covolume(

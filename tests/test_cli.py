@@ -115,9 +115,10 @@ def test_pisot_golden(capsys):
     assert doc["reverified"] == "yes"
     flags = [row["pisot_place"] for row in doc["rows"]]
     assert flags.count("yes") == 1
-    # reverification doubles to 8400 bits, inside the refinement budget
-    doc = _run_json(capsys, ["pisot", "--poly", "x^2-x-1", "--prec", "4200", "--format", "json"])
-    assert doc["reverified"] == "yes"
+    # reverification doubles to 8400 and 18000 bits, inside the refinement budget
+    for prec in ("4200", "9000"):
+        doc = _run_json(capsys, ["pisot", "--poly", "x^2-x-1", "--prec", prec, "--format", "json"])
+        assert doc["reverified"] == "yes"
 
 
 def test_tower_listing_and_sequence(capsys):

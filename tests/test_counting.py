@@ -89,8 +89,10 @@ def test_distinct_prime_count():
 def test_conjugate_count_bound():
     params = BoundParams()
     assert conjugate_count_bound(10, 100, params, [2, 3], 3) == 216000
-    with pytest.raises(ValueError):
-        conjugate_count_bound(10, 100, params, [6], 3)
+    for q in (6, 1, 12):
+        with pytest.raises(ValueError, match="not a prime power"):
+            conjugate_count_bound(10, 100, params, [q], 3)
+    assert conjugate_count_bound(1, 1, params, [8, 9, 49], 1) == 8 * 9 * 49
     with pytest.raises(ValueError):
         conjugate_count_bound(10, 100, params, [], 3)
     assert conjugate_count_bound(1, 2, BoundParams(C=Fraction(3, 2)), [2], 1) == 6

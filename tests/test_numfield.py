@@ -252,20 +252,22 @@ def _exact_sign(f, x):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     f=st.lists(st.integers(-50, 50), min_size=1, max_size=9).filter(lambda f: f[-1] != 0),
-    x=st.fractions(max_denominator=2 ** 40),
-    root=st.none() | st.tuples(st.integers(-30, 30), st.integers(1, 30)),
+    a=st.integers(-2 ** 40, 2 ** 40),
+    k=st.integers(-8, 64),
+    root=st.booleans(),
 )
-def test_sign_at_matches_exact_evaluation(f, x, root):
-    if root is not None:
-        # (q x - p) f has the exact rational root p / q
-        p, q = root
+def test_sign_at_matches_exact_evaluation(f, a, k, root):
+    x = a / Fraction(2) ** k
+    if root:
+        # (q x - p) f has the exact dyadic root x = p / q = a / 2^k
+        p, q = x.numerator, x.denominator
         g = [0] * (len(f) + 1)
         for i, c in enumerate(f):
             g[i] -= p * c
             g[i + 1] += q * c
-        f, x = g, Fraction(p, q)
-        assert _sign_at(f, x) == 0
-    assert _sign_at(f, x) == _exact_sign(f, x)
+        f = g
+        assert _sign_at(f, a, k) == 0
+    assert _sign_at(f, a, k) == _exact_sign(f, x)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -275,6 +277,7 @@ def test_real_brackets_are_aligned_dyadic_cells(f):
         k = field_from_polynomial(f, 64)
     except ReduciblePolynomial:
         assume(False)
+    cells = {(j / Fraction(2) ** e, (j + 1) / Fraction(2) ** e) for j, e in k._real_cells}
     previous = None
     for prec in (64, 128, 512):
         reals, _ = k.embeddings(prec)
@@ -284,7 +287,7 @@ def test_real_brackets_are_aligned_dyadic_cells(f):
             w = iv.width()
             # refined to the aligned 2^-prec cell, or already the narrower
             # power-of-two cell that isolated the root
-            assert w == cell or (w < cell and (iv.lo, iv.hi) in k._real_brackets)
+            assert w == cell or (w < cell and (iv.lo, iv.hi) in cells)
             assert w.numerator == 1 and w.denominator & (w.denominator - 1) == 0
             assert (iv.lo / w).denominator == 1
             assert _exact_sign(f, iv.lo) * _exact_sign(f, iv.hi) < 0

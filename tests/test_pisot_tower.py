@@ -11,11 +11,14 @@ from latcount.errors import (
     AlphaZero,
     InvalidT,
     NotTotallyReal,
+    PrecisionExhausted,
     ReduciblePolynomial,
     SearchExhausted,
+    SignUncertifiable,
 )
 from latcount.interval import RealInterval
 from latcount.numfield import element_norm, field_from_polynomial
+import latcount.pisot_tower as pisot_tower
 from latcount.pisot_tower import (
     _norm_cap,
     _within_norm_cap,
@@ -177,6 +180,17 @@ def test_certified_signs_and_pattern():
     assert certified_signs(k, k.element([2, -1])) == (1, 1)
     with pytest.raises(AlphaZero):
         certified_signs(k, k.zero())
+
+
+def test_exhausted_precision_errors_print_coordinates(monkeypatch):
+    monkeypatch.setattr(pisot_tower, "_MAX_REFINE_ROUNDS", 0)
+    k = _golden()
+    with pytest.raises(PrecisionExhausted) as exc:
+        find_pisot(k)
+    assert str(exc.value) == "pisot certification of 1,-1"
+    with pytest.raises(SignUncertifiable) as exc:
+        certified_signs(k, k.element([Fraction(1, 2), -1]))
+    assert str(exc.value) == "sign of 1/2,-1 straddles zero"
 
 
 def test_product_alpha_sign_counts():

@@ -23,6 +23,7 @@ from latcount.prasad import (
 )
 
 from oracles import (
+    bernoulli,
     dirichlet_l2_bracket,
     pi_bracket,
     sl2_order_brute,
@@ -164,6 +165,22 @@ def test_covolume_rationals_a1():
     assert res.coarse_value.encloses(res.value)
     assert covolume(q, None, A1, prime_bound=1000).value == res.coarse_value
     assert covolume(q, None, A1, prime_bound=100).coarse_value is None
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [("A", 1), ("B", 2), ("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("E", 7), ("E", 8)],
+)
+def test_covolume_over_q_contains_bernoulli_closed_form(family, rank):
+    # every exponent is odd, so covolume = prod |zeta(-m_i)| / 2^rank with
+    # zeta(-m) = -B_(m+1) / (m+1); a tiny (2 pi)^-N must not collapse lo to 0
+    data = root_system(family, rank)
+    res = covolume(field_from_polynomial("x-1"), None, data, prime_bound=10 ** 4)
+    exact = Fraction(1, 1 << rank)
+    for m in data.exponents:
+        exact *= abs(bernoulli(m + 1)) / (m + 1)
+    assert res.value.contains(exact)
+    assert res.value.lo > 0
 
 
 def test_covolume_lambda_bracket():

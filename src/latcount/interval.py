@@ -180,7 +180,7 @@ class RealInterval:
     def pow_int(self, n: int, prec: int) -> "RealInterval":
         """self**n with outward rounding; n may be negative if 0 is excluded."""
         if n < 0:
-            return self.pow_int(-n, prec + _GUARD).recip(prec)
+            return (self ** -n).recip(prec)
         return (self ** n).round_out(prec)
 
     def exp(self, prec: int) -> "RealInterval":

@@ -474,7 +474,7 @@ def _modular_degree_patterns(poly: Polynomial, tries: int = 8):
     for p in prime_list(1000):
         if used >= tries:
             break
-        degs = distinct_degree_degrees(list(poly.coefficients), p)
+        degs = distinct_degree_degrees(poly.coefficients, p)
         if degs is None:
             continue
         used += 1

@@ -3,6 +3,14 @@
 Polynomials are lists of ints (constant coefficient first), reduced mod p.
 Only what the splitting and irreducibility code needs: gcd, Frobenius powers
 and distinct-degree factorization degrees.
+
+Products modulo a monic f of degree n run on Kronecker-packed integers
+(`_Packed`): a polynomial of degree < n is the one int sum c_i 2^(k i), so a
+product is one big-int multiplication.  The slot width k is derived from n
+and p so that every slot value stays below 2^k through a product, a fold of
+x^n back onto the low slots, and a packed Barrett step that brings all
+slots into [0, 2p) at once; no slot ever carries into the next.  Residues
+are made canonical only when a result is unpacked to a list.
 """
 
 from __future__ import annotations
@@ -44,67 +52,127 @@ def poly_mod(f, p: int) -> list:
     return _trim([c % p for c in f])
 
 
-def poly_rem(a, f, p):
-    """a mod f over F_p; f monic."""
-    a = [c % p for c in a]
-    df = len(f) - 1
-    while len(a) - 1 >= df:
-        c = a[-1]
+def _rem_in_place(a: list, b, p: int) -> list:
+    """a mod b over F_p, overwriting a; a reduced mod p and trimmed, b monic."""
+    db = len(b) - 1
+    while len(a) > db:
+        c = a.pop()
         if c:
-            shift = len(a) - 1 - df
-            for i, fc in enumerate(f):
-                a[shift + i] = (a[shift + i] - c * fc) % p
-        a.pop()
+            shift = len(a) - db
+            for i in range(db):
+                a[shift + i] = (a[shift + i] - c * b[i]) % p
         _trim(a)
     return a
+
+
+def poly_rem(a, f, p):
+    """a mod f over F_p; f monic."""
+    return _rem_in_place(poly_mod(a, p), f, p)
+
+
+class _Packed:
+    """F_p[x]/(f) on Kronecker-packed ints, for f monic mod p of degree n >= 1.
+
+    Coefficient i of a polynomial sits in slot i, bits [k i, k (i + 1)).
+    Why no slot carries into the next:
+    - Every operand has at most n slots, each in [0, 2p).  A product slot
+      sums at most n terms below (2p)^2, so it is below V = 4 n p^2.
+    - `reduce` first brings every slot into [0, 2p), then folds the slots
+      from n up back as high * G, G = x^n mod f with n slots in [0, p).  A
+      folded slot is below 2p + (n - 1) (2p) p <= V, and so is an operand
+      shifted by one slot (times x) and folded once.
+    - The Barrett step takes m = floor(2^s / p) with 2^s > V, and
+      k = 2s - bitlen(p) + 1, so every slot value v < V < 2^k and
+      v m < 2^(2s) / p <= 2^k.  The terms v_i m 2^(k i) of P m therefore fill
+      disjoint slots too; bits [s, k) of slot i hold q_i = floor(v_i m / 2^s),
+      with floor(v_i / p) - 1 <= q_i <= floor(v_i / p) because v_i < 2^s.
+      Subtracting q_i p leaves v_i - q_i p in [0, 2p) and borrows nothing.
+    """
+
+    def __init__(self, f, p: int):
+        n = len(f) - 1
+        s = (4 * n * p * p).bit_length()
+        k = 2 * s - p.bit_length() + 1
+        self.n, self.p, self.k, self.s = n, p, k, s
+        self.top = k * n
+        self.low = (1 << self.top) - 1
+        self.slot = (1 << k) - 1
+        self.m = (1 << s) // p
+        # bits [0, k - s) of each of the 2n - 1 slots a product can fill
+        self.q_mask = ((1 << (k - s)) - 1) * (((1 << (k * (2 * n - 1))) - 1) // self.slot)
+        self.g = self.pack([-c % p for c in f[:n]])
+
+    def pack(self, a) -> int:
+        """Pack residues in [0, p) of a polynomial of degree < n."""
+        k = self.k
+        return sum(c << (k * i) for i, c in enumerate(a))
+
+    def unpack(self, a: int) -> list:
+        k, slot, p = self.k, self.slot, self.p
+        return _trim([((a >> (k * i)) & slot) % p for i in range(self.n)])
+
+    def reduce(self, a: int) -> int:
+        """a mod f with slots in [0, 2p); a has slots < V and degree < 2n - 1."""
+        m, s, q_mask, p = self.m, self.s, self.q_mask, self.p
+        top, low, g = self.top, self.low, self.g
+        while True:
+            a -= (((a * m) >> s) & q_mask) * p  # the Barrett step
+            high = a >> top
+            if not high:
+                return a
+            a = (a & low) + high * g
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e mod f for e >= 1, left to right; times x is a shift by k."""
+        by_x = a == 1 << self.k  # a packed x; for n = 1, a < 2p < 2^k
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.reduce(r * r)
+            if bit == "1":
+                r = self.reduce(r << self.k if by_x else r * a)
+        return r
 
 
 def poly_mulmod(a, b, f, p):
     """a*b mod (f, p); f monic mod p."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return poly_rem(out, f, p)
+    ring = _Packed(f, p)
+    product = ring.pack(poly_rem(a, f, p)) * ring.pack(poly_rem(b, f, p))
+    return ring.unpack(ring.reduce(product))
 
 
 def poly_powmod(base, e: int, f, p):
     """base^e mod (f, p); f monic of degree >= 1."""
-    result = [1]
-    base = poly_rem(list(base), f, p)
-    while e:
-        if e & 1:
-            result = poly_mulmod(result, base, f, p)
-        base = poly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
+    if not e:
+        return [1]
+    ring = _Packed(f, p)
+    return ring.unpack(ring.pow(ring.pack(poly_rem(base, f, p)), e))
 
 
 def _monic(f, p):
-    if not f:
+    if not f or f[-1] == 1:
         return f
-    inv = pow(f[-1], p - 2, p)
+    inv = pow(f[-1], -1, p)
     return [(c * inv) % p for c in f]
 
 
 def poly_gcd(a, b, p):
-    a = poly_mod(list(a), p)
-    b = poly_mod(list(b), p)
+    """Monic gcd over F_p of a and b, whose coefficients lie in [0, p)."""
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
-        a, b = b, poly_rem(a, _monic(b, p), p)
+        b = _monic(b, p)
+        a, b = b, _rem_in_place(a, b, p)
     return _monic(a, p)
 
 
 def _poly_div_exact(a, b, p):
-    """a / b over F_p for monic b with b | a."""
-    a = [c % p for c in a]
+    """a / b over F_p for a reduced mod p and monic b with b | a."""
+    a = list(a)
     da, db = len(a) - 1, len(b) - 1
     out = [0] * (da - db + 1)
     for shift in range(da - db, -1, -1):
-        c = a[shift + db] % p
+        c = a[shift + db]
         out[shift] = c
         if c:
             for i, bc in enumerate(b):
@@ -125,16 +193,16 @@ def distinct_degree_degrees(f, p: int):
     Returns a sorted tuple, or None when f mod p is not squarefree (the
     caller must treat p as ramified).
     """
-    g = poly_mod(list(f), p)
+    g = poly_mod(f, p)
     d = len(g) - 1
     if d < 1:
         return None
+    if d == 1:
+        return (1,)  # a linear polynomial is squarefree
     g = _monic(g, p)
     deriv = _trim([(i * c) % p for i, c in enumerate(g)][1:])
     if len(poly_gcd(g, deriv, p)) != 1:
         return None
-    if d == 1:
-        return (1,)
     degrees = []
     rem = g
     h = [0, 1]  # x^(p^i) mod rem, advanced once per iteration

@@ -76,7 +76,7 @@ def prime_splitting(k: NumberField, p: int) -> PrimeSplitting:
     """
     if k.zk_disc % p == 0:
         return PrimeSplitting(p, (), True, k.abs_disc % p != 0)
-    degs = distinct_degree_degrees(list(k.min_poly.coefficients), p)
+    degs = distinct_degree_degrees(k.min_poly.coefficients, p)
     assert degs is not None and sum(degs) == k.degree
     return PrimeSplitting(p, degs, False, False)
 

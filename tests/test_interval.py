@@ -241,6 +241,70 @@ def test_exp_of_ln_round_trip(q):
     assert exp_fraction(ln_q.lo, 128).lo <= q <= exp_fraction(ln_q.hi, 128).hi
 
 
+# ---- containment of RealInterval operations at random points x in a, y in b
+
+CONTAIN_PRECS = (64, 512)
+_signed = st.one_of(st.integers(-2 ** 20, 2 ** 20), st.integers(-2 ** 600, 2 ** 600))
+
+
+@st.composite
+def interval_points(draw, nonzero=False):
+    """(interval, rational point inside it); nonzero keeps 0 out of the interval."""
+    ends = sorted(Fraction(draw(_signed), draw(_ints)) for _ in range(2))
+    if nonzero:
+        ends = sorted(abs(e) + Fraction(1, draw(_ints)) for e in ends)
+        if draw(st.booleans()):
+            ends = [-ends[1], -ends[0]]
+    lo, hi = ends
+    t = draw(st.fractions(0, 1, max_denominator=2 ** 20))
+    return RealInterval(lo, hi), lo + t * (hi - lo)
+
+
+def _on_grid(q: Fraction, prec: int) -> bool:
+    return (q * 2 ** prec).denominator == 1
+
+
+@pytest.mark.parametrize("prec", CONTAIN_PRECS)
+@KERNEL_SETTINGS
+@given(ax=interval_points(), by=interval_points(), n=st.integers(0, 7))
+def test_exact_ops_contain_point_results(prec, ax, by, n):
+    (a, x), (b, y) = ax, by
+    assert (a + b).contains(x + y)
+    assert (a - b).contains(x - y)
+    assert (a * b).contains(x * y)
+    assert (a ** n).contains(x ** n)
+    assert a.hull(b).contains(x) and a.hull(b).contains(y)
+    assert a.abs().contains(abs(x))
+    r = a.round_out(prec)
+    assert r.encloses(a) and _on_grid(r.lo, prec) and _on_grid(r.hi, prec)
+    assert r.lo > a.lo - Fraction(1, 2 ** prec) and r.hi < a.hi + Fraction(1, 2 ** prec)
+    assert a.pow_int(n, prec).contains(x ** n)
+
+
+@pytest.mark.parametrize("prec", CONTAIN_PRECS)
+@KERNEL_SETTINGS
+@given(ax=interval_points(), by=interval_points(nonzero=True), n=st.integers(-7, 7))
+def test_rounded_ops_contain_point_results(prec, ax, by, n):
+    (a, x), (b, y) = ax, by
+    assert b.recip(prec).contains(1 / y)
+    assert a.div(b, prec).contains(x / y)
+    assert b.pow_int(n, prec).contains(y ** n)
+
+
+@pytest.mark.parametrize("prec", CONTAIN_PRECS)
+@KERNEL_SETTINGS
+@given(ax=interval_points(nonzero=True), n=st.integers(1, 7))
+def test_roots_are_rounded_one_grid_step_outward(prec, ax, n):
+    a, x = ax
+    a, x = a.abs(), abs(x)
+    step = Fraction(1, 2 ** prec)
+    for root, k in ((a.nth_root(n, prec), n), (a.sqrt(prec), 2)):
+        # checked by exact powers of the endpoints, not by a reference root
+        assert root.lo ** k <= a.lo <= x <= a.hi <= root.hi ** k
+        assert (root.lo + step) ** k > a.lo and (root.hi - step) ** k < a.hi
+        assert _on_grid(root.lo, prec) and _on_grid(root.hi, prec)
+
+
 def test_cli_import_leaves_mpmath_unloaded():
     code = "import sys, latcount.cli; print('mpmath' in sys.modules)"
     proc = subprocess.run(

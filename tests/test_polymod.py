@@ -124,3 +124,93 @@ def test_gcd_and_mulmod():
     assert poly_mulmod([1, 1], [2, 1], f, p) == [6, 3]
     g = poly_gcd([6, 5, 1], [2, 3, 1], p)  # (x+2)(x+3) vs (x+1)(x+2)
     assert g == [2, 1]
+
+
+# Primes that reach the packed kernel's widest slots: small ones, random ones
+# below 3 * 10^5, and the primes on each side of 2^16, 2^17 and 2^18.
+_EDGE_PRIMES = (65521, 65537, 131071, 131101, 262139, 262147)
+
+
+def _large_primes(rng, count):
+    pool = prime_list(3 * 10 ** 5)
+    return (2, 3, 5) + tuple(rng.sample(pool, count)) + _EDGE_PRIMES
+
+
+def _cyclotomic(n):
+    """Integer coefficients of Phi_n: x^n - 1 divided by Phi_d for d | n, d < n."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _cyclotomic(d)
+            quo = [0] * (len(num) - len(den) + 1)
+            for shift in range(len(quo) - 1, -1, -1):
+                c = num[shift + len(den) - 1]
+                quo[shift] = c
+                for i, dc in enumerate(den):
+                    num[shift + i] -= c * dc
+            num = quo
+    return num
+
+
+def test_cyclotomic_splitting_at_large_primes():
+    # p splits in Q(zeta_n) into phi(n)/ord_n(p) primes of degree ord_n(p)
+    rng = random.Random(503)
+    for n in (5, 7, 8, 9, 13, 16, 21):
+        phi_n = _cyclotomic(n)
+        for p in _large_primes(rng, 6):
+            if n % p == 0:
+                continue
+            order = next(o for o in range(1, n) if pow(p, o, n) == 1)
+            expected = (order,) * ((len(phi_n) - 1) // order)
+            assert distinct_degree_degrees(phi_n, p) == expected, (n, p)
+
+
+def test_quadratic_splitting_matches_euler_criterion():
+    rng = random.Random(607)
+    for p in _large_primes(rng, 12):
+        if p == 2:
+            continue
+        for D in [rng.randint(-10 ** 6, 10 ** 6) for _ in range(6)] + [p * rng.randint(1, 50)]:
+            got = distinct_degree_degrees([-D, 0, 1], p)
+            if D % p == 0:
+                assert got is None, (D, p)
+            elif pow(D % p, (p - 1) // 2, p) == 1:
+                assert got == (1, 1), (D, p)
+            else:
+                assert got == (2,), (D, p)
+
+
+def test_powmod_matches_list_product_reference():
+    def mulmod_ref(a, b, f, p):
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+        n = len(f) - 1
+        for top in range(len(out) - 1, n - 1, -1):  # f is monic
+            c = out[top]
+            for i in range(n + 1):
+                out[top - n + i] = (out[top - n + i] - c * f[i]) % p
+        out = out[:n]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def powmod_ref(h, e, f, p):
+        result, base = [1], mulmod_ref([c % p for c in h], [1], f, p)
+        while e:
+            if e & 1:
+                result = mulmod_ref(result, base, f, p)
+            base = mulmod_ref(base, base, f, p)
+            e >>= 1
+        return result
+
+    rng = random.Random(811)
+    for p in _large_primes(rng, 8):
+        for _ in range(4):
+            n = rng.randint(1, 8)
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            h = [rng.randrange(-p, 2 * p) for _ in range(rng.randint(0, 2 * n))]
+            for e in (1, 2, p, rng.randrange(1, 10 ** 6)):
+                assert poly_powmod(h, e, f, p) == powmod_ref(h, e, f, p), (h, e, f, p)
+            assert poly_powmod([0, 1], p, f, p) == powmod_ref([0, 1], p, f, p), (f, p)

@@ -167,9 +167,13 @@ def _parse_coords(text: str) -> list:
         raise ValueError(f"cannot parse coordinate list {text!r}") from None
 
 
+def _field_spec(text: str) -> str:
+    """A defining polynomial, with Q standing for x - 1."""
+    return "x-1" if text.strip().upper() == "Q" else text
+
+
 def cmd_field(args, params: BoundParams) -> Report:
-    spec = "x-1" if args.poly.strip().upper() == "Q" else args.poly
-    k = field_from_polynomial(spec, args.prec, known_disc=args.known_disc)
+    k = field_from_polynomial(_field_spec(args.poly), args.prec, known_disc=args.known_disc)
     if k.degree == 1:
         raise LatcountError(
             "degree-1 polynomial defines the rationals (disc 1, rd = 1); nothing to report"
@@ -215,6 +219,13 @@ def cmd_pisot(args, params: BoundParams) -> Report:
 
 # ==================================================================== tower
 
+def _tower_entry(name: str, extra_path=None):
+    found = tower_lookup(name, extra_path)
+    if not found:
+        raise LatcountError(f"tower {name!r} not in catalog")
+    return found[0]
+
+
 def cmd_tower(args, params: BoundParams) -> Report:
     report = Report("tower", args.prec, args.prime_bound, params)
     if not args.name:
@@ -231,16 +242,13 @@ def cmd_tower(args, params: BoundParams) -> Report:
                 entry.source,
             ])
         return report
-    found = tower_lookup(args.name, args.extra)
-    if not found:
-        raise LatcountError(f"tower {args.name!r} not in catalog")
-    entry = found[0]
+    entry = _tower_entry(args.name, args.extra)
     report.extra["name"] = entry.name
     report.extra["degree_rule"] = entry.degree_rule
     report.extra["rd_constant"] = _iv(entry.rd_constant)
     report.extra["total_real"] = "yes" if entry.total_real else "no"
     report.extra["source"] = entry.source
-    if args.t:
+    if args.t is not None:
         seq = fixed_signature_sequence(entry, args.t, args.levels, precision=args.prec)
         report.extra["t"] = str(args.t)
         report.columns = ["level", "degree", "r2", "rd_bound_lo", "rd_bound_hi"]
@@ -271,10 +279,7 @@ def cmd_covolume(args, params: BoundParams) -> Report:
     report = Report("covolume", args.prec, args.prime_bound, params)
     report.extra["type"] = data.name + ("" if not data.s_param else " (outer)")
     if args.tower:
-        found = tower_lookup(args.tower)
-        if not found:
-            raise LatcountError(f"tower {args.tower!r} not in catalog")
-        entry = found[0]
+        entry = _tower_entry(args.tower)
         p0 = args.p0 if args.p0 is not None else 2
         degree = entry.base_degree << args.level
         synth = SyntheticField(
@@ -299,8 +304,7 @@ def cmd_covolume(args, params: BoundParams) -> Report:
             "(upper endpoints agree exactly by construction)"
         )
     else:
-        spec = "x-1" if args.field.strip().upper() == "Q" else args.field
-        k = field_from_polynomial(spec, args.prec)
+        k = field_from_polynomial(_field_spec(args.field), args.prec)
         ext = None
         if args.alpha:
             alpha = k.element(_parse_coords(args.alpha))
@@ -336,10 +340,7 @@ def cmd_covolume(args, params: BoundParams) -> Report:
 # =================================================================== growth
 
 def cmd_growth_lower(args, params: BoundParams) -> Report:
-    found = tower_lookup(args.tower)
-    if not found:
-        raise LatcountError(f"tower {args.tower!r} not in catalog")
-    entry = found[0]
+    entry = _tower_entry(args.tower)
     data = parse_type(args.type)
     if data.rank < 2:
         suffix = " (override acknowledged)" if args.rank_override else ""
@@ -481,17 +482,20 @@ def _build_parser() -> _Parser:
     p_field = sub.add_parser("field", help="inspect a number field", parents=[common])
     p_field.add_argument("--poly", required=True)
     p_field.add_argument("--known-disc", type=int, default=None)
+    p_field.set_defaults(handler=cmd_field)
 
     p_pisot = sub.add_parser("pisot", help="find a certified Pisot element", parents=[common])
     p_pisot.add_argument("--poly", required=True)
     p_pisot.add_argument("--place", type=int, default=0)
     p_pisot.add_argument("--radius", type=int, default=5)
+    p_pisot.set_defaults(handler=cmd_pisot)
 
     p_tower = sub.add_parser("tower", help="list or expand tower catalog entries", parents=[common])
     p_tower.add_argument("--name", default=None)
     p_tower.add_argument("--levels", type=int, default=3)
     p_tower.add_argument("--t", type=int, default=None)
     p_tower.add_argument("--extra", default=None, help="extra catalog JSON file")
+    p_tower.set_defaults(handler=cmd_tower)
 
     p_cov = sub.add_parser("covolume", help="volume-formula enclosure", parents=[common])
     src = p_cov.add_mutually_exclusive_group(required=True)
@@ -503,6 +507,7 @@ def _build_parser() -> _Parser:
     p_cov.add_argument("--s-param", type=int, default=None)
     p_cov.add_argument("--alpha", default=None, help="element coordinates, e.g. 0,1")
     p_cov.add_argument("--p0", type=int, default=None, help="distinguished prime")
+    p_cov.set_defaults(handler=cmd_covolume)
 
     p_growth = sub.add_parser("growth", help="growth-constant reports")
     growth_sub = p_growth.add_subparsers(dest="growth_cmd", required=True)
@@ -515,17 +520,20 @@ def _build_parser() -> _Parser:
     p_lower.add_argument("--levels", type=int, default=3)
     p_lower.add_argument("--out", default=None, help="write PREFIX.json and PREFIX.csv")
     p_lower.add_argument("--rank-override", action="store_true")
+    p_lower.set_defaults(handler=cmd_growth_lower)
     p_upper = growth_sub.add_parser("upper", help="conditional upper growth scan", parents=[common])
     p_upper.add_argument("--x-min", type=int, default=100)
     p_upper.add_argument("--x-max", type=int, default=1000000)
     p_upper.add_argument("--residues", default="", help="residue data, e.g. 2:1,3:1")
     p_upper.add_argument("--C1", default=None, help="override the residue budget exponent")
     p_upper.add_argument("--s-embed", type=int, default=None)
+    p_upper.set_defaults(handler=cmd_growth_upper)
 
     p_lie = sub.add_parser("lie", help="root-system data tables")
     lie_sub = p_lie.add_subparsers(dest="lie_cmd", required=True)
     p_dump = lie_sub.add_parser("dump", help="dump the invariant table", parents=[common])
     p_dump.add_argument("--max-rank", type=int, default=12)
+    p_dump.set_defaults(handler=cmd_lie_dump)
     return parser
 
 
@@ -584,19 +592,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     params = _resolve(args, _load_config(args.config))
-    handlers = {
-        "field": cmd_field,
-        "pisot": cmd_pisot,
-        "tower": cmd_tower,
-        "covolume": cmd_covolume,
-    }
-    if args.cmd == "growth":
-        handler = cmd_growth_lower if args.growth_cmd == "lower" else cmd_growth_upper
-    elif args.cmd == "lie":
-        handler = cmd_lie_dump
-    else:
-        handler = handlers[args.cmd]
-    report = handler(args, params)
+    report = args.handler(args, params)
     if getattr(args, "out", None):
         with open(args.out + ".json", "w", encoding="utf-8") as fh:
             fh.write(report.render("json"))
@@ -612,24 +608,22 @@ def run(argv=None) -> int:
     return 0
 
 
+# the exit code of the first class an error belongs to
+_EXIT_CODES = (
+    (ReduciblePolynomial, 2),
+    (PrecisionExhausted, 3),
+    (EmptyReport, 4),
+    (ResidueBudgetExceeded, 5),
+    ((LatcountError, ValueError, OSError), 1),
+)
+
+
 def entry(argv=None) -> int:
     try:
         return run(argv)
-    except ReduciblePolynomial as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrecisionExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EmptyReport as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ResidueBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except (LatcountError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

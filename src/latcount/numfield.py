@@ -11,9 +11,11 @@ integer polynomials, each remainder scaled by the positive lcm of its
 denominators, and every bracket is an aligned dyadic cell (j, e), the
 interval [j/2^e, (j+1)/2^e].  Isolation and bisection read only the sign of
 2^(k deg f) f(a/2^k) at the cell ends a/2^k; a Fraction is built only for the
-final enclosure.  The irreducibility subset test skips every set of
-roots whose interval sum contains no integer before it multiplies out the
-candidate factor.
+final enclosure; aligned cells nest, so a higher precision bisects on from
+the finest cell refined so far.  Every precision escalation, here and in
+pisot_tower, iterates over `doublings`.  The irreducibility subset test
+skips every set of roots whose interval sum contains no integer before it
+multiplies out the candidate factor.
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ from .interval import (
 from .polymod import _trim, distinct_degree_degrees, prime_list
 
 _MAX_REFINE_ROUNDS = 10
+
+
+def doublings(start: int, exhausted: Exception):
+    """Precisions start, 2 start, ... for _MAX_REFINE_ROUNDS rounds; then raise exhausted."""
+    prec = start
+    for _ in range(_MAX_REFINE_ROUNDS):
+        yield prec
+        prec *= 2
+    raise exhausted
 
 
 # ===================================================================== basic
@@ -264,6 +275,12 @@ def _isolate_real_roots(poly: Polynomial) -> list:
     return out
 
 
+def _cell_of(iv: RealInterval) -> tuple:
+    """(j, e) of the aligned dyadic cell iv = [j/2^e, (j+1)/2^e]."""
+    w = iv.hi - iv.lo
+    return int(iv.lo / w), w.denominator.bit_length() - w.numerator.bit_length()
+
+
 def _refine(poly: Polynomial, j: int, e: int, prec: int) -> RealInterval:
     """The aligned 2^-prec subcell of the root's cell (j, e), or the cell
     itself where it is already narrower."""
@@ -391,11 +408,12 @@ class NumberField:
         prec = prec or self.precision
         if prec in self._emb_cache:
             return self._emb_cache[prec]
-        reals = tuple(
-            _refine(self.min_poly, j, e, prec) for j, e in self._real_cells
-        ) if self.degree > 1 else (
-            RealInterval.point(-self.min_poly.coefficients[0]),
-        )
+        if self.degree == 1:
+            reals = (RealInterval.point(-self.min_poly.coefficients[0]),)
+        else:
+            below = [p for p in self._emb_cache if p < prec]
+            cells = map(_cell_of, self._emb_cache[max(below)][0]) if below else self._real_cells
+            reals = tuple(_refine(self.min_poly, j, e, prec) for j, e in cells)
         boxes = self._certified_complex(prec)
         self._emb_cache[prec] = (reals, boxes)
         return reals, boxes
@@ -407,21 +425,16 @@ class NumberField:
         prev = None
         if self._emb_cache:
             prev = self._emb_cache[max(self._emb_cache)][1]
-        for _ in range(_MAX_REFINE_ROUNDS):
-            seeds = _complex_seeds(self.min_poly, self.r2, workprec)
-            if seeds is not None:
-                boxes = _certify_boxes(self.min_poly, seeds, prec)
-                if boxes is not None:
-                    if prev:
-                        boxes = _nest_boxes(boxes, prev)
-                        if boxes is None:
-                            workprec *= 2
-                            continue
-                    return tuple(boxes)
-            workprec *= 2
-        raise PrecisionExhausted(
-            f"complex embeddings of {self.min_poly} at {prec} bits"
-        )
+        exhausted = PrecisionExhausted(f"complex embeddings of {self.min_poly} at {prec} bits")
+        for wp in doublings(workprec, exhausted):
+            seeds = _complex_seeds(self.min_poly, self.r2, wp)
+            if seeds is None:
+                continue
+            boxes = _certify_boxes(self.min_poly, seeds, prec)
+            if boxes is not None and prev:
+                boxes = _nest_boxes(boxes, prev)
+            if boxes is not None:
+                return tuple(boxes)
 
     def element(self, coords) -> "FieldElement":
         return FieldElement(self, coords)
@@ -520,8 +533,7 @@ def _assert_irreducible(poly: Polynomial, field_prec: int, get_enclosures):
         raise PrecisionExhausted(
             f"irreducibility of {poly}: degree too large for the subset test"
         )
-    prec = field_prec
-    for _ in range(_MAX_REFINE_ROUNDS):
+    for prec in doublings(field_prec, PrecisionExhausted(f"irreducibility of {poly}")):
         reals, boxes = get_enclosures(prec)
         units = [(1, [(-r), RealInterval.point(1)]) for r in reals]
         units += [
@@ -551,8 +563,6 @@ def _assert_irreducible(poly: Polynomial, field_prec: int, get_enclosures):
                 )
         if not widened:
             return
-        prec *= 2
-    raise PrecisionExhausted(f"irreducibility of {poly}")
 
 
 def field_from_polynomial(
@@ -713,8 +723,8 @@ def evaluate_at_embeddings(element: FieldElement, precision: int):
     # inner target + grid rounding keep the final width under 2^(1-precision)
     target = Fraction(1, 1 << (precision + 1))
     grid = precision + 2
-    wp = precision + 16
-    for _ in range(_MAX_REFINE_ROUNDS):
+    exhausted = PrecisionExhausted(f"embedding images at {precision} bits")
+    for wp in doublings(precision + 16, exhausted):
         reals, boxes = k.embeddings(wp)
         r_out = [_horner(element.coords, r) for r in reals]
         b_out = [_horner(element.coords, b) for b in boxes]
@@ -724,8 +734,6 @@ def evaluate_at_embeddings(element: FieldElement, precision: int):
             return tuple(r.round_out(grid) for r in r_out) + tuple(
                 b.round_out(grid) for b in b_out
             )
-        wp *= 2
-    raise PrecisionExhausted(f"embedding images at {precision} bits")
 
 
 def _horner(coords, x):
@@ -763,17 +771,14 @@ def minkowski_degree_bound(abs_disc: int, prec: int = 64) -> int:
     """Largest degree compatible with |disc| = abs_disc for any signature."""
     if abs_disc < 3:
         raise InvalidDiscriminant("degree bound needs |disc| >= 3")
-    d = 2
-    while True:
-        wp = prec
-        while True:
-            floor_iv = _stirling_floor(d + 1, (d + 1) // 2, wp)
+    exhausted = PrecisionExhausted(f"degree bound for |disc| = {abs_disc}")
+    for d in itertools.count(3):
+        for wp in doublings(prec, exhausted):
+            floor_iv = _stirling_floor(d, d // 2, wp)
             if abs_disc > floor_iv.hi:
-                d += 1
                 break
             if abs_disc <= floor_iv.lo:
-                return d
-            wp *= 2
+                return d - 1
 
 
 def derived_minkowski_C(prec: int = 64) -> RealInterval:

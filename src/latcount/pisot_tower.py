@@ -28,6 +28,7 @@ from .errors import (
     AlphaPossiblySquare,
     AlphaZero,
     InvalidT,
+    LatcountError,
     NotTotallyReal,
     PrecisionExhausted,
     SearchExhausted,
@@ -35,10 +36,10 @@ from .errors import (
 )
 from .interval import RealInterval, log2_fraction
 from .numfield import (
-    _MAX_REFINE_ROUNDS,
     FieldElement,
     NumberField,
     derived_minkowski_C,
+    doublings,
     element_norm,
     evaluate_at_embeddings,
 )
@@ -164,8 +165,8 @@ def _certify_pisot(
     if not _within_norm_cap(abs(element_norm(1 - element)), d, D):
         return None
     v1_cap_sq = 4 ** (d - 1) * D
-    prec = start_prec
-    for _ in range(_MAX_REFINE_ROUNDS):
+    exhausted = PrecisionExhausted(f"pisot certification of {element}")
+    for prec in doublings(start_prec, exhausted):
         vals = evaluate_at_embeddings(element, prec)
         vp = vals[place_index]
         others = [v.abs() for j, v in enumerate(vals) if j != place_index]
@@ -177,8 +178,6 @@ def _certify_pisot(
             return None
         if vp.lo > 1 and all(a.hi < 1 for a in others) and vp.hi * vp.hi <= v1_cap_sq:
             return vals, prec
-        prec *= 2
-    raise PrecisionExhausted(f"pisot certification of {element}")
 
 
 def find_pisot(
@@ -266,21 +265,12 @@ def certified_signs(k: NumberField, element: FieldElement, precision: int = 64):
     """Sign of the element at every real place, certified."""
     if element.is_zero():
         raise AlphaZero("the zero element has no signs")
-    prec = precision
-    for _ in range(_MAX_REFINE_ROUNDS):
+    exhausted = SignUncertifiable(f"sign of {element} straddles zero")
+    for prec in doublings(precision, exhausted):
         vals = evaluate_at_embeddings(element, prec)[: k.r1]
-        signs = []
-        for v in vals:
-            if v.lo > 0:
-                signs.append(1)
-            elif v.hi < 0:
-                signs.append(-1)
-            else:
-                break
-        else:
-            return tuple(signs)
-        prec *= 2
-    raise SignUncertifiable(f"sign of {element} straddles zero")
+        signs = tuple((v.lo > 0) - (v.hi < 0) for v in vals)
+        if 0 not in signs:
+            return signs
 
 
 def splitting_pattern(k: NumberField, element: FieldElement) -> Tuple[str, ...]:
@@ -329,14 +319,28 @@ def quadratic_extension(
 
 # ================================================================== towers
 
-def _entry_from_row(row: dict) -> TowerEntry:
-    lo, hi = (Fraction(s) for s in row["rd_constant"])
+def _entry_from_row(row, where: str) -> TowerEntry:
+    """One catalog row; a malformed row raises LatcountError naming the row and key."""
+    if not isinstance(row, dict):
+        raise LatcountError(f"{where}: a row must be a JSON object")
+
+    def value(key, read):
+        try:
+            return read(row[key])
+        except KeyError:
+            raise LatcountError(f"{where}: missing key {key!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise LatcountError(f"{where}: bad {key!r}: {exc}") from None
+
+    rd = value("rd_constant", lambda pair: RealInterval(*map(Fraction, pair)))
+    if rd.lo <= 1:
+        raise LatcountError(f"{where}: key 'rd_constant' needs a lower end above 1, not {rd.lo}")
     return TowerEntry(
-        name=row["name"],
-        base_degree=int(row["base_degree"]),
-        degree_rule=row["degree_rule"],
-        rd_constant=RealInterval(lo, hi),
-        total_real=bool(row["total_real"]),
+        name=value("name", str),
+        base_degree=value("base_degree", int),
+        degree_rule=value("degree_rule", str),
+        rd_constant=rd,
+        total_real=value("total_real", bool),
         source=row.get("source", ""),
     )
 
@@ -346,12 +350,15 @@ def tower_catalog(extra_path: Optional[str] = None) -> list:
     from importlib.resources import files
 
     text = files("latcount.data").joinpath("tower_catalog.json").read_text()
-    entries = [_entry_from_row(r) for r in json.loads(text)]
+    sources = [("tower catalog", json.loads(text))]
     if extra_path is not None:
         with open(extra_path, "r", encoding="utf-8") as fh:
-            entries.extend(_entry_from_row(r) for r in json.load(fh))
-    for e in entries:
-        assert e.rd_constant.lo > 1
+            sources.append((extra_path, json.load(fh)))
+    entries = []
+    for where, rows in sources:
+        if not isinstance(rows, list):
+            raise LatcountError(f"{where}: the catalog must be a JSON list of rows")
+        entries += [_entry_from_row(row, f"{where} row {i}") for i, row in enumerate(rows)]
     return entries
 
 

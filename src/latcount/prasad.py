@@ -265,22 +265,21 @@ def _zeta2_unit(data: LieTypeData, wp: int) -> RealInterval:
     return z2.pow_int(data.rank, wp)
 
 
-def _c1_units(
+def _c1_factors(
     c0: RealInterval,
     c0p: Optional[RealInterval],
     data: LieTypeData,
     p0: int,
     wp: int,
-) -> list:
-    units = [c0.pow_frac(Fraction(data.dim, 2), wp)]
+) -> Tuple[RealInterval, RealInterval, RealInterval, RealInterval]:
+    """The per-degree factors (disc, arch, lambda, euler) of c1."""
+    disc = c0.pow_frac(Fraction(data.dim, 2), wp)
     if data.s_param:
         if c0p is None:
             raise ValueError("outer form needs the relative-discriminant constant c0'")
-        units.append(c0p.pow_frac(Fraction(data.s_param, 2), wp))
-    units.append(_arch_unit(data, wp))
-    units.append(RealInterval.point(p0 ** data.dim))
-    units.append(_zeta2_unit(data, wp))
-    return units
+        disc = disc * c0p.pow_frac(Fraction(data.s_param, 2), wp)
+    lam = RealInterval.point(p0 ** data.dim)
+    return disc, _arch_unit(data, wp), lam, _zeta2_unit(data, wp)
 
 
 def covolume_upper_c1(
@@ -292,15 +291,12 @@ def covolume_upper_c1(
 ) -> RealInterval:
     """c1 = c0^(dim/2) c0'^(s/2) prod(m_i!/(2 pi)^(m_i+1)) p0^dim (pi^2/6)^r.
 
-    A degree-d field with rd <= c0 then has covolume at most c1^d.  The unit
-    intervals here are shared with covolume_synthetic so that the c1^d
+    A degree-d field with rd <= c0 then has covolume at most c1^d.  The
+    factors here are shared with covolume_synthetic so that the c1^d
     comparison is exact at the endpoint level.
     """
-    wp = precision + 16
-    out = RealInterval.point(1)
-    for unit in _c1_units(c0, c0p, data, p0, wp):
-        out = out * unit
-    return out
+    disc, arch, lam, euler = _c1_factors(c0, c0p, data, p0, precision + 16)
+    return disc * arch * lam * euler
 
 
 def covolume_synthetic(
@@ -316,18 +312,15 @@ def covolume_synthetic(
     [1, (pi^2/6)^(d r)] and the distinguished place by [1, p0^(d dim)]; the
     upper endpoint then equals c1^d by construction.
     """
-    wp = precision + 16
     d = synth.degree
-    units = _c1_units(synth.rd_bound, c0p, data, p0, wp)
-    if data.s_param:
-        disc_units, arch_unit = units[0] * units[1], units[2]
-    else:
-        disc_units, arch_unit = units[0], units[1]
+    disc_unit, arch_unit, lam_unit, euler_unit = _c1_factors(
+        synth.rd_bound, c0p, data, p0, precision + 16
+    )
     # exact endpoint powers keep value.hi equal to c1.hi**d
-    disc = disc_units ** d
+    disc = disc_unit ** d
     arch = arch_unit ** d
-    euler = RealInterval(1, units[-1].hi ** d)
-    lam = RealInterval(1, units[-2].hi ** d)
+    euler = RealInterval(1, euler_unit.hi ** d)
+    lam = RealInterval(1, lam_unit.hi ** d)
     value = disc * arch * euler * lam
     return CovolumeResult(
         value=value,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import latcount.numfield as numfield
 from latcount.cli import entry
 
 PARAM_KEYS = ["C", "C1", "C2", "c4", "f1", "s_embed"]
@@ -98,6 +99,12 @@ def test_exit_codes(capsys, tmp_path):
         assert "invalid literal" not in err.lower()
 
 
+def test_exhausted_budget_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(numfield, "_MAX_REFINE_ROUNDS", 0)
+    assert entry(["pisot", "--poly", "x^2-x-1"]) == 3
+    assert capsys.readouterr().err == "error: pisot certification of 1,-1\n"
+
+
 def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         entry(["covolume", "--type", "A1"])  # neither --field nor --tower
@@ -133,6 +140,34 @@ def test_tower_listing_and_sequence(capsys):
     bounds = {(row["rd_bound_lo"], row["rd_bound_hi"]) for row in doc["rows"]}
     assert len(doc["rows"]) == 3 and len(bounds) == 1
     assert any("level-independent" in n for n in doc["notes"])
+
+
+def test_tower_t_below_one_is_an_error(capsys):
+    for t in ("0", "-1"):
+        assert entry(["tower", "--name", "martinet", "--t", t]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: t must be >= 1, got {t}\n"
+
+
+_TOWER_ROW = {"name": "t", "base_degree": 2, "degree_rule": "doubling",
+              "rd_constant": ["2", "3"], "total_real": True}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([{k: v for k, v in _TOWER_ROW.items() if k != "rd_constant"}],
+     " row 0: missing key 'rd_constant'"),
+    (_TOWER_ROW, ": the catalog must be a JSON list of rows"),
+    ([_TOWER_ROW, dict(_TOWER_ROW, rd_constant=["1/2", "3"])],
+     " row 1: key 'rd_constant' needs a lower end above 1, not 1/2"),
+])
+def test_malformed_tower_extra_is_an_error(capsys, tmp_path, doc, message):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc))
+    assert entry(["tower", "--extra", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}{message}\n"
+    assert "Traceback" not in err
 
 
 def test_covolume_rationals(capsys):

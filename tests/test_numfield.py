@@ -10,6 +10,7 @@ from latcount.errors import (
     SearchExhausted,
 )
 from latcount.interval import RealInterval
+import latcount.numfield as numfield
 from latcount.numfield import (
     Polynomial,
     catalog_lookup,
@@ -268,6 +269,22 @@ def test_sign_at_matches_exact_evaluation(f, a, k, root):
         f = g
         assert _sign_at(f, a, k) == 0
     assert _sign_at(f, a, k) == _exact_sign(f, x)
+
+
+def test_embeddings_continue_from_the_finest_refined_cells(monkeypatch):
+    k = field_from_polynomial("x^3-x^2-2x+1", 64)
+    calls = []
+
+    def counting_sign_at(*args):
+        calls.append(args)
+        return _sign_at(*args)
+
+    monkeypatch.setattr(numfield, "_sign_at", counting_sign_at)
+    reals, _ = k.embeddings(128)
+    # one start sign and one bisection per bit from 64 to 128, per root
+    assert len(calls) <= k.r1 * 65
+    fresh, _ = field_from_polynomial("x^3-x^2-2x+1", 128).embeddings(128)
+    assert [(iv.lo, iv.hi) for iv in reals] == [(iv.lo, iv.hi) for iv in fresh]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

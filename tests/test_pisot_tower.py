@@ -17,8 +17,13 @@ from latcount.errors import (
     SignUncertifiable,
 )
 from latcount.interval import RealInterval
-from latcount.numfield import element_norm, field_from_polynomial
-import latcount.pisot_tower as pisot_tower
+import latcount.numfield as numfield
+from latcount.numfield import (
+    element_norm,
+    evaluate_at_embeddings,
+    field_from_polynomial,
+    minkowski_degree_bound,
+)
 from latcount.pisot_tower import (
     _norm_cap,
     _within_norm_cap,
@@ -183,14 +188,20 @@ def test_certified_signs_and_pattern():
 
 
 def test_exhausted_precision_errors_print_coordinates(monkeypatch):
-    monkeypatch.setattr(pisot_tower, "_MAX_REFINE_ROUNDS", 0)
-    k = _golden()
+    k = _golden()  # built first: its known_disc runs the budgeted degree bound
+    monkeypatch.setattr(numfield, "_MAX_REFINE_ROUNDS", 0)
     with pytest.raises(PrecisionExhausted) as exc:
         find_pisot(k)
     assert str(exc.value) == "pisot certification of 1,-1"
     with pytest.raises(SignUncertifiable) as exc:
         certified_signs(k, k.element([Fraction(1, 2), -1]))
     assert str(exc.value) == "sign of 1/2,-1 straddles zero"
+    with pytest.raises(PrecisionExhausted) as exc:
+        evaluate_at_embeddings(k.element([1, -1]), 64)
+    assert str(exc.value) == "embedding images at 64 bits"
+    with pytest.raises(PrecisionExhausted) as exc:
+        minkowski_degree_bound(5)
+    assert str(exc.value) == "degree bound for |disc| = 5"
 
 
 def test_product_alpha_sign_counts():

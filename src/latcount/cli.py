@@ -124,8 +124,6 @@ class Report:
         for key, value in self.extra.items():
             if isinstance(value, list):
                 value = "[" + ", ".join(value) + "]"
-            elif isinstance(value, dict):
-                value = " ".join(f"{k}={v}" for k, v in value.items())
             lines.append((key, value))
         return lines
 

@@ -475,24 +475,19 @@ def _nest_boxes(new, old):
 
 # ---------------------------------------------------------- irreducibility
 
-def _modular_degree_patterns(poly: Polynomial, tries: int = 8):
+def _modular_degree_patterns(poly: Polynomial, zk_disc: int, tries: int = 8):
     """Intersection of achievable proper-factor degrees across good primes.
 
-    Empty set proves irreducibility; otherwise the certified subset test
-    below examines only the surviving sizes.
+    Good primes do not divide zk_disc = disc(poly).  Empty set proves
+    irreducibility; otherwise the certified subset test below examines only
+    the surviving sizes.
     """
     d = poly.degree
     possible = set(range(1, d))
-    used = 0
-    for p in prime_list(1000):
-        if used >= tries:
-            break
-        degs = distinct_degree_degrees(poly.coefficients, p)
-        if degs is None:
-            continue
-        used += 1
+    good_primes = (p for p in prime_list(1000) if zk_disc % p)
+    for p in itertools.islice(good_primes, tries):
         sums = {0}
-        for e in degs:
+        for e in distinct_degree_degrees(poly.coefficients, p):
             sums |= {s + e for s in sums}
         possible &= {s for s in sums if 0 < s < d}
         if not possible:
@@ -521,11 +516,9 @@ def _try_integer_candidate(coeff_ivs):
     return cand
 
 
-def _assert_irreducible(poly: Polynomial, field_prec: int, get_enclosures):
+def _assert_irreducible(poly: Polynomial, zk_disc: int, field_prec: int, get_enclosures):
     d = poly.degree
-    if d == 1:
-        return
-    sizes = _modular_degree_patterns(poly)
+    sizes = _modular_degree_patterns(poly, zk_disc)
     sizes = {s for s in sizes if s <= d // 2}
     if not sizes:
         return
@@ -605,7 +598,7 @@ def field_from_polynomial(
 
     field = NumberField(poly, d, r1, r2, zk_disc, zk_disc, precision, cells, {})
     field.embeddings(precision)
-    _assert_irreducible(poly, precision, field.embeddings)
+    _assert_irreducible(poly, zk_disc, precision, field.embeddings)
 
     if known_disc is not None:
         if (known_disc < 0) != (r2 % 2 == 1):

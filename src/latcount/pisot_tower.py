@@ -34,6 +34,7 @@ from .errors import (
     SearchExhausted,
     SignUncertifiable,
 )
+from .counting import read_int
 from .interval import RealInterval, log2_fraction
 from .numfield import (
     FieldElement,
@@ -335,18 +336,25 @@ def _entry_from_row(row, where: str) -> TowerEntry:
     rd = value("rd_constant", lambda pair: RealInterval(*map(Fraction, pair)))
     if rd.lo <= 1:
         raise LatcountError(f"{where}: key 'rd_constant' needs a lower end above 1, not {rd.lo}")
+    degree = value("base_degree", lambda v: read_int(v, "base_degree"))
+    if degree < 1:
+        raise LatcountError(f"{where}: key 'base_degree' must be at least 1, not {degree}")
+    total_real = value("total_real", lambda v: v)
+    if not isinstance(total_real, bool):
+        raise LatcountError(f"{where}: key 'total_real' must be true or false, not {total_real!r}")
     return TowerEntry(
         name=value("name", str),
-        base_degree=value("base_degree", int),
+        base_degree=degree,
         degree_rule=value("degree_rule", str),
         rd_constant=rd,
-        total_real=value("total_real", bool),
+        total_real=total_real,
         source=row.get("source", ""),
     )
 
 
 def tower_catalog(extra_path: Optional[str] = None) -> list:
-    """Packaged tower entries, optionally extended from a user JSON file."""
+    """Packaged tower entries, optionally extended from a user JSON file; a
+    name that appears twice across the two raises LatcountError."""
     from importlib.resources import files
 
     text = files("latcount.data").joinpath("tower_catalog.json").read_text()
@@ -355,10 +363,17 @@ def tower_catalog(extra_path: Optional[str] = None) -> list:
         with open(extra_path, "r", encoding="utf-8") as fh:
             sources.append((extra_path, json.load(fh)))
     entries = []
+    first_row = {}  # name -> the row that introduced it
     for where, rows in sources:
         if not isinstance(rows, list):
             raise LatcountError(f"{where}: the catalog must be a JSON list of rows")
-        entries += [_entry_from_row(row, f"{where} row {i}") for i, row in enumerate(rows)]
+        for i, row in enumerate(rows):
+            here = f"{where} row {i}"
+            entry = _entry_from_row(row, here)
+            first = first_row.setdefault(entry.name, here)
+            if first != here:
+                raise LatcountError(f"{here}: key 'name' repeats {entry.name!r} from {first}")
+            entries.append(entry)
     return entries
 
 

@@ -2,7 +2,8 @@
 
 Polynomials are lists of ints (constant coefficient first), reduced mod p.
 Only what the splitting and irreducibility code needs: gcd, Frobenius powers
-and distinct-degree factorization degrees.
+and distinct-degree factorization degrees, for monic f and p not dividing
+disc(f) (so f mod p is squarefree; the callers skip the other primes).
 
 Products modulo a monic f of degree n run on Kronecker-packed integers
 (`_Packed`): a polynomial of degree < n is the one int sum c_i 2^(k i), so a
@@ -190,21 +191,11 @@ def _poly_sub_x(h, p):
 def distinct_degree_degrees(f, p: int):
     """Residue degrees of monic f over F_p, one entry per irreducible factor.
 
-    Returns a sorted tuple, or None when f mod p is not squarefree (the
-    caller must treat p as ramified).
+    Precondition: f is monic and p does not divide disc(f), so f mod p is
+    squarefree; the caller decides bad primes.  Returns a sorted tuple.
     """
-    g = poly_mod(f, p)
-    d = len(g) - 1
-    if d < 1:
-        return None
-    if d == 1:
-        return (1,)  # a linear polynomial is squarefree
-    g = _monic(g, p)
-    deriv = _trim([(i * c) % p for i, c in enumerate(g)][1:])
-    if len(poly_gcd(g, deriv, p)) != 1:
-        return None
     degrees = []
-    rem = g
+    rem = poly_mod(f, p)
     h = [0, 1]  # x^(p^i) mod rem, advanced once per iteration
     i = 0
     while len(rem) - 1 >= 2 * (i + 1):

@@ -70,14 +70,15 @@ class PrimeSplitting:
 def prime_splitting(k: NumberField, p: int) -> PrimeSplitting:
     """Residue degrees of p from the defining polynomial.
 
-    Primes dividing disc(Z[theta]) are reported ramified; when the field
-    discriminant is prime to p this is only an index obstruction, flagged
+    The Euler pass's one bad-prime test: p | disc(Z[theta]) is reported
+    ramified and only other p reach the distinct-degree factorization; if the
+    field discriminant is prime to p, this is only an index obstruction, flagged
     `conservative` (the true splitting is unknown without the maximal order).
     """
     if k.zk_disc % p == 0:
         return PrimeSplitting(p, (), True, k.abs_disc % p != 0)
     degs = distinct_degree_degrees(k.min_poly.coefficients, p)
-    assert degs is not None and sum(degs) == k.degree
+    assert sum(degs) == k.degree
     return PrimeSplitting(p, degs, False, False)
 
 

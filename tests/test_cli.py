@@ -1,5 +1,7 @@
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ import latcount.numfield as numfield
 from latcount.cli import entry
 
 PARAM_KEYS = ["C", "C1", "C2", "c4", "f1", "s_embed"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _run_json(capsys, argv):
@@ -160,13 +163,27 @@ _TOWER_ROW = {"name": "t", "base_degree": 2, "degree_rule": "doubling",
     (_TOWER_ROW, ": the catalog must be a JSON list of rows"),
     ([_TOWER_ROW, dict(_TOWER_ROW, rd_constant=["1/2", "3"])],
      " row 1: key 'rd_constant' needs a lower end above 1, not 1/2"),
+    ([dict(_TOWER_ROW, total_real="false")],
+     " row 0: key 'total_real' must be true or false, not 'false'"),
+    ([dict(_TOWER_ROW, base_degree=2.7)],
+     " row 0: bad 'base_degree': base_degree must be an integer, got 2.7"),
+    ([dict(_TOWER_ROW, base_degree=True)],
+     " row 0: bad 'base_degree': base_degree must be an integer, got True"),
+    ([dict(_TOWER_ROW, base_degree=0)],
+     " row 0: key 'base_degree' must be at least 1, not 0"),
+    ([dict(_TOWER_ROW, base_degree=-3)],
+     " row 0: key 'base_degree' must be at least 1, not -3"),
+    ([dict(_TOWER_ROW, name="martinet")],
+     " row 0: key 'name' repeats 'martinet' from tower catalog row 1"),
+    ([_TOWER_ROW, _TOWER_ROW],
+     " row 1: key 'name' repeats 't' from {path} row 0"),
 ])
 def test_malformed_tower_extra_is_an_error(capsys, tmp_path, doc, message):
     path = tmp_path / "extra.json"
     path.write_text(json.dumps(doc))
     assert entry(["tower", "--extra", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {path}{message}\n"
+    assert err == f"error: {path}{message.format(path=path)}\n"
     assert "Traceback" not in err
 
 
@@ -408,3 +425,24 @@ def test_out_prefix_writes_files(capsys, tmp_path):
     assert doc["command"] == "growth lower"
     csv_text = (tmp_path / "rep.csv").read_text()
     assert csv_text.startswith("# schema: 1")
+
+
+def _readme_block(after: str) -> str:
+    """The first fenced block of README.md below the line that starts with after."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```\n", text.index("\n" + after)) + 4
+    return text[start : text.index("```", start)]
+
+
+def test_readme_examples(capsys):
+    outputs = {}
+    for line in _readme_block("Examples:").splitlines():
+        program, *argv = shlex.split(line)
+        assert program == "latcount", line
+        assert entry(argv) == 0, line
+        outputs[line] = capsys.readouterr().out
+    assert len(outputs) == 8
+    field = _readme_block("A field report looks like:")
+    assert field[field.index("poly:") :] in outputs['latcount field --poly "x^3-x-1"']
+    value = _readme_block("and the rationals' A1 covolume")
+    assert value in outputs["latcount covolume --field Q --type A1"]

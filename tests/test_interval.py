@@ -175,11 +175,17 @@ def _exact(x) -> Fraction:
     return Fraction(*libmp.to_rational(x._mpf_))
 
 
+def _reference(fn, prec, *points):
+    """fn at rational points as mpmath computes it at 4 * prec bits, and a
+    bound on that value's own error."""
+    with mp.workprec(4 * prec):
+        ref = _exact(fn(*(mp.mpf(q.numerator) / q.denominator for q in points)))
+    return ref, (abs(ref) + 1) / 2 ** (4 * prec - 16)
+
+
 def _assert_encloses(iv, fn, q, prec, *args):
     """iv contains fn(q) as mpmath computes it at 4 * prec bits."""
-    with mp.workprec(4 * prec):
-        ref = _exact(fn(mp.mpf(q.numerator) / q.denominator, *args))
-    slack = (abs(ref) + 1) / 2 ** (4 * prec - 16)  # the reference's own error
+    ref, slack = _reference(lambda x: fn(x, *args), prec, q)
     assert iv.lo - slack <= ref <= iv.hi + slack
     assert iv.width() <= (abs(ref) + 1) / 2 ** (prec - 4)
 
@@ -289,6 +295,57 @@ def test_rounded_ops_contain_point_results(prec, ax, by, n):
     assert b.recip(prec).contains(1 / y)
     assert a.div(b, prec).contains(x / y)
     assert b.pow_int(n, prec).contains(y ** n)
+
+
+@st.composite
+def exponent_points(draw, scale=1):
+    """(interval, point inside it) with ends drawn by exponents(), times scale."""
+    lo, hi = sorted(draw(exponents()) * scale for _ in range(2))
+    t = draw(st.fractions(0, 1, max_denominator=2 ** 20))
+    return RealInterval(lo, hi), lo + t * (hi - lo)
+
+
+def _contains_reference(iv, fn, prec, *points):
+    """iv contains fn(*points) as mpmath computes it at 4 * prec bits."""
+    ref, slack = _reference(fn, prec, *points)
+    return iv.lo - slack <= ref <= iv.hi + slack
+
+
+# one exponent per pow_frac branch: an integer, p/q with q <= 64 and p >= 0
+# (a root of an integer power), and the rest (through ln and exp)
+_root_exponents = st.fractions(0, 8, max_denominator=64).filter(lambda e: e.denominator > 1)
+_ln_exp_exponents = st.fractions(-8, 8, max_denominator=2 ** 20).filter(
+    lambda e: e.denominator > 64 or (e.numerator < 0 and e.denominator > 1)
+)
+
+
+@pytest.mark.parametrize("prec", CONTAIN_PRECS)
+@KERNEL_SETTINGS
+@given(
+    ax=exponent_points(),
+    by=interval_points(nonzero=True),
+    cz=exponent_points(scale=Fraction(1, 8)),
+    n=st.integers(-7, 7),
+    root_e=_root_exponents,
+    ln_exp_e=_ln_exp_exponents,
+)
+def test_transcendental_ops_contain_point_results(prec, ax, by, cz, n, root_e, ln_exp_e):
+    (a, x), (b, y), (c, z) = ax, by, cz
+    b, y = b.abs(), abs(y)
+    exp_a, ln_b, log2_b = a.exp(prec), b.ln(prec), b.log2(prec)
+    pow_b = [(e, b.pow_frac(e, prec)) for e in (Fraction(n), root_e, ln_exp_e)]
+    pow_bc = b.pow_interval(c, prec)
+    # the ends as well as an inner point: each function is monotone in each
+    # argument, so an end is where an enclosure too tight shows first
+    for x in (a.lo, x, a.hi):
+        assert _contains_reference(exp_a, mp.exp, prec, x)
+    for y in (b.lo, y, b.hi):
+        assert _contains_reference(ln_b, mp.log, prec, y)
+        assert _contains_reference(log2_b, lambda v: mp.log(v, 2), prec, y)
+        for e, iv in pow_b:
+            assert _contains_reference(iv, mp.power, prec, y, e), e
+        for z in (c.lo, z, c.hi):
+            assert _contains_reference(pow_bc, mp.power, prec, y, z)
 
 
 @pytest.mark.parametrize("prec", CONTAIN_PRECS)

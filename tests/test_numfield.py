@@ -27,6 +27,7 @@ from latcount.numfield import (
     root_discriminant,
     _sign_at,
 )
+from latcount.polymod import distinct_degree_degrees
 
 from oracles import discriminant_oracle
 
@@ -73,6 +74,20 @@ def test_irreducible_accepted_without_rational_roots():
     k = field_from_polynomial("x^4+1")
     assert k.degree == 4 and k.signature == (0, 2)
     assert field_from_polynomial("x^4-10x^2+1").signature == (4, 0)
+
+
+def test_modular_patterns_skip_primes_dividing_disc(monkeypatch):
+    # disc(x^4+1) = 256: the screen must never factor mod 2, where x^4+1 = (x+1)^4
+    factored = []
+
+    def checked_ddf(f, p):
+        assert 256 % p != 0, p
+        factored.append(p)
+        return distinct_degree_degrees(f, p)
+
+    monkeypatch.setattr(numfield, "distinct_degree_degrees", checked_ddf)
+    assert field_from_polynomial("x^4+1").degree == 4
+    assert factored == [3, 5, 7, 11, 13, 17, 19, 23]
 
 
 # minimal polynomials of 2 cos(2 pi / n), constant coefficient first

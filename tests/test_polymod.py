@@ -1,5 +1,9 @@
 import random
+from math import isqrt
 
+from hypothesis import given, settings, strategies as st
+
+from latcount.numfield import field_from_polynomial
 from latcount.polymod import (
     distinct_degree_degrees,
     poly_gcd,
@@ -8,6 +12,9 @@ from latcount.polymod import (
     prime_list,
     primes_up_to,
 )
+from latcount.prasad import prime_splitting
+
+from oracles import discriminant_oracle
 
 
 def test_prime_sieve():
@@ -86,27 +93,58 @@ def _brute_degrees(f, p):
 
 
 def test_distinct_degrees_pins():
-    # x^2 - x - 1 is irreducible mod 2, split mod 11
+    # x^2 - x - 1 is irreducible mod 2, split mod 11, ramified at 5 | disc = 5
     assert distinct_degree_degrees([-1, -1, 1], 2) == (2,)
     assert distinct_degree_degrees([-1, -1, 1], 11) == (1, 1)
-    assert distinct_degree_degrees([-1, -1, 1], 5) is None  # ramified
-    # x^4 + 1 factors into two quadratics mod every odd prime
+    assert prime_splitting(field_from_polynomial("x^2-x-1"), 5).ramified
+    # x^4 + 1 factors into two quadratics mod every odd prime; disc = 256
     for p in (3, 5, 7, 11, 13):
         assert distinct_degree_degrees([1, 0, 0, 0, 1], p) == (2, 2)
-    assert distinct_degree_degrees([1, 0, 0, 0, 1], 2) is None
+    assert prime_splitting(field_from_polynomial("x^4+1"), 2).ramified
 
 
 def test_distinct_degrees_match_brute_force():
     rng = random.Random(271)
-    for _ in range(60):
+    drawn = 0
+    while drawn < 60:
         p = rng.choice([2, 3, 5])
         d = rng.randint(2, 5)
         f = [rng.randrange(p) for _ in range(d)] + [1]
+        if discriminant_oracle(f) % p == 0:
+            continue  # outside the precondition: f mod p is not squarefree
+        drawn += 1
         got = distinct_degree_degrees(f, p)
-        if got is None:
-            continue  # not squarefree mod p; handled as ramified upstream
         assert got == _brute_degrees(f, p), (f, p)
         assert sum(got) == d
+
+
+def _has_repeated_factor_mod(f, p):
+    """gcd(f, f') over F_p is not constant; f monic, F_p is perfect."""
+    a = [c % p for c in f]
+    b = [(i * c) % p for i, c in enumerate(f)][1:]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bc) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) > 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    f=st.lists(st.integers(-10, 10), min_size=1, max_size=6).map(lambda f: f + [1]),
+    p=st.sampled_from([2, 3, 5, 7]),
+)
+def test_repeated_factor_mod_p_iff_p_divides_disc(f, p):
+    # the bad-prime rule of the Euler pass and the irreducibility screen
+    assert _has_repeated_factor_mod(f, p) == (discriminant_oracle(f) % p == 0), (f, p)
 
 
 def test_powmod_fermat():
@@ -171,10 +209,14 @@ def test_quadratic_splitting_matches_euler_criterion():
         if p == 2:
             continue
         for D in [rng.randint(-10 ** 6, 10 ** 6) for _ in range(6)] + [p * rng.randint(1, 50)]:
-            got = distinct_degree_degrees([-D, 0, 1], p)
             if D % p == 0:
-                assert got is None, (D, p)
-            elif pow(D % p, (p - 1) // 2, p) == 1:
+                # p | disc = 4D: ramified at the caller, never factored
+                if D < 0 or isqrt(D) ** 2 != D:  # x^2 - D is irreducible
+                    k = field_from_polynomial((-D, 0, 1))
+                    assert prime_splitting(k, p).ramified, (D, p)
+                continue
+            got = distinct_degree_degrees([-D, 0, 1], p)
+            if pow(D % p, (p - 1) // 2, p) == 1:
                 assert got == (1, 1), (D, p)
             else:
                 assert got == (2,), (D, p)

@@ -42,7 +42,6 @@ from .numfield import (
     root_discriminant,
 )
 from .pisot_tower import (
-    SyntheticField,
     find_pisot,
     fixed_signature_sequence,
     quadratic_extension,
@@ -217,7 +216,7 @@ def cmd_pisot(args, params: BoundParams) -> Report:
 
 # ==================================================================== tower
 
-def _tower_entry(name: str, extra_path=None):
+def _tower_entry(name: str, extra_path):
     found = tower_lookup(name, extra_path)
     if not found:
         raise LatcountError(f"tower {name!r} not in catalog")
@@ -277,17 +276,11 @@ def cmd_covolume(args, params: BoundParams) -> Report:
     report = Report("covolume", args.prec, args.prime_bound, params)
     report.extra["type"] = data.name + ("" if not data.s_param else " (outer)")
     if args.tower:
-        entry = _tower_entry(args.tower)
+        entry = _tower_entry(args.tower, args.extra)
         p0 = args.p0 if args.p0 is not None else 2
         degree = entry.base_degree << args.level
-        synth = SyntheticField(
-            degree=degree,
-            r2=0 if entry.total_real else degree // 2,
-            rd_bound=entry.rd_constant,
-            level=args.level,
-        )
-        result = covolume_synthetic(synth, data, p0, precision=args.prec)
-        c1 = covolume_upper_c1(entry.rd_constant, None, data, p0, args.prec)
+        result = covolume_synthetic(entry.rd_constant, degree, data, p0, args.prec)
+        c1 = covolume_upper_c1(entry.rd_constant, data, p0, args.prec)
         c1_pow = c1 ** degree
         report.extra["tower"] = entry.name
         report.extra["level"] = str(args.level)
@@ -338,7 +331,7 @@ def cmd_covolume(args, params: BoundParams) -> Report:
 # =================================================================== growth
 
 def cmd_growth_lower(args, params: BoundParams) -> Report:
-    entry = _tower_entry(args.tower)
+    entry = _tower_entry(args.tower, args.extra)
     data = parse_type(args.type)
     if data.rank < 2:
         suffix = " (override acknowledged)" if args.rank_override else ""
@@ -349,7 +342,7 @@ def cmd_growth_lower(args, params: BoundParams) -> Report:
         )
     if args.pprime == args.p0:
         raise LatcountError("p_prime must differ from the distinguished prime p0")
-    c1 = covolume_upper_c1(entry.rd_constant, None, data, args.p0, args.prec)
+    c1 = covolume_upper_c1(entry.rd_constant, data, args.p0, args.prec)
     degrees = tower_degrees(entry, args.levels)
     grown = lower_growth_assemble(c1, data, args.pprime, params.c4, degrees, args.prec)
     gamma = gamma_h(data.coxeter, args.prec)
@@ -468,6 +461,7 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--format", choices=("table", "json", "csv"), default=default)
     parser.add_argument("--config", default=default, help="JSON config file")
     parser.add_argument("--threads", type=int, default=default, help="accepted for compatibility; must be >= 1, has no effect")
+    parser.add_argument("--extra", default=default, help="extra tower catalog JSON file, read by tower, covolume --tower and growth lower")
 
 
 def _build_parser() -> _Parser:
@@ -492,7 +486,6 @@ def _build_parser() -> _Parser:
     p_tower.add_argument("--name", default=None)
     p_tower.add_argument("--levels", type=int, default=3)
     p_tower.add_argument("--t", type=int, default=None)
-    p_tower.add_argument("--extra", default=None, help="extra catalog JSON file")
     p_tower.set_defaults(handler=cmd_tower)
 
     p_cov = sub.add_parser("covolume", help="volume-formula enclosure", parents=[common])

@@ -333,22 +333,26 @@ def _entry_from_row(row, where: str) -> TowerEntry:
         except (TypeError, ValueError) as exc:
             raise LatcountError(f"{where}: bad {key!r}: {exc}") from None
 
+    def checked(key, kind, what):
+        v = value(key, lambda v: v)
+        if not isinstance(v, kind):
+            raise LatcountError(f"{where}: key {key!r} must be {what}, not {v!r}")
+        return v
+
     rd = value("rd_constant", lambda pair: RealInterval(*map(Fraction, pair)))
     if rd.lo <= 1:
         raise LatcountError(f"{where}: key 'rd_constant' needs a lower end above 1, not {rd.lo}")
     degree = value("base_degree", lambda v: read_int(v, "base_degree"))
     if degree < 1:
         raise LatcountError(f"{where}: key 'base_degree' must be at least 1, not {degree}")
-    total_real = value("total_real", lambda v: v)
-    if not isinstance(total_real, bool):
-        raise LatcountError(f"{where}: key 'total_real' must be true or false, not {total_real!r}")
+    total_real = checked("total_real", bool, "true or false")
     return TowerEntry(
-        name=value("name", str),
+        name=checked("name", str, "a string"),
         base_degree=degree,
-        degree_rule=value("degree_rule", str),
+        degree_rule=checked("degree_rule", str, "a string"),
         rd_constant=rd,
         total_real=total_real,
-        source=row.get("source", ""),
+        source=checked("source", str, "a string") if "source" in row else "",
     )
 
 

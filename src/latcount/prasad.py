@@ -25,7 +25,7 @@ from .errors import NonIntegralOrder
 from .interval import RealInterval, exp_fraction, pi_interval, round_down, round_up
 from .liedata import LieTypeData, split_signs
 from .numfield import NumberField, element_norm
-from .pisot_tower import QuadraticExtensionData, SyntheticField
+from .pisot_tower import QuadraticExtensionData
 from .polymod import distinct_degree_degrees, prime_list
 
 # ========================================================== finite group data
@@ -155,10 +155,11 @@ def dedekind_zeta_partial(
     return _zeta_pass(k, [s], [prime_bound], precision)[0][s]
 
 
-def _euler_products(
-    k: NumberField, data: LieTypeData, bounds: Sequence[int], precision: int
+def euler_product_E(
+    k: NumberField, data: LieTypeData, bounds: Sequence[int], precision: int = 128
 ) -> list:
-    """prod_i zeta_k(m_i + 1) at each bound, from one pass over the primes."""
+    """prod_i zeta_k(m_i + 1) (split-form local factors) as a certified interval
+    at each ascending prime bound, from one pass over the primes."""
     wp = precision + 16
     out = []
     for zetas in _zeta_pass(k, [m + 1 for m in data.exponents], bounds, wp):
@@ -167,13 +168,6 @@ def _euler_products(
             product = product * zetas[m + 1]
         out.append(product.round_out(precision))
     return out
-
-
-def euler_product_E(
-    k: NumberField, data: LieTypeData, prime_bound: int, precision: int = 128
-) -> RealInterval:
-    """prod_i zeta_k(m_i + 1) as a certified interval (split-form local factors)."""
-    return _euler_products(k, data, [prime_bound], precision)[0]
 
 
 # ================================================================= covolume
@@ -239,7 +233,7 @@ def covolume(
     arch = _arch_unit(data, wp).pow_int(d, wp)
     coarse = coarse_bound(prime_bound)
     bounds = [coarse, prime_bound] if coarse < prime_bound else [prime_bound]
-    *coarse_euler, euler = _euler_products(k, data, bounds, wp)
+    *coarse_euler, euler = euler_product_E(k, data, bounds, wp)
     lam = (
         RealInterval(1, Fraction(p0) ** (d * data.dim))
         if p0 is not None
@@ -267,67 +261,53 @@ def _zeta2_unit(data: LieTypeData, wp: int) -> RealInterval:
 
 
 def _c1_factors(
-    c0: RealInterval,
-    c0p: Optional[RealInterval],
-    data: LieTypeData,
-    p0: int,
-    wp: int,
+    c0: RealInterval, data: LieTypeData, p0: int, wp: int
 ) -> Tuple[RealInterval, RealInterval, RealInterval, RealInterval]:
     """The per-degree factors (disc, arch, lambda, euler) of c1."""
-    disc = c0.pow_frac(Fraction(data.dim, 2), wp)
     if data.s_param:
-        if c0p is None:
-            raise ValueError("outer form needs the relative-discriminant constant c0'")
-        disc = disc * c0p.pow_frac(Fraction(data.s_param, 2), wp)
+        raise ValueError("outer form needs the relative-discriminant constant c0'")
+    disc = c0.pow_frac(Fraction(data.dim, 2), wp)
     lam = RealInterval.point(p0 ** data.dim)
     return disc, _arch_unit(data, wp), lam, _zeta2_unit(data, wp)
 
 
 def covolume_upper_c1(
-    c0: RealInterval,
-    c0p: Optional[RealInterval],
-    data: LieTypeData,
-    p0: int,
-    precision: int = 128,
+    c0: RealInterval, data: LieTypeData, p0: int, precision: int = 128
 ) -> RealInterval:
-    """c1 = c0^(dim/2) c0'^(s/2) prod(m_i!/(2 pi)^(m_i+1)) p0^dim (pi^2/6)^r.
+    """c1 = c0^(dim/2) prod(m_i!/(2 pi)^(m_i+1)) p0^dim (pi^2/6)^r for an inner form.
 
     A degree-d field with rd <= c0 then has covolume at most c1^d.  The
     factors here are shared with covolume_synthetic so that the c1^d
     comparison is exact at the endpoint level.
     """
-    disc, arch, lam, euler = _c1_factors(c0, c0p, data, p0, precision + 16)
+    disc, arch, lam, euler = _c1_factors(c0, data, p0, precision + 16)
     return disc * arch * lam * euler
 
 
 def covolume_synthetic(
-    synth: SyntheticField,
+    rd_bound: RealInterval,
+    degree: int,
     data: LieTypeData,
     p0: int,
-    c0p: Optional[RealInterval] = None,
     precision: int = 128,
 ) -> CovolumeResult:
-    """Volume bracket for a tower-level descriptor carrying only (d, rd bound).
+    """Volume bracket for a tower level known only by its degree and rd bound.
 
     No splitting data exists, so the Euler product is bracketed by
-    [1, (pi^2/6)^(d r)] and the distinguished place by [1, p0^(d dim)]; the
-    upper endpoint then equals c1^d by construction.
+    [1, (pi^2/6)^(d r)] and the distinguished place by [1, p0^(d dim)].
+    Every per-degree factor of c1 is positive and these two brackets start
+    at 1, so the value is assembled once from the per-degree ends; its upper
+    endpoint is c1.hi^d exactly.
     """
-    d = synth.degree
-    disc_unit, arch_unit, lam_unit, euler_unit = _c1_factors(
-        synth.rd_bound, c0p, data, p0, precision + 16
-    )
-    # exact endpoint powers keep value.hi equal to c1.hi**d
-    disc = disc_unit ** d
-    arch = arch_unit ** d
-    euler = RealInterval(1, euler_unit.hi ** d)
-    lam = RealInterval(1, lam_unit.hi ** d)
-    value = disc * arch * euler * lam
+    d = degree
+    disc, arch, lam, euler = _c1_factors(rd_bound, data, p0, precision + 16)
     return CovolumeResult(
-        value=value,
-        disc_factor=disc,
-        arch_factor=arch,
-        euler_factor=euler,
-        lambda_bound=lam,
+        value=RealInterval(
+            (disc.lo * arch.lo) ** d, (disc.hi * arch.hi * lam.hi * euler.hi) ** d
+        ),
+        disc_factor=disc ** d,
+        arch_factor=arch ** d,
+        euler_factor=RealInterval(1, euler.hi ** d),
+        lambda_bound=RealInterval(1, lam.hi ** d),
         prime_bound_used=0,
     )

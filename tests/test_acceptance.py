@@ -37,7 +37,6 @@ from latcount.numfield import (
     poly_discriminant,
 )
 from latcount.pisot_tower import (
-    SyntheticField,
     certified_signs,
     find_pisot,
     quadratic_extension,
@@ -297,7 +296,7 @@ def test_criterion_09_covolume_closed_form():
 def test_criterion_10_c1():
     def body():
         c0 = tower_lookup("martinet")[0].rd_constant
-        c1 = covolume_upper_c1(c0, None, A1, 2)
+        c1 = covolume_upper_c1(c0, A1, 2)
         wp = 160
         closed = (
             c0.pow_frac(Fraction(3, 2), wp)
@@ -309,8 +308,7 @@ def test_criterion_10_c1():
         joint = c1.hull(closed)
         assert joint.width() / joint.lo < Fraction(1, 10 ** 3)
         for level, degree in enumerate((20, 40, 80)):
-            synth = SyntheticField(degree=degree, r2=0, rd_bound=c0, level=level)
-            res = covolume_synthetic(synth, A1, 2)
+            res = covolume_synthetic(c0, degree, A1, 2)
             assert res.value.hi <= c1.hi ** degree
 
     _check(10, 10.0, body)
@@ -360,7 +358,7 @@ def test_criterion_12_growth_lower_report():
         doc = json.loads(first.decode())
         a_lo, a_hi = (float(s) for s in doc["a"])
         c0 = tower_lookup("martinet")[0].rd_constant
-        c1 = covolume_upper_c1(c0, None, A1, 2)
+        c1 = covolume_upper_c1(c0, A1, 2)
         closed = math.log2(3 ** 0.25) / math.log2(float(c1.mid()) * 27) ** 2
         assert a_lo <= closed * (1 + 1e-6)
         assert closed * (1 - 1e-6) <= a_hi

@@ -7,6 +7,9 @@ import pytest
 
 import latcount.numfield as numfield
 from latcount.cli import entry
+from latcount.interval import RealInterval, interval_strs
+from latcount.liedata import parse_type
+from latcount.prasad import covolume_upper_c1
 
 PARAM_KEYS = ["C", "C1", "C2", "c4", "f1", "s_embed"]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -177,6 +180,12 @@ _TOWER_ROW = {"name": "t", "base_degree": 2, "degree_rule": "doubling",
      " row 0: key 'name' repeats 'martinet' from tower catalog row 1"),
     ([_TOWER_ROW, _TOWER_ROW],
      " row 1: key 'name' repeats 't' from {path} row 0"),
+    ([dict(_TOWER_ROW, name=5)],
+     " row 0: key 'name' must be a string, not 5"),
+    ([dict(_TOWER_ROW, degree_rule=["doubling"])],
+     " row 0: key 'degree_rule' must be a string, not ['doubling']"),
+    ([dict(_TOWER_ROW, source={"a": 1})],
+     " row 0: key 'source' must be a string, not {{'a': 1}}"),
 ])
 def test_malformed_tower_extra_is_an_error(capsys, tmp_path, doc, message):
     path = tmp_path / "extra.json"
@@ -185,6 +194,44 @@ def test_malformed_tower_extra_is_an_error(capsys, tmp_path, doc, message):
     err = capsys.readouterr().err
     assert err == f"error: {path}{message.format(path=path)}\n"
     assert "Traceback" not in err
+
+
+def _one_row_extra(tmp_path):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps([dict(_TOWER_ROW, rd_constant=["1000", "1001"])]))
+    return str(path)
+
+
+def test_extra_tower_reaches_covolume_and_growth_lower(capsys, tmp_path):
+    path = _one_row_extra(tmp_path)
+    c1 = interval_strs(covolume_upper_c1(RealInterval(1000, 1001), parse_type("A1"), 2), 12)
+    doc = _run_json(capsys, ["covolume", "--tower", "t", "--type", "A1", "--level", "1",
+                             "--extra", path, "--format", "json"])
+    assert (doc["tower"], doc["degree"], doc["c1"]) == ("t", "4", c1)
+    assert doc["within_c1_bound"] == "yes"
+    argv = ["growth", "lower", "--tower", "t", "--type", "A1", "--pprime", "3",
+            "--rank-override", "--format", "json"]
+    doc = _run_json(capsys, ["--extra", path] + argv)
+    assert (doc["tower"], doc["c1"]) == ("t", c1)
+    assert [row["degree"] for row in doc["rows"]] == ["2", "4", "8"]
+    assert entry(argv) == 1
+    assert capsys.readouterr().err.endswith("error: tower 't' not in catalog\n")
+
+
+def test_extra_as_a_global_flag_keeps_tower_reports(capsys, tmp_path):
+    path = _one_row_extra(tmp_path)
+
+    def out(argv):
+        assert entry(argv) == 0
+        return capsys.readouterr().out
+
+    listing = out(["tower", "--format", "csv"])
+    for argv in (["tower", "--extra", path, "--format", "csv"],
+                 ["--extra", path, "tower", "--format", "csv"]):
+        assert out(argv) == listing + "t,2,doubling,1000,1001,yes,\n"
+    martinet = out(["tower", "--name", "martinet"])
+    assert out(["tower", "--name", "martinet", "--extra", path]) == martinet
+    assert out(["--extra", path, "tower", "--name", "martinet"]) == martinet
 
 
 def test_covolume_rationals(capsys):
@@ -216,6 +263,36 @@ def test_covolume_outer_requires_alpha(capsys):
     )
     assert doc["t"] == "1"
     assert doc["disc_factor"] == ["625", "640000"]
+
+
+_OUTER_A2 = ["covolume", "--field", "x^2-x-1", "--type", "A2", "--outer",
+             "--alpha", "0,1", "--prime-bound", "100"]
+
+
+def test_less_used_flags(capsys):
+    doc = _run_json(capsys, ["pisot", "--poly", "x^2-x-1", "--place", "1", "--format", "json"])
+    assert doc["place_index"] == "1"
+    assert [row["pisot_place"] for row in doc["rows"]] == ["no", "yes"]
+    doc = _run_json(capsys, ["tower", "--name", "martinet", "--levels", "5", "--format", "json"])
+    assert [row["degree"] for row in doc["rows"]] == ["20", "40", "80", "160", "320"]
+    doc = _run_json(capsys, ["growth", "lower", "--tower", "martinet", "--type", "A2",
+                             "--pprime", "3", "--levels", "2", "--format", "json"])
+    assert [row["degree"] for row in doc["rows"]] == ["20", "40"]
+    doc = _run_json(capsys, _OUTER_A2 + ["--s-param", "7", "--format", "json"])
+    assert doc["disc_factor"] == ["625", "10240000"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pisot", "--poly", "x^2-x-1", "--radius", "0"],
+     "no Pisot element at place 0 within radius 0"),
+    (_OUTER_A2 + ["--s-param", "4"], "outer form needs s >= 5, got 4"),
+    (["covolume", "--tower", "martinet", "--type", "A2", "--outer"],
+     "outer form needs the relative-discriminant constant c0'"),
+])
+def test_less_used_flag_errors(capsys, argv, message):
+    assert entry(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_covolume_tower_bound(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from latcount.interval import RealInterval
-from latcount.liedata import OUTER_2, outer2_signs, root_system, with_form
+from latcount.liedata import OUTER_2, outer2_signs, parse_type, root_system, with_form
 from latcount.numfield import field_from_polynomial
 from latcount.pisot_tower import (
     fixed_signature_sequence,
@@ -206,24 +206,22 @@ def test_covolume_outer_needs_extension():
 
 def test_c1_martinet_pin():
     entry = tower_lookup("martinet")[0]
-    c1 = covolume_upper_c1(entry.rd_constant, None, A1, 2)
+    c1 = covolume_upper_c1(entry.rd_constant, A1, 2)
     assert Fraction("11480.34") < c1.lo
     assert c1.hi < Fraction("11480.37")
     # pi^2 cancels in the A1, p0 = 2 case: c1 = c0^(3/2) / 3
     closed = entry.rd_constant.pow_frac(Fraction(3, 2), 160) * Fraction(1, 3)
     assert c1.intersect(closed) is not None
     with pytest.raises(ValueError):
-        covolume_upper_c1(
-            entry.rd_constant, None, with_form(root_system("A", 2), OUTER_2), 2
-        )
+        covolume_upper_c1(entry.rd_constant, with_form(root_system("A", 2), OUTER_2), 2)
 
 
 def test_synthetic_upper_endpoint_matches_c1_power():
     entry = tower_lookup("martinet")[0]
     seq = fixed_signature_sequence(entry, t=1, levels=3)
-    c1 = covolume_upper_c1(seq[0].rd_bound, None, A1, 2)
+    c1 = covolume_upper_c1(seq[0].rd_bound, A1, 2)
     for synth in seq:
-        res = covolume_synthetic(synth, A1, 2)
+        res = covolume_synthetic(synth.rd_bound, synth.degree, A1, 2)
         assert isinstance(res, CovolumeResult)
         assert res.value.hi == c1.hi ** synth.degree
         assert res.value.lo > 0
@@ -231,12 +229,26 @@ def test_synthetic_upper_endpoint_matches_c1_power():
         assert res.euler_factor.lo == 1
 
 
+@pytest.mark.parametrize("tower", ["golod-shafarevich", "martinet", "hajir-maire"])
+@pytest.mark.parametrize("type_name", ["A1", "A2", "B3", "G2", "D5", "E8"])
+def test_synthetic_value_is_factor_product_and_c1_power(tower, type_name):
+    # the value is built from the per-degree ends, not as a product of powers
+    entry = tower_lookup(tower)[0]
+    data = parse_type(type_name)
+    c1 = covolume_upper_c1(entry.rd_constant, data, 2)
+    for level in range(3):
+        d = entry.base_degree << level
+        res = covolume_synthetic(entry.rd_constant, d, data, 2)
+        assert res.value == res.factor_product()
+        assert res.value.hi == c1.hi ** d
+
+
 def test_synthetic_euler_true_value_inside():
     # the bracketed Euler range [1, (pi^2/6)^(d r)] must hold a concrete
     # zeta product: zeta(2) for the rationals sits inside [1, pi^2/6]
     entry = tower_lookup("martinet")[0]
     synth = fixed_signature_sequence(entry, t=1, levels=1)[0]
-    res = covolume_synthetic(synth, A1, 2)
+    res = covolume_synthetic(synth.rd_bound, synth.degree, A1, 2)
     z2 = RealInterval(*zeta2_bracket(2000))
     assert res.euler_factor.lo <= z2.lo
     per_degree_hi = RealInterval.point(res.euler_factor.hi).nth_root(

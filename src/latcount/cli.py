@@ -500,7 +500,7 @@ def _build_parser() -> _Parser:
     p_cov.add_argument("--p0", type=int, default=None, help="distinguished prime")
     p_cov.set_defaults(handler=cmd_covolume)
 
-    p_growth = sub.add_parser("growth", help="growth-constant reports")
+    p_growth = sub.add_parser("growth", help="growth-constant reports", parents=[common])
     growth_sub = p_growth.add_subparsers(dest="growth_cmd", required=True)
     p_lower = growth_sub.add_parser("lower", help="tower-based lower growth report", parents=[common])
     p_lower.add_argument("--tower", required=True)
@@ -520,7 +520,7 @@ def _build_parser() -> _Parser:
     p_upper.add_argument("--s-embed", type=int, default=None)
     p_upper.set_defaults(handler=cmd_growth_upper)
 
-    p_lie = sub.add_parser("lie", help="root-system data tables")
+    p_lie = sub.add_parser("lie", help="root-system data tables", parents=[common])
     lie_sub = p_lie.add_subparsers(dest="lie_cmd", required=True)
     p_dump = lie_sub.add_parser("dump", help="dump the invariant table", parents=[common])
     p_dump.add_argument("--max-rank", type=int, default=12)
@@ -565,6 +565,10 @@ def _resolve(args, config):
         raise LatcountError(f"p0 must be a prime, got {p0}")
     if getattr(args, "level", 0) < 0:
         raise LatcountError("tower level must be nonnegative")
+    if getattr(args, "levels", 1) < 1:
+        raise LatcountError(f"--levels must be at least 1, got {args.levels}")
+    if getattr(args, "max_rank", 1) < 1:
+        raise LatcountError(f"--max-rank must be at least 1, got {args.max_rank}")
     params = BoundParams.from_config(config.get("bound_params", {}))
     flags = {}
     for attr in ("c4", "C1", "s_embed"):

@@ -17,7 +17,7 @@ from math import ceil
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import EmptyReport, ResidueBudgetExceeded
-from .interval import RealInterval, iroot_ceil, log2_fraction
+from .interval import RealInterval, log2_fraction
 from .liedata import LieTypeData
 
 Rat = Union[int, Fraction]
@@ -106,23 +106,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _is_prime_power(q: int) -> bool:
-    return q >= 2 and distinct_prime_count(q) == 1
-
-
-def _ceil_pow_product(scale: int, x: Rat, expo: Fraction) -> int:
-    # smallest integer m with m >= scale * x**expo, exactly: m^b >= scale^b x^a
-    x = Fraction(x)
-    if x < 1 or scale < 1:
-        raise ValueError("base quantities must be >= 1")
-    a, b = expo.numerator, expo.denominator
-    if a < 0:
-        raise ValueError("exponent must be nonnegative")
-    num = scale ** b * x.numerator ** a
-    den = x.denominator ** a
-    return iroot_ceil(-(-num // den), b)
-
-
 def read_rational(value, label: str) -> Fraction:
     """A rational from a JSON number or a string such as "1/2"; anything else,
     bools included, raises a ValueError that names label (a key or a flag)."""
@@ -202,35 +185,6 @@ class BoundParams:
             "f1": self.f1,
             "s_embed": self.s_embed,
         }
-
-
-def conjugate_count_bound(
-    n: int,
-    x: Rat,
-    params: BoundParams,
-    q_list: Sequence[int],
-    dim_g: int,
-) -> int:
-    """Ceiling of n * x^C * (prod q)^dim, the conjugate-count bound."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not q_list:
-        raise ValueError("q_list must be nonempty")
-    if dim_g < 1:
-        raise ValueError("dim_g must be >= 1")
-    prod = 1
-    for q in q_list:
-        if not _is_prime_power(q):
-            raise ValueError(f"{q} is not a prime power")
-        prod *= q
-    return _ceil_pow_product(n * prod ** dim_g, x, params.C)
-
-
-def level_index_bound(n: int, x: Rat, params: BoundParams) -> int:
-    """Ceiling of x^C * n: a level-n statement costs index at most this."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _ceil_pow_product(n, x, params.C)
 
 
 # =============================================== lower growth: tower report

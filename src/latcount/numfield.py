@@ -16,16 +16,20 @@ the finest cell refined so far.  Every precision escalation, here and in
 pisot_tower, iterates over `doublings`.  The irreducibility subset test
 skips every set of roots whose interval sum contains no integer before it
 multiplies out the candidate factor.
+
+Complex roots are seeded by Aberth-Ehrlich iteration on Gaussian fixed-point
+integers (Aberth, Math. Comp. 27, 1973), in the standard library alone.  The
+seeds are not trusted: the exact residual bound decides every box, and a
+seed that fails it costs one more precision doubling.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, floor, isqrt, lcm
+from math import ceil, cos, factorial, floor, isqrt, lcm, ldexp, sin, tau
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -298,31 +302,63 @@ def _refine(poly: Polynomial, j: int, e: int, prec: int) -> RealInterval:
 
 # ============================================================= complex roots
 
-def _mpf_to_fraction(x, bits: int) -> Fraction:
-    from mpmath import mp
-
-    return Fraction(int(mp.floor(mp.ldexp(x, bits))), 1 << bits)
-
-
 def _complex_seeds(poly: Polynomial, r2: int, workprec: int):
-    """Uncertified upper-half-plane root approximations, as exact rationals."""
-    from mpmath import mp  # imported here: only complex roots need it
+    """Uncertified upper-half-plane roots as exact rationals, or None.
 
+    Aberth-Ehrlich iteration with in-place updates on Gaussian integers
+    scaled by 2^L, from the circle of radius 2^m (every root lies inside it)
+    at angles off the axes.  A sweep at scale 2^L is settled one sweep after
+    every correction fell below 2^-(L/2).  The points settle first at a
+    scale of 64 + 2m bits, which is cheap, then at L = F = workprec; only a
+    failure at F returns None.  The seeds are rounded to the 2^-(F-16) grid,
+    so Gaussian-integer roots come out exact, and sorted by (real part on the
+    2^-(F/2) grid, imaginary part), so that noise cannot reorder places
+    whose real parts are equal.
+    """
+    F, d, m = workprec, poly.degree, _cauchy_exponent(poly.coefficients)
+    L0 = min(F, 64 + 2 * m)
+    r = L0 + m - 53
+    zs = [(int(ldexp(cos(t), 53)) << r, int(ldexp(sin(t), 53)) << r)
+          for t in (tau * k / d + 0.7 for k in range(d))]
     try:
-        with mp.workprec(workprec):
-            coeffs = [mp.mpf(c) for c in reversed(poly.coefficients)]
-            roots = mp.polyroots(coeffs, maxsteps=100 + workprec, extraprec=workprec)
-            cands = [z for z in roots if mp.im(z) > 0]
-            if len(cands) != r2:
-                return None
-            seeds = [
-                (_mpf_to_fraction(mp.re(z), workprec), _mpf_to_fraction(mp.im(z), workprec))
-                for z in cands
-            ]
-    except mp.NoConvergence:
+        for L in sorted({L0, F}):
+            zs = [(x << L - L0, y << L - L0) for x, y in zs]
+            f = [c << L for c in poly.coefficients]
+            settled = False
+            for _ in range(100 + L):
+                big = 0
+                for k, (x, y) in enumerate(zs):
+                    pr, pi, qr, qi = f[-1], 0, 0, 0  # f(z) and f'(z) by Horner
+                    for c in reversed(f[:-1]):
+                        qr, qi = ((qr * x - qi * y) >> L) + pr, ((qr * y + qi * x) >> L) + pi
+                        pr, pi = ((pr * x - pi * y) >> L) + c, (pr * y + pi * x) >> L
+                    sr = si = 0  # the sum of 1/(z - z_j) over the other points
+                    for j, (u, v) in enumerate(zs):
+                        if j != k:
+                            u, v = x - u, y - v
+                            n = u * u + v * v
+                            sr, si = sr + (u << 2 * L) // n, si - (v << 2 * L) // n
+                    n = qr * qr + qi * qi  # the Newton step f/f', then the Aberth one
+                    nr, ni = ((pr * qr + pi * qi) << L) // n, ((pi * qr - pr * qi) << L) // n
+                    dr, di = (1 << L) - ((nr * sr - ni * si) >> L), -((nr * si + ni * sr) >> L)
+                    n = dr * dr + di * di
+                    wr, wi = ((nr * dr + ni * di) << L) // n, ((ni * dr - nr * di) << L) // n
+                    zs[k] = (x - wr, y - wi)
+                    big = max(big, abs(wr), abs(wi))
+                if settled:
+                    break
+                settled = big >> L // 2 == 0
+            else:
+                if L == F:
+                    return None
+    except ZeroDivisionError:
         return None
-    seeds.sort()
-    return seeds
+    g = F - F // 2
+    zs = [((x + (1 << 15)) >> 16 << 16, (y + (1 << 15)) >> 16 << 16) for x, y in zs]
+    cands = sorted(((x + (1 << (g - 1))) >> g, y, x) for x, y in zs if y >> g > 0)
+    if len(cands) != r2:
+        return None
+    return [(Fraction(x, 1 << F), Fraction(y, 1 << F)) for _, y, x in cands]
 
 
 def _eval_complex(coeffs, a: Fraction, b: Fraction):
@@ -808,57 +844,3 @@ def minkowski_witness(field: NumberField, radius: int = 5, prec: int = 128):
         if n <= bound.lo:
             return el, n
     raise SearchExhausted(f"no Minkowski witness within radius {radius}")
-
-
-# ================================================================== catalog
-
-@dataclass(frozen=True)
-class FieldCatalogEntry:
-    name: str
-    min_poly: Tuple[int, ...]
-    known_disc: Optional[int]
-    notes: str
-
-    def build(self, precision: int = 128) -> NumberField:
-        return field_from_polynomial(
-            Polynomial(self.min_poly), precision, self.known_disc
-        )
-
-
-def load_field_catalog(path: Optional[str] = None) -> list:
-    if path is None:
-        from importlib.resources import files
-
-        text = files("latcount.data").joinpath("field_catalog.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    entries = []
-    for row in json.loads(text):
-        entries.append(
-            FieldCatalogEntry(
-                name=row["name"],
-                min_poly=tuple(row["min_poly"]),
-                known_disc=row.get("known_disc"),
-                notes=row.get("notes", ""),
-            )
-        )
-    return entries
-
-
-def dump_field_catalog(entries) -> str:
-    rows = []
-    for e in entries:
-        row = {"name": e.name, "min_poly": list(e.min_poly)}
-        if e.known_disc is not None:
-            row["known_disc"] = e.known_disc
-        row["notes"] = e.notes
-        rows.append(row)
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def catalog_lookup(name: str, path: Optional[str] = None, precision: int = 128):
-    for entry in load_field_catalog(path):
-        if entry.name == name:
-            return entry.build(precision)
-    return None

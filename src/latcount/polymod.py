@@ -134,15 +134,6 @@ class _Packed:
         return r
 
 
-def poly_mulmod(a, b, f, p):
-    """a*b mod (f, p); f monic mod p."""
-    if not a or not b:
-        return []
-    ring = _Packed(f, p)
-    product = ring.pack(poly_rem(a, f, p)) * ring.pack(poly_rem(b, f, p))
-    return ring.unpack(ring.reduce(product))
-
-
 def poly_powmod(base, e: int, f, p):
     """base^e mod (f, p); f monic of degree >= 1."""
     if not e:

@@ -88,6 +88,15 @@ def test_exit_codes(capsys, tmp_path):
         assert capsys.readouterr().err == f"error: p0 must be a prime, got {argv[-1]}\n"
     assert entry(["covolume", "--tower", "martinet", "--type", "A1", "--level", "-1"]) == 1
     assert capsys.readouterr().err == "error: tower level must be nonnegative\n"
+    for argv, err in (
+        (["tower", "--name", "martinet", "--levels", "-1"], "--levels must be at least 1, got -1"),
+        (["growth", "lower", "--tower", "martinet", "--type", "A2",
+          "--pprime", "3", "--levels", "0"], "--levels must be at least 1, got 0"),
+        (["lie", "dump", "--max-rank", "-3"], "--max-rank must be at least 1, got -3"),
+        (["lie", "dump", "--max-rank", "0"], "--max-rank must be at least 1, got 0"),
+    ):
+        assert entry(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
     assert entry(["field", "--poly", "x^2+1", "--known-disc", "-1"]) == 1
     assert "Stickelberger" in capsys.readouterr().err
     for argv, flag in (
@@ -487,6 +496,20 @@ def test_global_flags_both_positions(capsys):
     )
     assert before["precision"] == after["precision"] == "96"
     assert before == after
+
+
+def test_global_flags_between_growth_or_lie_and_their_subcommand(capsys):
+    lower = ["lower", "--tower", "martinet", "--type", "A2", "--pprime", "3"]
+    assert entry(["growth", "--prec", "96"] + lower) == 0
+    between = capsys.readouterr().out
+    assert "\nprecision: 96\n" in between
+    assert entry(["growth"] + lower + ["--prec", "96"]) == 0
+    assert capsys.readouterr().out == between
+    assert entry(["lie", "--format", "csv", "dump"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# schema: 1\n")
+    assert entry(["lie", "dump", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_out_prefix_writes_files(capsys, tmp_path):

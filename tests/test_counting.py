@@ -8,10 +8,8 @@ from latcount.interval import RealInterval, log2_fraction
 from latcount.liedata import root_system
 from latcount.counting import (
     BoundParams,
-    conjugate_count_bound,
     distinct_prime_count,
     gaussian_binomial,
-    level_index_bound,
     lower_growth_assemble,
     rank_bound_gl,
     sn_composition_bound,
@@ -84,44 +82,6 @@ def test_distinct_prime_count():
         assert distinct_prime_count(n) == nu
     with pytest.raises(ValueError):
         distinct_prime_count(0)
-
-
-def test_conjugate_count_bound():
-    params = BoundParams()
-    assert conjugate_count_bound(10, 100, params, [2, 3], 3) == 216000
-    for q in (6, 1, 12):
-        with pytest.raises(ValueError, match="not a prime power"):
-            conjugate_count_bound(10, 100, params, [q], 3)
-    assert conjugate_count_bound(1, 1, params, [8, 9, 49], 1) == 8 * 9 * 49
-    with pytest.raises(ValueError):
-        conjugate_count_bound(10, 100, params, [], 3)
-    assert conjugate_count_bound(1, 2, BoundParams(C=Fraction(3, 2)), [2], 1) == 6
-
-
-def test_level_index_bound():
-    assert level_index_bound(6, 10, BoundParams(C=Fraction(2))) == 600
-    assert level_index_bound(1, 4, BoundParams(C=Fraction(3, 2))) == 8
-    with pytest.raises(ValueError):
-        level_index_bound(0, 10, BoundParams())
-
-
-def test_ceilings_are_exact():
-    rng = random.Random(57)
-    for _ in range(60):
-        n = rng.randint(1, 50)
-        x = Fraction(rng.randint(1, 400), rng.randint(1, 20))
-        if x < 1:
-            x = 1 / x
-        expo = Fraction(rng.randint(0, 7), rng.randint(1, 5))
-        m = level_index_bound(n, x, BoundParams(C=expo)) if expo else None
-        if m is None:
-            continue
-        a, b = expo.numerator, expo.denominator
-        target_num = n ** b * x.numerator ** a
-        target_den = x.denominator ** a
-        assert m ** b * target_den >= target_num
-        if m > 1:
-            assert (m - 1) ** b * target_den < target_num
 
 
 def test_bound_params_validation():

@@ -1,8 +1,12 @@
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from mpmath import libmp, mp
 
 from latcount.errors import (
     InvalidDiscriminant,
@@ -13,13 +17,10 @@ from latcount.interval import RealInterval
 import latcount.numfield as numfield
 from latcount.numfield import (
     Polynomial,
-    catalog_lookup,
     derived_minkowski_C,
-    dump_field_catalog,
     element_norm,
     evaluate_at_embeddings,
     field_from_polynomial,
-    load_field_catalog,
     minkowski_degree_bound,
     minkowski_norm_bound,
     minkowski_witness,
@@ -202,9 +203,19 @@ def test_minkowski_degree_bound():
 
 
 def test_degree_bound_consistent_with_floor():
-    # every catalog field must satisfy d <= bound(|disc|)
-    for entry in load_field_catalog():
-        k = entry.build(96)
+    # every field must satisfy d <= bound(|disc|): Q, Q(sqrt 5) twice (the
+    # second through Z[theta] of index 2), Q(i), Q(sqrt 3) and the cubic
+    # field of discriminant -23
+    cases = (
+        ("x-1", None),
+        ("x^2-x-1", 5),
+        ("x^2-5", 5),
+        ("x^2+1", -4),
+        ("x^2-3", 12),
+        ("x^3-x-1", -23),
+    )
+    for poly, known_disc in cases:
+        k = field_from_polynomial(poly, 96, known_disc)
         if k.abs_disc >= 3:
             assert k.degree <= minkowski_degree_bound(k.abs_disc)
 
@@ -236,17 +247,6 @@ def test_minkowski_witness_golden():
     assert n <= bound.lo
     with pytest.raises(SearchExhausted):
         minkowski_witness(k, radius=0)
-
-
-def test_catalog_roundtrip():
-    entries = load_field_catalog()
-    names = {e.name for e in entries}
-    assert {"Q", "golden", "gauss"} <= names
-    k = catalog_lookup("golden")
-    assert k.disc == 5 and k.signature == (2, 0)
-    assert catalog_lookup("no-such-field") is None
-    text = dump_field_catalog(entries)
-    assert '"min_poly"' in text and '"golden"' in text
 
 
 def test_polynomial_parsing():
@@ -326,3 +326,109 @@ def test_real_brackets_are_aligned_dyadic_cells(f):
         if previous is not None:
             assert all(a.encloses(b) for a, b in zip(previous, reals))
         previous = reals
+
+
+def _mpf_fraction(x) -> Fraction:
+    return Fraction(*libmp.to_rational(x._mpf_))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(f=st.lists(st.integers(-60, 60), min_size=2, max_size=12).map(lambda f: f + [1]))
+def test_complex_boxes_hold_one_mpmath_root_each(f):
+    # mpmath is the oracle here: its roots at 256 bits, polished by Newton
+    # steps at 4 x 512 bits, lie within 2^-2000 of the true ones, far inside
+    # every box checked
+    try:
+        k = field_from_polynomial(f, 64)
+    except ReduciblePolynomial:
+        assume(False)
+    with mp.workprec(256):
+        roots = mp.polyroots(f[::-1], maxsteps=200, extraprec=64)
+    with mp.workprec(4 * 512):
+        for _ in range(6):
+            roots = [z - mp.fdiv(*mp.polyval(f[::-1], z, derivative=True)) for z in roots]
+        upper = [(_mpf_fraction(z.real), _mpf_fraction(z.imag))
+                 for z in roots if z.imag > mp.mpf(2) ** -512]
+    assert len(upper) == k.r2
+    for prec in (64, 128, 512):
+        _, boxes = k.embeddings(prec)
+        assert len(boxes) == k.r2
+        hits = [[b for b in boxes if b.re.contains(x) and b.im.contains(y)] for x, y in upper]
+        assert all(len(h) == 1 for h in hits), (prec, f)
+
+
+# field and covolume reports that need complex seeds, from the line after
+# defaulted_params on: a Gaussian-integer root keeps its point box, and
+# places with equal real parts stay ordered by imaginary part
+_NO_MPMATH_REPORTS = {
+    ("field", "--poly", "x^3-x-1"): """\
+# poly: x^3 - x - 1
+# degree: 3
+# signature: [1, 1]
+# disc: -23
+# rd: [2.843866979851, 2.843866979852]
+# minkowski_bound: [1.356942743415, 1.356942743416]
+place,kind,re_lo,re_hi,im_lo,im_hi
+0,real,1.324717957244,1.324717957245,0,0
+1,complex,-0.662358978623,-0.662358978622,0.562279512062,0.562279512063
+""",
+    ("field", "--poly", "x^2+1"): """\
+# poly: x^2 + 1
+# degree: 2
+# signature: [0, 1]
+# disc: -4
+# rd: [2, 2]
+# minkowski_bound: [1.273239544735, 1.273239544736]
+place,kind,re_lo,re_hi,im_lo,im_hi
+0,complex,0,0,1,1
+""",
+    ("field", "--poly", "x^4+4*x^2+2"): """\
+# poly: x^4 + 4x^2 + 2
+# degree: 4
+# signature: [0, 2]
+# disc: 2048
+# rd: [6.727171322029, 6.72717132203]
+# minkowski_bound: [6.877910019009, 6.87791001901]
+place,kind,re_lo,re_hi,im_lo,im_hi
+0,complex,-0.000000000001,0.000000000001,0.76536686473,0.765366864731
+1,complex,-0.000000000001,0.000000000001,1.847759065022,1.847759065023
+""",
+    ("covolume", "--field", "x^2+3", "--type", "A1"): """\
+# type: A1
+# field: x^2 + 3
+# nesting_check: ok
+# value: [0.028565278492, 0.064274447534]
+# disc_factor: [41.569219381653, 41.569219381654]
+# arch_factor: [0.00064162389, 0.000641623891]
+# euler_factor: [1.07099160559, 2.409827503751]
+# lambda_bound: [1, 1]
+# prime_bound_used: 100000
+# note: interval at prime bound 100000 nests inside the bound-10000 interval: ok
+""",
+}
+
+
+def test_complex_embeddings_need_no_mpmath():
+    code = (
+        "import json, sys\n"
+        "sys.modules['mpmath'] = None  # any import of mpmath now fails\n"
+        "from latcount.cli import entry\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print('exit', entry(argv + ['--format', 'csv']))\n"
+    )
+    argvs = list(_NO_MPMATH_REPORTS)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    reports = proc.stdout.split("exit 0\n")
+    assert reports[-1] == "" and len(reports) == len(argvs) + 1
+    for argv, report in zip(argvs, reports):
+        assert report.split("# defaulted_params: C,C1,C2,c4,f1,s_embed\n")[1] == _NO_MPMATH_REPORTS[argv]
+
+
+def test_complex_seeds_none_when_the_count_disagrees():
+    # x^2 + 1 has one upper-half-plane root, so a request for two fails
+    assert numfield._complex_seeds(Polynomial((1, 0, 1)), 2, 128) is None
+    assert numfield._complex_seeds(Polynomial((1, 0, 1)), 1, 128) == [(0, 1)]

@@ -7,7 +7,6 @@ from latcount.numfield import field_from_polynomial
 from latcount.polymod import (
     distinct_degree_degrees,
     poly_gcd,
-    poly_mulmod,
     poly_powmod,
     prime_list,
     primes_up_to,
@@ -157,9 +156,6 @@ def test_powmod_fermat():
 
 def test_gcd_and_mulmod():
     p = 7
-    f = [3, 0, 1]
-    # (1+x)(2+x) = 2 + 3x + x^2, and x^2 = -3 = 4 mod (f, 7)
-    assert poly_mulmod([1, 1], [2, 1], f, p) == [6, 3]
     g = poly_gcd([6, 5, 1], [2, 3, 1], p)  # (x+2)(x+3) vs (x+1)(x+2)
     assert g == [2, 1]
 

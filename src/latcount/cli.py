@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -576,9 +575,8 @@ def _resolve(args, config):
         if value is not None:
             # argparse already made --s-embed an int
             flags[attr] = value if attr == "s_embed" else read_rational(value, f"--{attr}")
-    return replace(
-        params,
-        **flags,
+    return BoundParams(
+        **{**params.as_dict(), **flags},
         defaulted=tuple(d for d in params.defaulted if d not in flags),
     )
 

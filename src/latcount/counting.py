@@ -11,10 +11,9 @@ quantities are the growth constants themselves, which involve logarithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 from .errors import EmptyReport, ResidueBudgetExceeded
 from .interval import RealInterval, log2_fraction
@@ -132,14 +131,7 @@ def read_int(value, label: str) -> int:
     raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Non-explicit constants of the counting chain, supplied not derived.
-
-    The source arguments only prove these exist; every report echoes the
-    values actually used so the output is an explicitly conditional bound.
-    """
-
+class _BoundFields(NamedTuple):
     C: Fraction = Fraction(1)
     C1: Fraction = Fraction(1)
     C2: Fraction = Fraction(1)
@@ -148,19 +140,28 @@ class BoundParams:
     s_embed: int = 2
     defaulted: Tuple[str, ...] = ("C", "C1", "C2", "c4", "f1", "s_embed")
 
-    def __post_init__(self):
+
+class BoundParams(_BoundFields):
+    """Non-explicit constants of the counting chain, supplied not derived.
+
+    The source arguments only prove these exist; every report echoes the
+    values actually used so the output is an explicitly conditional bound.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
         # C1 = 0 (empty residue budget) and c4 = 0 (no conjugacy discount)
         # are meaningful degenerate settings; the rest must be positive.
-        for name in ("C", "C1", "C2", "c4", "f1"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
+        given = _BoundFields(*args, **kwargs)
+        self = super().__new__(cls, *map(Fraction, given[:5]), *given[5:])
         if self.C <= 0 or self.C2 <= 0 or self.f1 <= 0:
             raise ValueError("C, C2, f1 must be strictly positive")
         if self.C1 < 0 or self.c4 < 0:
             raise ValueError("C1 and c4 must be nonnegative")
         if not isinstance(self.s_embed, int) or self.s_embed < 1:
             raise ValueError("s_embed must be a positive integer")
+        return self
 
     @classmethod
     def from_config(cls, block: dict) -> "BoundParams":
@@ -189,8 +190,7 @@ class BoundParams:
 
 # =============================================== lower growth: tower report
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     degree: int
     covolume_bound: RealInterval
     subgroup_exponent: int
@@ -200,8 +200,7 @@ class GrowthRow:
     included: bool
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     rows: Tuple[GrowthRow, ...]
     c1: RealInterval
     c2: RealInterval
@@ -283,8 +282,7 @@ def lower_growth_assemble(
 
 # ============================================== upper growth: bound per x
 
-@dataclass(frozen=True)
-class UpperGrowthBound:
+class UpperGrowthBound(NamedTuple):
     """Exponent B with its additive breakdown: the bound is x^B."""
 
     x: int

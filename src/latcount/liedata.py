@@ -8,8 +8,7 @@ the only numerics is gamma_h, which returns a certified interval.
 
 from fractions import Fraction
 
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import InconsistentOverride, InvalidType
 from .interval import RealInterval
@@ -31,8 +30,7 @@ _OUTER2_OK = {
 _OUTER_S_DEFAULT = 5
 
 
-@dataclass(frozen=True)
-class LieTypeData:
+class _LieFields(NamedTuple):
     family: str
     rank: int
     dim: int
@@ -41,7 +39,12 @@ class LieTypeData:
     form: str = INNER_SPLIT
     s_param: int = 0
 
-    def __post_init__(self):
+
+class LieTypeData(_LieFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         r = self.rank
         assert self.dim == sum(2 * m + 1 for m in self.exponents)
         assert self.dim == r * (self.coxeter + 1)
@@ -51,6 +54,7 @@ class LieTypeData:
             assert self.s_param == 0
         else:
             assert self.s_param >= 5
+        return self
 
     @property
     def name(self) -> str:
@@ -91,7 +95,7 @@ def root_system(family: str, rank: int) -> LieTypeData:
 def with_form(data: LieTypeData, form: str, s_param: Optional[int] = None) -> LieTypeData:
     """Re-tag a split table entry as an inner or outer form."""
     if form == INNER_SPLIT:
-        return replace(data, form=form, s_param=0)
+        return LieTypeData(**{**data._asdict(), "form": form, "s_param": 0})
     if form == OUTER_3:
         raise InvalidType("order-3 outer forms (triality) are out of scope")
     if form != OUTER_2:
@@ -102,7 +106,7 @@ def with_form(data: LieTypeData, form: str, s_param: Optional[int] = None) -> Li
     s = _OUTER_S_DEFAULT if s_param is None else s_param
     if s < 5:
         raise InconsistentOverride(f"outer form needs s >= 5, got {s}")
-    return replace(data, form=form, s_param=s)
+    return LieTypeData(**{**data._asdict(), "form": form, "s_param": s})
 
 
 def s_parameter(data: LieTypeData, override: Optional[int] = None) -> int:

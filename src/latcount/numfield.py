@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, cos, factorial, floor, isqrt, lcm, ldexp, sin, tau
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     InvalidDiscriminant,
@@ -63,17 +62,20 @@ def doublings(start: int, exhausted: Exception):
 # ===================================================================== basic
 # polynomial type
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Integer polynomial, constant coefficient first; leading coeff nonzero."""
-
+class _Coefficients(NamedTuple):
     coefficients: Tuple[int, ...]
 
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+
+class Polynomial(_Coefficients):
+    """Integer polynomial, constant coefficient first; leading coeff nonzero."""
+
+    __slots__ = ()
+
+    def __new__(cls, coefficients):
+        coeffs = tuple(int(c) for c in coefficients)
         if not coeffs or coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coefficients", coeffs)
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, isqrt
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     AlphaPossiblySquare,
@@ -50,8 +49,7 @@ _PREFILTER_MARGIN = 1e-6
 
 # ==================================================================== types
 
-@dataclass(frozen=True)
-class PisotCertificate:
+class PisotCertificate(NamedTuple):
     """An element with interval proofs of the one-big-place condition."""
 
     element: FieldElement
@@ -66,8 +64,7 @@ class PisotCertificate:
         return self.element.field
 
 
-@dataclass(frozen=True)
-class QuadraticExtensionData:
+class QuadraticExtensionData(NamedTuple):
     base: NumberField
     alpha: FieldElement
     t: int
@@ -76,8 +73,7 @@ class QuadraticExtensionData:
     sign_pattern: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TowerEntry:
+class TowerEntry(NamedTuple):
     name: str
     base_degree: int
     degree_rule: str
@@ -86,8 +82,7 @@ class TowerEntry:
     source: str
 
 
-@dataclass(frozen=True)
-class SyntheticField:
+class SyntheticField(NamedTuple):
     """Degree/signature/rd data without a defining polynomial."""
 
     degree: int

@@ -16,10 +16,9 @@ certified interval, so the reported covolume is a true enclosure.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import NonIntegralOrder
 from .interval import RealInterval, exp_fraction, pi_interval, round_down, round_up
@@ -59,8 +58,7 @@ def local_factor(
 
 # ============================================================= prime splitting
 
-@dataclass(frozen=True)
-class PrimeSplitting:
+class PrimeSplitting(NamedTuple):
     p: int
     residue_degrees: Tuple[int, ...]
     ramified: bool
@@ -172,8 +170,7 @@ def euler_product_E(
 
 # ================================================================= covolume
 
-@dataclass(frozen=True)
-class CovolumeResult:
+class CovolumeResult(NamedTuple):
     value: RealInterval
     disc_factor: RealInterval
     arch_factor: RealInterval

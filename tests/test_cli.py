@@ -7,9 +7,17 @@ import pytest
 
 import latcount.numfield as numfield
 from latcount.cli import entry
+from latcount.counting import BoundParams, lower_growth_assemble, upper_growth_assemble
 from latcount.interval import RealInterval, interval_strs
 from latcount.liedata import parse_type
-from latcount.prasad import covolume_upper_c1
+from latcount.numfield import Polynomial, field_from_polynomial
+from latcount.pisot_tower import (
+    find_pisot,
+    fixed_signature_sequence,
+    quadratic_extension,
+    tower_lookup,
+)
+from latcount.prasad import covolume_synthetic, covolume_upper_c1, prime_splitting
 
 PARAM_KEYS = ["C", "C1", "C2", "c4", "f1", "s_embed"]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -97,6 +105,13 @@ def test_exit_codes(capsys, tmp_path):
     ):
         assert entry(argv) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
+    for argv in (
+        ["growth", "lower", "--tower", "martinet", "--type", "A2",
+         "--pprime", "3", "--c4", "-1"],
+        ["growth", "upper", "--C1", "-1"],
+    ):
+        assert entry(argv) == 1
+        assert capsys.readouterr() == ("", "error: C1 and c4 must be nonnegative\n")
     assert entry(["field", "--poly", "x^2+1", "--known-disc", "-1"]) == 1
     assert "Stickelberger" in capsys.readouterr().err
     for argv, flag in (
@@ -546,3 +561,46 @@ def test_readme_examples(capsys):
     assert field[field.index("poly:") :] in outputs['latcount field --poly "x^3-x-1"']
     value = _readme_block("and the rationals' A1 covolume")
     assert value in outputs["latcount covolume --field Q --type A1"]
+
+
+def _martinet():
+    return tower_lookup("martinet")[0]
+
+
+def _growth():
+    c1 = covolume_upper_c1(_martinet().rd_constant, parse_type("A2"), 2)
+    return lower_growth_assemble(c1, parse_type("A2"), 3, 0, [2, 4])
+
+
+def _rational_extension():
+    q = field_from_polynomial("x-1")
+    return quadratic_extension(q, q.element([-1]))
+
+
+# every record type the library returns, as built by the library, and one of its fields
+RECORDS = {
+    "Polynomial": (lambda: Polynomial((-1, -1, 1)), "coefficients"),
+    "BoundParams": (BoundParams, "C1"),
+    "LieTypeData": (lambda: parse_type("A2"), "rank"),
+    "GrowthRow": (lambda: _growth().rows[0], "included"),
+    "GrowthReport": (_growth, "a"),
+    "UpperGrowthBound": (lambda: upper_growth_assemble(100, BoundParams(), []), "B"),
+    "PisotCertificate": (lambda: find_pisot(field_from_polynomial("x^2-x-1")), "element"),
+    "QuadraticExtensionData": (_rational_extension, "t"),
+    "TowerEntry": (_martinet, "rd_constant"),
+    "SyntheticField": (lambda: fixed_signature_sequence(_martinet(), 1, 1)[0], "rd_bound"),
+    "PrimeSplitting": (lambda: prime_splitting(field_from_polynomial("x^2-5"), 5), "ramified"),
+    "CovolumeResult": (
+        lambda: covolume_synthetic(_martinet().rd_constant, 2, parse_type("A1"), 2), "value"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_reject_attribute_assignment(name):
+    build, field = RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    for attr in (field, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)

@@ -90,6 +90,7 @@ def test_bound_params_validation():
         "C": 1, "C1": 1, "C2": 1, "c4": 1, "f1": 1, "s_embed": 2,
     }
     assert p.defaulted == ("C", "C1", "C2", "c4", "f1", "s_embed")
+    assert type(BoundParams(C=2).C) is Fraction
     BoundParams(C1=Fraction(0))
     BoundParams(c4=Fraction(0))
     for bad in (

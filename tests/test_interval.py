@@ -363,9 +363,13 @@ def test_roots_are_rounded_one_grid_step_outward(prec, ax, n):
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    code = "import sys, latcount.cli; print('mpmath' in sys.modules)"
+    # dataclasses would pull in inspect, ast, dis and tokenize on every call
+    code = (
+        "import sys, latcount.cli; "
+        "print(*(m in sys.modules for m in ('mpmath', 'dataclasses', 'inspect')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False False"

@@ -79,8 +79,9 @@ def test_forms():
     assert outer.form == OUTER_2 and outer.s_param == 5
     assert with_form(a2, OUTER_2, 9).s_param == 9
     assert with_form(outer, INNER_SPLIT).s_param == 0
-    with pytest.raises(InconsistentOverride):
-        with_form(a2, OUTER_2, 4)
+    for data in (a2, parse_type("A3")):
+        with pytest.raises(InconsistentOverride):
+            with_form(data, OUTER_2, 4)
     with pytest.raises(InvalidType):
         with_form(root_system("A", 1), OUTER_2)
     with pytest.raises(InvalidType):

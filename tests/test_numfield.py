@@ -258,6 +258,11 @@ def test_polynomial_parsing():
         with pytest.raises(ValueError):
             Polynomial.from_string(bad)
     assert str(Polynomial((-1, -1, 1))) == "x^2 - x - 1"
+    with pytest.raises(ValueError):
+        Polynomial((1, 0))
+    f = Polynomial((1.0, 0, 1))
+    assert [type(c) for c in f.coefficients] == [int] * 3
+    assert f == Polynomial((1, 0, 1)) and hash(f) == hash(Polynomial((1, 0, 1)))
 
 
 def _exact_sign(f, x):

@@ -33,7 +33,7 @@ from .errors import (
     ReduciblePolynomial,
     ResidueBudgetExceeded,
 )
-from .interval import RealInterval, interval_strs, log2_fraction
+from .interval import RealInterval, int_str, interval_strs, log2_fraction
 from .liedata import dump_table, gamma_h, parse_type, with_form, OUTER_2
 from .numfield import (
     field_from_polynomial,
@@ -356,7 +356,7 @@ def cmd_growth_lower(args, params: BoundParams) -> Report:
     report.extra["c3"] = str(grown.c3)
     report.extra["a"] = _iv(grown.a)
     kept = grown.included_rows()
-    report.extra["x_range"] = [str(kept[0].index_bound), str(kept[-1].index_bound)]
+    report.extra["x_range"] = [int_str(kept[0].index_bound), int_str(kept[-1].index_bound)]
     report.extra[f"gamma_h{data.coxeter}"] = _iv(gamma)
     report.columns = [
         "degree", "covolume_lo", "covolume_hi", "subgroup_exponent",
@@ -365,9 +365,9 @@ def cmd_growth_lower(args, params: BoundParams) -> Report:
     for row in grown.rows:
         lo, hi = _iv(row.covolume_bound)
         report.rows.append([
-            str(row.degree), lo, hi, str(row.subgroup_exponent),
-            str(row.index_bound), str(row.conjugacy_discount),
-            str(row.net_count_exponent), "yes" if row.included else "no",
+            str(row.degree), lo, hi, int_str(row.subgroup_exponent),
+            int_str(row.index_bound), int_str(row.conjugacy_discount),
+            int_str(row.net_count_exponent), "yes" if row.included else "no",
         ])
     report.notes.append(_GAMMA_NOTE)
     return report

@@ -25,9 +25,12 @@ Nothing in here consults floating point.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
+
+from .errors import LatcountError
 
 Rat = Union[int, Fraction]
 
@@ -484,6 +487,21 @@ class ComplexBox:
 
 # ---------------------------------------------------------------- rendering
 
+def int_str(n: int) -> str:
+    """str(n), failing on integers past the int->str digit limit with one text.
+
+    Python 3.10 and 3.11 word their own ValueError differently; the report
+    layer prints every integer that can grow that long through here.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        raise LatcountError(
+            f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer "
+            "string conversion; use sys.set_int_max_str_digits() to increase the limit"
+        ) from None
+
+
 def decimal_str(q: Fraction, digits: int, direction: str) -> str:
     """Exact decimal rendering of q, rounded toward the stated direction.
 
@@ -503,9 +521,9 @@ def decimal_str(q: Fraction, digits: int, direction: str) -> str:
     v = abs(v)
     whole, frac = divmod(v, scale)
     if frac == 0:
-        return f"{sign}{whole}"
+        return sign + int_str(whole)
     text = f"{frac:0{digits}d}".rstrip("0")
-    return f"{sign}{whole}.{text}"
+    return f"{sign}{int_str(whole)}.{text}"
 
 
 def interval_strs(iv: RealInterval, digits: int) -> list:

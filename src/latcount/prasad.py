@@ -1,9 +1,11 @@
 """Covolume evaluation for principal arithmetic subgroups.
 
 The pieces: exact orders of the finite groups of Lie type (hence local
-factors), prime splitting from the defining polynomial, truncated Dedekind
-zeta Euler products with certified tail bounds, and the assembly of the
-volume formula
+factors), prime splitting (by the quadratic character of disc(f) wherever
+that fixes the residue degrees, by distinct-degree factorization only for
+the primes of degree >= 3 fields it leaves open), truncated Dedekind zeta
+Euler products with certified tail bounds, and the assembly of the volume
+formula
 
     D^(dim/2) * (D_rel)^(s/2) * (prod_i m_i!/(2 pi)^(m_i+1))^d * E * Lambda.
 
@@ -69,14 +71,33 @@ def prime_splitting(k: NumberField, p: int) -> PrimeSplitting:
     """Residue degrees of p from the defining polynomial.
 
     The Euler pass's one bad-prime test: p | disc(Z[theta]) is reported
-    ramified and only other p reach the distinct-degree factorization; if the
-    field discriminant is prime to p, this is only an index obstruction, flagged
-    `conservative` (the true splitting is unknown without the maximal order).
+    ramified; if the field discriminant is prime to p, this is only an index
+    obstruction, flagged `conservative` (the true splitting is unknown
+    without the maximal order).
+
+    At every other p, Stickelberger's theorem (Swan, Pacific J. Math. 12,
+    1962) ties the number r of irreducible factors of f mod p to the
+    quadratic character of D = disc(f) = disc(Z[theta]), never a supplied
+    known_disc: (D/p) = (-1)^(d - r).  For p = 2 the symbol is Kronecker's,
+    +1 iff D = 1 mod 8 (an odd D is 1 mod 4).  That settles degree 1 and 2
+    outright and the (1, 2) pattern of a cubic; only the cubics with
+    (D/p) = +1 and fields of degree >= 4 reach the distinct-degree
+    factorization.
     """
-    if k.zk_disc % p == 0:
+    disc = k.zk_disc
+    if disc % p == 0:
         return PrimeSplitting(p, (), True, k.abs_disc % p != 0)
+    d = k.degree
+    if d == 1:
+        return PrimeSplitting(p, (1,), False, False)
+    if d <= 3:
+        square = disc % 8 == 1 if p == 2 else pow(disc, (p - 1) // 2, p) == 1
+        if d == 2:
+            return PrimeSplitting(p, (1, 1) if square else (2,), False, False)
+        if not square:
+            return PrimeSplitting(p, (1, 2), False, False)
     degs = distinct_degree_degrees(k.min_poly.coefficients, p)
-    assert sum(degs) == k.degree
+    assert sum(degs) == d
     return PrimeSplitting(p, degs, False, False)
 
 

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import latcount.numfield as numfield
-from latcount.cli import entry
+from latcount.cli import entry, run
 from latcount.counting import BoundParams, lower_growth_assemble, upper_growth_assemble
+from latcount.errors import LatcountError
 from latcount.interval import RealInterval, interval_strs
 from latcount.liedata import parse_type
 from latcount.numfield import Polynomial, field_from_polynomial
@@ -542,6 +543,23 @@ def test_out_prefix_writes_files(capsys, tmp_path):
     assert csv_text.startswith("# schema: 1")
 
 
+@pytest.mark.parametrize("argv", [
+    "covolume --tower golod-shafarevich --type A10 --level 3 --format csv",  # decimal_str
+    "growth lower --tower hajir-maire --type C11 --pprime 3",  # x_range
+])
+def test_digit_limit_error_text(capsys, argv):
+    # ROADMAP item 5's known defect prints the same text under Python 3.10 and 3.11
+    with pytest.raises(LatcountError):
+        run(argv.split())
+    assert entry(argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: Exceeds the limit (4300 digits) for integer string conversion; "
+        "use sys.set_int_max_str_digits() to increase the limit\n"
+    )
+
+
 def _readme_block(after: str) -> str:
     """The first fenced block of README.md below the line that starts with after."""
     text = README.read_text(encoding="utf-8")
@@ -556,7 +574,7 @@ def test_readme_examples(capsys):
         assert program == "latcount", line
         assert entry(argv) == 0, line
         outputs[line] = capsys.readouterr().out
-    assert len(outputs) == 8
+    assert len(outputs) == 9
     field = _readme_block("A field report looks like:")
     assert field[field.index("poly:") :] in outputs['latcount field --poly "x^3-x-1"']
     value = _readme_block("and the rationals' A1 covolume")

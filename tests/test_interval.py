@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import libmp, mp
 
+from latcount.errors import LatcountError
 from latcount.interval import (
     ComplexBox,
     RealInterval,
@@ -15,6 +16,7 @@ from latcount.interval import (
     decimal_str,
     exp1_interval,
     exp_fraction,
+    int_str,
     interval_strs,
     iroot_ceil,
     iroot_floor,
@@ -139,6 +141,20 @@ def test_decimal_str_outward():
     iv = RealInterval(Fraction(-1, 3), Fraction(1, 7))
     slo, shi = interval_strs(iv, 8)
     assert Fraction(slo) <= iv.lo and Fraction(shi) >= iv.hi
+
+
+def test_int_str_past_the_digit_limit():
+    # one message on every Python version (3.10 drops the word "digits")
+    limit = sys.get_int_max_str_digits()
+    message = (
+        f"Exceeds the limit ({limit} digits) for integer string conversion; "
+        "use sys.set_int_max_str_digits() to increase the limit"
+    )
+    assert int_str(-10 ** (limit - 1)) == str(-10 ** (limit - 1))
+    for render in (int_str, lambda n: decimal_str(Fraction(n, 3), 12, "up")):
+        with pytest.raises(LatcountError) as exc:
+            render(10 ** (limit + 1))
+        assert str(exc.value) == message
 
 
 def test_complex_box():

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
+from latcount import prasad
+from latcount.cli import entry
+from latcount.errors import ReduciblePolynomial
 from latcount.interval import RealInterval
 from latcount.liedata import OUTER_2, outer2_signs, parse_type, root_system, with_form
 from latcount.numfield import field_from_polynomial
@@ -10,6 +14,7 @@ from latcount.pisot_tower import (
     quadratic_extension,
     tower_lookup,
 )
+from latcount.polymod import distinct_degree_degrees, prime_list
 from latcount.prasad import (
     CovolumeResult,
     abs_norm_bound,
@@ -100,10 +105,91 @@ def test_prime_splitting_conservative_flag():
 def test_prime_splitting_cubic():
     k = field_from_polynomial("x^3-x-1")
     assert prime_splitting(k, 23).ramified
-    assert prime_splitting(k, 2).residue_degrees == (3,)
-    for p in (3, 7, 13, 29):
+    expected = {2: (3,), 3: (3,), 5: (1, 2), 7: (1, 2), 11: (1, 2), 13: (3,),
+                29: (3,), 59: (1, 1, 1)}
+    for p, degs in expected.items():
         sp = prime_splitting(k, p)
-        assert sum(sp.residue_degrees) == 3
+        assert sp.residue_degrees == degs and not sp.ramified, p
+
+
+def _chi(disc, p):
+    """The Kronecker symbol (disc/p) as a bool, for p not dividing disc."""
+    return disc % 8 == 1 if p == 2 else pow(disc, (p - 1) // 2, p) == 1
+
+
+def _assert_splitting_matches_ddf(k, bound):
+    for p in prime_list(bound):
+        sp = prime_splitting(k, p)
+        if k.zk_disc % p == 0:
+            assert sp.ramified and sp.residue_degrees == (), p
+            continue
+        assert not sp.ramified
+        assert sp.residue_degrees == distinct_degree_degrees(k.min_poly.coefficients, p), p
+
+
+# (polynomial, known_disc).  x^2-x-1 (D = 5) and x^2-x-3 (D = 13) are 5 mod 8,
+# so 2 is inert; x^2+x+2 (D = -7) is 1 mod 8, so 2 splits.  A Shanks cubic
+# has a square discriminant, so every unramified p reaches the distinct-degree
+# path; x^3+2x+1 (D = -59 = 5 mod 8) gives the (1, 2) pattern at p = 2.
+SPLITTING_CORPUS = [
+    ("x^2-x-1", None), ("x^2-82", None), ("x^2+x+1", None), ("x^2+x+2", None),
+    ("x^2-x-3", None), ("x^2-45", 5), ("x^3-x-1", None), ("x^3-3x+1", None),
+    ("x^3-x^2-4x-1", None), ("x^3+2x+1", None),
+]
+
+
+@pytest.mark.parametrize("poly, known_disc", SPLITTING_CORPUS)
+def test_prime_splitting_matches_distinct_degree(poly, known_disc):
+    k = field_from_polynomial(poly, known_disc=known_disc)
+    _assert_splitting_matches_ddf(k, 2 * 10 ** 4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(f=st.lists(st.integers(-30, 30), min_size=2, max_size=3).map(lambda f: f + [1]))
+def test_prime_splitting_matches_distinct_degree_random(f):
+    try:
+        k = field_from_polynomial(f)
+    except ReduciblePolynomial:
+        reject()
+    _assert_splitting_matches_ddf(k, 2000)
+
+
+def _count_ddf(monkeypatch):
+    calls = []
+
+    def counted(f, p):
+        calls.append(p)
+        return distinct_degree_degrees(f, p)
+
+    monkeypatch.setattr(prasad, "distinct_degree_degrees", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", ["Q", "x^2-x-1", "x^2-82", "x^2+x+1"])
+def test_covolume_of_degree_at_most_two_skips_distinct_degree(monkeypatch, capsys, field):
+    calls = _count_ddf(monkeypatch)
+    assert entry(["covolume", "--field", field, "--type", "A1", "--prime-bound", "10000"]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", ["x^3-x-1", "x^3+2x+1", "x^3-x^2-4x-1"])
+def test_cubic_covolume_factors_only_primes_with_square_discriminant(
+    monkeypatch, capsys, field
+):
+    calls = _count_ddf(monkeypatch)
+    assert entry(["covolume", "--field", field, "--type", "A1", "--prime-bound", "10000"]) == 0
+    disc = field_from_polynomial(field).zk_disc
+    assert calls == [p for p in prime_list(10 ** 4) if disc % p and _chi(disc, p)]
+
+
+@pytest.mark.parametrize("field, euler", [
+    ("x^2-x-28", "[1.946053718411, 1.94713726248]"),
+    ("x^3-x-1", "[1.105797525919, 1.112759829069]"),
+    ("x^3+2x+1", "[1.471619479643, 1.473772479974]"),
+])
+def test_covolume_euler_factor_golden(capsys, field, euler):
+    assert entry(["covolume", "--field", field, "--type", "A1", "--prime-bound", "10000"]) == 0
+    assert f"euler_factor: {euler}\n" in capsys.readouterr().out
 
 
 def test_zeta_rationals_pi_squared_over_six():

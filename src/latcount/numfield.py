@@ -428,6 +428,7 @@ class NumberField:
         self.precision = precision
         self._real_cells = real_brackets  # isolating cells (j, e), ascending
         self._emb_cache = emb_cache
+        self.frobenius_classes = {}  # cyclic cubics: p mod sqrt(zk_disc) -> residue degrees, filled by prasad
 
     @property
     def signature(self):

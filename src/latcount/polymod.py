@@ -5,8 +5,9 @@ Only what the splitting and irreducibility code needs: gcd, Frobenius powers
 and distinct-degree factorization degrees, for monic f and p not dividing
 disc(f) (so f mod p is squarefree; the callers skip the other primes).  Two
 callers remain: numfield's irreducibility test, and prasad's prime splitting
-for the primes the quadratic character of disc(f) leaves open (cubics with
-(disc/p) = +1 and fields of degree >= 4).
+for the primes the quadratic character of disc(f) leaves open: cubics with
+(disc/p) = +1 (a cyclic cubic, disc = m^2, only at the first prime of each
+residue class mod m) and fields of degree >= 4.
 
 Products modulo a monic f of degree n run on Kronecker-packed integers
 (`_Packed`): a polynomial of degree < n is the one int sum c_i 2^(k i), so a

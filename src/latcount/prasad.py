@@ -2,10 +2,11 @@
 
 The pieces: exact orders of the finite groups of Lie type (hence local
 factors), prime splitting (by the quadratic character of disc(f) wherever
-that fixes the residue degrees, by distinct-degree factorization only for
-the primes of degree >= 3 fields it leaves open), truncated Dedekind zeta
-Euler products with certified tail bounds, and the assembly of the volume
-formula
+that fixes the residue degrees; a cyclic cubic, whose disc(f) is a square
+m^2, factors one prime per residue class mod m; distinct-degree
+factorization for every other prime of a degree >= 3 field the character
+leaves open), truncated Dedekind zeta Euler products with certified tail
+bounds, and the assembly of the volume formula
 
     D^(dim/2) * (D_rel)^(s/2) * (prod_i m_i!/(2 pi)^(m_i+1))^d * E * Lambda.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import ceil, factorial
+from math import ceil, factorial, isqrt
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import NonIntegralOrder
@@ -80,9 +81,17 @@ def prime_splitting(k: NumberField, p: int) -> PrimeSplitting:
     quadratic character of D = disc(f) = disc(Z[theta]), never a supplied
     known_disc: (D/p) = (-1)^(d - r).  For p = 2 the symbol is Kronecker's,
     +1 iff D = 1 mod 8 (an odd D is 1 mod 4).  That settles degree 1 and 2
-    outright and the (1, 2) pattern of a cubic; only the cubics with
-    (D/p) = +1 and fields of degree >= 4 reach the distinct-degree
-    factorization.
+    outright and the (1, 2) pattern of a cubic.
+
+    A cubic with D = m^2 is cyclic, and (D/p) = +1 at every unramified p.
+    Its conductor f_K divides m (d_K = f_K^2 by the conductor-discriminant
+    formula, and D = index^2 d_K), so p's Frobenius, hence its residue
+    degrees, depend only on p mod m: they are factored once per class, at
+    the first prime that falls in it, and kept in `k.frobenius_classes`
+    (at most phi(m) entries).  "p splits iff p is a cube mod m" would be
+    wrong for composite m.  The other cubics with (D/p) = +1 and every
+    field of degree >= 4 (a square D does not make it abelian) reach the
+    distinct-degree factorization at each prime.
     """
     disc = k.zk_disc
     if disc % p == 0:
@@ -90,7 +99,13 @@ def prime_splitting(k: NumberField, p: int) -> PrimeSplitting:
     d = k.degree
     if d == 1:
         return PrimeSplitting(p, (1,), False, False)
-    if d <= 3:
+    key = None
+    if d == 3 and disc > 0 and (m := isqrt(disc)) * m == disc:
+        key = p % m
+        degs = k.frobenius_classes.get(key)
+        if degs is not None:
+            return PrimeSplitting(p, degs, False, False)
+    elif d <= 3:
         square = disc % 8 == 1 if p == 2 else pow(disc, (p - 1) // 2, p) == 1
         if d == 2:
             return PrimeSplitting(p, (1, 1) if square else (2,), False, False)
@@ -98,6 +113,8 @@ def prime_splitting(k: NumberField, p: int) -> PrimeSplitting:
             return PrimeSplitting(p, (1, 2), False, False)
     degs = distinct_degree_degrees(k.min_poly.coefficients, p)
     assert sum(degs) == d
+    if key is not None:
+        k.frobenius_classes[key] = degs
     return PrimeSplitting(p, degs, False, False)
 
 

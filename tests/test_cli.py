@@ -574,7 +574,7 @@ def test_readme_examples(capsys):
         assert program == "latcount", line
         assert entry(argv) == 0, line
         outputs[line] = capsys.readouterr().out
-    assert len(outputs) == 9
+    assert len(outputs) == 10
     field = _readme_block("A field report looks like:")
     assert field[field.index("poly:") :] in outputs['latcount field --poly "x^3-x-1"']
     value = _readme_block("and the rationals' A1 covolume")

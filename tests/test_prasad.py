@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -117,31 +118,50 @@ def _chi(disc, p):
     return disc % 8 == 1 if p == 2 else pow(disc, (p - 1) // 2, p) == 1
 
 
-def _assert_splitting_matches_ddf(k, bound):
-    for p in prime_list(bound):
+def _assert_splitting_matches_ddf(k, primes):
+    for p in primes:
         sp = prime_splitting(k, p)
         if k.zk_disc % p == 0:
             assert sp.ramified and sp.residue_degrees == (), p
+            assert sp.conservative == (k.abs_disc % p != 0), p
             continue
         assert not sp.ramified
         assert sp.residue_degrees == distinct_degree_degrees(k.min_poly.coefficients, p), p
 
 
 # (polynomial, known_disc).  x^2-x-1 (D = 5) and x^2-x-3 (D = 13) are 5 mod 8,
-# so 2 is inert; x^2+x+2 (D = -7) is 1 mod 8, so 2 splits.  A Shanks cubic
-# has a square discriminant, so every unramified p reaches the distinct-degree
-# path; x^3+2x+1 (D = -59 = 5 mod 8) gives the (1, 2) pattern at p = 2.
+# so 2 is inert; x^2+x+2 (D = -7) is 1 mod 8, so 2 splits.  x^3+2x+1
+# (D = -59 = 5 mod 8) gives the (1, 2) pattern at p = 2, and x^3-x-1 leaves
+# its (D/p) = +1 primes to the distinct-degree path.  The other cubics are
+# cyclic, D = m^2, split by residue class mod m: x^3-3x+1 and x^3-x^2-4x-1
+# (m = 9, 13), x^3-3x^2-6x-1 (m = 27, conductor 9, index 3), x^3-3x^2-16x-1
+# (m = 133 = 7*19, where "p splits iff p is a cube mod m" is wrong) and
+# x^3-3x^2-18x-8 (m = 126, conductor 63: 2 divides only the index, so p = 2
+# is conservative).  x^4+8x+12 has D = 576^2 but Galois group A4, so its
+# residue degrees are not a function of p mod 576.
 SPLITTING_CORPUS = [
     ("x^2-x-1", None), ("x^2-82", None), ("x^2+x+1", None), ("x^2+x+2", None),
     ("x^2-x-3", None), ("x^2-45", 5), ("x^3-x-1", None), ("x^3-3x+1", None),
-    ("x^3-x^2-4x-1", None), ("x^3+2x+1", None),
+    ("x^3-x^2-4x-1", None), ("x^3+2x+1", None), ("x^3-3x^2-6x-1", 81),
+    ("x^3-3x^2-16x-1", None), ("x^3-3x^2-18x-8", 3969), ("x^4+8x+12", None),
 ]
 
 
 @pytest.mark.parametrize("poly, known_disc", SPLITTING_CORPUS)
 def test_prime_splitting_matches_distinct_degree(poly, known_disc):
     k = field_from_polynomial(poly, known_disc=known_disc)
-    _assert_splitting_matches_ddf(k, 2 * 10 ** 4)
+    _assert_splitting_matches_ddf(k, prime_list(2 * 10 ** 4))
+
+
+def test_cyclic_cubic_splitting_does_not_depend_on_prime_order():
+    primes = prime_list(2 * 10 ** 4)
+    descending = field_from_polynomial("x^3-3x^2-16x-1")
+    _assert_splitting_matches_ddf(descending, primes[::-1])
+    ascending = field_from_polynomial("x^3-3x^2-16x-1")
+    for p in primes:
+        prime_splitting(ascending, p)
+    assert len(ascending.frobenius_classes) == 108  # phi(133)
+    assert descending.frobenius_classes == ascending.frobenius_classes
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -151,7 +171,7 @@ def test_prime_splitting_matches_distinct_degree_random(f):
         k = field_from_polynomial(f)
     except ReduciblePolynomial:
         reject()
-    _assert_splitting_matches_ddf(k, 2000)
+    _assert_splitting_matches_ddf(k, prime_list(2000))
 
 
 def _count_ddf(monkeypatch):
@@ -179,17 +199,33 @@ def test_cubic_covolume_factors_only_primes_with_square_discriminant(
     calls = _count_ddf(monkeypatch)
     assert entry(["covolume", "--field", field, "--type", "A1", "--prime-bound", "10000"]) == 0
     disc = field_from_polynomial(field).zk_disc
-    assert calls == [p for p in prime_list(10 ** 4) if disc % p and _chi(disc, p)]
+    unramified = [p for p in prime_list(10 ** 4) if disc % p]
+    m = isqrt(disc) if disc > 0 else 0
+    if m * m == disc:
+        # cyclic: one factorization per residue class mod m, at its first prime
+        first = {}
+        for p in unramified:
+            first.setdefault(p % m, p)
+        assert calls == sorted(first.values()) and len(calls) == 12
+    else:
+        assert calls == [p for p in unramified if _chi(disc, p)]
 
 
 @pytest.mark.parametrize("field, euler", [
     ("x^2-x-28", "[1.946053718411, 1.94713726248]"),
     ("x^3-x-1", "[1.105797525919, 1.112759829069]"),
     ("x^3+2x+1", "[1.471619479643, 1.473772479974]"),
+    ("x^3-x^2-4x-1", "[1.159995212922, 1.181541668972]"),
+    ("x^3-3x^2-16x-1", "[1.051126357664, 1.128220884002]"),
 ])
 def test_covolume_euler_factor_golden(capsys, field, euler):
     assert entry(["covolume", "--field", field, "--type", "A1", "--prime-bound", "10000"]) == 0
     assert f"euler_factor: {euler}\n" in capsys.readouterr().out
+
+
+def test_covolume_euler_factor_golden_at_default_bound(capsys):
+    assert entry(["covolume", "--field", "x^3-x^2-4x-1", "--type", "A1"]) == 0
+    assert "euler_factor: [1.16000574368, 1.18091452928]\n" in capsys.readouterr().out
 
 
 def test_zeta_rationals_pi_squared_over_six():

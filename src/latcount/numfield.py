@@ -2,25 +2,23 @@
 
 Everything downstream (Pisot search, covolume bounds) leans on the guarantees
 made here: discriminants and norms are exact integers/rationals, embeddings
-are certified enclosures (Sturm isolation for real roots, exact residual
-bounds around refined seeds for complex ones), and irreducibility is decided,
-not guessed.
+are certified enclosures, and irreducibility is decided, not guessed.
 
-Real roots are isolated and refined on integers: the Sturm chain is kept as
-integer polynomials, each remainder scaled by the positive lcm of its
-denominators, and every bracket is an aligned dyadic cell (j, e), the
-interval [j/2^e, (j+1)/2^e].  Isolation and bisection read only the sign of
-2^(k deg f) f(a/2^k) at the cell ends a/2^k; a Fraction is built only for the
-final enclosure; aligned cells nest, so a higher precision bisects on from
-the finest cell refined so far.  Every precision escalation, here and in
+One root finder serves every place.  Aberth-Ehrlich iteration on Gaussian
+fixed-point integers (Aberth, Math. Comp. 27, 1973), in the standard library
+alone, seeds every root; the seeds are not trusted.  A real seed gets an
+aligned dyadic cell (j, e), the interval [j/2^e, (j+1)/2^e], at level prec or
+finer, and f must change sign strictly across it, read as the sign of
+2^(e deg f) f(a/2^e) on integers.  An upper-half-plane seed gets a box from
+the exact residual bound.  Every cell and every box with its mirror image
+holds a root, the regions are pairwise disjoint, and there are
+r1 + 2 r2 = deg f of them: so each holds exactly one root, which certifies
+the signature too.  Aligned cells containing the same root nest, so the real
+enclosures at two precisions nest in either order.  A seed that fails costs
+one more precision doubling; every precision escalation, here and in
 pisot_tower, iterates over `doublings`.  The irreducibility subset test
 skips every set of roots whose interval sum contains no integer before it
 multiplies out the candidate factor.
-
-Complex roots are seeded by Aberth-Ehrlich iteration on Gaussian fixed-point
-integers (Aberth, Math. Comp. 27, 1973), in the standard library alone.  The
-seeds are not trusted: the exact residual bound decides every box, and a
-seed that fails it costs one more precision doubling.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import ceil, cos, factorial, floor, isqrt, lcm, ldexp, sin, tau
+from math import ceil, cos, factorial, floor, isqrt, ldexp, sin, tau
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -200,23 +198,7 @@ def element_norm(element: "FieldElement") -> Fraction:
     return _resultant(f, g)
 
 
-# ================================================================ real roots
-
-def _sturm_chain(coeffs: Sequence[int]) -> list:
-    """Sturm sequence of f as integer polynomials.
-
-    Each remainder is scaled by the positive lcm of its denominators, which
-    keeps every sign the count reads.
-    """
-    chain = [list(coeffs), [i * c for i, c in enumerate(coeffs)][1:]]
-    while len(chain[-1]) > 1:
-        r = _fp_rem(chain[-2], chain[-1])
-        if not r:
-            break  # nontrivial gcd; caller must have ensured squarefreeness
-        m = lcm(*(c.denominator for c in r))
-        chain.append([-c.numerator * (m // c.denominator) for c in r])
-    return chain
-
+# ===================================================================== roots
 
 def _sign_at(f: Sequence[int], a: int, k: int) -> int:
     """Sign of 2^(k deg f) f(a / 2^k) for an integer polynomial f, by Horner
@@ -231,10 +213,6 @@ def _sign_at(f: Sequence[int], a: int, k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _dyadic(a: int, k: int) -> Fraction:
-    return Fraction(a, 1 << k) if k >= 0 else Fraction(a << -k)
-
-
 def _cauchy_exponent(coeffs) -> int:
     """m with all roots in (-2^m, 2^m)."""
     lead = abs(coeffs[-1])
@@ -243,79 +221,23 @@ def _cauchy_exponent(coeffs) -> int:
     return bound.bit_length()
 
 
-def _isolate_real_roots(poly: Polynomial) -> list:
-    """Aligned dyadic cells (j, e), one real root in each [j/2^e, (j+1)/2^e].
-
-    The cells come from bisecting [-2^m, 0] and [0, 2^m]; each stacked cell
-    carries the Sturm sign changes at both of its ends.
-    """
-    chain = _sturm_chain(poly.coefficients)
-
-    def changes(a, k):
-        """Sign changes of the chain at a/2^k, which must not be a root."""
-        signs = [_sign_at(g, a, k) for g in chain]
-        if signs[0] == 0:
-            # a rational root: legal only for degree-1 input, handled upstream
-            raise ReduciblePolynomial(f"rational root {_dyadic(a, k)} of {poly}")
-        signs = [s for s in signs if s]
-        return sum(s != t for s, t in zip(signs, signs[1:]))
-
-    m = _cauchy_exponent(poly.coefficients)
-    v_lo, v_hi = changes(-1, -m), changes(1, -m)
-    # every root lies in (-2^m, 2^m), so this count is the number of real roots
-    total = v_lo - v_hi
-    v_0 = changes(0, 0)
-    out = []
-    # right halves are popped first, so the cells come out descending
-    stack = [(-1, -m, v_lo, v_0), (0, -m, v_0, v_hi)]
-    while stack:
-        j, e, va, vb = stack.pop()
-        if va - vb == 1:
-            out.append((j, e))
-        elif va - vb > 1:
-            vm = changes(2 * j + 1, e + 1)
-            stack.append((2 * j, e + 1, va, vm))
-            stack.append((2 * j + 1, e + 1, vm, vb))
-    out.reverse()
-    assert len(out) == total
-    return out
-
-
-def _cell_of(iv: RealInterval) -> tuple:
-    """(j, e) of the aligned dyadic cell iv = [j/2^e, (j+1)/2^e]."""
-    w = iv.hi - iv.lo
-    return int(iv.lo / w), w.denominator.bit_length() - w.numerator.bit_length()
-
-
-def _refine(poly: Polynomial, j: int, e: int, prec: int) -> RealInterval:
-    """The aligned 2^-prec subcell of the root's cell (j, e), or the cell
-    itself where it is already narrower."""
-    f = poly.coefficients
-    sign_lo = _sign_at(f, j, e)
-    while e < prec:
-        j, e = 2 * j, e + 1
-        s = _sign_at(f, j + 1, e)
-        if s == 0:
-            raise ReduciblePolynomial(f"rational root {_dyadic(j + 1, e)} of {poly}")
-        if s == sign_lo:
-            j += 1
-    return RealInterval(_dyadic(j, e), _dyadic(j + 1, e))
-
-
-# ============================================================= complex roots
-
-def _complex_seeds(poly: Polynomial, r2: int, workprec: int):
-    """Uncertified upper-half-plane roots as exact rationals, or None.
+def _aberth_roots(poly: Polynomial, workprec: int):
+    """Uncertified roots (real seeds, upper-half-plane seeds), or None.
 
     Aberth-Ehrlich iteration with in-place updates on Gaussian integers
     scaled by 2^L, from the circle of radius 2^m (every root lies inside it)
     at angles off the axes.  A sweep at scale 2^L is settled one sweep after
     every correction fell below 2^-(L/2).  The points settle first at a
-    scale of 64 + 2m bits, which is cheap, then at L = F = workprec; only a
-    failure at F returns None.  The seeds are rounded to the 2^-(F-16) grid,
-    so Gaussian-integer roots come out exact, and sorted by (real part on the
-    2^-(F/2) grid, imaginary part), so that noise cannot reorder places
-    whose real parts are equal.
+    scale of 64 + 2m bits, which is cheap, then at L = F = workprec; a
+    failure at F returns None.  The points are rounded to the 2^-(F-16)
+    grid, so integer and Gaussian-integer roots come out exact.
+
+    A point with |Im| < 2^-(F/2) is a real seed, given by its real part as
+    an integer scaled by 2^F, ascending.  The upper seeds are exact
+    rationals, sorted by (real part on the 2^-(F/2) grid, imaginary part),
+    so that noise cannot reorder places whose real parts are equal.  None
+    also when the real seeds and twice the upper ones do not add up to the
+    degree.
     """
     F, d, m = workprec, poly.degree, _cauchy_exponent(poly.coefficients)
     L0 = min(F, 64 + 2 * m)
@@ -357,10 +279,40 @@ def _complex_seeds(poly: Polynomial, r2: int, workprec: int):
         return None
     g = F - F // 2
     zs = [((x + (1 << 15)) >> 16 << 16, (y + (1 << 15)) >> 16 << 16) for x, y in zs]
+    xs = sorted(x for x, y in zs if abs(y) >> g == 0)
     cands = sorted(((x + (1 << (g - 1))) >> g, y, x) for x, y in zs if y >> g > 0)
-    if len(cands) != r2:
+    if len(xs) + 2 * len(cands) != d:
         return None
-    return [(Fraction(x, 1 << F), Fraction(y, 1 << F)) for _, y, x in cands]
+    return xs, [(Fraction(x, 1 << F), Fraction(y, 1 << F)) for _, y, x in cands]
+
+
+def _real_cells(poly: Polynomial, xs, F: int, prec: int):
+    """One aligned dyadic cell [j/2^e, (j+1)/2^e] per real seed, or None.
+
+    xs are the ascending real seeds, integers scaled by 2^F.  A seed gets
+    its cell at level e = prec, or at the first finer level at which the
+    cell holds no other seed.  Aligned cells nest or are disjoint, so no two
+    of these overlap.  Each cell must show a strict sign change of f at its
+    two ends; a zero there is a rational root.
+    """
+    f = poly.coefficients
+    cells = []
+    for i, x in enumerate(xs):
+        # seeds of one sign share the cell at level e until e > F - bitlen(x ^ y);
+        # seeds of opposite signs (x ^ y < 0) never do
+        flips = (x ^ y for y in xs[max(i - 1, 0):i] + xs[i + 1:i + 2])
+        e = max([prec] + [F + 1 - z.bit_length() for z in flips if z >= 0])
+        if e > F:
+            return None
+        j = x >> F - e
+        signs = [_sign_at(f, a, e) for a in (j, j + 1)]
+        if 0 in signs:
+            root = Fraction(j + signs.index(0), 1 << e)
+            raise ReduciblePolynomial(f"rational root {root} of {poly}")
+        if signs[0] == signs[1]:
+            return None
+        cells.append(RealInterval(Fraction(j, 1 << e), Fraction(j + 1, 1 << e)))
+    return tuple(cells)
 
 
 def _eval_complex(coeffs, a: Fraction, b: Fraction):
@@ -412,13 +364,42 @@ def _certify_boxes(poly: Polynomial, seeds, prec: int):
     return boxes
 
 
+def _certified_roots(poly: Polynomial, prec: int, prev=()):
+    """(real enclosures ascending, upper-half boxes): every root of f, certified.
+
+    One Aberth run seeds every root.  Each real cell holds a root, by the
+    sign change at its ends; each box holds one, by the residual bound, and
+    its mirror image below the axis holds the conjugate.  The cells are
+    pairwise disjoint, and the boxes lie in the open upper half-plane and
+    are pairwise disjoint, so these r1 + 2 r2 = deg f regions hold deg f
+    roots of f: exactly one each, and no root is left outside them, which
+    certifies the signature as well.  The boxes are intersected with prev,
+    the boxes of a lower precision, so that they nest; aligned cells nest by
+    themselves.  A failure at any step costs one doubling of the working
+    precision.
+    """
+    if poly.degree == 1:
+        return (RealInterval.point(-poly.coefficients[0]),), ()
+    workprec = max(2 * prec, 128, 2 * max(abs(c) for c in poly.coefficients).bit_length())
+    exhausted = PrecisionExhausted(f"embeddings of {poly} at {prec} bits")
+    for wp in doublings(workprec, exhausted):
+        roots = _aberth_roots(poly, wp)
+        if roots is None:
+            continue
+        reals = _real_cells(poly, roots[0], wp, prec)
+        boxes = None if reals is None else _certify_boxes(poly, roots[1], prec)
+        if boxes is not None and prev:
+            boxes = _nest_boxes(boxes, prev)
+        if boxes is not None:
+            return reals, tuple(boxes)
+
+
 # ================================================================ number field
 
 class NumberField:
     """Q[x]/(f) for a certified-irreducible monic integer f."""
 
-    def __init__(self, min_poly, degree, r1, r2, disc, zk_disc, precision,
-                 real_brackets, emb_cache):
+    def __init__(self, min_poly, degree, r1, r2, disc, zk_disc, precision, emb_cache):
         self.min_poly = min_poly
         self.degree = degree
         self.r1 = r1
@@ -426,8 +407,7 @@ class NumberField:
         self.disc = disc          # signed; known_disc if supplied, else disc(Z[theta])
         self.zk_disc = zk_disc    # signed disc(Z[theta])
         self.precision = precision
-        self._real_cells = real_brackets  # isolating cells (j, e), ascending
-        self._emb_cache = emb_cache
+        self._emb_cache = emb_cache  # precision -> certified embeddings
         self.frobenius_classes = {}  # cyclic cubics: p mod sqrt(zk_disc) -> residue degrees, filled by prasad
 
     @property
@@ -445,35 +425,10 @@ class NumberField:
     def embeddings(self, prec: Optional[int] = None):
         """(real enclosures ascending, upper-half boxes), one per infinite place."""
         prec = prec or self.precision
-        if prec in self._emb_cache:
-            return self._emb_cache[prec]
-        if self.degree == 1:
-            reals = (RealInterval.point(-self.min_poly.coefficients[0]),)
-        else:
-            below = [p for p in self._emb_cache if p < prec]
-            cells = map(_cell_of, self._emb_cache[max(below)][0]) if below else self._real_cells
-            reals = tuple(_refine(self.min_poly, j, e, prec) for j, e in cells)
-        boxes = self._certified_complex(prec)
-        self._emb_cache[prec] = (reals, boxes)
-        return reals, boxes
-
-    def _certified_complex(self, prec: int):
-        if self.r2 == 0:
-            return ()
-        workprec = max(2 * prec, 128, 2 * max(abs(c) for c in self.min_poly.coefficients).bit_length())
-        prev = None
-        if self._emb_cache:
+        if prec not in self._emb_cache:
             prev = self._emb_cache[max(self._emb_cache)][1]
-        exhausted = PrecisionExhausted(f"complex embeddings of {self.min_poly} at {prec} bits")
-        for wp in doublings(workprec, exhausted):
-            seeds = _complex_seeds(self.min_poly, self.r2, wp)
-            if seeds is None:
-                continue
-            boxes = _certify_boxes(self.min_poly, seeds, prec)
-            if boxes is not None and prev:
-                boxes = _nest_boxes(boxes, prev)
-            if boxes is not None:
-                return tuple(boxes)
+            self._emb_cache[prec] = _certified_roots(self.min_poly, prec, prev)
+        return self._emb_cache[prec]
 
     def element(self, coords) -> "FieldElement":
         return FieldElement(self, coords)
@@ -618,25 +573,19 @@ def field_from_polynomial(
     if d < 1:
         raise ValueError("defining polynomial must have degree >= 1")
 
-    if d == 1:
-        if known_disc not in (None, 1):
-            raise InvalidDiscriminant(f"the rationals have disc 1, not {known_disc}")
-        field = NumberField(poly, 1, 1, 0, 1, 1, precision, [], {})
-        field.embeddings(precision)
-        return field
-
+    if d == 1 and known_disc not in (None, 1):
+        raise InvalidDiscriminant(f"the rationals have disc 1, not {known_disc}")
     zk_disc = poly_discriminant(poly)
     if zk_disc == 0:
         raise ReduciblePolynomial(f"{poly} has a repeated factor")
 
-    cells = _isolate_real_roots(poly)
-    r1 = len(cells)
-    r2 = (d - r1) // 2
+    reals, boxes = _certified_roots(poly, precision)
+    r1, r2 = len(reals), len(boxes)
     if (zk_disc < 0) != (r2 % 2 == 1):
         raise AssertionError("discriminant sign inconsistent with signature")
-
-    field = NumberField(poly, d, r1, r2, zk_disc, zk_disc, precision, cells, {})
-    field.embeddings(precision)
+    field = NumberField(poly, d, r1, r2, zk_disc, zk_disc, precision, {precision: (reals, boxes)})
+    if d == 1:
+        return field
     _assert_irreducible(poly, zk_disc, precision, field.embeddings)
 
     if known_disc is not None:

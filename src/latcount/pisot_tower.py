@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from fractions import Fraction
 from math import ceil, isqrt
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -354,13 +355,12 @@ def _entry_from_row(row, where: str) -> TowerEntry:
 def tower_catalog(extra_path: Optional[str] = None) -> list:
     """Packaged tower entries, optionally extended from a user JSON file; a
     name that appears twice across the two raises LatcountError."""
-    from importlib.resources import files
-
-    text = files("latcount.data").joinpath("tower_catalog.json").read_text()
-    sources = [("tower catalog", json.loads(text))]
-    if extra_path is not None:
-        with open(extra_path, "r", encoding="utf-8") as fh:
-            sources.append((extra_path, json.load(fh)))
+    sources = []
+    packaged = os.path.join(os.path.dirname(__file__), "data", "tower_catalog.json")
+    for where, path in (("tower catalog", packaged), (extra_path, extra_path)):
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                sources.append((where, json.load(fh)))
     entries = []
     first_row = {}  # name -> the row that introduced it
     for where, rows in sources:

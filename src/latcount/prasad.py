@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import NonIntegralOrder
 from .interval import RealInterval, exp_fraction, pi_interval, round_down, round_up
-from .liedata import LieTypeData, split_signs
+from .liedata import OUTER_2, LieTypeData, outer2_signs, split_signs
 from .numfield import NumberField, element_norm
 from .pisot_tower import QuadraticExtensionData
 from .polymod import distinct_degree_degrees, prime_list
@@ -194,14 +194,26 @@ def dedekind_zeta_partial(
 def euler_product_E(
     k: NumberField, data: LieTypeData, bounds: Sequence[int], precision: int = 128
 ) -> list:
-    """prod_i zeta_k(m_i + 1) (split-form local factors) as a certified interval
-    at each ascending prime bound, from one pass over the primes."""
+    """prod_i zeta_k(m_i + 1) as a certified interval at each ascending prime
+    bound, from one pass over the primes.
+
+    An outer form's factor at the exponents where outer2_signs is +1 is
+    L(s, chi) for the quadratic character chi of the splitting field, s =
+    m_i + 1.  Each of its local factors (1 - chi(P) q^-s)^-1 lies between
+    (1 + q^-s)^-1 and (1 - q^-s)^-1, so L(s, chi) is enclosed by
+    [zeta_k(2s)/zeta_k(s), zeta_k(s)], with zeta_k(2s) from the same pass.
+    """
     wp = precision + 16
+    signs = outer2_signs(data) if data.form == OUTER_2 else split_signs(data)
+    twisted = [2 * m + 2 for m, sign in zip(data.exponents, signs) if sign == 1]
     out = []
-    for zetas in _zeta_pass(k, [m + 1 for m in data.exponents], bounds, wp):
+    for zetas in _zeta_pass(k, [m + 1 for m in data.exponents] + twisted, bounds, wp):
         product = RealInterval.point(1)
-        for m in data.exponents:
-            product = product * zetas[m + 1]
+        for m, sign in zip(data.exponents, signs):
+            z = zetas[m + 1]
+            if sign == 1:
+                z = zetas[2 * m + 2].div(z, wp).hull(z)
+            product = product * z
         out.append(product.round_out(precision))
     return out
 

@@ -8,7 +8,7 @@ brackets.  Slow and obviously correct beats fast and shared-with-the-code.
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 
 # ------------------------------------------------ resultants / discriminants
@@ -275,3 +275,16 @@ def zeta_even_bracket(s: int, pi=None):
     lo, hi = pi or pi_bracket()
     scale = abs(bernoulli(s)) / (2 * factorial(s))
     return scale * (2 * lo) ** s, scale * (2 * hi) ** s
+
+
+def zeta2_l3_chi_minus3_bracket(pi=None, bits: int = 200):
+    """[lo, hi] for zeta(2) L(3, chi_-3) = (pi^2/6) 4 pi^3 / (81 sqrt 3).
+
+    The Euler product of the outer A2 form over Q split by Q(sqrt -3).
+    """
+    lo, hi = pi or pi_bracket()
+    r = isqrt(3 << 2 * bits)  # r / 2^bits <= sqrt 3 < (r + 1) / 2^bits
+    return (
+        2 * lo ** 5 / (243 * Fraction(r + 1, 1 << bits)),
+        2 * hi ** 5 / (243 * Fraction(r, 1 << bits)),
+    )

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import latcount.numfield as numfield
+import latcount.pisot_tower as pisot_tower
 from latcount.cli import entry, run
 from latcount.counting import BoundParams, lower_growth_assemble, upper_growth_assemble
 from latcount.errors import LatcountError
@@ -131,7 +132,16 @@ def test_exit_codes(capsys, tmp_path):
 
 
 def test_exhausted_budget_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(numfield, "_MAX_REFINE_ROUNDS", 0)
+    # the budget runs out once the field and its 64-bit roots exist, so the
+    # Pisot certification is the first to need another round
+    float_roots = pisot_tower._float_roots
+
+    def then_exhaust(k):
+        roots = float_roots(k)
+        monkeypatch.setattr(numfield, "_MAX_REFINE_ROUNDS", 0)
+        return roots
+
+    monkeypatch.setattr(pisot_tower, "_float_roots", then_exhaust)
     assert entry(["pisot", "--poly", "x^2-x-1"]) == 3
     assert capsys.readouterr().err == "error: pisot certification of 1,-1\n"
 
@@ -313,6 +323,8 @@ def test_less_used_flags(capsys):
     (_OUTER_A2 + ["--s-param", "4"], "outer form needs s >= 5, got 4"),
     (["covolume", "--tower", "martinet", "--type", "A2", "--outer"],
      "outer form needs the relative-discriminant constant c0'"),
+    (["covolume", "--field", "Q", "--type", "E6", "--outer", "--alpha", "-3"],
+     "no shipped sign table for outer E6"),
 ])
 def test_less_used_flag_errors(capsys, argv, message):
     assert entry(argv) == 1
@@ -574,7 +586,7 @@ def test_readme_examples(capsys):
         assert program == "latcount", line
         assert entry(argv) == 0, line
         outputs[line] = capsys.readouterr().out
-    assert len(outputs) == 10
+    assert len(outputs) == 11
     field = _readme_block("A field report looks like:")
     assert field[field.index("poly:") :] in outputs['latcount field --poly "x^3-x-1"']
     value = _readme_block("and the rationals' A1 covolume")

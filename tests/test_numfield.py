@@ -67,6 +67,9 @@ def test_reducible_rejected():
     for spec in ("x^2-1", "x^2-4", "x^4+4", "x^3-x", "x^6-1"):
         with pytest.raises(ReduciblePolynomial):
             field_from_polynomial(spec)
+    # the real cells are checked in ascending order, so the root named is -1
+    with pytest.raises(ReduciblePolynomial, match=r"^rational root -1 of x\^3 - x$"):
+        field_from_polynomial("x^3-x")
 
 
 def test_irreducible_accepted_without_rational_roots():
@@ -301,8 +304,8 @@ def test_embeddings_continue_from_the_finest_refined_cells(monkeypatch):
 
     monkeypatch.setattr(numfield, "_sign_at", counting_sign_at)
     reals, _ = k.embeddings(128)
-    # one start sign and one bisection per bit from 64 to 128, per root
-    assert len(calls) <= k.r1 * 65
+    # one sign at each end of each real cell
+    assert len(calls) <= 2 * k.r1
     fresh, _ = field_from_polynomial("x^3-x^2-2x+1", 128).embeddings(128)
     assert [(iv.lo, iv.hi) for iv in reals] == [(iv.lo, iv.hi) for iv in fresh]
 
@@ -314,23 +317,60 @@ def test_real_brackets_are_aligned_dyadic_cells(f):
         k = field_from_polynomial(f, 64)
     except ReduciblePolynomial:
         assume(False)
-    cells = {(j / Fraction(2) ** e, (j + 1) / Fraction(2) ** e) for j, e in k._real_cells}
-    previous = None
-    for prec in (64, 128, 512):
-        reals, _ = k.embeddings(prec)
-        assert len(reals) == k.r1
-        cell = Fraction(1, 1 << prec)
-        for iv in reals:
-            w = iv.width()
-            # refined to the aligned 2^-prec cell, or already the narrower
-            # power-of-two cell that isolated the root
-            assert w == cell or (w < cell and (iv.lo, iv.hi) in cells)
-            assert w.numerator == 1 and w.denominator & (w.denominator - 1) == 0
-            assert (iv.lo / w).denominator == 1
-            assert _exact_sign(f, iv.lo) * _exact_sign(f, iv.hi) < 0
-        if previous is not None:
-            assert all(a.encloses(b) for a, b in zip(previous, reals))
-        previous = reals
+    assert k.r1 + 2 * k.r2 == len(f) - 1
+    backwards = field_from_polynomial(f, 512)
+    by_order = []
+    for field, order in ((k, (64, 128, 512)), (backwards, (512, 128, 64))):
+        brackets = {prec: field.embeddings(prec)[0] for prec in order}
+        by_order.append(brackets)
+        for prec, reals in brackets.items():
+            assert len(reals) == k.r1
+            for iv in reals:
+                # an aligned power-of-two cell at level prec or finer
+                w = iv.width()
+                assert w <= Fraction(1, 1 << prec)
+                assert w.numerator == 1 and w.denominator & (w.denominator - 1) == 0
+                assert (iv.lo / w).denominator == 1
+                assert _exact_sign(f, iv.lo) * _exact_sign(f, iv.hi) < 0
+                if w < Fraction(1, 1 << prec):
+                    # the first finer level: the parent cell holds another root
+                    parent = iv.lo - iv.lo % (2 * w)
+                    assert any(parent <= o.lo and o.hi <= parent + 2 * w for o in reals if o is not iv)
+            # ascending and pairwise disjoint: neighbours share at most an end,
+            # where f is not zero
+            assert all(a.hi <= b.lo for a, b in zip(reals, reals[1:]))
+        for coarse, fine in ((64, 128), (128, 512)):
+            assert all(a.encloses(b) for a, b in zip(brackets[coarse], brackets[fine]))
+    assert by_order[0] == by_order[1]
+
+
+def test_clustered_roots_golden():
+    # x^9 - 2(10^6 x - 1)^2 has two real roots about 1.4e-33 apart near 10^-6:
+    # at 64 bits their cells sit at level 109, the first that separates them
+    f = [-2, 4 * 10 ** 6, -2 * 10 ** 12, 0, 0, 0, 0, 0, 0, 1]
+    want = {
+        64: [(0x218def416bdb1a6d698fe68, 109), (0x218def416bdb1a6d698fe69, 109),
+             (0x392fa016bae5f86cee, 64)],
+        512: [
+            (int(
+             "10c6f7a0b5ed8d36b4c7f3458c703e069608d618633aef7131972da51320df298"
+             "83146c714f6cbbfa49ed19b4fbf602de45436c9edfaabe8a9a106f78809", 16), 512),
+            (int(
+             "10c6f7a0b5ed8d36b4c7f34ce4402e3d5ff03fe8900a1e644dad5282e4f1d0705"
+             "3627348dc9aca180ae2a5b3f2d60287c39ea6e594dbe0796a37e4cf43d9", 16), 512),
+            (int(
+             "392fa016bae5f86ceef9784ce9f5bc13df0a77a16047f76836cb337396c80bb0b"
+             "fafaa8097b4a847ddbeba436e61a78aa897f89e4050bd6eaac67074a5a7ec7e4e", 16), 512),
+        ],
+    }
+    for order in ((64, 512), (512, 64)):
+        k = field_from_polynomial(f, order[0])
+        assert k.signature == (3, 3)
+        for prec in order:
+            reals, _ = k.embeddings(prec)
+            assert [(iv.lo, iv.hi) for iv in reals] == [
+                (Fraction(j, 1 << e), Fraction(j + 1, 1 << e)) for j, e in want[prec]
+            ]
 
 
 def _mpf_fraction(x) -> Fraction:
@@ -434,6 +474,10 @@ def test_complex_embeddings_need_no_mpmath():
 
 
 def test_complex_seeds_none_when_the_count_disagrees():
-    # x^2 + 1 has one upper-half-plane root, so a request for two fails
-    assert numfield._complex_seeds(Polynomial((1, 0, 1)), 2, 128) is None
-    assert numfield._complex_seeds(Polynomial((1, 0, 1)), 1, 128) == [(0, 1)]
+    # the seeds must account for every root: real ones once, upper ones twice
+    assert numfield._aberth_roots(Polynomial((1, 0, 1)), 128) == ([], [(0, 1)])
+    xs, upper = numfield._aberth_roots(Polynomial((-1, -1, 0, 1)), 128)
+    assert len(xs) == 1 and len(upper) == 1
+    # the three points around the triple root of x^3 settle off the axis, two
+    # above it and one below: 0 + 2 * 2 is not 3
+    assert numfield._aberth_roots(Polynomial((0, 0, 0, 1)), 128) is None

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import ceil, isqrt
 
@@ -16,6 +19,7 @@ from latcount.errors import (
     SearchExhausted,
     SignUncertifiable,
 )
+import latcount
 from latcount.interval import RealInterval
 import latcount.numfield as numfield
 from latcount.numfield import (
@@ -189,6 +193,7 @@ def test_certified_signs_and_pattern():
 
 def test_exhausted_precision_errors_print_coordinates(monkeypatch):
     k = _golden()  # built first: its known_disc runs the budgeted degree bound
+    k.embeddings(64)  # and the roots that find_pisot's float prefilter reads
     monkeypatch.setattr(numfield, "_MAX_REFINE_ROUNDS", 0)
     with pytest.raises(PrecisionExhausted) as exc:
         find_pisot(k)
@@ -308,3 +313,21 @@ def test_fixed_signature_sequence_level_independent():
     assert all(s.rd_bound == first for s in seq[1:])
     with pytest.raises(InvalidT):
         fixed_signature_sequence(entry, t=0)
+
+
+def test_tower_catalog_reads_without_importlib_resources():
+    # -S skips site, which on some hosts imports importlib.resources itself
+    code = (
+        "import sys\n"
+        "from latcount.cli import entry\n"
+        "code = entry(['tower'])\n"
+        "print(code, 'importlib.resources' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(latcount.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "martinet" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 False"

@@ -37,6 +37,7 @@ from oracles import (
     su3_order_f2,
     zeta2_bracket,
     zeta_even_bracket,
+    zeta2_l3_chi_minus3_bracket,
 )
 
 A1 = root_system("A", 1)
@@ -324,6 +325,28 @@ def test_covolume_outer_needs_extension():
     # 5^(dim/2) = 625 times the bracket [1, (4^d |N|)^(s/2)] = [1, 1024]
     assert res.disc_factor.lo == 625
     assert res.disc_factor.hi == 640000
+
+
+def test_outer_euler_factor_contains_the_twisted_product(capsys):
+    # outer A2 over Q split by Q(sqrt -3): the factor at the exponent 2 is
+    # L(3, chi_-3), enclosed by [zeta(6)/zeta(3), zeta(3)]; the true product
+    # zeta(2) L(3, chi_-3) = 1.4541... lies below zeta(2) zeta(3) = 1.9773...
+    exact = RealInterval(*zeta2_l3_chi_minus3_bracket())
+    assert Fraction("1.4541") < exact.lo < exact.hi < Fraction("1.4542")
+    outer_a2 = with_form(root_system("A", 2), OUTER_2)
+    q = field_from_polynomial("x-1")
+    coarse, fine = prasad.euler_product_E(q, outer_a2, [10 ** 3, 10 ** 4])
+    assert fine.encloses(exact) and coarse.encloses(fine)
+    assert entry(["covolume", "--field", "Q", "--type", "A2", "--outer", "--alpha", "-3",
+                  "--s-param", "5", "--prime-bound", "10000"]) == 0
+    assert "\neuler_factor: [1.39215191388, 1.977680457066]\n" in capsys.readouterr().out
+    # outer D4 twists one of its two exponents 3: the lower end is then
+    # zeta(2) zeta(6) zeta(8), not zeta(2) zeta(6) zeta(8)^2 / zeta(4)
+    outer_d4 = with_form(root_system("D", 4), OUTER_2)
+    (euler,) = prasad.euler_product_E(q, outer_d4, [10 ** 4])
+    pi = pi_bracket()
+    z2, z6, z8 = (zeta_even_bracket(s, pi) for s in (2, 6, 8))
+    assert z2[0] * z6[0] < euler.lo < z2[1] * z6[1] * z8[1]
 
 
 def test_c1_martinet_pin():

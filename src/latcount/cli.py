@@ -456,7 +456,7 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # the flags therefore work in either position.
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--prec", type=int, default=default, help="working precision in bits (default 128, min 64)")
-    parser.add_argument("--prime-bound", type=int, default=default, help="Euler product truncation (default 100000, min 100)")
+    parser.add_argument("--prime-bound", type=int, default=default, help="Euler product truncation for fields of degree >= 2 (default 100000, min 100)")
     parser.add_argument("--format", choices=("table", "json", "csv"), default=default)
     parser.add_argument("--config", default=default, help="JSON config file")
     parser.add_argument("--threads", type=int, default=default, help="accepted for compatibility; must be >= 1, has no effect")

@@ -17,7 +17,9 @@ summed in fixed-point integers scaled by 2^F, with F a few guard bits above
 the working precision: floor-rounded terms give the lower end, ceil-rounded
 terms plus an explicit truncation bound the upper end (Brent & Zimmermann,
 Modern Computer Arithmetic, section 4.4).  The constants pi, ln 2 and e are
-kept per precision in small LRU caches.
+kept per precision in small LRU caches.  zeta(s) at integers s >= 2 is summed
+the same way from P. Borwein's alternating series, whose integer coefficients
+are kept per length in a small LRU cache as well.
 
 Nothing in here consults floating point.
 """
@@ -423,6 +425,62 @@ def ln_fraction(q: Rat, prec: int) -> RealInterval:
 def log2_fraction(q: Rat, prec: int) -> RealInterval:
     wp = prec + _GUARD
     return ln_fraction(q, wp).div(ln2_interval(wp), prec)
+
+
+@lru_cache(maxsize=8)
+def _borwein_d(n: int) -> tuple:
+    """d_0, ..., d_n with d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!).
+
+    The i-th term is n/(n+i) C(n+i, 2i) 4^i, a coefficient of the Chebyshev
+    polynomial T_n, so each step of the term recurrence divides exactly, and
+    d_n = T_n(3).
+    """
+    d = []
+    acc = 0
+    t = 1
+    for i in range(n + 1):
+        acc += t
+        d.append(acc)
+        t = t * 2 * (n + i) * (n - i) // ((i + 1) * (2 * i + 1))
+    return tuple(d)
+
+
+def zeta_interval(s: int, prec: int) -> RealInterval:
+    """Certified enclosure of zeta(s) for an integer s >= 2, of width <= 2^(2-prec).
+
+    P. Borwein's Algorithm 2 (CMS Conf. Proc. 27, 2000):
+
+        zeta(s) = sum_{k<n} (-1)^k (d_n - d_k) / (k+1)^s / (d_n (1 - 2^(1-s)))
+                  + gamma_n(s),  |gamma_n(s)| <= 3 / ((3+sqrt 8)^n (1 - 2^(1-s))).
+
+    d_n = ((3+sqrt 8)^n + (3-sqrt 8)^n) / 2 is at most (3+sqrt 8)^n, so the
+    integer d_n is the rational lower bound that turns the error term into
+    3 / (d_n (1 - 2^(1-s))).  The alternating sum is taken in fixed-point
+    integers at scale 2^F d_n: floor-rounded terms give the lower end,
+    ceil-rounded ones the upper end, and each end moves out by the error term.
+    """
+    if s < 2:
+        raise ValueError("zeta_interval needs an integer s >= 2")
+    # d_n > (3+sqrt 8)^n / 2 >= 2^(2.54 n - 1) >= 2^(prec + 7)
+    n = (prec + 8) * 50 // 127 + 1
+    d = _borwein_d(n)
+    dn = d[n]
+    F = n.bit_length() + 4  # the n rounding units of the sum stay below 2^F / 16
+    lo = hi = 0
+    for k in range(n):
+        num = (dn - d[k]) << F
+        den = (k + 1) ** s
+        if k % 2 == 0:
+            lo += num // den
+            hi += -(-num // den)
+        else:
+            lo -= -(-num // den)
+            hi -= num // den
+    # zeta = sum / (2^F d_n (1 - 2^(1-s))) and 1 - 2^(1-s) = (2^(s-1) - 1) / 2^(s-1)
+    denom = (dn * ((1 << (s - 1)) - 1)) << F
+    lo = (lo - (3 << F)) << (s - 1 + prec)
+    hi = (hi + (3 << F)) << (s - 1 + prec)
+    return RealInterval(Fraction(lo // denom, 1 << prec), Fraction(-(-hi // denom), 1 << prec))
 
 
 # ---------------------------------------------------------------- boxes

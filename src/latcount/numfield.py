@@ -765,18 +765,19 @@ def minkowski_degree_bound(abs_disc: int, prec: int = 64) -> int:
 def derived_minkowski_C(prec: int = 64) -> RealInterval:
     """Certified C with d <= C log2 |disc| for every field of degree >= 2.
 
-    C = sup over d of d / log2(stirling floor at the most imaginary
-    signature); the ratio is maximal at d = 2 and decays below 0.41 by
-    d = 64, so scanning that far certifies the supremum.
+    C = sup over d of d / log2(F_d), F_d the Stirling floor at the most
+    imaginary signature, and the supremum sits at d = 2, where the ratio
+    exceeds 1.  Every d >= 3 has F_d > 2^d, so its ratio is below 1: since
+    2 r2 <= d and pi < 4, F_d / 2^d >= q^d e^(-1/18) / (2 pi d) with
+    q = pi e^2 / 8 > 4/3, a bound that grows with d, and it exceeds 1 at
+    d = 3 already.  That check runs on rationals: pi between 333/106 and
+    355/113, e^2 above its Taylor sum to k = 8, e^(-1/18) above 17/18.
     """
-    best = None
-    for d in range(2, 65):
-        g = RealInterval.point(d).div(
-            _stirling_floor(d, d // 2, prec + 16).log2(prec + 16), prec
-        )
-        if best is None or g.hi > best.hi:
-            best = g
-    return best
+    q = Fraction(333, 848) * sum(Fraction(2 ** k, factorial(k)) for k in range(9))
+    assert q > Fraction(4, 3) and q ** 3 * Fraction(17, 18) > 6 * Fraction(355, 113)
+    c = RealInterval.point(2).div(_stirling_floor(2, 1, prec + 16).log2(prec + 16), prec)
+    assert c.lo > 1
+    return c
 
 
 def root_discriminant(field: NumberField, prec: int = 128) -> RealInterval:

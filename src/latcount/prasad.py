@@ -10,9 +10,12 @@ bounds, and the assembly of the volume formula
 
     D^(dim/2) * (D_rel)^(s/2) * (prod_i m_i!/(2 pi)^(m_i+1))^d * E * Lambda.
 
-The truncated Euler products come from one pass over the primes that keeps
-floor- and ceil-rounded fixed-point integers per zeta argument, so they
-enclose the exact rational products; every transcendental enters as a
+Over Q each zeta(s) is enclosed to the working precision by P. Borwein's
+alternating series with its explicit error bound (interval.zeta_interval),
+so no prime is visited and the prime bound changes nothing.  Over a field of
+degree >= 2 the truncated Euler products come from one pass over the primes
+that keeps floor- and ceil-rounded fixed-point integers per zeta argument, so
+they enclose the exact rational products; every transcendental enters as a
 certified interval, so the reported covolume is a true enclosure.
 """
 
@@ -24,7 +27,14 @@ from math import ceil, factorial, isqrt
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import NonIntegralOrder
-from .interval import RealInterval, exp_fraction, pi_interval, round_down, round_up
+from .interval import (
+    RealInterval,
+    exp_fraction,
+    pi_interval,
+    round_down,
+    round_up,
+    zeta_interval,
+)
 from .liedata import OUTER_2, LieTypeData, outer2_signs, split_signs
 from .numfield import NumberField, element_norm
 from .pisot_tower import QuadraticExtensionData
@@ -197,17 +207,25 @@ def euler_product_E(
     """prod_i zeta_k(m_i + 1) as a certified interval at each ascending prime
     bound, from one pass over the primes.
 
+    Over Q every zeta(s) comes from interval.zeta_interval instead, which does
+    not depend on the bound, so each bound gets the same interval.
+
     An outer form's factor at the exponents where outer2_signs is +1 is
     L(s, chi) for the quadratic character chi of the splitting field, s =
     m_i + 1.  Each of its local factors (1 - chi(P) q^-s)^-1 lies between
     (1 + q^-s)^-1 and (1 - q^-s)^-1, so L(s, chi) is enclosed by
-    [zeta_k(2s)/zeta_k(s), zeta_k(s)], with zeta_k(2s) from the same pass.
+    [zeta_k(2s)/zeta_k(s), zeta_k(s)], with zeta_k(2s) taken the same way.
     """
     wp = precision + 16
     signs = outer2_signs(data) if data.form == OUTER_2 else split_signs(data)
     twisted = [2 * m + 2 for m, sign in zip(data.exponents, signs) if sign == 1]
+    s_values = [m + 1 for m in data.exponents] + twisted
+    if k.degree == 1:
+        passes = [{s: zeta_interval(s, wp) for s in set(s_values)}] * len(bounds)
+    else:
+        passes = _zeta_pass(k, s_values, bounds, wp)
     out = []
-    for zetas in _zeta_pass(k, [m + 1 for m in data.exponents] + twisted, bounds, wp):
+    for zetas in passes:
         product = RealInterval.point(1)
         for m, sign in zip(data.exponents, signs):
             z = zetas[m + 1]
@@ -261,7 +279,8 @@ def covolume(
     disc_factor as the bracket [1, rel_bound^(s/2)]; lambda_bound is
     [1, p0^(d dim)] when a distinguished ramified place is declared.  The
     same Euler pass also yields coarse_value, the covolume truncated at
-    coarse_bound(prime_bound), whenever that bound is below prime_bound.
+    coarse_bound(prime_bound), whenever that bound is below prime_bound;
+    over Q, where no prime is visited, it equals value.
     """
     wp = precision + 16
     d = k.degree

@@ -288,3 +288,17 @@ def zeta2_l3_chi_minus3_bracket(pi=None, bits: int = 200):
         2 * lo ** 5 / (243 * Fraction(r + 1, 1 << bits)),
         2 * hi ** 5 / (243 * Fraction(r, 1 << bits)),
     )
+
+
+# zeta(3), zeta(5) and zeta(7) truncated after 50 decimals
+ZETA_ODD_50 = {
+    3: "1.20205690315959428539973816151144999076498629234049",
+    5: "1.03692775514336992633136548645703416805708091950191",
+    7: "1.00834927738192282683979754984979675959986356056523",
+}
+
+
+def zeta_odd_bracket(s: int):
+    """[lo, hi] for zeta(s), s in (3, 5, 7): the 50-decimal truncation and 10^-50 above it."""
+    lo = Fraction(ZETA_ODD_50[s])
+    return lo, lo + Fraction(1, 10 ** 50)

@@ -26,7 +26,12 @@ from latcount.interval import (
     pi_interval,
     round_down,
     round_up,
+    zeta_interval,
 )
+from latcount.numfield import field_from_polynomial
+from latcount.prasad import dedekind_zeta_partial
+
+from oracles import pi_bracket, zeta_even_bracket, zeta_odd_bracket
 
 PI_50 = Fraction("3.14159265358979323846264338327950288419716939937511")
 
@@ -254,6 +259,47 @@ def test_constants_width(prec):
         iv = fn(prec)
         assert iv.lo < value < iv.hi
         assert iv.width() <= Fraction(4, 2 ** prec)
+
+
+ZETA_PRECS = (64, 128, 512, 2048)
+
+
+@pytest.fixture(scope="module")
+def fine_pi():
+    # about 2^-2200 wide, so the Bernoulli brackets are narrower than 2^-2048
+    return pi_bracket(1100)
+
+
+@pytest.mark.parametrize("prec", ZETA_PRECS)
+def test_zeta_interval_encloses_bernoulli_closed_forms(prec, fine_pi):
+    for s in range(2, 31, 2):
+        iv = zeta_interval(s, prec)
+        assert iv.encloses(RealInterval(*zeta_even_bracket(s, fine_pi))), s
+        assert iv.width() <= Fraction(4, 2 ** prec), s
+
+
+@pytest.mark.parametrize("prec", ZETA_PRECS)
+def test_zeta_interval_at_odd_s(prec):
+    for s in (3, 5, 7):
+        iv = zeta_interval(s, prec)
+        oracle = RealInterval(*zeta_odd_bracket(s))
+        # from 166 bits on the kernel is narrower than the oracle's 10^-50
+        assert iv.encloses(oracle) if prec < 166 else oracle.encloses(iv), s
+    for s in range(3, 32, 2):
+        assert zeta_interval(s, prec).width() <= Fraction(4, 2 ** prec), s
+
+
+@pytest.mark.parametrize("prec", (128, 512))
+def test_zeta_interval_inside_the_truncated_euler_product(prec):
+    q = field_from_polynomial("x-1")
+    for s in range(2, 32):
+        assert dedekind_zeta_partial(q, s, 10 ** 4).encloses(zeta_interval(s, prec)), s
+
+
+def test_zeta_interval_rejects_s_below_two():
+    for s in (1, 0, -3):
+        with pytest.raises(ValueError):
+            zeta_interval(s, 64)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -228,6 +228,10 @@ def test_derived_constant():
     assert Fraction("1.53603730") < c.lo
     assert c.hi < Fraction("1.53603731")
     assert c.width() < Fraction(1, 10 ** 6)
+    # the full scan over d = 3..64 stays below 1, under the d = 2 ratio
+    for d in range(3, 65):
+        floor_iv = numfield._stirling_floor(d, d // 2, 80)
+        assert RealInterval.point(d).div(floor_iv.log2(80), 64).hi < 1 < c.lo, d
 
 
 def test_root_discriminant():
@@ -446,6 +450,18 @@ place,kind,re_lo,re_hi,im_lo,im_hi
 # disc_factor: [41.569219381653, 41.569219381654]
 # arch_factor: [0.00064162389, 0.000641623891]
 # euler_factor: [1.07099160559, 2.409827503751]
+# lambda_bound: [1, 1]
+# prime_bound_used: 100000
+# note: interval at prime bound 100000 nests inside the bound-10000 interval: ok
+""",
+    ("covolume", "--field", "Q", "--type", "E8"): """\
+# type: E8
+# field: x - 1
+# nesting_check: ok
+# value: [13934.488526924393, 13934.488526924394]
+# disc_factor: [1, 1]
+# arch_factor: [8434.120587063026, 8434.120587063027]
+# euler_factor: [1.652156663291, 1.652156663292]
 # lambda_bound: [1, 1]
 # prime_bound_used: 100000
 # note: interval at prime bound 100000 nests inside the bound-10000 interval: ok

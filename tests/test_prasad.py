@@ -284,8 +284,9 @@ def test_covolume_rationals_a1():
     assert res.factor_product().encloses(res.value)
     assert res.disc_factor.contains(1)
     assert res.prime_bound_used == 10 ** 4
-    # the same pass snapshots the bound-1000 value, which must nest
-    assert res.coarse_value.encloses(res.value)
+    # over Q the zeta values do not depend on the bound, so the bound-1000
+    # snapshot is the value itself
+    assert res.coarse_value == res.value
     assert covolume(q, None, A1, prime_bound=1000).value == res.coarse_value
     assert covolume(q, None, A1, prime_bound=100).coarse_value is None
 
@@ -304,6 +305,35 @@ def test_covolume_over_q_contains_bernoulli_closed_form(family, rank):
         exact *= abs(bernoulli(m + 1)) / (m + 1)
     assert res.value.contains(exact)
     assert res.value.lo > 0
+    # the zeta values are exact to the working precision, not to a prime bound
+    assert res.value.width() < res.value.lo / 2 ** 100
+
+
+def _refuse(*args):
+    raise AssertionError("the rationals reached the prime loop")
+
+
+@pytest.mark.parametrize("argv", [
+    "--type E8",
+    "--type A1 --prime-bound 1000",
+    "--type G2 --p0 3",
+    "--type A2 --outer --alpha -3 --s-param 5",
+])
+def test_covolume_over_q_visits_no_prime(monkeypatch, capsys, argv):
+    monkeypatch.setattr(prasad, "_zeta_pass", _refuse)
+    monkeypatch.setattr(prasad, "prime_list", _refuse)
+    assert entry(["covolume", "--field", "Q", *argv.split()]) == 0
+    out = capsys.readouterr().out
+    assert "\nnesting_check: ok\n" in out and "\nprime_bound_used: " in out
+
+
+@pytest.mark.parametrize("type_name", ["A3", "B2", "G2", "E6", "E8"])
+def test_covolume_over_q_is_the_same_at_every_bound(type_name):
+    q = field_from_polynomial("x-1")
+    data = parse_type(type_name)
+    res = covolume(q, None, data, prime_bound=10 ** 5)
+    assert res.coarse_value == res.value
+    assert covolume(q, None, data, prime_bound=100).value == res.value
 
 
 def test_covolume_lambda_bracket():
@@ -339,7 +369,7 @@ def test_outer_euler_factor_contains_the_twisted_product(capsys):
     assert fine.encloses(exact) and coarse.encloses(fine)
     assert entry(["covolume", "--field", "Q", "--type", "A2", "--outer", "--alpha", "-3",
                   "--s-param", "5", "--prime-bound", "10000"]) == 0
-    assert "\neuler_factor: [1.39215191388, 1.977680457066]\n" in capsys.readouterr().out
+    assert "\neuler_factor: [1.392165592104, 1.977304350298]\n" in capsys.readouterr().out
     # outer D4 twists one of its two exponents 3: the lower end is then
     # zeta(2) zeta(6) zeta(8), not zeta(2) zeta(6) zeta(8)^2 / zeta(4)
     outer_d4 = with_form(root_system("D", 4), OUTER_2)

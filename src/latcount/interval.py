@@ -526,11 +526,6 @@ class ComplexBox:
     def round_out(self, prec: int) -> "ComplexBox":
         return ComplexBox(self.re.round_out(prec), self.im.round_out(prec))
 
-    def abs_sq(self) -> RealInterval:
-        lo2 = self.re.abs()
-        hi2 = self.im.abs()
-        return lo2 * lo2 + hi2 * hi2
-
     def disjoint(self, other: "ComplexBox") -> bool:
         return (
             self.re.hi < other.re.lo

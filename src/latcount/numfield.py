@@ -16,9 +16,16 @@ r1 + 2 r2 = deg f of them: so each holds exactly one root, which certifies
 the signature too.  Aligned cells containing the same root nest, so the real
 enclosures at two precisions nest in either order.  A seed that fails costs
 one more precision doubling; every precision escalation, here and in
-pisot_tower, iterates over `doublings`.  The irreducibility subset test
-skips every set of roots whose interval sum contains no integer before it
-multiplies out the candidate factor.
+pisot_tower, iterates over `doublings`.
+
+Irreducibility is exact and never looks at a root (Zassenhaus's method; von
+zur Gathen-Gerhard, Modern Computer Algebra, ch. 14-15).  Residue degrees at
+a few good primes leave the possible factor degrees; if one survives, the
+factors at one prime p are Hensel-lifted to p^k > 2 B, B = 2^(d/2) ||f||_2.
+Every monic factor over Z of degree m <= d/2 reduces to the product of a
+subset of the factors mod p, so by uniqueness of the lift it is that
+subset's product mod p^k, and its coefficients lie within the Mignotte bound
+C(m, j) ||f||_2 <= B: the symmetric residues of the product are the factor.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import ceil, cos, factorial, floor, isqrt, ldexp, sin, tau
+from math import cos, factorial, isqrt, ldexp, sin, tau
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -43,7 +50,14 @@ from .interval import (
     round_down,
     round_up,
 )
-from .polymod import _trim, distinct_degree_degrees, prime_list
+from .polymod import (
+    _poly_mul,
+    _trim,
+    distinct_degree_blocks,
+    equal_degree_split,
+    hensel_lift,
+    prime_list,
+)
 
 _MAX_REFINE_ROUNDS = 10
 
@@ -469,87 +483,54 @@ def _nest_boxes(new, old):
 
 # ---------------------------------------------------------- irreducibility
 
-def _modular_degree_patterns(poly: Polynomial, zk_disc: int, tries: int = 8):
-    """Intersection of achievable proper-factor degrees across good primes.
+_SCREEN_PRIMES = 8
+_MAX_SUBSETS = 1 << 16
 
-    Good primes do not divide zk_disc = disc(poly).  Empty set proves
-    irreducibility; otherwise the certified subset test below examines only
-    the surviving sizes.
+
+def _assert_irreducible(poly: Polynomial, zk_disc: int) -> None:
+    """Raise ReduciblePolynomial naming the least factor degree if poly is reducible.
+
+    Open degrees are sums of residue degrees at every screened prime (not
+    dividing zk_disc = disc(poly)); the odd one with the fewest factors is lifted.
     """
-    d = poly.degree
-    possible = set(range(1, d))
-    good_primes = (p for p in prime_list(1000) if zk_disc % p)
-    for p in itertools.islice(good_primes, tries):
+    f, d = poly.coefficients, poly.degree
+    sizes, screened = set(range(1, d // 2 + 1)), []
+    # the odd primes below the bound multiply to more than |zk_disc|: one is good
+    bound = max(1000, 16 * zk_disc.bit_length())
+    good_primes = (p for p in prime_list(bound) if zk_disc % p)
+    for p in itertools.islice(good_primes, _SCREEN_PRIMES):
+        blocks = distinct_degree_blocks(f, p)
         sums = {0}
-        for e in distinct_degree_degrees(poly.coefficients, p):
-            sums |= {s + e for s in sums}
-        possible &= {s for s in sums if 0 < s < d}
-        if not possible:
-            break
-    return possible
-
-
-def _interval_poly_mul(a: list, b: list) -> list:
-    out = [RealInterval.point(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _try_integer_candidate(coeff_ivs):
-    """Unique integer inside each interval, or None/'wide'."""
-    cand = []
-    for iv in coeff_ivs:
-        lo, hi = ceil(iv.lo), floor(iv.hi)
-        if lo > hi:
-            return None
-        if lo != hi:
-            return "wide"
-        cand.append(lo)
-    return cand
-
-
-def _assert_irreducible(poly: Polynomial, zk_disc: int, field_prec: int, get_enclosures):
-    d = poly.degree
-    sizes = _modular_degree_patterns(poly, zk_disc)
-    sizes = {s for s in sizes if s <= d // 2}
-    if not sizes:
-        return
-    if d > 22:  # pragma: no cover - the subset test enumerates 2^(r1+r2) masks
-        raise PrecisionExhausted(
-            f"irreducibility of {poly}: degree too large for the subset test"
-        )
-    for prec in doublings(field_prec, PrecisionExhausted(f"irreducibility of {poly}")):
-        reals, boxes = get_enclosures(prec)
-        units = [(1, [(-r), RealInterval.point(1)]) for r in reals]
-        units += [
-            (2, [b.abs_sq(), b.re * (-2), RealInterval.point(1)]) for b in boxes
-        ]
-        widened = False
-        for mask in range(1, 1 << len(units)):
-            chosen = [u for i, u in enumerate(units) if mask >> i & 1]
-            size = sum(u[0] for u in chosen)
-            if size not in sizes:
-                continue
-            # a monic integer factor has an integer x^(size-1) coefficient,
-            # minus the sum of its roots: test that before any product
-            minus_trace = sum((u[1][-2] for u in chosen), RealInterval.point(0))
-            if ceil(minus_trace.lo) > floor(minus_trace.hi):
-                continue
-            prod = [RealInterval.point(1)]
-            for _, factor in chosen:
-                prod = _interval_poly_mul(prod, factor)
-            cand = _try_integer_candidate(prod[:-1])
-            if cand == "wide":
-                widened = True
-                continue
-            if cand is not None and not _fp_rem(poly.coefficients, cand + [1]):
-                raise ReduciblePolynomial(
-                    f"{poly} has factor of degree {size}"
-                )
-        if not widened:
+        for i, g in blocks:
+            for _ in range((len(g) - 1) // i):
+                sums |= {s + i for s in sums}
+        sizes &= sums
+        if not sizes:
             return
+        if p > 2:
+            screened.append((sum((len(g) - 1) // i for i, g in blocks), p, blocks))
+    _, p, blocks = min(screened)
+    k, q = 1, p
+    while q * q <= 4 ** (d // 2 + 1) * sum(c * c for c in f):  # q > 2 B
+        k, q = k + 1, q * p
+    lifts = hensel_lift(f, [h for i, g in blocks for h in equal_degree_split(g, i, p)], p, k)
+    least, most = min(len(g) for g in lifts) - 1, max(len(g) for g in lifts) - 1
+    subsets = (
+        (s, chosen) for s in sorted(sizes) for j in range(-(-s // most), s // least + 1)
+        for chosen in itertools.combinations(lifts, j)
+    )
+    for tested, (s, chosen) in enumerate(subsets):
+        if tested == _MAX_SUBSETS:
+            raise PrecisionExhausted(f"irreducibility of {poly}: over {_MAX_SUBSETS} subsets")
+        if sum(len(g) - 1 for g in chosen) != s:
+            continue
+        cand = [1]
+        for g in chosen:
+            cand = [c % q for c in _poly_mul(cand, g)]
+        cand = [c - q if 2 * c > q else c for c in cand]
+        # a factor's constant coefficient divides f's
+        if cand[0] and f[0] % cand[0] == 0 and not _fp_rem(f, cand):
+            raise ReduciblePolynomial(f"{poly} has factor of degree {s}")
 
 
 def field_from_polynomial(
@@ -586,7 +567,7 @@ def field_from_polynomial(
     field = NumberField(poly, d, r1, r2, zk_disc, zk_disc, precision, {precision: (reals, boxes)})
     if d == 1:
         return field
-    _assert_irreducible(poly, zk_disc, precision, field.embeddings)
+    _assert_irreducible(poly, zk_disc)
 
     if known_disc is not None:
         if (known_disc < 0) != (r2 % 2 == 1):

@@ -1,11 +1,11 @@
 """Dense polynomial arithmetic over F_p and a prime sieve.
 
 Polynomials are lists of ints (constant coefficient first), reduced mod p.
-Only what the splitting and irreducibility code needs: gcd, Frobenius powers
-and distinct-degree factorization degrees, for monic f and p not dividing
-disc(f) (so f mod p is squarefree; the callers skip the other primes).  Two
-callers remain: numfield's irreducibility test, and prasad's prime splitting
-for the primes the quadratic character of disc(f) leaves open: cubics with
+Only what the splitting and irreducibility code needs: distinct-degree,
+equal-degree and Hensel factoring for monic f and p not dividing disc(f) (so
+f mod p is squarefree; the callers skip the other primes).  numfield's
+irreducibility decision uses all of it; prasad's prime splitting reads residue
+degrees where the quadratic character of disc(f) leaves them open: cubics with
 (disc/p) = +1 (a cyclic cubic, disc = m^2, only at the first prime of each
 residue class mod m) and fields of degree >= 4.
 
@@ -176,34 +176,93 @@ def _poly_div_exact(a, b, p):
     return _trim(out)
 
 
-def _poly_sub_x(h, p):
-    """h - x mod p."""
-    out = list(h) + [0] * max(0, 2 - len(h))
-    out[1] = (out[1] - 1) % p
+def _poly_sub_xj(h, j: int, p):
+    """h - x^j mod p."""
+    out = list(h) + [0] * max(0, j + 1 - len(h))
+    out[j] = (out[j] - 1) % p
     return _trim(out)
 
 
-def distinct_degree_degrees(f, p: int):
-    """Residue degrees of monic f over F_p, one entry per irreducible factor.
+def _poly_mul(a, b) -> list:
+    """a b over Z."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def distinct_degree_blocks(f, p: int) -> list:
+    """[(i, g_i)], i ascending: g_i is the product of the degree-i factors of f over F_p.
 
     Precondition: f is monic and p does not divide disc(f), so f mod p is
-    squarefree; the caller decides bad primes.  Returns a sorted tuple.
+    squarefree; the caller decides bad primes.
     """
-    degrees = []
+    blocks = []
     rem = poly_mod(f, p)
     h = [0, 1]  # x^(p^i) mod rem, advanced once per iteration
     i = 0
     while len(rem) - 1 >= 2 * (i + 1):
         i += 1
         h = poly_powmod(h, p, rem, p)
-        common = poly_gcd(rem, _poly_sub_x(h, p), p)
+        common = poly_gcd(rem, _poly_sub_xj(h, 1, p), p)
         if len(common) > 1:
-            deg_c = len(common) - 1
-            degrees.extend([i] * (deg_c // i))
+            blocks.append((i, common))
             rem = _poly_div_exact(rem, common, p)
             if len(rem) - 1 >= 1:
                 h = poly_rem(h, rem, p)
     if len(rem) - 1 > 0:
         # all factors of degree <= i are gone; what remains is irreducible
-        degrees.append(len(rem) - 1)
-    return tuple(sorted(degrees))
+        blocks.append((len(rem) - 1, rem))
+    return blocks
+
+
+def distinct_degree_degrees(f, p: int):
+    """Sorted residue degrees of f over F_p, one per irreducible factor; f, p as above."""
+    return tuple(i for i, g in distinct_degree_blocks(f, p) for _ in range((len(g) - 1) // i))
+
+
+def equal_degree_split(g, i: int, p: int) -> list:
+    """Sorted irreducible factors of a block g of degree-i factors over F_p, p odd.
+
+    Cantor-Zassenhaus: b = a^((p^i - 1)/2) mod h is 0 or +-1 modulo each
+    factor of h, so gcd(h, b - 1) splits h about every other draw of a.  The
+    draws are seeded with (g, p), so a block always splits the same way.
+    """
+    if len(g) - 1 == i:
+        return [g]
+    import random  # only a block of several factors draws
+
+    rng = random.Random(repr((p, g)))
+    while True:
+        b = poly_powmod([rng.randrange(p) for _ in range(len(g) - 1)], (p ** i - 1) // 2, g, p)
+        c = poly_gcd(g, _poly_sub_xj(b, 0, p), p)
+        if 1 < len(c) < len(g):
+            rest = _poly_div_exact(g, c, p)
+            return sorted(equal_degree_split(c, i, p) + equal_degree_split(rest, i, p))
+
+
+def hensel_lift(f, factors, p: int, k: int) -> list:
+    """Monic G_j = g_j (mod p), coefficients in [0, p^k), with prod G_j = f (mod p^k).
+
+    The g_j are the monic irreducible factors of monic f mod p.  Step m: if
+    f - prod G_j = q e, q = p^m, then d_j = e s_j mod g_j with s_j = (f / g_j)^-1
+    = (f / g_j)^(p^deg g_j - 2) in F_p[x]/(g_j) gives sum_j d_j f / g_j = e mod p
+    (degree < deg f, equal mod every g_j), so the G_j + q d_j hold mod p q.
+    """
+    fp = poly_mod(f, p)
+    inverses = [
+        poly_powmod(_poly_div_exact(fp, g, p), p ** (len(g) - 1) - 2, g, p) for g in factors
+    ]
+    lifts = [list(g) for g in factors]
+    q = p
+    for _ in range(k - 1):
+        prod = [1]
+        for lift in lifts:
+            prod = _poly_mul(prod, lift)
+        e = [(a - b) // q % p for a, b in zip(f, prod)]
+        for lift, g, s in zip(lifts, factors, inverses):
+            for j, c in enumerate(poly_rem(_poly_mul(e, s), g, p)):
+                lift[j] += q * c
+        q *= p
+    return lifts

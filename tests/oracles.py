@@ -71,6 +71,42 @@ def discriminant_oracle(coeffs) -> Fraction:
     return sign * res / cs[-1]
 
 
+def cyclotomic(n: int) -> list:
+    """Integer coefficients of Phi_n: x^n - 1 divided by Phi_d for d | n, d < n."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = cyclotomic(d)
+            quo = [0] * (len(num) - len(den) + 1)
+            for shift in range(len(quo) - 1, -1, -1):
+                c = num[shift + len(den) - 1]
+                quo[shift] = c
+                for i, dc in enumerate(den):
+                    num[shift + i] -= c * dc
+            num = quo
+    return num
+
+
+def real_cyclotomic(n: int) -> list:
+    """Minimal polynomial of 2 cos(2 pi / n), n >= 3, constant coefficient first.
+
+    Phi_n is palindromic of degree 2m, so Phi_n(z) / z^m = c_m + sum_k c_(m+k)
+    (z^k + z^-k), and z^k + z^-k = D_k(z + 1/z) with D_0 = 2, D_1 = y and
+    D_k = y D_(k-1) - D_(k-2).
+    """
+    phi = cyclotomic(n)
+    m = (len(phi) - 1) // 2
+    chebyshev = [[2], [0, 1]]
+    while len(chebyshev) <= m:
+        prev, prev2 = chebyshev[-1], chebyshev[-2] + [0, 0]
+        chebyshev.append([a - b for a, b in zip([0] + prev, prev2)])
+    out = [phi[m]] + [0] * m
+    for k in range(1, m + 1):
+        for i, a in enumerate(chebyshev[k]):
+            out[i] += phi[m + k] * a
+    return out
+
+
 # --------------------------------------------------------- finite field data
 
 def gf_tables(q: int):

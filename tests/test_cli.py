@@ -21,6 +21,8 @@ from latcount.pisot_tower import (
 )
 from latcount.prasad import covolume_synthetic, covolume_upper_c1, prime_splitting
 
+from oracles import real_cyclotomic
+
 PARAM_KEYS = ["C", "C1", "C2", "c4", "f1", "s_embed"]
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -129,6 +131,16 @@ def test_exit_codes(capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
         assert "invalid literal" not in err.lower()
+
+
+def test_irreducibility_exit_codes_past_degree_22(capsys):
+    # x^24+1 = (x^8+1)(x^16-x^8+1); Phi_64 = x^32+1 and Psi_65 are irreducible
+    assert entry(["field", "--poly", "x^24+1"]) == 2
+    assert capsys.readouterr().err == "error: x^24 + 1 has factor of degree 8\n"
+    assert entry(["field", "--poly", "x^32+1"]) == 0
+    psi_65 = str(Polynomial(real_cyclotomic(65)))
+    assert entry(["field", "--poly", psi_65]) == 0
+    assert "signature: [24, 0]" in capsys.readouterr().out
 
 
 def test_exhausted_budget_exits_3(capsys, monkeypatch):
@@ -586,7 +598,7 @@ def test_readme_examples(capsys):
         assert program == "latcount", line
         assert entry(argv) == 0, line
         outputs[line] = capsys.readouterr().out
-    assert len(outputs) == 11
+    assert len(outputs) == 12
     field = _readme_block("A field report looks like:")
     assert field[field.index("poly:") :] in outputs['latcount field --poly "x^3-x-1"']
     value = _readme_block("and the rationals' A1 covolume")

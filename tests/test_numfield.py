@@ -10,6 +10,7 @@ from mpmath import libmp, mp
 
 from latcount.errors import (
     InvalidDiscriminant,
+    PrecisionExhausted,
     ReduciblePolynomial,
     SearchExhausted,
 )
@@ -28,9 +29,9 @@ from latcount.numfield import (
     root_discriminant,
     _sign_at,
 )
-from latcount.polymod import distinct_degree_degrees
+from latcount.polymod import distinct_degree_blocks, prime_list
 
-from oracles import discriminant_oracle
+from oracles import discriminant_oracle, real_cyclotomic
 
 
 def _random_poly(rng):
@@ -73,8 +74,9 @@ def test_reducible_rejected():
 
 
 def test_irreducible_accepted_without_rational_roots():
-    # x^4+1 has no rational roots or linear factors; the certificate must
-    # come from the conjugate-product subset test, not root search
+    # x^4+1 has no rational roots and is reducible mod every prime; the
+    # certificate must come from lifting its factors mod p and dividing by
+    # their products, not from root search
     k = field_from_polynomial("x^4+1")
     assert k.degree == 4 and k.signature == (0, 2)
     assert field_from_polynomial("x^4-10x^2+1").signature == (4, 0)
@@ -87,9 +89,9 @@ def test_modular_patterns_skip_primes_dividing_disc(monkeypatch):
     def checked_ddf(f, p):
         assert 256 % p != 0, p
         factored.append(p)
-        return distinct_degree_degrees(f, p)
+        return distinct_degree_blocks(f, p)
 
-    monkeypatch.setattr(numfield, "distinct_degree_degrees", checked_ddf)
+    monkeypatch.setattr(numfield, "distinct_degree_blocks", checked_ddf)
     assert field_from_polynomial("x^4+1").degree == 4
     assert factored == [3, 5, 7, 11, 13, 17, 19, 23]
 
@@ -106,7 +108,8 @@ PSI = {
 
 @pytest.mark.parametrize("n", (56, 72, 84))
 def test_real_cyclotomic_degree_12_irreducible(n):
-    # totally real of degree 12: the subset test meets every size 1..6
+    # totally real of degree 12 with a non-cyclic Galois group: every size
+    # 1..6 survives the screen, and the lifted factors decide
     k = field_from_polynomial(PSI[n])
     assert k.signature == (12, 0)
 
@@ -118,6 +121,47 @@ def test_real_cyclotomic_product_has_degree_6_factor():
             f[i + j] += a * b
     with pytest.raises(ReduciblePolynomial, match="has factor of degree 6"):
         field_from_polynomial(f)
+
+
+@pytest.mark.parametrize("n", (65, 104, 105, 112))
+def test_real_cyclotomic_degree_24_irreducible(n):
+    # no d-cycle in (Z/n)^x/{+-1}: every good prime leaves factor sizes open
+    assert field_from_polynomial(real_cyclotomic(n), 128).signature == (24, 0)
+
+
+def test_swinnerton_dyer_degree_16_irreducible():
+    # minimal polynomial of sqrt2 + sqrt3 + sqrt5 + sqrt7: only factors of
+    # degree 1 and 2 at every prime, so the screen never decides
+    sd = (46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0,
+          -141912, 0, 6476, 0, -136, 0, 1)
+    assert field_from_polynomial(sd).signature == (16, 0)
+
+
+def test_product_names_least_factor_degree():
+    # (x^2 - x + 1)(x^3 + x^2 + x + 2)(x^5 + x^4 - x^3 + x^2 + 2x - 1), no
+    # rational roots; the factor of degree 2 is named, not the one of degree 3
+    f = [1]
+    for g in ((1, -1, 1), (2, 1, 1, 1), (-1, 2, 1, -1, 1, 1)):
+        f = [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g))
+             for k in range(len(f) + len(g) - 1)]
+    assert f == [-2, 5, -2, 0, 7, -1, 2, 4, 0, 1, 1]
+    with pytest.raises(ReduciblePolynomial, match="has factor of degree 2$"):
+        field_from_polynomial(f)
+
+
+def test_irreducible_when_every_prime_below_1000_divides_disc():
+    # disc(x^2 - D) = 4D: the first good prime is 1009
+    D = 1
+    for p in prime_list(1000):
+        D *= p
+    assert field_from_polynomial((-D, 0, 1)).signature == (2, 0)
+
+
+def test_subset_budget_exhausts(monkeypatch):
+    # x^4+1 leaves two quadratic factors mod 3, so two subsets of degree 2
+    monkeypatch.setattr(numfield, "_MAX_SUBSETS", 1)
+    with pytest.raises(PrecisionExhausted, match="over 1 subsets"):
+        field_from_polynomial("x^4+1")
 
 
 def test_known_disc_validation():
@@ -163,7 +207,7 @@ def test_norm_contained_in_embedding_product():
         for r in places[: k.r1]:
             iv = iv * r
         for b in places[k.r1 :]:
-            iv = iv * b.abs_sq()
+            iv = iv * (b * b.conjugate()).re  # |b|^2
         assert iv.contains(element_norm(e))
 
 

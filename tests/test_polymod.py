@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from latcount.numfield import field_from_polynomial
 from latcount.polymod import (
+    distinct_degree_blocks,
     distinct_degree_degrees,
+    equal_degree_split,
+    hensel_lift,
     poly_gcd,
     poly_powmod,
     prime_list,
@@ -13,7 +16,7 @@ from latcount.polymod import (
 )
 from latcount.prasad import prime_splitting
 
-from oracles import discriminant_oracle
+from oracles import cyclotomic, discriminant_oracle
 
 
 def test_prime_sieve():
@@ -170,27 +173,11 @@ def _large_primes(rng, count):
     return (2, 3, 5) + tuple(rng.sample(pool, count)) + _EDGE_PRIMES
 
 
-def _cyclotomic(n):
-    """Integer coefficients of Phi_n: x^n - 1 divided by Phi_d for d | n, d < n."""
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _cyclotomic(d)
-            quo = [0] * (len(num) - len(den) + 1)
-            for shift in range(len(quo) - 1, -1, -1):
-                c = num[shift + len(den) - 1]
-                quo[shift] = c
-                for i, dc in enumerate(den):
-                    num[shift + i] -= c * dc
-            num = quo
-    return num
-
-
 def test_cyclotomic_splitting_at_large_primes():
     # p splits in Q(zeta_n) into phi(n)/ord_n(p) primes of degree ord_n(p)
     rng = random.Random(503)
     for n in (5, 7, 8, 9, 13, 16, 21):
-        phi_n = _cyclotomic(n)
+        phi_n = cyclotomic(n)
         for p in _large_primes(rng, 6):
             if n % p == 0:
                 continue
@@ -252,3 +239,69 @@ def test_powmod_matches_list_product_reference():
             for e in (1, 2, p, rng.randrange(1, 10 ** 6)):
                 assert poly_powmod(h, e, f, p) == powmod_ref(h, e, f, p), (h, e, f, p)
             assert poly_powmod([0, 1], p, f, p) == powmod_ref([0, 1], p, f, p), (f, p)
+
+
+def _mul_mod(polys, m):
+    """Product of integer polynomials with coefficients reduced mod m."""
+    out = [1]
+    for g in polys:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+        out = [c % m for c in prod]
+    return out
+
+
+def _squarefree_pairs(rng, count):
+    """(f, p): monic f of degree 1-8 and p from _large_primes with p not dividing disc f."""
+    for p in _large_primes(rng, count):
+        for _ in range(3):
+            f = [rng.randrange(-50, 50) for _ in range(rng.randint(1, 8))] + [1]
+            if discriminant_oracle(f) % p:
+                yield f, p
+
+
+def test_distinct_degree_blocks_multiply_back():
+    rng = random.Random(919)
+    for f, p in _squarefree_pairs(rng, 8):
+        blocks = distinct_degree_blocks(f, p)
+        assert [i for i, _ in blocks] == sorted({i for i, _ in blocks}), (f, p)
+        assert all(g[-1] == 1 and (len(g) - 1) % i == 0 for i, g in blocks), (f, p)
+        assert _mul_mod([g for _, g in blocks], p) == [c % p for c in f], (f, p)
+        degrees = [i for i, g in blocks for _ in range((len(g) - 1) // i)]
+        assert tuple(degrees) == distinct_degree_degrees(f, p), (f, p)
+
+
+def test_equal_degree_split_of_cyclotomic_blocks():
+    # Phi_n mod p is one block: phi(n)/ord_n(p) factors of degree ord_n(p)
+    rng = random.Random(727)
+    for n in (5, 7, 8, 9, 13, 16, 21):
+        phi_n = cyclotomic(n)
+        for p in _large_primes(rng, 4):
+            if p == 2 or n % p == 0:
+                continue
+            order = next(o for o in range(1, n) if pow(p, o, n) == 1)
+            [(i, block)] = distinct_degree_blocks(phi_n, p)
+            assert i == order, (n, p)
+            factors = equal_degree_split(block, i, p)
+            assert len(factors) == (len(phi_n) - 1) // order, (n, p)
+            assert all(distinct_degree_degrees(g, p) == (order,) for g in factors), (n, p)
+            assert _mul_mod(factors, p) == [c % p for c in phi_n], (n, p)
+            assert equal_degree_split(block, i, p) == factors, (n, p)
+
+
+def test_hensel_lift_products_and_residues():
+    rng = random.Random(433)
+    for f, p in _squarefree_pairs(rng, 8):
+        if p == 2:
+            continue
+        factors = [h for i, g in distinct_degree_blocks(f, p) for h in equal_degree_split(g, i, p)]
+        k = rng.randint(1, 6)
+        lifts = hensel_lift(f, factors, p, k)
+        q = p ** k
+        assert _mul_mod(lifts, q) == [c % q for c in f], (f, p, k)
+        for lift, g in zip(lifts, factors):
+            assert len(lift) == len(g) and lift[-1] == 1, (f, p, k)
+            assert all(0 <= c < q for c in lift), (f, p, k)
+            assert [c % p for c in lift] == g, (f, p, k)

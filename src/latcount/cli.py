@@ -250,14 +250,14 @@ def cmd_tower(args, params: BoundParams) -> Report:
         report.columns = ["level", "degree", "r2", "rd_bound_lo", "rd_bound_hi"]
         for synth in seq:
             lo, hi = _iv(synth.rd_bound)
-            report.rows.append([str(synth.level), str(synth.degree), str(synth.r2), lo, hi])
+            report.rows.append([str(synth.level), int_str(synth.degree), str(synth.r2), lo, hi])
         report.notes.append(
             "rd bound is level-independent: the cap 2 c0^((2+t*delta)/2) does not grow with the degree"
         )
     else:
         report.columns = ["level", "degree"]
         for level, degree in enumerate(tower_degrees(entry, args.levels)):
-            report.rows.append([str(level), str(degree)])
+            report.rows.append([str(level), int_str(degree)])
     return report
 
 
@@ -283,7 +283,7 @@ def cmd_covolume(args, params: BoundParams) -> Report:
         c1_pow = c1 ** degree
         report.extra["tower"] = entry.name
         report.extra["level"] = str(args.level)
-        report.extra["degree"] = str(degree)
+        report.extra["degree"] = int_str(degree)
         report.extra["p0"] = str(p0)
         report.extra["c1"] = _iv(c1)
         report.extra["c1_pow_d"] = _iv(c1_pow)

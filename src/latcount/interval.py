@@ -540,6 +540,10 @@ class ComplexBox:
 
 # ---------------------------------------------------------------- rendering
 
+_DIGIT_LIMIT = ("Exceeds the limit ({} digits) for integer string conversion{}; "
+                "use sys.set_int_max_str_digits() to increase the limit")
+
+
 def int_str(n: int) -> str:
     """str(n), failing on integers past the int->str digit limit with one text.
 
@@ -549,10 +553,17 @@ def int_str(n: int) -> str:
     try:
         return str(n)
     except ValueError:
-        raise LatcountError(
-            f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer "
-            "string conversion; use sys.set_int_max_str_digits() to increase the limit"
-        ) from None
+        raise LatcountError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits(), "")) from None
+
+
+def parse_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits; past the digit limit, a
+    ValueError with Python 3.11's text on every version."""
+    try:
+        return int(digits)
+    except ValueError:
+        detail = f": value has {len(digits)} digits"
+        raise ValueError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits(), detail)) from None
 
 
 def decimal_str(q: Fraction, digits: int, direction: str) -> str:

@@ -8,10 +8,11 @@ One root finder serves every place.  Aberth-Ehrlich iteration on Gaussian
 fixed-point integers (Aberth, Math. Comp. 27, 1973), in the standard library
 alone, seeds every root; the seeds are not trusted.  A real seed gets an
 aligned dyadic cell (j, e), the interval [j/2^e, (j+1)/2^e], at level prec or
-finer, and f must change sign strictly across it, read as the sign of
-2^(e deg f) f(a/2^e) on integers.  An upper-half-plane seed gets a box from
-the exact residual bound.  Every cell and every box with its mirror image
-holds a root, the regions are pairwise disjoint, and there are
+finer, and f must change sign strictly across it.  An upper-half-plane seed
+gets a box from the exact residual bound.  Both read one exact evaluator,
+2^(k deg f) f((x + iy)/2^k) on the kernel's own integers, so every
+certificate is decided on integers.  Every cell and every box with its
+mirror image holds a root, the regions are pairwise disjoint, and there are
 r1 + 2 r2 = deg f of them: so each holds exactly one root, which certifies
 the signature too.  Aligned cells containing the same root nest, so the real
 enclosures at two precisions nest in either order.  A seed that fails costs
@@ -46,9 +47,9 @@ from .interval import (
     ComplexBox,
     RealInterval,
     exp_fraction,
+    iroot_ceil,
+    parse_int,
     pi_interval,
-    round_down,
-    round_up,
 )
 from .polymod import (
     _poly_mul,
@@ -123,8 +124,8 @@ class Polynomial(_Coefficients):
         ):
             if not coef and not has_x:
                 continue
-            k = int(exp) if exp else (1 if has_x else 0)
-            c = int(coef) if coef else 1
+            k = parse_int(exp) if exp else (1 if has_x else 0)
+            c = parse_int(coef) if coef else 1
             if sign == "-":
                 c = -c
             coeffs[k] = coeffs.get(k, 0) + c
@@ -214,17 +215,18 @@ def element_norm(element: "FieldElement") -> Fraction:
 
 # ===================================================================== roots
 
-def _sign_at(f: Sequence[int], a: int, k: int) -> int:
-    """Sign of 2^(k deg f) f(a / 2^k) for an integer polynomial f, by Horner
-    with shifts; k may be negative."""
+def _value_at(f: Sequence[int], x: int, y: int, k: int) -> Tuple[int, int]:
+    """2^(k deg f) f((x + iy) / 2^k) as (re, im) for an integer polynomial f,
+    by Horner with shifts.  A negative k scales the point to integers and
+    returns f there, which keeps the signs."""
     if k < 0:
-        a, k = a << -k, 0
-    acc = f[-1]
+        x, y, k = x << -k, y << -k, 0
+    re, im = f[-1], 0
     shift = 0
     for c in reversed(f[:-1]):
         shift += k
-        acc = acc * a + (c << shift)
-    return (acc > 0) - (acc < 0)
+        re, im = re * x - im * y + (c << shift), re * y + im * x
+    return re, im
 
 
 def _cauchy_exponent(coeffs) -> int:
@@ -247,11 +249,11 @@ def _aberth_roots(poly: Polynomial, workprec: int):
     grid, so integer and Gaussian-integer roots come out exact.
 
     A point with |Im| < 2^-(F/2) is a real seed, given by its real part as
-    an integer scaled by 2^F, ascending.  The upper seeds are exact
-    rationals, sorted by (real part on the 2^-(F/2) grid, imaginary part),
-    so that noise cannot reorder places whose real parts are equal.  None
-    also when the real seeds and twice the upper ones do not add up to the
-    degree.
+    an integer scaled by 2^F, ascending.  The upper seeds are pairs (x, y)
+    of integers scaled by 2^F, sorted by (real part on the 2^-(F/2) grid,
+    imaginary part), so that noise cannot reorder places whose real parts
+    are equal.  None also when the real seeds and twice the upper ones do
+    not add up to the degree.
     """
     F, d, m = workprec, poly.degree, _cauchy_exponent(poly.coefficients)
     L0 = min(F, 64 + 2 * m)
@@ -297,7 +299,7 @@ def _aberth_roots(poly: Polynomial, workprec: int):
     cands = sorted(((x + (1 << (g - 1))) >> g, y, x) for x, y in zs if y >> g > 0)
     if len(xs) + 2 * len(cands) != d:
         return None
-    return xs, [(Fraction(x, 1 << F), Fraction(y, 1 << F)) for _, y, x in cands]
+    return xs, [(x, y) for _, y, x in cands]
 
 
 def _real_cells(poly: Polynomial, xs, F: int, prec: int):
@@ -319,63 +321,46 @@ def _real_cells(poly: Polynomial, xs, F: int, prec: int):
         if e > F:
             return None
         j = x >> F - e
-        signs = [_sign_at(f, a, e) for a in (j, j + 1)]
-        if 0 in signs:
-            root = Fraction(j + signs.index(0), 1 << e)
+        ends = [_value_at(f, a, 0, e)[0] for a in (j, j + 1)]
+        if 0 in ends:
+            root = Fraction(j + ends.index(0), 1 << e)
             raise ReduciblePolynomial(f"rational root {root} of {poly}")
-        if signs[0] == signs[1]:
+        if (ends[0] > 0) == (ends[1] > 0):
             return None
         cells.append(RealInterval(Fraction(j, 1 << e), Fraction(j + 1, 1 << e)))
     return tuple(cells)
 
 
-def _eval_complex(coeffs, a: Fraction, b: Fraction):
-    """f(a + bi) exactly, returned as (re, im)."""
-    re, im = Fraction(0), Fraction(0)
-    for c in reversed(coeffs):
-        re, im = re * a - im * b + c, re * b + im * a
-    return re, im
-
-
-def _certify_boxes(poly: Polynomial, seeds, prec: int):
+def _certify_boxes(poly: Polynomial, seeds, F: int, prec: int):
     """Turn seeds into disjoint upper-half-plane boxes, one root each.
 
     Uses the exact residual bound min_j |z - root_j| <= d |f(z)/f'(z)|, so a
     disc of that radius around each seed contains a root; disjointness plus a
-    root count then pins exactly one per box.
+    root count then pins exactly one per box.  A seed z = (x + iy)/2^F gives
+    A = 2^(F d) f(z) and B = 2^(F(d-1)) f'(z) on integers; the radius is
+    rounded up to rho = R/2^p, p = prec + 10, and the box ends out to the
+    2^-(prec+2) grid, which leaves a box above the axis only if rho < Im z.
     """
-    d = poly.degree
-    coeffs = [Fraction(c) for c in poly.coefficients]
-    dcoeffs = [Fraction(i * c) for i, c in enumerate(poly.coefficients)][1:]
-    grid = prec + 2
-    halfwidth_cap = Fraction(1, 1 << grid)
+    f, df = poly.coefficients, poly.derivative().coefficients
+    d, p, grid = poly.degree, prec + 10, 1 << prec + 2
     boxes = []
-    for a, b in seeds:
-        fr, fi = _eval_complex(coeffs, a, b)
-        gr, gi = _eval_complex(dcoeffs, a, b)
-        den = gr * gr + gi * gi
+    for x, y in seeds:
+        ar, ai = _value_at(f, x, y, F)
+        br, bi = _value_at(df, x, y, F)
+        den = (br * br + bi * bi) << 2 * F
         if den == 0:
             return None
-        rho = RealInterval.point(
-            Fraction(d * d) * (fr * fr + fi * fi) / den
-        ).nth_root(2, grid + 8).hi
-        if rho > halfwidth_cap:
+        # R/2^p >= sqrt(d^2 |A|^2 / (|B|^2 2^(2F))) = d |f(z)/f'(z)|
+        R = iroot_ceil(-(-(d * d * (ar * ar + ai * ai) << 2 * p) // den), 2)
+        r = R << F
+        box = ComplexBox(*(
+            RealInterval(Fraction(c - r >> F + 8, grid), Fraction(-(-c - r >> F + 8), grid))
+            for c in (x << p, y << p)
+        ))
+        if R > 1 << 8 or box.im.lo <= 0:  # rho > 2^-(prec+2), or the box meets the real axis
             return None
-        if b - rho <= 0:
-            return None
-        boxes.append(
-            ComplexBox(
-                RealInterval(round_down(a - rho, grid), round_up(a + rho, grid)),
-                RealInterval(round_down(b - rho, grid), round_up(b + rho, grid)),
-            )
-        )
-    for i in range(len(boxes)):
-        if boxes[i].im.lo <= 0:
-            return None
-        for j in range(i + 1, len(boxes)):
-            if not boxes[i].disjoint(boxes[j]):
-                return None
-    return boxes
+        boxes.append(box)
+    return boxes if all(a.disjoint(b) for a, b in itertools.combinations(boxes, 2)) else None
 
 
 def _certified_roots(poly: Polynomial, prec: int, prev=()):
@@ -401,7 +386,7 @@ def _certified_roots(poly: Polynomial, prec: int, prev=()):
         if roots is None:
             continue
         reals = _real_cells(poly, roots[0], wp, prec)
-        boxes = None if reals is None else _certify_boxes(poly, roots[1], prec)
+        boxes = None if reals is None else _certify_boxes(poly, roots[1], wp, prec)
         if boxes is not None and prev:
             boxes = _nest_boxes(boxes, prev)
         if boxes is not None:

@@ -34,7 +34,7 @@ from .errors import (
     SearchExhausted,
     SignUncertifiable,
 )
-from .counting import read_int
+from .counting import read_int, read_rational
 from .interval import RealInterval, log2_fraction
 from .numfield import (
     FieldElement,
@@ -131,8 +131,7 @@ def delta_universal(prec: int = 64) -> RealInterval:
 # =============================================================== pisot search
 
 def _float_roots(k: NumberField) -> list:
-    reals, _ = k.embeddings(64)
-    return [float(r.mid()) for r in reals]
+    return [float(r.mid()) for r in k.embeddings()[0]]
 
 
 def _is_square_fraction(q: Fraction) -> bool:
@@ -335,7 +334,10 @@ def _entry_from_row(row, where: str) -> TowerEntry:
             raise LatcountError(f"{where}: key {key!r} must be {what}, not {v!r}")
         return v
 
-    rd = value("rd_constant", lambda pair: RealInterval(*map(Fraction, pair)))
+    ends = value("rd_constant", lambda v: v)
+    if not isinstance(ends, list) or len(ends) != 2:
+        raise LatcountError(f"{where}: key 'rd_constant' must be a list of two rationals, not {ends!r}")
+    rd = value("rd_constant", lambda pair: RealInterval(*(read_rational(c, "rd_constant") for c in pair)))
     if rd.lo <= 1:
         raise LatcountError(f"{where}: key 'rd_constant' needs a lower end above 1, not {rd.lo}")
     degree = value("base_degree", lambda v: read_int(v, "base_degree"))

@@ -1,5 +1,6 @@
 import json
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,6 +214,12 @@ _TOWER_ROW = {"name": "t", "base_degree": 2, "degree_rule": "doubling",
     (_TOWER_ROW, ": the catalog must be a JSON list of rows"),
     ([_TOWER_ROW, dict(_TOWER_ROW, rd_constant=["1/2", "3"])],
      " row 1: key 'rd_constant' needs a lower end above 1, not 1/2"),
+    ([dict(_TOWER_ROW, rd_constant="35")],
+     " row 0: key 'rd_constant' must be a list of two rationals, not '35'"),
+    ([dict(_TOWER_ROW, rd_constant=[3, 5, 7])],
+     " row 0: key 'rd_constant' must be a list of two rationals, not [3, 5, 7]"),
+    ([dict(_TOWER_ROW, rd_constant=["2", True])],
+     " row 0: bad 'rd_constant': rd_constant must be a rational number such as 1/2, got True"),
     ([dict(_TOWER_ROW, total_real="false")],
      " row 0: key 'total_real' must be true or false, not 'false'"),
     ([dict(_TOWER_ROW, base_degree=2.7)],
@@ -581,6 +588,39 @@ def test_digit_limit_error_text(capsys, argv):
     assert err == (
         "error: Exceeds the limit (4300 digits) for integer string conversion; "
         "use sys.set_int_max_str_digits() to increase the limit\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    "tower --name martinet --levels 2200",
+    "tower --name martinet --levels 2200 --t 1",
+])
+def test_tower_degree_past_the_digit_limit(capsys, argv):
+    # the degree 2^(level+1) passes the lowest limit, 640 digits, at level 2126
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(LatcountError):
+            run(argv.split())
+        assert entry(argv.split()) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: Exceeds the limit (640 digits) for integer string conversion; "
+        "use sys.set_int_max_str_digits() to increase the limit\n"
+    )
+
+
+def test_digit_limit_error_text_when_parsing(capsys):
+    # Python 3.10 words the same int() failure "limit (4300) for"
+    assert entry(["field", "--poly", "x^2-" + "7" * 5000]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit\n"
     )
 
 

@@ -14,7 +14,7 @@ from latcount.errors import (
     ReduciblePolynomial,
     SearchExhausted,
 )
-from latcount.interval import RealInterval
+from latcount.interval import ComplexBox, RealInterval, round_down, round_up
 import latcount.numfield as numfield
 from latcount.numfield import (
     Polynomial,
@@ -27,7 +27,7 @@ from latcount.numfield import (
     minkowski_witness,
     poly_discriminant,
     root_discriminant,
-    _sign_at,
+    _value_at,
 )
 from latcount.polymod import distinct_degree_blocks, prime_list
 
@@ -324,35 +324,98 @@ def _exact_sign(f, x):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     f=st.lists(st.integers(-50, 50), min_size=1, max_size=9).filter(lambda f: f[-1] != 0),
-    a=st.integers(-2 ** 40, 2 ** 40),
+    x=st.integers(-2 ** 40, 2 ** 40),
+    y=st.integers(-2 ** 40, 2 ** 40) | st.just(0),
     k=st.integers(-8, 64),
     root=st.booleans(),
 )
-def test_sign_at_matches_exact_evaluation(f, a, k, root):
-    x = a / Fraction(2) ** k
+def test_value_at_matches_exact_evaluation(f, x, y, k, root):
+    a, b = x / Fraction(2) ** k, y / Fraction(2) ** k
     if root:
-        # (q x - p) f has the exact dyadic root x = p / q = a / 2^k
-        p, q = x.numerator, x.denominator
-        g = [0] * (len(f) + 1)
+        # (q^2 z^2 - 2 q x' z + x'^2 + y'^2) f, with z0 = (x' + i y') / q = a + bi,
+        # has the exact root z0
+        q = max(a.denominator, b.denominator)
+        xq, yq = int(a * q), int(b * q)
+        g = [0] * (len(f) + 2)
         for i, c in enumerate(f):
-            g[i] -= p * c
-            g[i + 1] += q * c
+            for j, e in enumerate((xq * xq + yq * yq, -2 * q * xq, q * q)):
+                g[i + j] += c * e
         f = g
-        assert _sign_at(f, a, k) == 0
-    assert _sign_at(f, a, k) == _exact_sign(f, x)
+    re, im = _fraction_horner(f, a, b)
+    scale = Fraction(2) ** (max(k, 0) * (len(f) - 1))
+    assert _value_at(f, x, y, k) == (re * scale, im * scale)
+    if root:
+        assert _value_at(f, x, y, k) == (0, 0)
+
+
+def _fraction_horner(coeffs, a, b):
+    re = im = Fraction(0)
+    for c in reversed(coeffs):
+        re, im = re * a - im * b + c, re * b + im * a
+    return re, im
+
+
+def _fraction_boxes(poly, seeds, prec):
+    """The residual-bound boxes on Fraction seeds (a, b): the reference form,
+    which evaluates f and f' by a Fraction Horner and rounds on Fractions."""
+    d = poly.degree
+    grid = prec + 2
+    boxes = []
+    for a, b in seeds:
+        fr, fi = _fraction_horner(poly.coefficients, a, b)
+        gr, gi = _fraction_horner(poly.derivative().coefficients, a, b)
+        den = gr * gr + gi * gi
+        if den == 0:
+            return None
+        rho = RealInterval.point(d * d * (fr * fr + fi * fi) / den).nth_root(2, grid + 8).hi
+        if rho > Fraction(1, 1 << grid) or b - rho <= 0:
+            return None
+        boxes.append(ComplexBox(
+            RealInterval(round_down(a - rho, grid), round_up(a + rho, grid)),
+            RealInterval(round_down(b - rho, grid), round_up(b + rho, grid)),
+        ))
+    for i, box in enumerate(boxes):
+        if box.im.lo <= 0 or not all(box.disjoint(o) for o in boxes[i + 1:]):
+            return None
+    return boxes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    f=st.lists(st.integers(-30, 30), min_size=2, max_size=8).map(lambda f: f + [1]),
+    F=st.sampled_from([64, 128, 256]),
+    prec=st.sampled_from([8, 30, 64, 120]),
+    shift=st.integers(-1, 260),
+    sign=st.sampled_from([(1, 1), (1, -1), (-1, 0), (0, -1)]),
+)
+def test_certify_boxes_matches_the_fraction_formula(f, F, prec, shift, sign):
+    poly = Polynomial(f)
+    roots = numfield._aberth_roots(poly, F)
+    assume(roots is not None and roots[1])
+    # moving every seed by 2^shift units of 2^-F widens the radius until the
+    # box is refused, or pushes a seed down onto the real axis
+    step = 0 if shift < 0 else 1 << shift
+    seeds = [(x + sign[0] * step, y + sign[1] * step) for x, y in roots[1]]
+    got = numfield._certify_boxes(poly, seeds, F, prec)
+    want = _fraction_boxes(poly, [(Fraction(x, 1 << F), Fraction(y, 1 << F)) for x, y in seeds], prec)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in got] == [
+            (b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in want
+        ]
 
 
 def test_embeddings_continue_from_the_finest_refined_cells(monkeypatch):
     k = field_from_polynomial("x^3-x^2-2x+1", 64)
     calls = []
 
-    def counting_sign_at(*args):
+    def counting_value_at(*args):
         calls.append(args)
-        return _sign_at(*args)
+        return _value_at(*args)
 
-    monkeypatch.setattr(numfield, "_sign_at", counting_sign_at)
+    monkeypatch.setattr(numfield, "_value_at", counting_value_at)
     reals, _ = k.embeddings(128)
-    # one sign at each end of each real cell
+    # one evaluation at each end of each real cell
     assert len(calls) <= 2 * k.r1
     fresh, _ = field_from_polynomial("x^3-x^2-2x+1", 128).embeddings(128)
     assert [(iv.lo, iv.hi) for iv in reals] == [(iv.lo, iv.hi) for iv in fresh]
@@ -535,7 +598,7 @@ def test_complex_embeddings_need_no_mpmath():
 
 def test_complex_seeds_none_when_the_count_disagrees():
     # the seeds must account for every root: real ones once, upper ones twice
-    assert numfield._aberth_roots(Polynomial((1, 0, 1)), 128) == ([], [(0, 1)])
+    assert numfield._aberth_roots(Polynomial((1, 0, 1)), 128) == ([], [(0, 1 << 128)])
     xs, upper = numfield._aberth_roots(Polynomial((-1, -1, 0, 1)), 128)
     assert len(xs) == 1 and len(upper) == 1
     # the three points around the triple root of x^3 settle off the axis, two

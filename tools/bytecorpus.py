@@ -1,0 +1,95 @@
+"""Byte-identity corpus: what every argv of a fixed list prints, per source tree.
+
+    python3 tools/bytecorpus.py record TREE OUT.json
+    python3 tools/bytecorpus.py diff A.json B.json
+
+`record` runs each argv as a fresh `python -m latcount` with
+PYTHONPATH=TREE/src and stores its exit code and the sha256 of its stdout
+and stderr.  `diff` lists every argv whose record differs between two files
+and exits 1 if there is one.  A change that should not alter any report is
+checked by recording the parent tree (a `git archive` copy) and the changed
+one, then diffing the two files.
+
+The argv are every `perfbench/workloads.py` invocation of seeds 1-3, the
+README's `latcount` example lines, and a few slow-path extras.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+EXTRAS = (
+    "pisot --poly x^2-x-1 --prec 9000",
+    "field --poly x^24+1000003x+1 --prec 128",
+    "field --poly x^24+1000003x+1 --prec 512",
+)
+CALL_LIMIT_S = 600
+JOBS = 4
+
+
+def corpus() -> list:
+    """The argv, each once, in a fixed order."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.dont_write_bytecode = True
+    import workloads
+
+    argvs = [inv.argv for name in workloads.WORKLOADS for seed in SEEDS
+             for inv in workloads.generate(name, seed)]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    argvs += [shlex.split(line)[1:] for line in readme if line.startswith("latcount ")]
+    argvs += [line.split() for line in EXTRAS]
+    return list(dict.fromkeys(shlex.join(argv) for argv in argvs))
+
+
+def _run(tree: Path, key: str, cwd: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "latcount"] + shlex.split(key),
+                              capture_output=True, env=env, cwd=cwd, timeout=CALL_LIMIT_S)
+    except subprocess.TimeoutExpired:
+        return {"exit": "timeout"}
+    return {"exit": proc.returncode, "stdout": hashlib.sha256(proc.stdout).hexdigest(),
+            "stderr": hashlib.sha256(proc.stderr).hexdigest()}
+
+
+def record(tree: str, out: str) -> int:
+    keys, root = corpus(), Path(tree).resolve()
+    with tempfile.TemporaryDirectory() as cwd, ThreadPoolExecutor(JOBS) as pool:
+        results = pool.map(lambda key: _run(root, key, cwd), keys)
+        doc = dict(zip(keys, results))
+    Path(out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(doc)} argv recorded from {tree} in {out}")
+    return 0
+
+
+def diff(a: str, b: str) -> int:
+    docs = [json.loads(Path(p).read_text(encoding="utf-8")) for p in (a, b)]
+    differ = [key for key in dict.fromkeys(list(docs[0]) + list(docs[1]))
+              if docs[0].get(key) != docs[1].get(key)]
+    for key in differ:
+        fields = [f for f in ("exit", "stdout", "stderr")
+                  if (docs[0].get(key) or {}).get(f) != (docs[1].get(key) or {}).get(f)]
+        print(f"{key}: {', '.join(fields)} differ")
+    print(f"{len(differ)} of {len(set(docs[0]) | set(docs[1]))} argv differ")
+    return 1 if differ else 0
+
+
+def main(argv: list) -> int:
+    if len(argv) == 3 and argv[0] in ("record", "diff"):
+        return (record if argv[0] == "record" else diff)(*argv[1:])
+    print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -214,12 +214,6 @@ _TOWER_ROW = {"name": "t", "base_degree": 2, "degree_rule": "doubling",
     (_TOWER_ROW, ": the catalog must be a JSON list of rows"),
     ([_TOWER_ROW, dict(_TOWER_ROW, rd_constant=["1/2", "3"])],
      " row 1: key 'rd_constant' needs a lower end above 1, not 1/2"),
-    ([dict(_TOWER_ROW, rd_constant="35")],
-     " row 0: key 'rd_constant' must be a list of two rationals, not '35'"),
-    ([dict(_TOWER_ROW, rd_constant=[3, 5, 7])],
-     " row 0: key 'rd_constant' must be a list of two rationals, not [3, 5, 7]"),
-    ([dict(_TOWER_ROW, rd_constant=["2", True])],
-     " row 0: bad 'rd_constant': rd_constant must be a rational number such as 1/2, got True"),
     ([dict(_TOWER_ROW, total_real="false")],
      " row 0: key 'total_real' must be true or false, not 'false'"),
     ([dict(_TOWER_ROW, base_degree=2.7)],
@@ -240,6 +234,12 @@ _TOWER_ROW = {"name": "t", "base_degree": 2, "degree_rule": "doubling",
      " row 0: key 'degree_rule' must be a string, not ['doubling']"),
     ([dict(_TOWER_ROW, source={"a": 1})],
      " row 0: key 'source' must be a string, not {{'a': 1}}"),
+    ([dict(_TOWER_ROW, rd_constant="35")],
+     " row 0: key 'rd_constant' must be a list of two rationals, not '35'"),
+    ([dict(_TOWER_ROW, rd_constant=[3, 5, 7])],
+     " row 0: key 'rd_constant' must be a list of two rationals, not [3, 5, 7]"),
+    ([dict(_TOWER_ROW, rd_constant=["2", True])],
+     " row 0: bad 'rd_constant': rd_constant must be a rational number such as 1/2, got True"),
 ])
 def test_malformed_tower_extra_is_an_error(capsys, tmp_path, doc, message):
     path = tmp_path / "extra.json"

@@ -2,10 +2,11 @@
 construction, covolume evaluation, and the growth-constant assemblies.
 
 Output is deterministic by construction: every number is rendered through
-exact decimal rounding, dictionaries are built in fixed order, and the Euler
-products come from one sequential outward-rounded pass over the primes.
-Identical invocations therefore produce byte-identical reports.  --threads
-is accepted and validated for compatibility but has no effect.
+exact decimal rounding, dictionaries are built in fixed order, and the zeta
+values come from outward-rounded fixed-point integers: Borwein's series over
+Q, one sequential pass over the primes for every other field.  Identical
+invocations therefore produce byte-identical reports.  --threads is
+accepted and validated for compatibility but has no effect.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     ReduciblePolynomial,
     ResidueBudgetExceeded,
 )
-from .interval import RealInterval, int_str, interval_strs, log2_fraction
+from .interval import RealInterval, digit_limit_error, int_str, interval_strs, log2_fraction
 from .liedata import dump_table, gamma_h, parse_type, with_form, OUTER_2
 from .numfield import (
     field_from_polynomial,
@@ -278,8 +279,14 @@ def cmd_covolume(args, params: BoundParams) -> Report:
         entry = _tower_entry(args.tower, args.extra)
         p0 = args.p0 if args.p0 is not None else 2
         degree = entry.base_degree << args.level
-        result = covolume_synthetic(entry.rd_constant, degree, data, p0, args.prec)
         c1 = covolume_upper_c1(entry.rd_constant, data, p0, args.prec)
+        # c1.hi > 2^b, so c1^degree has more than b degree log10(2) digits and
+        # 0.30102 < log10(2): refuse a level whose c1^degree cannot be printed
+        # before building it
+        b = c1.hi.numerator.bit_length() - c1.hi.denominator.bit_length() - 1
+        if b * degree * 30102 // 100000 >= sys.get_int_max_str_digits() > 0:
+            raise digit_limit_error()
+        result = covolume_synthetic(entry.rd_constant, degree, data, p0, args.prec)
         c1_pow = c1 ** degree
         report.extra["tower"] = entry.name
         report.extra["level"] = str(args.level)
@@ -495,7 +502,8 @@ def _build_parser() -> _Parser:
     p_cov.add_argument("--type", required=True, help="Lie type, e.g. A1")
     p_cov.add_argument("--outer", action="store_true")
     p_cov.add_argument("--s-param", type=int, default=None)
-    p_cov.add_argument("--alpha", default=None, help="element coordinates, e.g. 0,1")
+    p_cov.add_argument("--alpha", default=None, help="element coordinates, e.g. 0,1; "
+                       "attach a leading minus with =, as in --alpha=-1,0,1")
     p_cov.add_argument("--p0", type=int, default=None, help="distinguished prime")
     p_cov.set_defaults(handler=cmd_covolume)
 

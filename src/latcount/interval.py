@@ -486,45 +486,16 @@ def zeta_interval(s: int, prec: int) -> RealInterval:
 # ---------------------------------------------------------------- boxes
 
 class ComplexBox:
-    """Axis-aligned rectangle certified to contain one complex value."""
+    """Axis-aligned rectangle certified to contain one complex root.
+
+    A certificate, not a number: it has no arithmetic.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: RealInterval, im: RealInterval):
         self.re = re
         self.im = im
-
-    def __add__(self, other):
-        if isinstance(other, ComplexBox):
-            return ComplexBox(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return ComplexBox(self.re + other, self.im)
-        if isinstance(other, RealInterval):
-            return ComplexBox(self.re + other, self.im)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexBox(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexBox):
-            return ComplexBox(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, (int, Fraction, RealInterval)):
-            return ComplexBox(self.re * other, self.im * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "ComplexBox":
-        return ComplexBox(self.re, -self.im)
-
-    def round_out(self, prec: int) -> "ComplexBox":
-        return ComplexBox(self.re.round_out(prec), self.im.round_out(prec))
 
     def disjoint(self, other: "ComplexBox") -> bool:
         return (
@@ -553,7 +524,12 @@ def int_str(n: int) -> str:
     try:
         return str(n)
     except ValueError:
-        raise LatcountError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits(), "")) from None
+        raise digit_limit_error() from None
+
+
+def digit_limit_error() -> LatcountError:
+    """int_str's error, for a caller that can tell in advance that it would fail."""
+    return LatcountError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits(), ""))
 
 
 def parse_int(digits: str) -> int:

@@ -363,7 +363,7 @@ def _certify_boxes(poly: Polynomial, seeds, F: int, prec: int):
     return boxes if all(a.disjoint(b) for a, b in itertools.combinations(boxes, 2)) else None
 
 
-def _certified_roots(poly: Polynomial, prec: int, prev=()):
+def _certified_roots(poly: Polynomial, prec: int):
     """(real enclosures ascending, upper-half boxes): every root of f, certified.
 
     One Aberth run seeds every root.  Each real cell holds a root, by the
@@ -372,10 +372,8 @@ def _certified_roots(poly: Polynomial, prec: int, prev=()):
     pairwise disjoint, and the boxes lie in the open upper half-plane and
     are pairwise disjoint, so these r1 + 2 r2 = deg f regions hold deg f
     roots of f: exactly one each, and no root is left outside them, which
-    certifies the signature as well.  The boxes are intersected with prev,
-    the boxes of a lower precision, so that they nest; aligned cells nest by
-    themselves.  A failure at any step costs one doubling of the working
-    precision.
+    certifies the signature as well.  A failure at any step costs one
+    doubling of the working precision.
     """
     if poly.degree == 1:
         return (RealInterval.point(-poly.coefficients[0]),), ()
@@ -387,8 +385,6 @@ def _certified_roots(poly: Polynomial, prec: int, prev=()):
             continue
         reals = _real_cells(poly, roots[0], wp, prec)
         boxes = None if reals is None else _certify_boxes(poly, roots[1], wp, prec)
-        if boxes is not None and prev:
-            boxes = _nest_boxes(boxes, prev)
         if boxes is not None:
             return reals, tuple(boxes)
 
@@ -425,8 +421,7 @@ class NumberField:
         """(real enclosures ascending, upper-half boxes), one per infinite place."""
         prec = prec or self.precision
         if prec not in self._emb_cache:
-            prev = self._emb_cache[max(self._emb_cache)][1]
-            self._emb_cache[prec] = _certified_roots(self.min_poly, prec, prev)
+            self._emb_cache[prec] = _certified_roots(self.min_poly, prec)
         return self._emb_cache[prec]
 
     def element(self, coords) -> "FieldElement":
@@ -450,20 +445,6 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({self.min_poly}, disc={self.disc})"
-
-
-def _nest_boxes(new, old):
-    """Intersect refined boxes with their predecessors to force nesting."""
-    out = []
-    for box in new:
-        hits = [
-            o for o in old
-            if box.re.intersect(o.re) is not None and box.im.intersect(o.im) is not None
-        ]
-        if len(hits) != 1:
-            return None
-        out.append(ComplexBox(box.re.intersect(hits[0].re), box.im.intersect(hits[0].im)))
-    return out
 
 
 # ---------------------------------------------------------- irreducibility
@@ -555,11 +536,13 @@ def field_from_polynomial(
     _assert_irreducible(poly, zk_disc)
 
     if known_disc is not None:
+        if known_disc == 0:
+            raise InvalidDiscriminant("known_disc must divide disc(Z[theta])")
         if (known_disc < 0) != (r2 % 2 == 1):
             raise InvalidDiscriminant(
                 f"known_disc sign {known_disc} contradicts signature (r2={r2})"
             )
-        if known_disc == 0 or zk_disc % known_disc != 0:
+        if zk_disc % known_disc != 0:
             raise InvalidDiscriminant("known_disc must divide disc(Z[theta])")
         q = zk_disc // known_disc
         if q <= 0 or isqrt(q) ** 2 != q:
@@ -661,31 +644,23 @@ class FieldElement:
 
 
 def evaluate_at_embeddings(element: FieldElement, precision: int):
-    """Certified per-place images: r1 real intervals then r2 boxes.
+    """Certified images at the r1 real places, in the order of the roots.
 
     Width of every returned enclosure is <= 2^(1-precision); refining the
     precision keeps each enclosure inside its predecessor.
     """
-    k = element.field
     # inner target + grid rounding keep the final width under 2^(1-precision)
     target = Fraction(1, 1 << (precision + 1))
     grid = precision + 2
     exhausted = PrecisionExhausted(f"embedding images at {precision} bits")
     for wp in doublings(precision + 16, exhausted):
-        reals, boxes = k.embeddings(wp)
-        r_out = [_horner(element.coords, r) for r in reals]
-        b_out = [_horner(element.coords, b) for b in boxes]
-        if all(iv.width() <= target for iv in r_out) and all(
-            b.re.width() <= target and b.im.width() <= target for b in b_out
-        ):
-            return tuple(r.round_out(grid) for r in r_out) + tuple(
-                b.round_out(grid) for b in b_out
-            )
+        out = [_horner(element.coords, r) for r in element.field.embeddings(wp)[0]]
+        if all(iv.width() <= target for iv in out):
+            return tuple(iv.round_out(grid) for iv in out)
 
 
-def _horner(coords, x):
-    """Horner evaluation at a RealInterval or a ComplexBox."""
-    acc = x * 0
+def _horner(coords, x: RealInterval) -> RealInterval:
+    acc = RealInterval.point(0)
     for c in reversed(coords):
         acc = acc * x + c
     return acc

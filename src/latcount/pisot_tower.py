@@ -263,7 +263,7 @@ def certified_signs(k: NumberField, element: FieldElement, precision: int = 64):
         raise AlphaZero("the zero element has no signs")
     exhausted = SignUncertifiable(f"sign of {element} straddles zero")
     for prec in doublings(precision, exhausted):
-        vals = evaluate_at_embeddings(element, prec)[: k.r1]
+        vals = evaluate_at_embeddings(element, prec)
         signs = tuple((v.lo > 0) - (v.hi < 0) for v in vals)
         if 0 not in signs:
             return signs

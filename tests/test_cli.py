@@ -1,11 +1,14 @@
 import json
+import os
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import latcount
 import latcount.numfield as numfield
 import latcount.pisot_tower as pisot_tower
 from latcount.cli import entry, run
@@ -319,6 +322,19 @@ def test_covolume_outer_requires_alpha(capsys):
     assert doc["disc_factor"] == ["625", "640000"]
 
 
+def test_covolume_negative_alpha_needs_equals(capsys):
+    argv = ["covolume", "--field", "x^2-5", "--type", "A2", "--outer",
+            "--prime-bound", "1000", "--format", "json"]
+    # argparse reads a separate -1,1 as an option, not as the value
+    with pytest.raises(SystemExit) as exc:
+        entry(argv + ["--alpha", "-1,1"])
+    assert exc.value.code == 64
+    assert "--alpha: expected one argument" in capsys.readouterr().err
+    doc = _run_json(capsys, argv + ["--alpha=-1,1"])
+    assert doc["alpha"] == "-1,1"
+    assert doc["t"] == "1"
+
+
 _OUTER_A2 = ["covolume", "--field", "x^2-x-1", "--type", "A2", "--outer",
              "--alpha", "0,1", "--prime-bound", "100"]
 
@@ -609,6 +625,22 @@ def test_tower_degree_past_the_digit_limit(capsys, argv):
     assert out == ""
     assert err == (
         "error: Exceeds the limit (640 digits) for integer string conversion; "
+        "use sys.set_int_max_str_digits() to increase the limit\n"
+    )
+
+
+@pytest.mark.parametrize("level", ["11", "20000"])
+def test_covolume_tower_past_the_digit_limit_fails_fast(level):
+    # c1^degree would need minutes (level 11) or forever (level 20000) to
+    # build, only to fail on the digit limit when printed
+    argv = ["covolume", "--tower", "martinet", "--type", "A1", "--level", level]
+    env = dict(os.environ, PYTHONPATH=str(Path(latcount.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "latcount"] + argv,
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: Exceeds the limit (4300 digits) for integer string conversion; "
         "use sys.set_int_max_str_digits() to increase the limit\n"
     )
 

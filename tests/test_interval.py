@@ -9,7 +9,6 @@ from mpmath import libmp, mp
 
 from latcount.errors import LatcountError
 from latcount.interval import (
-    ComplexBox,
     RealInterval,
     _atan_inv,
     _atanh_series,
@@ -160,15 +159,6 @@ def test_int_str_past_the_digit_limit():
         with pytest.raises(LatcountError) as exc:
             render(10 ** (limit + 1))
         assert str(exc.value) == message
-
-
-def test_complex_box():
-    one = RealInterval.point(1)
-    i_box = ComplexBox(RealInterval.point(0), one)
-    sq = i_box * i_box
-    assert sq.re.contains(Fraction(-1)) and sq.im.contains(Fraction(0))
-    assert (i_box * i_box.conjugate()).re.contains(Fraction(1))  # |i|^2
-    assert i_box.conjugate().im.contains(Fraction(-1))
 
 
 # ------------------------------------------------- kernels against mpmath

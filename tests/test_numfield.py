@@ -174,6 +174,10 @@ def test_known_disc_validation():
         field_from_polynomial("x^2-5", known_disc=3)    # not a divisor
     with pytest.raises(InvalidDiscriminant):
         field_from_polynomial("x^2-5", known_disc=10)   # quotient 2 not square
+    # zero is refused by one text, whatever the signature
+    for spec in ("x^2-5", "x^2+1"):
+        with pytest.raises(InvalidDiscriminant, match=r"^known_disc must divide disc\(Z\[theta\]\)$"):
+            field_from_polynomial(spec, known_disc=0)
     # divisors with a square quotient that no field of the degree can have
     for spec, disc in (
         ("x^2+1", -1),      # 3 mod 4 (Stickelberger), |disc| < 3
@@ -199,28 +203,36 @@ def test_norm_multiplicative():
 
 def test_norm_contained_in_embedding_product():
     rng = random.Random(78)
-    k = field_from_polynomial("x^3-x-1")
-    for _ in range(20):
-        e = k.element([rng.randint(-4, 4) for _ in range(3)])
-        places = evaluate_at_embeddings(e, 96)
-        iv = RealInterval.point(1)
-        for r in places[: k.r1]:
-            iv = iv * r
-        for b in places[k.r1 :]:
-            iv = iv * (b * b.conjugate()).re  # |b|^2
-        assert iv.contains(element_norm(e))
+    for spec in ("x^3-3x+1", "x^4-10x^2+1"):
+        k = field_from_polynomial(spec)
+        for _ in range(20):
+            e = k.element([rng.randint(-4, 4) for _ in range(k.degree)])
+            places = evaluate_at_embeddings(e, 96)
+            assert len(places) == k.degree
+            iv = RealInterval.point(1)
+            for r in places:
+                iv = iv * r
+            assert iv.contains(element_norm(e))
 
 
 def test_embedding_images_narrow_and_nested():
-    k = field_from_polynomial("x^3-x-1")
+    k = field_from_polynomial("x^3-3x+1")
     e = k.element([1, 2, -1])
     coarse = evaluate_at_embeddings(e, 80)
     fine = evaluate_at_embeddings(e, 160)
-    r = coarse[0]
-    assert r.width() <= Fraction(1, 2 ** 79)
-    assert r.encloses(fine[0])
-    cb, fb = coarse[1], fine[1]
-    assert cb.re.encloses(fb.re) and cb.im.encloses(fb.im)
+    assert len(coarse) == len(fine) == 3
+    for c, f in zip(coarse, fine):
+        assert c.width() <= Fraction(1, 2 ** 79)
+        assert f.width() <= Fraction(1, 2 ** 159)
+        assert c.encloses(f)
+
+
+def test_embedding_images_at_real_places_only():
+    k = field_from_polynomial("x^3-x-1")
+    (image,) = evaluate_at_embeddings(k.element([1, 2, -1]), 80)
+    # 1 + 2 theta - theta^2 at the real root theta = 1.3247...
+    assert Fraction(18945, 10000) < image.lo and image.hi < Fraction(18946, 10000)
+    assert image.width() <= Fraction(1, 2 ** 79)
 
 
 def test_field_embeddings_nest_and_sort():

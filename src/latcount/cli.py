@@ -626,6 +626,3 @@ def entry(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
-
-if __name__ == "__main__":
-    sys.exit(entry())

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shlex
@@ -99,6 +100,8 @@ def test_exit_codes(capsys, tmp_path):
         ["covolume", "--field", "Q", "--type", "A1", "--p0", "0"],
         ["covolume", "--tower", "martinet", "--type", "A1", "--p0", "-2"],
         ["covolume", "--tower", "martinet", "--type", "A1", "--p0", "4"],
+        # a strong pseudoprime to the first 9 prime bases
+        ["covolume", "--field", "Q", "--type", "A1", "--p0", "3825123056546413051"],
     ):
         assert entry(argv) == 1
         assert capsys.readouterr().err == f"error: p0 must be a prime, got {argv[-1]}\n"
@@ -718,3 +721,45 @@ def test_records_reject_attribute_assignment(name):
     for attr in (field, "unknown"):
         with pytest.raises(AttributeError):
             setattr(record, attr, None)
+
+
+def _latcount_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(latcount.__file__).resolve().parent.parent))
+
+
+def test_process_entry_freezes_the_import_heap():
+    # `python -m latcount` and the `latcount` script both run __main__.main
+    code = ("import gc, latcount.__main__ as m; "
+            "m.entry = lambda: print(gc.get_freeze_count() > 0) or 0; "
+            "raise SystemExit(m.main())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_latcount_env(), timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+
+def test_entry_leaves_the_collector_alone(capsys):
+    # tests, the benchmark shim and library callers share entry() in-process
+    frozen = gc.get_freeze_count()
+    assert entry(["lie", "dump", "--max-rank", "1"]) == 0
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("covolume --field Q --type A1 --p0 100000000000000003", 0),
+    ("growth lower --tower martinet --type A2 --pprime 100000000000000003 --levels 1", 0),
+    ("growth upper --residues 100000000000000003:1 --C1 1 --x-min 100", 5),
+])
+def test_large_primes_are_certified_fast(argv, code):
+    # trial division by every odd number did not finish these in minutes
+    proc = subprocess.run([sys.executable, "-m", "latcount"] + argv.split(),
+                          capture_output=True, text=True, env=_latcount_env(), timeout=10)
+    assert proc.returncode == code, proc.stderr
+    assert "prime" not in proc.stderr
+
+
+def test_primality_past_psi_13_is_an_error(capsys):
+    assert entry(["covolume", "--field", "Q", "--type", "A1",
+                  "--p0", "3317044064679887385961981"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: primality not certified for 3317044064679887385961981")

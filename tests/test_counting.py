@@ -6,8 +6,11 @@ import pytest
 from latcount.errors import EmptyReport, ResidueBudgetExceeded
 from latcount.interval import RealInterval, log2_fraction
 from latcount.liedata import root_system
+from latcount.polymod import prime_list
 from latcount.counting import (
+    _PSI_13,
     BoundParams,
+    _is_prime,
     distinct_prime_count,
     gaussian_binomial,
     lower_growth_assemble,
@@ -215,3 +218,33 @@ def test_upper_growth_ratio_decays_over_decades():
         prev = ratio
     first = RealInterval.point(35).div(log2_fraction(100, 96), 80)
     assert Fraction("5.2680") < first.lo and first.hi < Fraction("5.2681")
+
+
+def test_is_prime_agrees_with_the_sieve():
+    primes = set(prime_list(10**5))
+    assert [n for n in range(-3, 10**5 + 1) if _is_prime(n)] == sorted(primes)
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # 151 * 751 * 28351: a strong pseudoprime to bases 2, 3, 5 and 7
+    3825123056546413051,  # 149491 * 747451 * 34233211: to the first 9 prime bases
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+def test_is_prime_large_primes():
+    # 3317044064679887385961813 is the largest prime below psi_13
+    for p in (1000000007, 100000000000000003, 2**61 - 1, 3317044064679887385961813):
+        assert _is_prime(p)
+    assert not _is_prime(2**67 - 1)  # 193707721 * 761838257287
+    assert not _is_prime(100000000000000003 * 1000000007)
+
+
+def test_is_prime_refuses_past_psi_13():
+    # psi_13 passes all 13 strong tests and is composite; no guess past it
+    with pytest.raises(ValueError, match="primality not certified"):
+        _is_prime(_PSI_13)
+    with pytest.raises(ValueError, match="primality not certified"):
+        _is_prime(2**89 - 1)  # a Mersenne prime
+    assert not _is_prime(_PSI_13 + 1)  # even: trial division still decides

@@ -751,7 +751,7 @@ def test_entry_leaves_the_collector_alone(capsys):
     ("growth upper --residues 100000000000000003:1 --C1 1 --x-min 100", 5),
 ])
 def test_large_primes_are_certified_fast(argv, code):
-    # trial division by every odd number did not finish these in minutes
+    # 10^17 + 3 is prime; trial division to its square root would take minutes
     proc = subprocess.run([sys.executable, "-m", "latcount"] + argv.split(),
                           capture_output=True, text=True, env=_latcount_env(), timeout=10)
     assert proc.returncode == code, proc.stderr

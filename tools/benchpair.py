@@ -14,7 +14,8 @@ tree's `.bench_build/records/W-seedS-trace0.json`.
 FILE holds one entry per workload; a run replaces its own workload's entry
 and keeps the others.  The entry gives, per end-to-end metric, every value of
 each side, their median and quartiles, and the number of pairs in which the
-change did better (the direction is the change tree's BENCHMARK.json); also
+change did better (the direction is the change tree's BENCHMARK.json; values
+equal to nine digits tie and count for neither side).  It also gives
 `correct` and `failed` per run, the command, and `git rev-parse HEAD` of each
 tree that is a git checkout.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -45,6 +47,11 @@ def _run(tree: Path, command: list, workload: str, seed: int) -> dict:
     record = tree / ".bench_build" / "records" / f"{workload}-seed{seed}-trace0.json"
     summary["batch_note"] = json.loads(record.read_text())["notes"]["batch_s"]
     return summary
+
+
+def _tie(a: float, b: float) -> bool:
+    # a mean over a different number of rounds can move in its last bits
+    return math.isclose(a, b, rel_tol=1e-9)
 
 
 def _spread(values: list) -> dict:
@@ -86,7 +93,7 @@ def main() -> int:
         if name in better:
             sign = 1 if better[name] == "higher" else -1
             pairs = zip(values["parent"], values["change"])
-            entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in pairs)
+            entry["change_wins"] = sum(sign * (c - p) > 0 and not _tie(p, c) for p, c in pairs)
         metrics[name] = entry
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.workload] = {

@@ -62,25 +62,44 @@ _GAMMA_NOTE = (
 _CONDITIONAL_NOTE = "conditional on CSP and supplied constants"
 
 
-def _iv(interval: RealInterval) -> list:
-    return interval_strs(interval, _DIGITS)
-
-
-def _rat(q) -> str:
-    return str(Fraction(q))
-
-
 # ================================================================ rendering
 
+def _text(value):
+    """The printed form of one report value: a string, or for an interval (two
+    decimal ends, rounded outward) and a list, a list of strings."""
+    if isinstance(value, RealInterval):
+        return interval_strs(value, _DIGITS)
+    if isinstance(value, list):
+        return [_text(v) for v in value]
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, int):
+        return int_str(value)
+    if isinstance(value, Fraction):
+        num = int_str(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{int_str(value.denominator)}"
+    return str(value)
+
+
+def _cells(row: list) -> list:
+    """One table row as strings; an interval fills two cells."""
+    cells = []
+    for value in row:
+        text = _text(value)
+        cells += text if isinstance(text, list) else [text]
+    return cells
+
+
 class Report:
-    """Meta block, tabular payload, and free-form notes for one command."""
+    """Meta block, tabular payload, and free-form notes for one command.
+
+    Handlers store native values (intervals, integers, rationals, booleans,
+    strings) in extra and rows; render prints every one through _text.
+    """
 
     def __init__(self, command: str, precision: int, prime_bound: int, params: BoundParams):
         self.command = command
-        self.meta = {
-            "precision": str(precision),
-            "prime_bound": str(prime_bound),
-        }
+        self.meta = {"precision": precision, "prime_bound": prime_bound}
         self.params = params
         self.extra = {}
         self.columns = []
@@ -88,63 +107,63 @@ class Report:
         self.notes = []
 
     def render(self, fmt: str) -> str:
+        head = {key: _text(value) for key, value in self.meta.items()}
+        params = {key: _text(value) for key, value in self.params.as_dict().items()}
+        extra = {key: _text(value) for key, value in self.extra.items()}
+        rows = [_cells(row) for row in self.rows]
         if fmt == "json":
-            return self._render_json()
+            return self._render_json(head, params, extra, rows)
+        lines = self._meta_lines(head, params, extra)
         if fmt == "csv":
-            return self._render_csv()
-        return self._render_table()
+            return self._render_csv(lines, rows)
+        return self._render_table(lines, rows)
 
-    def _param_block(self) -> dict:
-        return {k: str(v) for k, v in self.params.as_dict().items()}
-
-    def _render_json(self) -> str:
+    def _render_json(self, head, params, extra, rows) -> str:
         doc = {"schema": 1, "version": __version__, "command": self.command}
-        doc.update(self.meta)
-        doc["bound_params"] = self._param_block()
+        doc.update(head)
+        doc["bound_params"] = params
         doc["defaulted_params"] = sorted(self.params.defaulted)
-        doc.update(self.extra)
+        doc.update(extra)
         if self.columns:
-            doc["rows"] = [dict(zip(self.columns, row)) for row in self.rows]
+            doc["rows"] = [dict(zip(self.columns, row)) for row in rows]
         if self.notes:
             doc["notes"] = list(self.notes)
         return json.dumps(doc, indent=2) + "\n"
 
-    def _meta_lines(self):
+    def _meta_lines(self, head, params, extra):
         lines = [
             ("schema", "1"),
             ("version", __version__),
             ("command", self.command),
         ]
-        lines.extend(self.meta.items())
-        lines.append(
-            ("bound_params", " ".join(f"{k}={v}" for k, v in self._param_block().items()))
-        )
+        lines.extend(head.items())
+        lines.append(("bound_params", " ".join(f"{k}={v}" for k, v in params.items())))
         lines.append(("defaulted_params", ",".join(sorted(self.params.defaulted)) or "-"))
-        for key, value in self.extra.items():
+        for key, value in extra.items():
             if isinstance(value, list):
                 value = "[" + ", ".join(value) + "]"
             lines.append((key, value))
         return lines
 
-    def _render_csv(self) -> str:
+    def _render_csv(self, lines, rows) -> str:
         out = io.StringIO()
-        for key, value in self._meta_lines():
+        for key, value in lines:
             out.write(f"# {key}: {value}\n")
         for note in self.notes:
             out.write(f"# note: {note}\n")
         writer = csv.writer(out, lineterminator="\n")
         if self.columns:
             writer.writerow(self.columns)
-            writer.writerows(self.rows)
+            writer.writerows(rows)
         return out.getvalue()
 
-    def _render_table(self) -> str:
+    def _render_table(self, lines, rows) -> str:
         out = []
-        for key, value in self._meta_lines():
+        for key, value in lines:
             out.append(f"{key}: {value}")
         if self.columns:
             out.append("")
-            table = [self.columns] + [[str(c) for c in row] for row in self.rows]
+            table = [self.columns] + rows
             widths = [max(len(r[i]) for r in table) for i in range(len(self.columns))]
             for idx, row in enumerate(table):
                 out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -176,23 +195,16 @@ def cmd_field(args, params: BoundParams) -> Report:
             "degree-1 polynomial defines the rationals (disc 1, rd = 1); nothing to report"
         )
     report = Report("field", args.prec, args.prime_bound, params)
-    report.extra["poly"] = str(k.min_poly)
-    report.extra["degree"] = str(k.degree)
-    report.extra["signature"] = [str(k.r1), str(k.r2)]
-    report.extra["disc"] = str(k.disc)
-    report.extra["rd"] = _iv(root_discriminant(k, args.prec))
-    report.extra["minkowski_bound"] = _iv(minkowski_norm_bound(k, args.prec))
+    report.extra["poly"] = k.min_poly
+    report.extra["degree"] = k.degree
+    report.extra["signature"] = [k.r1, k.r2]
+    report.extra["disc"] = k.disc
+    report.extra["rd"] = root_discriminant(k, args.prec)
+    report.extra["minkowski_bound"] = minkowski_norm_bound(k, args.prec)
     report.columns = ["place", "kind", "re_lo", "re_hi", "im_lo", "im_hi"]
     reals, boxes = k.embeddings(args.prec)
-    place = 0
-    for iv in reals:
-        lo, hi = _iv(iv)
-        report.rows.append([str(place), "real", lo, hi, "0", "0"])
-        place += 1
-    for box in boxes:
-        re, im = _iv(box.re), _iv(box.im)
-        report.rows.append([str(place), "complex", re[0], re[1], im[0], im[1]])
-        place += 1
+    report.rows = [[i, "real", iv, 0, 0] for i, iv in enumerate(reals)]
+    report.rows += [[len(reals) + i, "complex", box.re, box.im] for i, box in enumerate(boxes)]
     return report
 
 
@@ -200,17 +212,15 @@ def cmd_pisot(args, params: BoundParams) -> Report:
     k = field_from_polynomial(args.poly, args.prec)
     cert = find_pisot(k, args.place, args.radius, args.prec)
     report = Report("pisot", args.prec, args.prime_bound, params)
-    report.extra["poly"] = str(k.min_poly)
-    report.extra["element"] = str(cert.element)
-    report.extra["place_index"] = str(cert.place_index)
-    report.extra["norm_one_minus"] = _rat(cert.norm_one_minus)
-    report.extra["delta_bound"] = _iv(cert.delta_bound)
-    report.extra["certificate_precision"] = str(cert.precision)
-    report.extra["reverified"] = "yes" if reverify_certificate(cert) else "no"
+    report.extra["poly"] = k.min_poly
+    report.extra["element"] = cert.element
+    report.extra["place_index"] = cert.place_index
+    report.extra["norm_one_minus"] = cert.norm_one_minus
+    report.extra["delta_bound"] = cert.delta_bound
+    report.extra["certificate_precision"] = cert.precision
+    report.extra["reverified"] = reverify_certificate(cert)
     report.columns = ["place", "lo", "hi", "pisot_place"]
-    for i, iv in enumerate(cert.enclosures):
-        lo, hi = _iv(iv)
-        report.rows.append([str(i), lo, hi, "yes" if i == cert.place_index else "no"])
+    report.rows = [[i, iv, i == cert.place_index] for i, iv in enumerate(cert.enclosures)]
     return report
 
 
@@ -227,38 +237,25 @@ def cmd_tower(args, params: BoundParams) -> Report:
     report = Report("tower", args.prec, args.prime_bound, params)
     if not args.name:
         report.columns = ["name", "base_degree", "degree_rule", "rd_lo", "rd_hi", "total_real", "source"]
-        for entry in tower_catalog(args.extra):
-            lo, hi = _iv(entry.rd_constant)
-            report.rows.append([
-                entry.name,
-                str(entry.base_degree),
-                entry.degree_rule,
-                lo,
-                hi,
-                "yes" if entry.total_real else "no",
-                entry.source,
-            ])
+        report.rows = [list(entry) for entry in tower_catalog(args.extra)]
         return report
     entry = _tower_entry(args.name, args.extra)
     report.extra["name"] = entry.name
     report.extra["degree_rule"] = entry.degree_rule
-    report.extra["rd_constant"] = _iv(entry.rd_constant)
-    report.extra["total_real"] = "yes" if entry.total_real else "no"
+    report.extra["rd_constant"] = entry.rd_constant
+    report.extra["total_real"] = entry.total_real
     report.extra["source"] = entry.source
     if args.t is not None:
         seq = fixed_signature_sequence(entry, args.t, args.levels, precision=args.prec)
-        report.extra["t"] = str(args.t)
+        report.extra["t"] = args.t
         report.columns = ["level", "degree", "r2", "rd_bound_lo", "rd_bound_hi"]
-        for synth in seq:
-            lo, hi = _iv(synth.rd_bound)
-            report.rows.append([str(synth.level), int_str(synth.degree), str(synth.r2), lo, hi])
+        report.rows = [[s.level, s.degree, s.r2, s.rd_bound] for s in seq]
         report.notes.append(
             "rd bound is level-independent: the cap 2 c0^((2+t*delta)/2) does not grow with the degree"
         )
     else:
         report.columns = ["level", "degree"]
-        for level, degree in enumerate(tower_degrees(entry, args.levels)):
-            report.rows.append([str(level), int_str(degree)])
+        report.rows = [list(pair) for pair in enumerate(tower_degrees(entry, args.levels))]
     return report
 
 
@@ -289,13 +286,13 @@ def cmd_covolume(args, params: BoundParams) -> Report:
         result = covolume_synthetic(entry.rd_constant, degree, data, p0, args.prec)
         c1_pow = c1 ** degree
         report.extra["tower"] = entry.name
-        report.extra["level"] = str(args.level)
-        report.extra["degree"] = int_str(degree)
-        report.extra["p0"] = str(p0)
-        report.extra["c1"] = _iv(c1)
-        report.extra["c1_pow_d"] = _iv(c1_pow)
+        report.extra["level"] = args.level
+        report.extra["degree"] = degree
+        report.extra["p0"] = p0
+        report.extra["c1"] = c1
+        report.extra["c1_pow_d"] = c1_pow
         within = result.value.hi <= c1_pow.hi
-        report.extra["within_c1_bound"] = "yes" if within else "no"
+        report.extra["within_c1_bound"] = within
         report.notes.append(
             f"value <= c1^{degree}: {'holds' if within else 'FAILS'} "
             "(upper endpoints agree exactly by construction)"
@@ -307,7 +304,7 @@ def cmd_covolume(args, params: BoundParams) -> Report:
             alpha = k.element(_parse_coords(args.alpha))
             ext = quadratic_extension(k, alpha, precision=args.prec)
             report.extra["alpha"] = args.alpha
-            report.extra["t"] = str(ext.t)
+            report.extra["t"] = ext.t
         elif data.s_param:
             raise LatcountError("outer forms need --alpha for the relative discriminant")
         result = covolume(
@@ -316,7 +313,7 @@ def cmd_covolume(args, params: BoundParams) -> Report:
             prime_bound=args.prime_bound,
             precision=args.prec,
         )
-        report.extra["field"] = str(k.min_poly)
+        report.extra["field"] = k.min_poly
         if result.coarse_value is not None:
             nested = result.coarse_value.encloses(result.value)
             report.extra["nesting_check"] = "ok" if nested else "violated"
@@ -325,12 +322,12 @@ def cmd_covolume(args, params: BoundParams) -> Report:
                 f"bound-{coarse_bound(args.prime_bound)} interval: "
                 f"{'ok' if nested else 'VIOLATED'}"
             )
-    report.extra["value"] = _iv(result.value)
-    report.extra["disc_factor"] = _iv(result.disc_factor)
-    report.extra["arch_factor"] = _iv(result.arch_factor)
-    report.extra["euler_factor"] = _iv(result.euler_factor)
-    report.extra["lambda_bound"] = _iv(result.lambda_bound)
-    report.extra["prime_bound_used"] = str(result.prime_bound_used)
+    report.extra["value"] = result.value
+    report.extra["disc_factor"] = result.disc_factor
+    report.extra["arch_factor"] = result.arch_factor
+    report.extra["euler_factor"] = result.euler_factor
+    report.extra["lambda_bound"] = result.lambda_bound
+    report.extra["prime_bound_used"] = result.prime_bound_used
     return report
 
 
@@ -355,27 +352,21 @@ def cmd_growth_lower(args, params: BoundParams) -> Report:
     report = Report("growth lower", args.prec, args.prime_bound, params)
     report.extra["tower"] = entry.name
     report.extra["type"] = grown.lie_name
-    report.extra["p0"] = str(args.p0)
-    report.extra["p_prime"] = str(grown.p_prime)
-    report.extra["c1"] = _iv(grown.c1)
-    report.extra["c2"] = _iv(grown.c2)
-    report.extra["c2_exponent"] = _rat(grown.c2_exponent)
-    report.extra["c3"] = str(grown.c3)
-    report.extra["a"] = _iv(grown.a)
+    report.extra["p0"] = args.p0
+    report.extra["p_prime"] = grown.p_prime
+    report.extra["c1"] = grown.c1
+    report.extra["c2"] = grown.c2
+    report.extra["c2_exponent"] = grown.c2_exponent
+    report.extra["c3"] = grown.c3
+    report.extra["a"] = grown.a
     kept = grown.included_rows()
-    report.extra["x_range"] = [int_str(kept[0].index_bound), int_str(kept[-1].index_bound)]
-    report.extra[f"gamma_h{data.coxeter}"] = _iv(gamma)
+    report.extra["x_range"] = [kept[0].index_bound, kept[-1].index_bound]
+    report.extra[f"gamma_h{data.coxeter}"] = gamma
     report.columns = [
         "degree", "covolume_lo", "covolume_hi", "subgroup_exponent",
         "index_bound", "conjugacy_discount", "net_exponent", "included",
     ]
-    for row in grown.rows:
-        lo, hi = _iv(row.covolume_bound)
-        report.rows.append([
-            str(row.degree), lo, hi, int_str(row.subgroup_exponent),
-            int_str(row.index_bound), int_str(row.conjugacy_discount),
-            int_str(row.net_count_exponent), "yes" if row.included else "no",
-        ])
+    report.rows = [list(row) for row in grown.rows]
     report.notes.append(_GAMMA_NOTE)
     return report
 
@@ -416,11 +407,8 @@ def cmd_growth_upper(args, params: BoundParams) -> Report:
         ratio = RealInterval.point(bound.B).div(log2_fraction(x, wp), args.prec)
         if best is None or ratio.hi > best.hi:
             best = ratio
-        lo, hi = _iv(ratio)
-        report.rows.append([
-            str(x), str(bound.nu), str(bound.rank_sum), str(bound.B), lo, hi,
-        ])
-    report.extra["b"] = _iv(best)
+        report.rows.append([x, bound.nu, bound.rank_sum, bound.B, ratio])
+    report.extra["b"] = best
     report.notes.append(_CONDITIONAL_NOTE)
     return report
 
@@ -431,16 +419,13 @@ def cmd_lie_dump(args, params: BoundParams) -> Report:
     report = Report("lie dump", args.prec, args.prime_bound, params)
     report.columns = ["name", "rank", "dim", "coxeter", "exponents", "gamma_lo", "gamma_hi"]
     for row in dump_table(args.max_rank):
-        gamma = gamma_h(row["coxeter"], args.prec)
-        lo, hi = _iv(gamma)
         report.rows.append([
             f"{row['family']}{row['rank']}",
-            str(row["rank"]),
-            str(row["dim"]),
-            str(row["coxeter"]),
-            " ".join(str(m) for m in row["exponents"]),
-            lo,
-            hi,
+            row["rank"],
+            row["dim"],
+            row["coxeter"],
+            " ".join(map(str, row["exponents"])),
+            gamma_h(row["coxeter"], args.prec),
         ])
     report.notes.append(_GAMMA_NOTE)
     return report
@@ -595,13 +580,14 @@ def run(argv=None) -> int:
     params = _resolve(args, _load_config(args.config))
     report = args.handler(args, params)
     if getattr(args, "out", None):
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(report.render("json"))
-        with open(args.out + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(report.render("csv"))
+        # render both before opening either, so a failure leaves no partial file
+        texts = {ext: report.render(ext) for ext in ("json", "csv")}
+        for ext, text in texts.items():
+            with open(f"{args.out}.{ext}", "w", encoding="utf-8") as fh:
+                fh.write(text)
         print(f"report written: {args.out}.json, {args.out}.csv")
-        print(f"a = [{report.extra['a'][0]}, {report.extra['a'][1]}]")
-        print(f"x_range = [{report.extra['x_range'][0]}, {report.extra['x_range'][1]}]")
+        for key in ("a", "x_range"):
+            print(f"{key} = [{', '.join(_text(report.extra[key]))}]")
         for note in report.notes:
             print(f"note: {note}")
     else:

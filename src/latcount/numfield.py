@@ -413,10 +413,6 @@ class NumberField:
     def abs_disc(self) -> int:
         return abs(self.disc)
 
-    def root_disc(self, prec: Optional[int] = None) -> RealInterval:
-        prec = prec or self.precision
-        return RealInterval.point(self.abs_disc).nth_root(self.degree, prec)
-
     def embeddings(self, prec: Optional[int] = None):
         """(real enclosures ascending, upper-half boxes), one per infinite place."""
         prec = prec or self.precision
@@ -608,20 +604,8 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         d = self.field.degree
-        f = self.field.min_poly.coefficients
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    prod[i + j] += a * b
-        # reduce modulo the monic minimal polynomial
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = Fraction(0)
-                for i in range(d):
-                    prod[k - d + i] -= c * f[i]
-        return FieldElement(self.field, prod[:d])
+        rem = _fp_rem(_poly_mul(self.coords, other.coords), self.field.min_poly.coefficients)
+        return FieldElement(self.field, rem + [0] * (d - len(rem)))
 
     __rmul__ = __mul__
 
@@ -722,7 +706,7 @@ def derived_minkowski_C(prec: int = 64) -> RealInterval:
 
 
 def root_discriminant(field: NumberField, prec: int = 128) -> RealInterval:
-    return field.root_disc(prec)
+    return RealInterval.point(field.abs_disc).nth_root(field.degree, prec)
 
 
 def minkowski_witness(field: NumberField, radius: int = 5, prec: int = 128):

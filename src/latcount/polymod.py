@@ -20,9 +20,8 @@ are made canonical only when a result is unpacked to a list.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from functools import lru_cache
 from itertools import compress
+from math import isqrt
 
 
 def primes_up_to(n: int) -> list:
@@ -30,21 +29,15 @@ def primes_up_to(n: int) -> list:
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(n ** 0.5) + 1):
+    for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return list(compress(range(n + 1), sieve))
 
 
-@lru_cache(maxsize=8)
-def _cached_primes(bucket: int) -> tuple:
-    return tuple(primes_up_to(bucket))
-
-
 def prime_list(n: int) -> tuple:
-    """Cached ascending primes <= n (sieve size: the next power of two)."""
-    primes = _cached_primes(1 << max(n - 1, 1).bit_length())
-    return primes[: bisect_right(primes, n)]
+    """The ascending primes <= n."""
+    return tuple(primes_up_to(n))
 
 
 def _trim(f: list) -> list:

@@ -596,6 +596,7 @@ def test_out_prefix_writes_files(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     "covolume --tower golod-shafarevich --type A10 --level 3 --format csv",  # decimal_str
     "growth lower --tower hajir-maire --type C11 --pprime 3",  # x_range
+    "growth lower --tower martinet --type E8 --pprime 1000000000000000003 --levels 1",  # c3
 ])
 def test_digit_limit_error_text(capsys, argv):
     # ROADMAP item 5's known defect prints the same text under Python 3.10 and 3.11

@@ -11,7 +11,7 @@ checked by recording the parent tree (a `git archive` copy) and the changed
 one, then diffing the two files.
 
 The argv are every `perfbench/workloads.py` invocation of seeds 1-3, the
-README's `latcount` example lines, and a few slow-path extras.
+README's example block, and a few slow-path extras.
 """
 
 from __future__ import annotations
@@ -45,8 +45,11 @@ def corpus() -> list:
 
     argvs = [inv.argv for name in workloads.WORKLOADS for seed in SEEDS
              for inv in workloads.generate(name, seed)]
-    readme = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
-    argvs += [shlex.split(line)[1:] for line in readme if line.startswith("latcount ")]
+    # the fenced block under "Examples:", as tests/test_cli.py reads it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```\n", readme.index("\nExamples:")) + 4
+    block = readme[start : readme.index("```", start)]
+    argvs += [shlex.split(line)[1:] for line in block.splitlines()]
     argvs += [line.split() for line in EXTRAS]
     return list(dict.fromkeys(shlex.join(argv) for argv in argvs))
 

@@ -34,7 +34,7 @@ from .errors import (
     ReduciblePolynomial,
     ResidueBudgetExceeded,
 )
-from .interval import RealInterval, digit_limit_error, int_str, interval_strs, log2_fraction
+from .interval import RealInterval, int_str, interval_strs, log2_fraction, refuse_unprintable_power
 from .liedata import dump_table, gamma_h, parse_type, with_form, OUTER_2
 from .numfield import (
     field_from_polynomial,
@@ -277,12 +277,7 @@ def cmd_covolume(args, params: BoundParams) -> Report:
         p0 = args.p0 if args.p0 is not None else 2
         degree = entry.base_degree << args.level
         c1 = covolume_upper_c1(entry.rd_constant, data, p0, args.prec)
-        # c1.hi > 2^b, so c1^degree has more than b degree log10(2) digits and
-        # 0.30102 < log10(2): refuse a level whose c1^degree cannot be printed
-        # before building it
-        b = c1.hi.numerator.bit_length() - c1.hi.denominator.bit_length() - 1
-        if b * degree * 30102 // 100000 >= sys.get_int_max_str_digits() > 0:
-            raise digit_limit_error()
+        refuse_unprintable_power(c1.hi, degree)
         result = covolume_synthetic(entry.rd_constant, degree, data, p0, args.prec)
         c1_pow = c1 ** degree
         report.extra["tower"] = entry.name

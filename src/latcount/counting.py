@@ -16,7 +16,7 @@ from math import ceil
 from typing import NamedTuple, Sequence, Tuple, Union
 
 from .errors import EmptyReport, ResidueBudgetExceeded
-from .interval import RealInterval, log2_fraction
+from .interval import RealInterval, log2_fraction, refuse_unprintable_power
 from .liedata import LieTypeData
 
 Rat = Union[int, Fraction]
@@ -195,7 +195,7 @@ class BoundParams(_BoundFields):
         if extra:
             raise ValueError(f"unknown bound parameter(s): {sorted(extra)}")
         kwargs = {}
-        for key in known & set(block):
+        for key in sorted(known & set(block)):
             read = read_int if key == "s_embed" else read_rational
             kwargs[key] = read(block[key], f"invalid config value: {key}")
         defaulted = tuple(sorted(known - set(block)))
@@ -268,6 +268,7 @@ def lower_growth_assemble(
         raise ValueError("c1 must exceed 1")
     wp = precision + 16
     c3 = p_prime ** data.dim
+    refuse_unprintable_power(c3, degrees[-1])  # the last row's c3^d, the longest integer printed
     rows = []
     for d in degrees:
         sub = d * d // 4

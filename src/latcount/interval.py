@@ -532,6 +532,15 @@ def digit_limit_error() -> LatcountError:
     return LatcountError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits(), ""))
 
 
+def refuse_unprintable_power(base: Rat, exponent: int) -> None:
+    """Raise digit_limit_error() if base^exponent, base > 1, cannot be printed:
+    base > 2^b, so the power has more than 0.30102 b exponent digits."""
+    base = Fraction(base)
+    b = base.numerator.bit_length() - base.denominator.bit_length() - 1
+    if b * exponent * 30102 // 100000 >= sys.get_int_max_str_digits() > 0:
+        raise digit_limit_error()
+
+
 def parse_int(digits: str) -> int:
     """int(digits) for a string of decimal digits; past the digit limit, a
     ValueError with Python 3.11's text on every version."""

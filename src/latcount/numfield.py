@@ -19,7 +19,7 @@ enclosures at two precisions nest in either order.  A seed that fails costs
 one more precision doubling; every precision escalation, here and in
 pisot_tower, iterates over `doublings`.
 
-Irreducibility is exact and never looks at a root (Zassenhaus's method; von
+Irreducibility is decided first and exactly (Zassenhaus's method; von
 zur Gathen-Gerhard, Modern Computer Algebra, ch. 14-15).  Residue degrees at
 a few good primes leave the possible factor degrees; if one survives, the
 factors at one prime p are Hensel-lifted to p^k > 2 B, B = 2^(d/2) ||f||_2.
@@ -309,7 +309,7 @@ def _real_cells(poly: Polynomial, xs, F: int, prec: int):
     its cell at level e = prec, or at the first finer level at which the
     cell holds no other seed.  Aligned cells nest or are disjoint, so no two
     of these overlap.  Each cell must show a strict sign change of f at its
-    two ends; a zero there is a rational root.
+    two ends; f is irreducible of degree >= 2 here, so neither end is a root.
     """
     f = poly.coefficients
     cells = []
@@ -322,9 +322,6 @@ def _real_cells(poly: Polynomial, xs, F: int, prec: int):
             return None
         j = x >> F - e
         ends = [_value_at(f, a, 0, e)[0] for a in (j, j + 1)]
-        if 0 in ends:
-            root = Fraction(j + ends.index(0), 1 << e)
-            raise ReduciblePolynomial(f"rational root {root} of {poly}")
         if (ends[0] > 0) == (ends[1] > 0):
             return None
         cells.append(RealInterval(Fraction(j, 1 << e), Fraction(j + 1, 1 << e)))
@@ -452,10 +449,13 @@ _MAX_SUBSETS = 1 << 16
 def _assert_irreducible(poly: Polynomial, zk_disc: int) -> None:
     """Raise ReduciblePolynomial naming the least factor degree if poly is reducible.
 
-    Open degrees are sums of residue degrees at every screened prime (not
-    dividing zk_disc = disc(poly)); the odd one with the fewest factors is lifted.
+    The one decider, run before any root is sought.  Open degrees are sums of
+    residue degrees at every screened prime (not dividing zk_disc =
+    disc(poly)); the odd one with the fewest factors is lifted.
     """
     f, d = poly.coefficients, poly.degree
+    if f[0] == 0:
+        raise ReduciblePolynomial(f"{poly} has factor of degree 1")
     sizes, screened = set(range(1, d // 2 + 1)), []
     # the odd primes below the bound multiply to more than |zk_disc|: one is good
     bound = max(1000, 16 * zk_disc.bit_length())
@@ -500,7 +500,7 @@ def field_from_polynomial(
     precision: int = 128,
     known_disc: Optional[int] = None,
 ) -> NumberField:
-    """Build a NumberField, certifying irreducibility and the signature.
+    """Build a NumberField: irreducibility first, then the roots and signature.
 
     The discriminant defaults to disc(Z[theta]); pass known_disc when the
     maximal-order value is available (it is validated against the sign and
@@ -521,6 +521,8 @@ def field_from_polynomial(
     zk_disc = poly_discriminant(poly)
     if zk_disc == 0:
         raise ReduciblePolynomial(f"{poly} has a repeated factor")
+    if d > 1:
+        _assert_irreducible(poly, zk_disc)
 
     reals, boxes = _certified_roots(poly, precision)
     r1, r2 = len(reals), len(boxes)
@@ -529,7 +531,6 @@ def field_from_polynomial(
     field = NumberField(poly, d, r1, r2, zk_disc, zk_disc, precision, {precision: (reals, boxes)})
     if d == 1:
         return field
-    _assert_irreducible(poly, zk_disc)
 
     if known_disc is not None:
         if known_disc == 0:

@@ -21,7 +21,7 @@ import itertools
 import json
 import os
 from fractions import Fraction
-from math import ceil, isqrt
+from math import ceil, isqrt, lcm
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -151,14 +151,16 @@ def _certify_pisot(
 ):
     """Certified decision: Pisot at place_index within the proof bounds.
 
-    Returns (enclosures, precision) on acceptance, None on rejection.  The
-    norm cap is decided exactly before any embedding is evaluated; the v1
-    cap is compared by squares.  No boundary case needs exact arithmetic:
+    Returns (enclosures, precision, N(1 - theta)) on acceptance, None on
+    rejection; the norm is computed here once, and the certificate keeps it.
+    The norm cap is decided exactly before any embedding is evaluated; the
+    v1 cap is compared by squares.  No boundary case needs exact arithmetic:
     an embedding exactly +-1 makes the element +-1, and v1 exactly at its
     cap makes theta^2 rational, so every |theta_j| equals v1 > 1.
     """
     d, D = k.degree, k.abs_disc
-    if not _within_norm_cap(abs(element_norm(1 - element)), d, D):
+    n1 = element_norm(1 - element)
+    if not _within_norm_cap(abs(n1), d, D):
         return None
     v1_cap_sq = 4 ** (d - 1) * D
     exhausted = PrecisionExhausted(f"pisot certification of {element}")
@@ -173,7 +175,7 @@ def _certify_pisot(
         ):
             return None
         if vp.lo > 1 and all(a.hi < 1 for a in others) and vp.hi * vp.hi <= v1_cap_sq:
-            return vals, prec
+            return vals, prec, n1
 
 
 def find_pisot(
@@ -208,12 +210,12 @@ def find_pisot(
         res = _certify_pisot(k, element, place_index, precision)
         if res is None:
             continue
-        enclosures, used_prec = res
+        enclosures, used_prec, n1 = res
         return PisotCertificate(
             element=element,
             place_index=place_index,
             enclosures=enclosures,
-            norm_one_minus=element_norm(1 - element),
+            norm_one_minus=n1,
             delta_bound=_norm_cap(d, k.abs_disc, used_prec),
             precision=used_prec,
         )
@@ -232,9 +234,8 @@ def reverify_certificate(cert: PisotCertificate) -> bool:
         return False
     if res is None:
         return False
-    vals, _ = res
     # refined enclosures must sit inside the stored ones
-    return all(old.encloses(new) for old, new in zip(cert.enclosures, vals))
+    return all(old.encloses(new) for old, new in zip(cert.enclosures, res[0]))
 
 
 # ============================================================= alpha products
@@ -281,7 +282,11 @@ def quadratic_extension(
     alpha: FieldElement,
     precision: int = 128,
 ) -> QuadraticExtensionData:
-    """Bound data for l = k[sqrt(alpha)]: t complex places, disc and rd caps."""
+    """Bound data for l = k[sqrt(alpha)]: t complex places, disc and rd caps.
+
+    Valid for every alpha: with c the lcm of alpha's denominators, alpha c^2 is
+    integral, so disc(l) <= D^2 4^d |N(alpha c^2)|; rd(l) <= its (2d)-th root.
+    """
     if alpha.is_zero():
         raise AlphaZero("alpha must be nonzero")
     signs = certified_signs(k, alpha)
@@ -292,17 +297,9 @@ def quadratic_extension(
             "totally positive alpha with square norm: cannot certify non-squareness"
         )
     d, D = k.degree, k.abs_disc
-    scaled = D * D * (1 << (2 * d)) * norm
-    disc_bound = ceil(scaled)
-    # for |disc| = 1 the rd formula's D^expo factor is 1 whatever delta is
-    delta = delta_for_field(k, precision) if D >= 2 else RealInterval.point(1)
-    wp = precision + 16
-    via_disc = RealInterval.point(disc_bound).nth_root(2 * d, wp)
-    expo = (delta * t + 2) * Fraction(1, 2 * d)
-    via_rd = RealInterval.point(D).pow_interval(expo, wp) * 2
-    rd_bound = RealInterval(
-        min(via_disc.lo, via_rd.lo), min(via_disc.hi, via_rd.hi)
-    ).round_out(precision)
+    c = lcm(*(x.denominator for x in alpha.coords))
+    disc_bound = ceil(D * D * 4 ** d * norm * c ** (2 * d))
+    rd_bound = RealInterval.point(disc_bound).nth_root(2 * d, precision + 16).round_out(precision)
     return QuadraticExtensionData(
         base=k,
         alpha=alpha,

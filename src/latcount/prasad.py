@@ -36,7 +36,7 @@ from .interval import (
     zeta_interval,
 )
 from .liedata import OUTER_2, LieTypeData, outer2_signs, split_signs
-from .numfield import NumberField, element_norm
+from .numfield import NumberField
 from .pisot_tower import QuadraticExtensionData
 from .polymod import distinct_degree_degrees, prime_list
 
@@ -276,7 +276,8 @@ def covolume(
     """Volume-formula enclosure for a concrete base field.
 
     The relative-discriminant factor (D_rel)^(s/2) is folded into
-    disc_factor as the bracket [1, rel_bound^(s/2)]; lambda_bound is
+    disc_factor as the bracket [1, rel_bound^(s/2)], rel_bound =
+    ceil(ext.disc_bound / D^2) the extension's own cap; lambda_bound is
     [1, p0^(d dim)] when a distinguished ramified place is declared.  The
     same Euler pass also yields coarse_value, the covolume truncated at
     coarse_bound(prime_bound), whenever that bound is below prime_bound;
@@ -291,8 +292,7 @@ def covolume(
             raise ValueError(
                 "outer forms need quadratic extension data for the (D_rel)^(s/2) factor"
             )
-        rel = Fraction(1 << (2 * d)) * abs_norm_bound(ext)
-        rel_int = ceil(rel)
+        rel_int = ceil(Fraction(ext.disc_bound, k.abs_disc ** 2))
         disc = disc * RealInterval(1, 1).hull(
             RealInterval.point(rel_int).pow_frac(Fraction(s, 2), wp)
         )
@@ -314,10 +314,6 @@ def covolume(
         prime_bound_used=prime_bound,
         coarse_value=disc * arch * coarse_euler[0] * lam if coarse_euler else None,
     )
-
-
-def abs_norm_bound(ext: QuadraticExtensionData) -> Fraction:
-    return abs(element_norm(ext.alpha))
 
 
 def _zeta2_unit(data: LieTypeData, wp: int) -> RealInterval:

@@ -542,6 +542,23 @@ def test_config_values_are_validated(capsys, tmp_path, doc, key):
     assert "invalid literal" not in err.lower() and "Traceback" not in err
 
 
+def test_config_error_does_not_depend_on_the_hash_seed(tmp_path):
+    # three bad values: the first in field order (C, C1, C2, c4, f1, s_embed) is named
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bound_params": {"C1": "x", "c4": "y", "f1": "z"}}))
+    src = str(Path(latcount.__file__).resolve().parent.parent)
+    errs = []
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "latcount", "--config", str(cfg), "lie", "dump"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        errs.append(proc.stderr)
+    assert errs == [
+        "error: invalid config value: C1 must be a rational number such as 1/2, got 'x'\n"
+    ] * 2
+
+
 def test_threads_flag_has_no_effect(capsys):
     # --threads is validated but unused: the Euler product is one sequential pass
     argv = ["covolume", "--field", "x^2-x-1", "--type", "A1", "--prime-bound", "10000"]
@@ -638,6 +655,23 @@ def test_covolume_tower_past_the_digit_limit_fails_fast(level):
     # c1^degree would need minutes (level 11) or forever (level 20000) to
     # build, only to fail on the digit limit when printed
     argv = ["covolume", "--tower", "martinet", "--type", "A1", "--level", level]
+    env = dict(os.environ, PYTHONPATH=str(Path(latcount.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "latcount"] + argv,
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: Exceeds the limit (4300 digits) for integer string conversion; "
+        "use sys.set_int_max_str_digits() to increase the limit\n"
+    )
+
+
+@pytest.mark.parametrize("levels", ["12", "40"])
+def test_growth_lower_past_the_digit_limit_fails_fast(levels):
+    # every row's c1^d and c3^d would be built before the last c3^d failed
+    # to print: seconds at level 10, about four times longer per level after
+    argv = ["growth", "lower", "--tower", "martinet", "--type", "A2", "--pprime", "3",
+            "--levels", levels]
     env = dict(os.environ, PYTHONPATH=str(Path(latcount.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-m", "latcount"] + argv,
                           capture_output=True, text=True, env=env, timeout=10)

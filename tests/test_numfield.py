@@ -68,9 +68,27 @@ def test_reducible_rejected():
     for spec in ("x^2-1", "x^2-4", "x^4+4", "x^3-x", "x^6-1"):
         with pytest.raises(ReduciblePolynomial):
             field_from_polynomial(spec)
-    # the real cells are checked in ascending order, so the root named is -1
-    with pytest.raises(ReduciblePolynomial, match=r"^rational root -1 of x\^3 - x$"):
+    # irreducibility is decided before any root is sought; x is the least factor
+    with pytest.raises(ReduciblePolynomial, match=r"^x\^3 - x has factor of degree 1$"):
         field_from_polynomial("x^3-x")
+
+
+def test_zero_constant_term_is_the_factor_x():
+    # x (x^2 - 3x - 8): the other factor has no rational root to find instead
+    for spec in ("x^3-3x^2-8x", "x^2-x"):
+        poly = Polynomial.from_string(spec)
+        with pytest.raises(ReduciblePolynomial, match=r"has factor of degree 1$"):
+            numfield._assert_irreducible(poly, poly_discriminant(poly))
+
+
+def test_reducible_input_never_reaches_the_root_finder(monkeypatch):
+    def no_roots(poly, prec):
+        raise AssertionError(f"root search on {poly}")
+
+    monkeypatch.setattr(numfield, "_certified_roots", no_roots)
+    # (x^2 - 2)(x^2 - 3) is refused before any root of it is sought
+    with pytest.raises(ReduciblePolynomial, match="has factor of degree 2$"):
+        field_from_polynomial("x^4-5x^2+6")
 
 
 def test_irreducible_accepted_without_rational_roots():

@@ -228,7 +228,7 @@ def test_quadratic_extension_golden():
     assert ext.t == 1
     assert ext.disc_bound == 400           # ceil(D^2 4^d |N|) = 25 * 16 * 1
     assert ext.sign_pattern == (-1, 1)
-    # rd cap is the better of the two routes; here the disc route wins
+    # rd cap is the (2d)-th root of the exact disc bound: 400^(1/4) = 4.472...
     assert Fraction("4.47") < ext.rd_bound.lo
     assert ext.rd_bound.hi < Fraction("4.48")
     assert ext.rd_bound.hi ** (2 * k.degree) <= ext.disc_bound + 1
@@ -240,6 +240,33 @@ def test_quadratic_extension_rationals():
     assert ext.t == 1
     assert ext.disc_bound == 4             # 1 * 4 * |N(-1)|
     assert ext.rd_bound.lo <= 2 <= ext.rd_bound.hi ** 2 * 2
+
+
+def _assert_rd_encloses_disc_root(ext):
+    n = 2 * ext.base.degree
+    assert ext.rd_bound.lo ** n <= ext.disc_bound <= ext.rd_bound.hi ** n
+
+
+def test_quadratic_extension_caps_hold_for_any_alpha():
+    # Q(sqrt5, sqrt -1000003) has disc 5 * 1000003 * 5000015 = 25 * 1000003^2,
+    # so its rd is sqrt(5000015) = 2236.07...; alpha is no Pisot product, and
+    # the cap must still hold
+    k = _golden()
+    ext = quadratic_extension(k, k.element([-1000003, 0]))
+    assert ext.t == 2
+    truth = RealInterval.point(5 * 1000003 * 5000015).nth_root(4, 64)
+    assert Fraction("2236.07") < truth.lo and ext.rd_bound.hi >= truth.hi
+    _assert_rd_encloses_disc_root(ext)
+
+
+@pytest.mark.parametrize("alpha, disc", [(Fraction(1, 3), 12), (Fraction(5, 7), 140)])
+def test_quadratic_extension_caps_fractional_alpha(alpha, disc):
+    # Q(sqrt(1/3)) = Q(sqrt 3) has disc 12, Q(sqrt(5/7)) = Q(sqrt 35) has 140
+    q = field_from_polynomial("x-1")
+    ext = quadratic_extension(q, q.element([alpha]))
+    assert ext.disc_bound == disc
+    assert ext.rd_bound.hi ** 2 >= disc
+    _assert_rd_encloses_disc_root(ext)
 
 
 def test_quadratic_extension_rejections():

@@ -18,7 +18,6 @@ from latcount.pisot_tower import (
 from latcount.polymod import distinct_degree_degrees, prime_list
 from latcount.prasad import (
     CovolumeResult,
-    abs_norm_bound,
     covolume,
     covolume_synthetic,
     covolume_upper_c1,
@@ -350,7 +349,7 @@ def test_covolume_outer_needs_extension():
         covolume(k, None, outer_a2, prime_bound=100)
     theta = k.element([0, 1])
     ext = quadratic_extension(k, theta)
-    assert abs_norm_bound(ext) == 1
+    assert ext.disc_bound == 400
     res = covolume(k, ext, outer_a2, prime_bound=100)
     # 5^(dim/2) = 625 times the bracket [1, (4^d |N|)^(s/2)] = [1, 1024]
     assert res.disc_factor.lo == 625

@@ -210,7 +210,7 @@ def cmd_field(args, params: BoundParams) -> Report:
 
 def cmd_pisot(args, params: BoundParams) -> Report:
     k = field_from_polynomial(args.poly, args.prec)
-    cert = find_pisot(k, args.place, args.radius, args.prec)
+    cert = find_pisot(k, args.place, args.radius)
     report = Report("pisot", args.prec, args.prime_bound, params)
     report.extra["poly"] = k.min_poly
     report.extra["element"] = cert.element
@@ -297,17 +297,12 @@ def cmd_covolume(args, params: BoundParams) -> Report:
         ext = None
         if args.alpha:
             alpha = k.element(_parse_coords(args.alpha))
-            ext = quadratic_extension(k, alpha, precision=args.prec)
+            ext = quadratic_extension(k, alpha)
             report.extra["alpha"] = args.alpha
             report.extra["t"] = ext.t
         elif data.s_param:
             raise LatcountError("outer forms need --alpha for the relative discriminant")
-        result = covolume(
-            k, ext, data,
-            p0=args.p0,
-            prime_bound=args.prime_bound,
-            precision=args.prec,
-        )
+        result = covolume(k, ext, data, p0=args.p0, prime_bound=args.prime_bound)
         report.extra["field"] = k.min_poly
         if result.coarse_value is not None:
             nested = result.coarse_value.encloses(result.value)

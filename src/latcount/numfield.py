@@ -389,17 +389,18 @@ def _certified_roots(poly: Polynomial, prec: int):
 # ================================================================ number field
 
 class NumberField:
-    """Q[x]/(f) for a certified-irreducible monic integer f."""
+    """Q[x]/(f) for a certified-irreducible monic integer f, with its roots
+    certified at `precision`: the one precision of every certificate over it."""
 
-    def __init__(self, min_poly, degree, r1, r2, disc, zk_disc, precision, emb_cache):
+    def __init__(self, min_poly, disc, zk_disc, precision, roots):
         self.min_poly = min_poly
-        self.degree = degree
-        self.r1 = r1
-        self.r2 = r2
+        self.degree = min_poly.degree
+        self.r1 = len(roots[0])
+        self.r2 = len(roots[1])
         self.disc = disc          # signed; known_disc if supplied, else disc(Z[theta])
         self.zk_disc = zk_disc    # signed disc(Z[theta])
         self.precision = precision
-        self._emb_cache = emb_cache  # precision -> certified embeddings
+        self._emb_cache = {precision: roots}  # precision -> certified embeddings
         self.frobenius_classes = {}  # cyclic cubics: p mod sqrt(zk_disc) -> residue degrees, filled by prasad
 
     @property
@@ -524,20 +525,18 @@ def field_from_polynomial(
     if d > 1:
         _assert_irreducible(poly, zk_disc)
 
-    reals, boxes = _certified_roots(poly, precision)
-    r1, r2 = len(reals), len(boxes)
-    if (zk_disc < 0) != (r2 % 2 == 1):
+    field = NumberField(poly, zk_disc, zk_disc, precision, _certified_roots(poly, precision))
+    if (zk_disc < 0) != (field.r2 % 2 == 1):
         raise AssertionError("discriminant sign inconsistent with signature")
-    field = NumberField(poly, d, r1, r2, zk_disc, zk_disc, precision, {precision: (reals, boxes)})
     if d == 1:
         return field
 
     if known_disc is not None:
         if known_disc == 0:
             raise InvalidDiscriminant("known_disc must divide disc(Z[theta])")
-        if (known_disc < 0) != (r2 % 2 == 1):
+        if (known_disc < 0) != (field.r2 % 2 == 1):
             raise InvalidDiscriminant(
-                f"known_disc sign {known_disc} contradicts signature (r2={r2})"
+                f"known_disc sign {known_disc} contradicts signature (r2={field.r2})"
             )
         if zk_disc % known_disc != 0:
             raise InvalidDiscriminant("known_disc must divide disc(Z[theta])")
@@ -631,17 +630,18 @@ class FieldElement:
 def evaluate_at_embeddings(element: FieldElement, precision: int):
     """Certified images at the r1 real places, in the order of the roots.
 
-    Width of every returned enclosure is <= 2^(1-precision); refining the
-    precision keeps each enclosure inside its predecessor.
+    One interval Horner pass over the real cells of
+    `element.field.embeddings(precision)`, rounded out to the
+    2^-(precision+2) grid.  Each image contains the true value.  Images at
+    two precisions nest, because aligned cells nest and interval Horner is
+    inclusion-monotone.  An image is at most
+    2^-precision sum_i i |c_i| R^(i-1) + 2^-(precision+1) wide, where
+    c_i are the coordinates and R bounds |x| on the cell.
     """
-    # inner target + grid rounding keep the final width under 2^(1-precision)
-    target = Fraction(1, 1 << (precision + 1))
-    grid = precision + 2
-    exhausted = PrecisionExhausted(f"embedding images at {precision} bits")
-    for wp in doublings(precision + 16, exhausted):
-        out = [_horner(element.coords, r) for r in element.field.embeddings(wp)[0]]
-        if all(iv.width() <= target for iv in out):
-            return tuple(iv.round_out(grid) for iv in out)
+    return tuple(
+        _horner(element.coords, r).round_out(precision + 2)
+        for r in element.field.embeddings(precision)[0]
+    )
 
 
 def _horner(coords, x: RealInterval) -> RealInterval:

@@ -11,8 +11,9 @@ A Pisot certificate for theta in a degree-d field of |disc| D also caps the
 big place, theta <= 2^(d-1) sqrt(D), and the norm, |N(1 - theta)| <= D^delta
 with D^delta = 3^(d-1) sqrt(D) + (3/2)^(d-1).  Both caps are decided exactly
 on rationals by comparing squares, so only the embeddings need interval
-enclosures.  Their refinement, and every other interval escalation here,
-doubles the start precision under numfield's refinement budget.
+enclosures.  Every certificate over a field starts at the field's own
+precision, on the cells it already holds, and doubles it under numfield's
+refinement budget when the images cannot decide.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     SignUncertifiable,
 )
 from .counting import read_int, read_rational
-from .interval import RealInterval, log2_fraction
+from .interval import RealInterval, int_str, log2_fraction
 from .numfield import (
     FieldElement,
     NumberField,
@@ -182,10 +183,9 @@ def find_pisot(
     k: NumberField,
     place_index: int = 0,
     search_radius: int = 5,
-    precision: int = 64,
 ) -> PisotCertificate:
     """Lexicographically first certified Pisot element with coordinates of
-    sup-norm <= search_radius."""
+    sup-norm <= search_radius, certified from k.precision upward."""
     if k.r2 != 0 or k.degree < 2:
         raise NotTotallyReal(f"{k!r} is not totally real of degree >= 2")
     if not 0 <= place_index < k.r1:
@@ -207,7 +207,7 @@ def find_pisot(
         ):
             continue
         element = k.element(coords)
-        res = _certify_pisot(k, element, place_index, precision)
+        res = _certify_pisot(k, element, place_index, k.precision)
         if res is None:
             continue
         enclosures, used_prec, n1 = res
@@ -258,12 +258,12 @@ def pisot_product_alpha(
     return alpha, signs
 
 
-def certified_signs(k: NumberField, element: FieldElement, precision: int = 64):
-    """Sign of the element at every real place, certified."""
+def certified_signs(k: NumberField, element: FieldElement):
+    """Sign of the element at every real place, certified from k.precision upward."""
     if element.is_zero():
         raise AlphaZero("the zero element has no signs")
     exhausted = SignUncertifiable(f"sign of {element} straddles zero")
-    for prec in doublings(precision, exhausted):
+    for prec in doublings(k.precision, exhausted):
         vals = evaluate_at_embeddings(element, prec)
         signs = tuple((v.lo > 0) - (v.hi < 0) for v in vals)
         if 0 not in signs:
@@ -277,15 +277,12 @@ def splitting_pattern(k: NumberField, element: FieldElement) -> Tuple[str, ...]:
     )
 
 
-def quadratic_extension(
-    k: NumberField,
-    alpha: FieldElement,
-    precision: int = 128,
-) -> QuadraticExtensionData:
+def quadratic_extension(k: NumberField, alpha: FieldElement) -> QuadraticExtensionData:
     """Bound data for l = k[sqrt(alpha)]: t complex places, disc and rd caps.
 
     Valid for every alpha: with c the lcm of alpha's denominators, alpha c^2 is
-    integral, so disc(l) <= D^2 4^d |N(alpha c^2)|; rd(l) <= its (2d)-th root.
+    integral, so disc(l) <= D^2 4^d |N(alpha c^2)|; rd(l) <= its (2d)-th root,
+    on the 2^-k.precision grid.
     """
     if alpha.is_zero():
         raise AlphaZero("alpha must be nonzero")
@@ -299,7 +296,7 @@ def quadratic_extension(
     d, D = k.degree, k.abs_disc
     c = lcm(*(x.denominator for x in alpha.coords))
     disc_bound = ceil(D * D * 4 ** d * norm * c ** (2 * d))
-    rd_bound = RealInterval.point(disc_bound).nth_root(2 * d, precision + 16).round_out(precision)
+    rd_bound = RealInterval.point(disc_bound).nth_root(2 * d, k.precision + 16).round_out(k.precision)
     return QuadraticExtensionData(
         base=k,
         alpha=alpha,
@@ -380,7 +377,9 @@ def tower_lookup(name: str, extra_path: Optional[str] = None) -> list:
 
 
 def tower_degrees(entry: TowerEntry, levels: int) -> list:
-    """Level degrees; every catalog rule doubles the degree per level."""
+    """Level degrees; every catalog rule doubles the degree per level.  An
+    unprintable last degree is refused before the list is built."""
+    int_str(entry.base_degree << (levels - 1))
     return [entry.base_degree << i for i in range(levels)]
 
 

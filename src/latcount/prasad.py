@@ -187,10 +187,9 @@ def _zeta_pass(
     return out
 
 
-def dedekind_zeta_partial(
-    k: NumberField, s: int, prime_bound: int, precision: int = 128
-) -> RealInterval:
-    """Certified enclosure [P, P*R*T] of the degree-s zeta value of k.
+def dedekind_zeta_partial(k: NumberField, s: int, prime_bound: int) -> RealInterval:
+    """Certified enclosure [P, P*R*T] of the degree-s zeta value of k, on
+    the 2^-k.precision grid.
 
     P is the Euler product over unramified p <= prime_bound; R brackets the
     ramified factors by [1, (1-p^-s)^-d]; T bounds the tail via
@@ -198,7 +197,7 @@ def dedekind_zeta_partial(
     pass of outward-rounded fixed-point integers (see _zeta_pass), so the
     result is deterministic and encloses the exact rational product.
     """
-    return _zeta_pass(k, [s], [prime_bound], precision)[0][s]
+    return _zeta_pass(k, [s], [prime_bound], k.precision)[0][s]
 
 
 def euler_product_E(
@@ -271,9 +270,9 @@ def covolume(
     data: LieTypeData,
     p0: Optional[int] = None,
     prime_bound: int = 100000,
-    precision: int = 128,
 ) -> CovolumeResult:
-    """Volume-formula enclosure for a concrete base field.
+    """Volume-formula enclosure for a concrete base field, worked at
+    k.precision + 16 bits.
 
     The relative-discriminant factor (D_rel)^(s/2) is folded into
     disc_factor as the bracket [1, rel_bound^(s/2)], rel_bound =
@@ -283,7 +282,7 @@ def covolume(
     coarse_bound(prime_bound), whenever that bound is below prime_bound;
     over Q, where no prime is visited, it equals value.
     """
-    wp = precision + 16
+    wp = k.precision + 16
     d = k.degree
     s = data.s_param
     disc = RealInterval.point(k.abs_disc).pow_frac(Fraction(data.dim, 2), wp)

@@ -239,9 +239,10 @@ def test_embedding_images_narrow_and_nested():
     coarse = evaluate_at_embeddings(e, 80)
     fine = evaluate_at_embeddings(e, 160)
     assert len(coarse) == len(fine) == 3
+    # the docstring bound with R = 2: 2^-prec (2 + 2*2) + 2^-(prec+1)
     for c, f in zip(coarse, fine):
-        assert c.width() <= Fraction(1, 2 ** 79)
-        assert f.width() <= Fraction(1, 2 ** 159)
+        assert c.width() <= Fraction(13, 2 ** 81)
+        assert f.width() <= Fraction(13, 2 ** 161)
         assert c.encloses(f)
 
 
@@ -250,7 +251,7 @@ def test_embedding_images_at_real_places_only():
     (image,) = evaluate_at_embeddings(k.element([1, 2, -1]), 80)
     # 1 + 2 theta - theta^2 at the real root theta = 1.3247...
     assert Fraction(18945, 10000) < image.lo and image.hi < Fraction(18946, 10000)
-    assert image.width() <= Fraction(1, 2 ** 79)
+    assert image.width() <= Fraction(13, 2 ** 81)  # the docstring bound with R = 2
 
 
 def test_field_embeddings_nest_and_sort():

@@ -13,6 +13,7 @@ from latcount.errors import (
     AlphaPossiblySquare,
     AlphaZero,
     InvalidT,
+    LatcountError,
     NotTotallyReal,
     PrecisionExhausted,
     ReduciblePolynomial,
@@ -20,11 +21,10 @@ from latcount.errors import (
     SignUncertifiable,
 )
 import latcount
-from latcount.interval import RealInterval
+from latcount.interval import RealInterval, digit_limit_error
 import latcount.numfield as numfield
 from latcount.numfield import (
     element_norm,
-    evaluate_at_embeddings,
     field_from_polynomial,
     minkowski_degree_bound,
 )
@@ -123,8 +123,8 @@ def test_shanks_delta_bound_is_exact(a):
 @pytest.mark.parametrize("poly", ["x^2-x-1", "x^3-x^2-3x+1", "x^4-4x^2+2"])
 @pytest.mark.parametrize("prec", [64, 128, 512])
 def test_delta_bound_encloses_cap(poly, prec):
-    k = field_from_polynomial(poly)
-    cert = find_pisot(k, precision=prec)
+    k = field_from_polynomial(poly, prec)
+    cert = find_pisot(k)
     ref = _mp_cap(k.degree, k.abs_disc, 4 * cert.precision)
     slack = ref / 2 ** (4 * cert.precision - 16)
     assert cert.delta_bound.lo - slack <= ref <= cert.delta_bound.hi + slack
@@ -191,6 +191,29 @@ def test_certified_signs_and_pattern():
         certified_signs(k, k.zero())
 
 
+def test_certificates_read_the_cells_the_field_holds(monkeypatch):
+    # built at 128 bits, the field holds cells that decide all three at once
+    k = field_from_polynomial("x^2-x-1", 128)
+    runs = []
+    aberth = numfield._aberth_roots
+    monkeypatch.setattr(numfield, "_aberth_roots", lambda *a: runs.append(a) or aberth(*a))
+    theta = k.element([0, 1])
+    for call in (lambda: find_pisot(k), lambda: certified_signs(k, theta),
+                 lambda: quadratic_extension(k, theta)):
+        call()
+        assert runs == []
+
+
+def test_certificates_start_at_the_field_precision():
+    k = field_from_polynomial("x^2-x-1", 256)
+    cert = find_pisot(k)
+    assert cert.precision == 256
+    assert reverify_certificate(cert)
+    rd = quadratic_extension(k, k.element([0, 1])).rd_bound  # 400^(1/4), irrational
+    assert all((end * 2 ** 256).denominator == 1 for end in (rd.lo, rd.hi))
+    assert 0 < rd.width() <= Fraction(2, 2 ** 256)
+
+
 def test_exhausted_precision_errors_print_coordinates(monkeypatch):
     k = _golden()  # built first: its known_disc runs the budgeted degree bound
     k.embeddings(64)  # and the roots that find_pisot's float prefilter reads
@@ -201,9 +224,6 @@ def test_exhausted_precision_errors_print_coordinates(monkeypatch):
     with pytest.raises(SignUncertifiable) as exc:
         certified_signs(k, k.element([Fraction(1, 2), -1]))
     assert str(exc.value) == "sign of 1/2,-1 straddles zero"
-    with pytest.raises(PrecisionExhausted) as exc:
-        evaluate_at_embeddings(k.element([1, -1]), 64)
-    assert str(exc.value) == "embedding images at 64 bits"
     with pytest.raises(PrecisionExhausted) as exc:
         minkowski_degree_bound(5)
     assert str(exc.value) == "degree bound for |disc| = 5"
@@ -327,6 +347,15 @@ def test_tower_degrees_double():
     assert len(degs) == 4
     assert all(b == 2 * a for a, b in zip(degs, degs[1:]))
     assert degs[0] == entry.base_degree
+
+
+def test_tower_degrees_refuse_an_unprintable_last_degree():
+    # 20 * 2^14279 has 4300 digits, the default limit; the next degree has more
+    entry = tower_lookup("martinet")[0]
+    assert len(tower_degrees(entry, 14280)) == 14280
+    with pytest.raises(LatcountError) as exc:
+        tower_degrees(entry, 14281)
+    assert str(exc.value) == str(digit_limit_error())
 
 
 def test_fixed_signature_sequence_level_independent():

@@ -11,7 +11,8 @@ checked by recording the parent tree (a `git archive` copy) and the changed
 one, then diffing the two files.
 
 The argv are every `perfbench/workloads.py` invocation of seeds 1-3, the
-README's example block, and a few slow-path extras.
+README's example block, and a few extras: slow paths, and Pisot and sign
+certificates at a non-default place or precision.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ EXTRAS = (
     "pisot --poly x^2-x-1 --prec 9000",
     "field --poly x^24+1000003x+1 --prec 128",
     "field --poly x^24+1000003x+1 --prec 512",
+    "pisot --poly x^2-x-1 --prec 64 --place 1",
+    "pisot --poly x^4-4x^2+2 --prec 64 --place 3",
+    "pisot --poly x^3-3x+1 --place 1 --radius 3",
+    "covolume --field x^3-3x+1 --type A2 --outer --alpha=-1,1,0 --prime-bound 1000 --prec 64",
+    "covolume --field x^2-x-1 --type A2 --outer --alpha=-3,1 --prime-bound 1000 --prec 64",
 )
 CALL_LIMIT_S = 600
 JOBS = 4

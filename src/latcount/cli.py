@@ -12,9 +12,7 @@ accepted and validated for compatibility but has no effect.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from fractions import Fraction
 
@@ -119,6 +117,7 @@ class Report:
         return self._render_table(lines, rows)
 
     def _render_json(self, head, params, extra, rows) -> str:
+        import json  # only json reports load it
         doc = {"schema": 1, "version": __version__, "command": self.command}
         doc.update(head)
         doc["bound_params"] = params
@@ -146,6 +145,7 @@ class Report:
         return lines
 
     def _render_csv(self, lines, rows) -> str:
+        import csv  # only csv reports load it
         out = io.StringIO()
         for key, value in lines:
             out.write(f"# {key}: {value}\n")
@@ -277,7 +277,9 @@ def cmd_covolume(args, params: BoundParams) -> Report:
         p0 = args.p0 if args.p0 is not None else 2
         degree = entry.base_degree << args.level
         c1 = covolume_upper_c1(entry.rd_constant, data, p0, args.prec)
-        refuse_unprintable_power(c1.hi, degree)
+        # value.hi = c1.hi^d and lambda_bound.hi = p0^(dim d) are printed; the
+        # second is at least 8^d, so this caps the work even when c1.hi < 2
+        refuse_unprintable_power(max(c1.hi, p0 ** data.dim), degree)
         result = covolume_synthetic(entry.rd_constant, degree, data, p0, args.prec)
         c1_pow = c1 ** degree
         report.extra["tower"] = entry.name
@@ -445,45 +447,42 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--extra", default=default, help="extra tower catalog JSON file, read by tower, covolume --tower and growth lower")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="latcount", description=__doc__)
-    _global_flags(parser, suppress=False)
-    common = _Parser(add_help=False)
-    _global_flags(common, suppress=True)
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def _field_arguments(parser, common) -> None:
+    parser.add_argument("--poly", required=True)
+    parser.add_argument("--known-disc", type=int, default=None)
+    parser.set_defaults(handler=cmd_field)
 
-    p_field = sub.add_parser("field", help="inspect a number field", parents=[common])
-    p_field.add_argument("--poly", required=True)
-    p_field.add_argument("--known-disc", type=int, default=None)
-    p_field.set_defaults(handler=cmd_field)
 
-    p_pisot = sub.add_parser("pisot", help="find a certified Pisot element", parents=[common])
-    p_pisot.add_argument("--poly", required=True)
-    p_pisot.add_argument("--place", type=int, default=0)
-    p_pisot.add_argument("--radius", type=int, default=5)
-    p_pisot.set_defaults(handler=cmd_pisot)
+def _pisot_arguments(parser, common) -> None:
+    parser.add_argument("--poly", required=True)
+    parser.add_argument("--place", type=int, default=0)
+    parser.add_argument("--radius", type=int, default=5)
+    parser.set_defaults(handler=cmd_pisot)
 
-    p_tower = sub.add_parser("tower", help="list or expand tower catalog entries", parents=[common])
-    p_tower.add_argument("--name", default=None)
-    p_tower.add_argument("--levels", type=int, default=3)
-    p_tower.add_argument("--t", type=int, default=None)
-    p_tower.set_defaults(handler=cmd_tower)
 
-    p_cov = sub.add_parser("covolume", help="volume-formula enclosure", parents=[common])
-    src = p_cov.add_mutually_exclusive_group(required=True)
+def _tower_arguments(parser, common) -> None:
+    parser.add_argument("--name", default=None)
+    parser.add_argument("--levels", type=int, default=3)
+    parser.add_argument("--t", type=int, default=None)
+    parser.set_defaults(handler=cmd_tower)
+
+
+def _covolume_arguments(parser, common) -> None:
+    src = parser.add_mutually_exclusive_group(required=True)
     src.add_argument("--field", default=None, help="defining polynomial, or Q")
     src.add_argument("--tower", default=None, help="catalog tower name")
-    p_cov.add_argument("--level", type=int, default=0)
-    p_cov.add_argument("--type", required=True, help="Lie type, e.g. A1")
-    p_cov.add_argument("--outer", action="store_true")
-    p_cov.add_argument("--s-param", type=int, default=None)
-    p_cov.add_argument("--alpha", default=None, help="element coordinates, e.g. 0,1; "
-                       "attach a leading minus with =, as in --alpha=-1,0,1")
-    p_cov.add_argument("--p0", type=int, default=None, help="distinguished prime")
-    p_cov.set_defaults(handler=cmd_covolume)
+    parser.add_argument("--level", type=int, default=0)
+    parser.add_argument("--type", required=True, help="Lie type, e.g. A1")
+    parser.add_argument("--outer", action="store_true")
+    parser.add_argument("--s-param", type=int, default=None)
+    parser.add_argument("--alpha", default=None, help="element coordinates, e.g. 0,1; "
+                        "attach a leading minus with =, as in --alpha=-1,0,1")
+    parser.add_argument("--p0", type=int, default=None, help="distinguished prime")
+    parser.set_defaults(handler=cmd_covolume)
 
-    p_growth = sub.add_parser("growth", help="growth-constant reports", parents=[common])
-    growth_sub = p_growth.add_subparsers(dest="growth_cmd", required=True)
+
+def _growth_arguments(parser, common) -> None:
+    growth_sub = parser.add_subparsers(dest="growth_cmd", required=True)
     p_lower = growth_sub.add_parser("lower", help="tower-based lower growth report", parents=[common])
     p_lower.add_argument("--tower", required=True)
     p_lower.add_argument("--type", required=True)
@@ -502,17 +501,48 @@ def _build_parser() -> _Parser:
     p_upper.add_argument("--s-embed", type=int, default=None)
     p_upper.set_defaults(handler=cmd_growth_upper)
 
-    p_lie = sub.add_parser("lie", help="root-system data tables", parents=[common])
-    lie_sub = p_lie.add_subparsers(dest="lie_cmd", required=True)
+
+def _lie_arguments(parser, common) -> None:
+    lie_sub = parser.add_subparsers(dest="lie_cmd", required=True)
     p_dump = lie_sub.add_parser("dump", help="dump the invariant table", parents=[common])
     p_dump.add_argument("--max-rank", type=int, default=12)
     p_dump.set_defaults(handler=cmd_lie_dump)
+
+
+# subcommand -> (help, the function that adds its arguments), in listing order
+_COMMANDS = {
+    "field": ("inspect a number field", _field_arguments),
+    "pisot": ("find a certified Pisot element", _pisot_arguments),
+    "tower": ("list or expand tower catalog entries", _tower_arguments),
+    "covolume": ("volume-formula enclosure", _covolume_arguments),
+    "growth": ("growth-constant reports", _growth_arguments),
+    "lie": ("root-system data tables", _lie_arguments),
+}
+
+
+def _build_parser(argv: list) -> _Parser:
+    """The parser for one call.  Every subcommand is registered, so usage,
+    help and choice errors read the same whatever argv is, but only the one
+    that argv[0] names gets its arguments.  When argv[0] names none (a global
+    flag first, -h, a typo, no argv), the subcommand, if any, comes later and
+    every one is filled."""
+    parser = _Parser(prog="latcount", description=__doc__)
+    _global_flags(parser, suppress=False)
+    common = _Parser(add_help=False)
+    _global_flags(common, suppress=True)
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (text, add_arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text, parents=[common])
+        if chosen in (None, name):
+            add_arguments(command, common)
     return parser
 
 
 def _load_config(path):
     if not path:
         return {}
+    import json  # only a config file loads it
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
@@ -565,8 +595,8 @@ def _resolve(args, config):
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     params = _resolve(args, _load_config(args.config))
     report = args.handler(args, params)
     if getattr(args, "out", None):

@@ -19,7 +19,6 @@ refinement budget when the images cannot decide.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from fractions import Fraction
 from math import ceil, isqrt, lcm
@@ -351,6 +350,7 @@ def _entry_from_row(row, where: str) -> TowerEntry:
 def tower_catalog(extra_path: Optional[str] = None) -> list:
     """Packaged tower entries, optionally extended from a user JSON file; a
     name that appears twice across the two raises LatcountError."""
+    import json  # only catalog reads load it
     sources = []
     packaged = os.path.join(os.path.dirname(__file__), "data", "tower_catalog.json")
     for where, path in (("tower catalog", packaged), (extra_path, extra_path)):

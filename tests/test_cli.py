@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 import latcount
 import latcount.numfield as numfield
 import latcount.pisot_tower as pisot_tower
-from latcount.cli import entry, run
+from latcount.cli import _build_parser, entry, run
 from latcount.counting import BoundParams, lower_growth_assemble, upper_growth_assemble
 from latcount.errors import LatcountError
 from latcount.interval import RealInterval, interval_strs
@@ -30,6 +31,7 @@ from oracles import real_cyclotomic
 
 PARAM_KEYS = ["C", "C1", "C2", "c4", "f1", "s_embed"]
 README = Path(__file__).resolve().parent.parent / "README.md"
+SHIM = Path(__file__).resolve().parent.parent / "perfbench" / "shim.py"
 
 
 def _run_json(capsys, argv):
@@ -666,6 +668,26 @@ def test_covolume_tower_past_the_digit_limit_fails_fast(level):
     )
 
 
+@pytest.mark.parametrize("level, code", [("11", 0), ("16", 1), ("20000", 1)])
+def test_covolume_tower_with_a_small_c1_fails_fast(tmp_path, level, code):
+    # c1 < 2 here, so only lambda = p0^dim >= 8 among the printed powers
+    # shows that a level cannot print; the parent took minutes at level 16
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps([dict(_TOWER_ROW, rd_constant=["1.5", "1.6"])]))
+    argv = ["covolume", "--tower", "t", "--extra", str(path), "--type", "A1", "--level", level]
+    proc = subprocess.run([sys.executable, "-m", "latcount"] + argv,
+                          capture_output=True, text=True, env=_latcount_env(), timeout=10)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: Exceeds the limit (4300 digits) for integer string conversion; "
+            "use sys.set_int_max_str_digits() to increase the limit\n"
+        )
+    else:
+        assert "c1_pow_d: [" in proc.stdout and proc.stderr == ""
+
+
 @pytest.mark.parametrize("levels", ["12", "40"])
 def test_growth_lower_past_the_digit_limit_fails_fast(levels):
     # every row's c1^d and c3^d would be built before the last c3^d failed
@@ -798,3 +820,53 @@ def test_primality_past_psi_13_is_an_error(capsys):
                   "--p0", "3317044064679887385961981"]) == 1
     assert capsys.readouterr().err.startswith(
         "error: primality not certified for 3317044064679887385961981")
+
+
+def _subcommands(parser) -> dict:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_parser_fills_only_the_named_subcommand():
+    choices = _subcommands(_build_parser(["field", "--poly", "x^2-2"]))
+    assert list(choices) == ["field", "pisot", "tower", "covolume", "growth", "lie"]
+    assert "--poly" in choices["field"]._option_string_actions
+    assert "--type" not in choices["covolume"]._option_string_actions
+    assert "--prec" in choices["covolume"]._option_string_actions
+    # a global flag first hides which subcommand follows
+    choices = _subcommands(_build_parser(["--prec", "64", "field"]))
+    assert "--type" in choices["covolume"]._option_string_actions
+    assert "--max-rank" in _subcommands(choices["lie"])["dump"]._option_string_actions
+    growth = _subcommands(_build_parser(["growth", "--prec", "96", "upper"]))["growth"]
+    assert "--pprime" in _subcommands(growth)["lower"]._option_string_actions
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], "False False"),
+    (["--format", "json"], "True False"),
+    (["--format", "csv"], "False True"),
+], ids=["table", "json", "csv"])
+def test_reports_load_json_and_csv_on_demand(argv, loaded):
+    code = ("import sys, latcount.__main__ as m; "
+            f"sys.argv = ['latcount', 'field', '--poly', 'x^2-2'] + {argv!r}; "
+            "code = m.main(); "
+            "print(*(name in sys.modules for name in ('json', 'csv'))); "
+            "raise SystemExit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_latcount_env(), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == loaded
+
+
+@pytest.mark.parametrize("argv", ["field --poly x^2-2", "lie dump --max-rank 1"])
+def test_benchmark_shim_traces_a_plain_call(tmp_path, argv):
+    # the shim wraps every layer module it finds in sys.modules right after
+    # `import latcount.cli`, so that import must keep loading all of them
+    trace = tmp_path / "trace.json"
+    traced = subprocess.run([sys.executable, str(SHIM), str(trace)] + argv.split(),
+                            capture_output=True, env=_latcount_env(), timeout=30)
+    plain = subprocess.run([sys.executable, "-m", "latcount"] + argv.split(),
+                           capture_output=True, env=_latcount_env(), timeout=30)
+    assert traced.returncode == 0, traced.stderr
+    assert (traced.stdout, traced.stderr, plain.returncode) == (plain.stdout, plain.stderr, 0)
+    assert json.loads(trace.read_text())["calls"]["cli.entry"] == 1

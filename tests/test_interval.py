@@ -415,13 +415,14 @@ def test_roots_are_rounded_one_grid_step_outward(prec, ax, n):
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    # dataclasses would pull in inspect, ast, dis and tokenize on every call
+    # dataclasses would pull in inspect, ast, dis and tokenize on every call;
+    # json and csv load only where a report reads or writes them
     code = (
         "import sys, latcount.cli; "
-        "print(*(m in sys.modules for m in ('mpmath', 'dataclasses', 'inspect')))"
+        "print(*(m in sys.modules for m in ('mpmath', 'dataclasses', 'inspect', 'json', 'csv')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False False"
+    assert proc.stdout.strip() == "False False False False False"

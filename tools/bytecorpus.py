@@ -11,8 +11,9 @@ checked by recording the parent tree (a `git archive` copy) and the changed
 one, then diffing the two files.
 
 The argv are every `perfbench/workloads.py` invocation of seeds 1-3, the
-README's example block, and a few extras: slow paths, and Pisot and sign
-certificates at a non-default place or precision.
+README's example block, and a few extras: slow paths, Pisot and sign
+certificates at a non-default place or precision, and usage, help and error
+texts.
 """
 
 from __future__ import annotations
@@ -38,6 +39,43 @@ EXTRAS = (
     "pisot --poly x^3-3x+1 --place 1 --radius 3",
     "covolume --field x^3-3x+1 --type A2 --outer --alpha=-1,1,0 --prime-bound 1000 --prec 64",
     "covolume --field x^2-x-1 --type A2 --outer --alpha=-3,1 --prime-bound 1000 --prec 64",
+    # usage, help and error texts, which depend on how the parser is built
+    "",
+    "--help",
+    "-h",
+    "--help field",
+    "--version",
+    "-- field --poly x^2-2",
+    "field --help",
+    "pisot -h",
+    "tower --help",
+    "covolume --help",
+    "growth --help",
+    "growth lower --help",
+    "growth upper -h",
+    "lie --help",
+    "lie dump --help",
+    "bogus",
+    "growth",
+    "lie",
+    "growth bogus",
+    "field",
+    "covolume --type A1",
+    "field --poly x^2-2 --bogus",
+    "field --poly x^2-2 extra",
+    "--prec 64 field --poly x^2-2",
+    "--format=json field --poly x^2-2",
+    "--pre 64 field --poly x^2-2",
+    "--prec abc field --poly x^2-2",
+    "--prec 64",
+    "field --poly x^2-2 --pre 64",
+    "field --poly x^2-2 --format yaml",
+    "covolume --field Q --tower martinet --type A1",
+    "growth lower --tower martinet --type A2",
+    "growth --prec 96 lower --tower martinet --type A2 --pprime 3",
+    "lie dump --max-rank x",
+    "--config /nonexistent field --poly x^2-2",
+    "--format csv lie dump --max-rank 1",
 )
 CALL_LIMIT_S = 600
 JOBS = 4

@@ -671,7 +671,8 @@ def test_covolume_tower_past_the_digit_limit_fails_fast(level):
 @pytest.mark.parametrize("level, code", [("11", 0), ("16", 1), ("20000", 1)])
 def test_covolume_tower_with_a_small_c1_fails_fast(tmp_path, level, code):
     # c1 < 2 here, so only lambda = p0^dim >= 8 among the printed powers
-    # shows that a level cannot print; the parent took minutes at level 16
+    # shows that a level cannot print; tested on c1 alone, level 16 ran for
+    # minutes before failing on the digit limit
     path = tmp_path / "extra.json"
     path.write_text(json.dumps([dict(_TOWER_ROW, rd_constant=["1.5", "1.6"])]))
     argv = ["covolume", "--tower", "t", "--extra", str(path), "--type", "A1", "--level", level]

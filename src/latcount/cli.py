@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import __version__
 from .counting import (
     BoundParams,
-    _is_prime,
     lower_growth_assemble,
     read_int,
     read_rational,
@@ -48,9 +47,15 @@ from .pisot_tower import (
     tower_degrees,
     tower_lookup,
 )
+from .polymod import is_prime
 from .prasad import coarse_bound, covolume, covolume_synthetic, covolume_upper_c1
 
 _DIGITS = 12  # decimal places on every rendered endpoint
+
+_DESCRIPTION = (
+    "Certified enclosures for number fields, Pisot elements, class field "
+    "towers, covolumes of arithmetic lattices and their growth constants."
+)
 
 _GAMMA_NOTE = (
     "gamma(h) = (sqrt(h(h+2)) - h)^2 / (4h^2) is the formerly conjectured "
@@ -526,7 +531,7 @@ def _build_parser(argv: list) -> _Parser:
     that argv[0] names gets its arguments.  When argv[0] names none (a global
     flag first, -h, a typo, no argv), the subcommand, if any, comes later and
     every one is filled."""
-    parser = _Parser(prog="latcount", description=__doc__)
+    parser = _Parser(prog="latcount", description=_DESCRIPTION)
     _global_flags(parser, suppress=False)
     common = _Parser(add_help=False)
     _global_flags(common, suppress=True)
@@ -573,7 +578,7 @@ def _resolve(args, config):
     if args.threads < 1:
         raise LatcountError("thread count must be positive")
     p0 = getattr(args, "p0", None)
-    if p0 is not None and not _is_prime(p0):
+    if p0 is not None and not is_prime(p0):
         raise LatcountError(f"p0 must be a prime, got {p0}")
     if getattr(args, "level", 0) < 0:
         raise LatcountError("tower level must be nonnegative")

@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence, Tuple, Union
 from .errors import EmptyReport, ResidueBudgetExceeded
 from .interval import RealInterval, log2_fraction, refuse_unprintable_power
 from .liedata import LieTypeData
+from .polymod import is_prime
 
 Rat = Union[int, Fraction]
 
@@ -92,41 +93,6 @@ def rank_bound_gl(s: int, f: int) -> int:
     if s < 1 or f < 1:
         raise ValueError("need s >= 1 and f >= 1")
     return 2 * s * s * f
-
-
-# the first 13 primes; strong probable-prime tests to all of them prove an n
-# below _PSI_13 prime (Sorenson and Webster, Math. Comp. 86, 2017)
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Certified primality: trial division by _SMALL_PRIMES, then strong
-    probable-prime tests to those bases.  An n >= _PSI_13 that passes every
-    test raises a ValueError instead of a guess."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _PSI_13:
-        raise ValueError(f"primality not certified for {n}: the strong probable-prime "
-                         f"tests to the first 13 prime bases prove it only below {_PSI_13}")
-    return True
 
 
 def read_rational(value, label: str) -> Fraction:
@@ -255,7 +221,7 @@ def lower_growth_assemble(
     a = log c2 / (log c1 c3)^2.  Rows whose net exponent is not positive are
     flagged and excluded; if none survive the report is empty.
     """
-    if not _is_prime(p_prime):
+    if not is_prime(p_prime):
         raise ValueError("p_prime must be prime")
     c4 = Fraction(c4)
     if c4 < 0:
@@ -269,25 +235,25 @@ def lower_growth_assemble(
     wp = precision + 16
     c3 = p_prime ** data.dim
     refuse_unprintable_power(c3, degrees[-1])  # the last row's c3^d, the longest integer printed
-    rows = []
-    for d in degrees:
-        sub = d * d // 4
-        discount = ceil(c4 * d)
-        net = sub - discount
-        rows.append(
-            GrowthRow(
-                degree=d,
-                covolume_bound=c1.pow_int(d, precision),
-                subgroup_exponent=sub,
-                index_bound=c3 ** d,
-                conjugacy_discount=discount,
-                net_count_exponent=net,
-                included=net > 0,
-            )
-        )
-    kept = [r for r in rows if r.included]
-    if not kept:
+    counts = [(d, d * d // 4, ceil(c4 * d)) for d in degrees]
+    if all(sub <= discount for _, sub, discount in counts):
         raise EmptyReport("conjugacy discount eliminates every degree")
+    # the last row's c1^d is printed too: refuse it before any row's power is
+    # built, but after the empty report, which keeps its own exit code
+    refuse_unprintable_power(c1.hi, degrees[-1])
+    rows = [
+        GrowthRow(
+            degree=d,
+            covolume_bound=c1.pow_int(d, precision),
+            subgroup_exponent=sub,
+            index_bound=c3 ** d,
+            conjugacy_discount=discount,
+            net_count_exponent=sub - discount,
+            included=sub > discount,
+        )
+        for d, sub, discount in counts
+    ]
+    kept = [r for r in rows if r.included]
     expo = min(Fraction(r.net_count_exponent, r.degree ** 2) for r in kept)
     c2 = RealInterval.point(p_prime).pow_frac(expo, precision)
     log_c2 = log2_fraction(p_prime, wp) * expo
@@ -344,14 +310,17 @@ def upper_growth_assemble(
     budget = 1
     rank_sum = 0
     for p, f in residue_data:
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if f < 1:
             raise ValueError("residue degree must be >= 1")
         budget *= p ** f
         rank_sum += rank_bound_gl(params.s_embed, f)
+    # budget^b > x^a, settled by bit lengths unless the two are close, so a
+    # large C1 builds no power
     a, b = params.C1.numerator, params.C1.denominator
-    if budget ** b > x ** a:
+    lb, lx = budget.bit_length(), x.bit_length()
+    if b * (lb - 1) > a * lx or (b * lb > a * (lx - 1) and budget ** b > x ** a):
         raise ResidueBudgetExceeded(
             f"prod p^f = {budget} exceeds x^C1 with x = {x}, C1 = {params.C1}"
         )

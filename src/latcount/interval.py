@@ -445,6 +445,7 @@ def _borwein_d(n: int) -> tuple:
     return tuple(d)
 
 
+@lru_cache(maxsize=64)
 def zeta_interval(s: int, prec: int) -> RealInterval:
     """Certified enclosure of zeta(s) for an integer s >= 2, of width <= 2^(2-prec).
 
@@ -527,9 +528,16 @@ def int_str(n: int) -> str:
         raise digit_limit_error() from None
 
 
+def str_digit_limit() -> int:
+    """Python's int<->str digit limit, 0 for none: Pythons before 3.10.7 have
+    neither the limit nor sys.get_int_max_str_digits."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else 0
+
+
 def digit_limit_error() -> LatcountError:
     """int_str's error, for a caller that can tell in advance that it would fail."""
-    return LatcountError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits(), ""))
+    return LatcountError(_DIGIT_LIMIT.format(str_digit_limit(), ""))
 
 
 def refuse_unprintable_power(base: Rat, exponent: int) -> None:
@@ -537,7 +545,7 @@ def refuse_unprintable_power(base: Rat, exponent: int) -> None:
     base > 2^b, so the power has more than 0.30102 b exponent digits."""
     base = Fraction(base)
     b = base.numerator.bit_length() - base.denominator.bit_length() - 1
-    if b * exponent * 30102 // 100000 >= sys.get_int_max_str_digits() > 0:
+    if b * exponent * 30102 // 100000 >= str_digit_limit() > 0:
         raise digit_limit_error()
 
 
@@ -548,7 +556,7 @@ def parse_int(digits: str) -> int:
         return int(digits)
     except ValueError:
         detail = f": value has {len(digits)} digits"
-        raise ValueError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits(), detail)) from None
+        raise ValueError(_DIGIT_LIMIT.format(str_digit_limit(), detail)) from None
 
 
 def decimal_str(q: Fraction, digits: int, direction: str) -> str:

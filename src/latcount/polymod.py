@@ -1,4 +1,4 @@
-"""Dense polynomial arithmetic over F_p and a prime sieve.
+"""Dense polynomial arithmetic over F_p, a prime sieve and certified primality.
 
 Polynomials are lists of ints (constant coefficient first), reduced mod p.
 Only what the splitting and irreducibility code needs: distinct-degree,
@@ -38,6 +38,41 @@ def primes_up_to(n: int) -> list:
 def prime_list(n: int) -> tuple:
     """The ascending primes <= n."""
     return tuple(primes_up_to(n))
+
+
+# the first 13 primes; strong probable-prime tests to all of them prove an n
+# below _PSI_13 prime (Sorenson and Webster, Math. Comp. 86, 2017)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Certified primality: trial division by _SMALL_PRIMES, then strong
+    probable-prime tests to those bases.  An n >= _PSI_13 that passes every
+    test raises a ValueError instead of a guess."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _PSI_13:
+        raise ValueError(f"primality not certified for {n}: the strong probable-prime "
+                         f"tests to the first 13 prime bases prove it only below {_PSI_13}")
+    return True
 
 
 def _trim(f: list) -> list:

@@ -315,27 +315,29 @@ def covolume(
     )
 
 
-def _zeta2_unit(data: LieTypeData, wp: int) -> RealInterval:
-    """(pi^2/6)^rank: the zeta(2)^d-style per-degree Euler upper bound."""
-    z2 = (pi_interval(wp).pow_int(2, wp) * Fraction(1, 6)).round_out(wp)
-    return z2.pow_int(data.rank, wp)
-
-
 def _c1_factors(
     c0: RealInterval, data: LieTypeData, p0: int, wp: int
 ) -> Tuple[RealInterval, RealInterval, RealInterval, RealInterval]:
-    """The per-degree factors (disc, arch, lambda, euler) of c1."""
+    """The per-degree factors (disc, arch, lambda, euler) of c1.
+
+    The Euler factor is prod_i zeta(m_i + 1) from interval.zeta_interval: a
+    degree-d field has zeta_K(s) <= zeta(s)^d for real s > 1, so the field's
+    Euler product is at most this factor to the d-th power.
+    """
     if data.s_param:
         raise ValueError("outer form needs the relative-discriminant constant c0'")
     disc = c0.pow_frac(Fraction(data.dim, 2), wp)
     lam = RealInterval.point(p0 ** data.dim)
-    return disc, _arch_unit(data, wp), lam, _zeta2_unit(data, wp)
+    euler = RealInterval.point(1)
+    for m in data.exponents:
+        euler = euler * zeta_interval(m + 1, wp)
+    return disc, _arch_unit(data, wp), lam, euler.round_out(wp)
 
 
 def covolume_upper_c1(
     c0: RealInterval, data: LieTypeData, p0: int, precision: int = 128
 ) -> RealInterval:
-    """c1 = c0^(dim/2) prod(m_i!/(2 pi)^(m_i+1)) p0^dim (pi^2/6)^r for an inner form.
+    """c1 = c0^(dim/2) prod(m_i!/(2 pi)^(m_i+1)) p0^dim prod zeta(m_i+1) for an inner form.
 
     A degree-d field with rd <= c0 then has covolume at most c1^d.  The
     factors here are shared with covolume_synthetic so that the c1^d
@@ -355,7 +357,7 @@ def covolume_synthetic(
     """Volume bracket for a tower level known only by its degree and rd bound.
 
     No splitting data exists, so the Euler product is bracketed by
-    [1, (pi^2/6)^(d r)] and the distinguished place by [1, p0^(d dim)].
+    [1, (prod_i zeta(m_i+1))^d] and the distinguished place by [1, p0^(d dim)].
     Every per-degree factor of c1 is positive and these two brackets start
     at 1, so the value is assembled once from the per-degree ends; its upper
     endpoint is c1.hi^d exactly.

@@ -13,10 +13,10 @@ import pytest
 import latcount
 import latcount.numfield as numfield
 import latcount.pisot_tower as pisot_tower
-from latcount.cli import _build_parser, entry, run
+from latcount.cli import _DESCRIPTION, _build_parser, entry, run
 from latcount.counting import BoundParams, lower_growth_assemble, upper_growth_assemble
 from latcount.errors import LatcountError
-from latcount.interval import RealInterval, interval_strs
+from latcount.interval import RealInterval, interval_strs, str_digit_limit
 from latcount.liedata import parse_type
 from latcount.numfield import Polynomial, field_from_polynomial
 from latcount.pisot_tower import (
@@ -704,6 +704,77 @@ def test_growth_lower_past_the_digit_limit_fails_fast(levels):
         "error: Exceeds the limit (4300 digits) for integer string conversion; "
         "use sys.set_int_max_str_digits() to increase the limit\n"
     )
+
+
+_LATE_FAILURES = [
+    "growth lower --tower martinet --type E6 --pprime 3",
+    "growth lower --tower martinet --type A8 --pprime 3",
+    "growth lower --tower martinet --type C4 --pprime 3",
+    "growth lower --tower hajir-maire --type B4 --pprime 3",
+    "growth lower --tower martinet --type A2 --pprime 3 --levels 7",
+]
+
+
+@pytest.mark.parametrize("argv", _LATE_FAILURES)
+def test_growth_lower_refuses_an_unprintable_c1_power_before_any_row(capsys, monkeypatch, argv):
+    # c3^d of the last row prints, but c1^d does not: the call is refused
+    # before any row's covolume power is built
+    assert entry(argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: Exceeds the limit (4300 digits) for integer string conversion; "
+        "use sys.set_int_max_str_digits() to increase the limit\n"
+    )
+    args = argv.split()
+    entry_row = tower_lookup(args[args.index("--tower") + 1])[0]
+    data = parse_type(args[args.index("--type") + 1])
+    levels = int(args[args.index("--levels") + 1]) if "--levels" in args else 3
+    c1 = covolume_upper_c1(entry_row.rd_constant, data, 2)
+    degrees = pisot_tower.tower_degrees(entry_row, levels)
+    powers = []
+    original = RealInterval.pow_int
+    monkeypatch.setattr(RealInterval, "pow_int",
+                        lambda iv, n, prec: powers.append(n) or original(iv, n, prec))
+    with pytest.raises(LatcountError):
+        lower_growth_assemble(c1, data, 3, 0, degrees)
+    assert powers == []
+
+
+def test_growth_lower_empty_report_precedes_the_c1_refusal(capsys):
+    argv = "growth lower --tower martinet --type E6 --pprime 3 --c4 100"
+    assert entry(argv.split()) == 4
+    assert capsys.readouterr().err == "error: conjugacy discount eliminates every degree\n"
+
+
+def test_reports_run_without_the_digit_limit_getter(capsys, monkeypatch):
+    # Python 3.10.0-3.10.6 has neither the int->str limit nor its getter
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert str_digit_limit() == 0
+    for argv in ("covolume --tower martinet --type A1",
+                 "growth lower --tower martinet --type A1 --pprime 3 --c4 0 --rank-override"):
+        assert entry(argv.split()) == 0, argv
+        assert "c1: [" in capsys.readouterr().out
+
+
+def test_help_describes_the_program_not_the_module(capsys):
+    for argv in (["--help"], ["-h"], ["--help", "field"]):
+        with pytest.raises(SystemExit) as exc:
+            entry(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert " ".join(out.split("\n\n")[1].split()) == _DESCRIPTION
+        assert "Borwein" not in out
+
+
+def test_growth_upper_with_a_large_c1_builds_no_power():
+    # x^C1 at x = 10^30 and C1 = 10^6 has 10^8 bits: built exactly, the
+    # residue-budget test ran for minutes; bit lengths settle it at once
+    argv = ["growth", "upper", "--residues", "2:1", "--C1", "1000000", "--x-max", str(10 ** 30)]
+    proc = subprocess.run([sys.executable, "-m", "latcount"] + argv,
+                          capture_output=True, text=True, env=_latcount_env(), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert f"\n{10 ** 30} " in proc.stdout  # the scan's last row
 
 
 def test_digit_limit_error_text_when_parsing(capsys):

@@ -6,11 +6,9 @@ import pytest
 from latcount.errors import EmptyReport, ResidueBudgetExceeded
 from latcount.interval import RealInterval, log2_fraction
 from latcount.liedata import root_system
-from latcount.polymod import prime_list
+from latcount.polymod import _PSI_13, is_prime, prime_list
 from latcount.counting import (
-    _PSI_13,
     BoundParams,
-    _is_prime,
     distinct_prime_count,
     gaussian_binomial,
     lower_growth_assemble,
@@ -195,6 +193,25 @@ def test_upper_growth_budget():
         upper_growth_assemble(100, zero, [(2, 1)])
 
 
+def test_upper_growth_budget_matches_the_exact_powers():
+    # the bit-length shortcut decides as budget^b > x^a does, boundaries included
+    rng = random.Random(5)
+    for _ in range(1000):
+        residues = [(rng.choice((2, 3, 5, 7)), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
+        budget = 1
+        for p, f in residues:
+            budget *= p ** f
+        x = rng.choice((2, 4, 8, 10, 100, 1024, max(budget, 2), budget + 1))
+        C1 = Fraction(rng.randint(0, 12), rng.randint(1, 6))
+        over = budget ** C1.denominator > x ** C1.numerator
+        try:
+            upper_growth_assemble(x, BoundParams(C1=C1), residues)
+        except ResidueBudgetExceeded:
+            assert over, (x, C1, residues)
+        else:
+            assert not over, (x, C1, residues)
+
+
 def test_upper_growth_rejections():
     params = BoundParams()
     with pytest.raises(ValueError):
@@ -222,7 +239,7 @@ def test_upper_growth_ratio_decays_over_decades():
 
 def test_is_prime_agrees_with_the_sieve():
     primes = set(prime_list(10**5))
-    assert [n for n in range(-3, 10**5 + 1) if _is_prime(n)] == sorted(primes)
+    assert [n for n in range(-3, 10**5 + 1) if is_prime(n)] == sorted(primes)
 
 
 @pytest.mark.parametrize("n", [
@@ -230,21 +247,21 @@ def test_is_prime_agrees_with_the_sieve():
     3825123056546413051,  # 149491 * 747451 * 34233211: to the first 9 prime bases
 ])
 def test_is_prime_rejects_strong_pseudoprimes(n):
-    assert not _is_prime(n)
+    assert not is_prime(n)
 
 
 def test_is_prime_large_primes():
     # 3317044064679887385961813 is the largest prime below psi_13
     for p in (1000000007, 100000000000000003, 2**61 - 1, 3317044064679887385961813):
-        assert _is_prime(p)
-    assert not _is_prime(2**67 - 1)  # 193707721 * 761838257287
-    assert not _is_prime(100000000000000003 * 1000000007)
+        assert is_prime(p)
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+    assert not is_prime(100000000000000003 * 1000000007)
 
 
 def test_is_prime_refuses_past_psi_13():
     # psi_13 passes all 13 strong tests and is composite; no guess past it
     with pytest.raises(ValueError, match="primality not certified"):
-        _is_prime(_PSI_13)
+        is_prime(_PSI_13)
     with pytest.raises(ValueError, match="primality not certified"):
-        _is_prime(2**89 - 1)  # a Mersenne prime
-    assert not _is_prime(_PSI_13 + 1)  # even: trial division still decides
+        is_prime(2**89 - 1)  # a Mersenne prime
+    assert not is_prime(_PSI_13 + 1)  # even: trial division still decides

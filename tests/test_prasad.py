@@ -3,16 +3,25 @@ from math import isqrt
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
+from mpmath import libmp, mp
 
 from latcount import prasad
 from latcount.cli import entry
 from latcount.errors import ReduciblePolynomial
 from latcount.interval import RealInterval
-from latcount.liedata import OUTER_2, outer2_signs, parse_type, root_system, with_form
+from latcount.liedata import (
+    OUTER_2,
+    dump_table,
+    outer2_signs,
+    parse_type,
+    root_system,
+    with_form,
+)
 from latcount.numfield import field_from_polynomial
 from latcount.pisot_tower import (
     fixed_signature_sequence,
     quadratic_extension,
+    tower_catalog,
     tower_lookup,
 )
 from latcount.polymod import distinct_degree_degrees, prime_list
@@ -388,6 +397,28 @@ def test_c1_martinet_pin():
     assert c1.intersect(closed) is not None
     with pytest.raises(ValueError):
         covolume_upper_c1(entry.rd_constant, with_form(root_system("A", 2), OUTER_2), 2)
+
+
+def _c1_reference(c0: Fraction, data, prec: int) -> Fraction:
+    """c0^(dim/2) prod m_i!/(2 pi)^(m_i+1) 2^dim prod zeta(m_i+1), by mpmath at
+    4 * prec bits."""
+    with mp.workprec(4 * prec):
+        value = (mp.mpf(c0.numerator) / c0.denominator) ** (mp.mpf(data.dim) / 2) * 2 ** data.dim
+        for m in data.exponents:
+            value *= mp.factorial(m) / (2 * mp.pi) ** (m + 1) * mp.zeta(m + 1)
+        return Fraction(*libmp.to_rational(value._mpf_))
+
+
+@pytest.mark.parametrize("entry", tower_catalog(None), ids=lambda e: e.name)
+def test_c1_encloses_the_zeta_product_bound(entry):
+    # the per-degree Euler bound is prod_i zeta(m_i + 1), since zeta_K(s) <=
+    # zeta(s)^d; c1 must hold that bound at both ends of the tower's rd_constant
+    for row in dump_table(12):
+        data = parse_type(f"{row['family']}{row['rank']}")
+        c1 = covolume_upper_c1(entry.rd_constant, data, 2)
+        slack = Fraction(1, 2 ** 480)
+        assert c1.lo <= _c1_reference(entry.rd_constant.lo, data, 128) * (1 + slack), data.name
+        assert _c1_reference(entry.rd_constant.hi, data, 128) * (1 - slack) <= c1.hi, data.name
 
 
 def test_synthetic_upper_endpoint_matches_c1_power():

@@ -12,11 +12,11 @@ quantities are the growth constants themselves, which involve logarithms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, prod
 from typing import NamedTuple, Sequence, Tuple, Union
 
 from .errors import EmptyReport, ResidueBudgetExceeded
-from .interval import RealInterval, log2_fraction, refuse_unprintable_power
+from .interval import RealInterval, log2_fraction, refuse_unprintable_power, str_digit_limit
 from .liedata import LieTypeData
 from .polymod import is_prime
 
@@ -292,6 +292,45 @@ class UpperGrowthBound(NamedTuple):
         )
 
 
+def _budget_exceeds(residue_data: Sequence[Tuple[int, int]], x: int, C1: Fraction) -> bool:
+    """prod p^f > x^C1, that is budget^b > x^a for C1 = a/b.
+
+    Settled by bit lengths, then by enclosures of the logarithms, and only
+    where those tie by the exact powers, so neither a large residue degree
+    nor a large C1 builds a power it does not need.
+    """
+    a, b = C1.numerator, C1.denominator
+    lx = x.bit_length()
+    # 2^lo <= budget < 2^hi and 2^(lx - 1) <= x < 2^lx
+    lo = sum(f * (p.bit_length() - 1) for p, f in residue_data)
+    hi = sum(f * p.bit_length() for p, f in residue_data)
+    if b * lo > a * lx:
+        return True
+    if b * hi <= a * (lx - 1):
+        return False
+    gap = log2_fraction(x, 64) * a  # a log2 x - b log2 budget
+    for p, f in residue_data:
+        gap = gap - log2_fraction(p, 64) * (b * f)
+    if gap.hi < 0:
+        return True
+    if gap.lo > 0:
+        return False
+    return prod(p ** f for p, f in residue_data) ** b > x ** a
+
+
+def _budget_text(residue_data: Sequence[Tuple[int, int]]) -> str:
+    """prod p^f in digits within the int->str digit limit (4300 digits where
+    Python has none, so every version prints the same), else as the product
+    of the powers, such as 3^1000000."""
+    limit = str_digit_limit() or 4300
+    # budget >= 2^lo, which has more than 0.30102 lo digits
+    if sum(f * (p.bit_length() - 1) for p, f in residue_data) * 30102 // 100000 < limit:
+        budget = prod(p ** f for p, f in residue_data)
+        if budget < 10 ** limit:
+            return str(budget)
+    return " * ".join(f"{p}^{f}" for p, f in residue_data)
+
+
 def upper_growth_assemble(
     x: int,
     params: BoundParams,
@@ -307,22 +346,16 @@ def upper_growth_assemble(
     """
     if x < 2:
         raise ValueError("x must be >= 2")
-    budget = 1
     rank_sum = 0
     for p, f in residue_data:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if f < 1:
             raise ValueError("residue degree must be >= 1")
-        budget *= p ** f
         rank_sum += rank_bound_gl(params.s_embed, f)
-    # budget^b > x^a, settled by bit lengths unless the two are close, so a
-    # large C1 builds no power
-    a, b = params.C1.numerator, params.C1.denominator
-    lb, lx = budget.bit_length(), x.bit_length()
-    if b * (lb - 1) > a * lx or (b * lb > a * (lx - 1) and budget ** b > x ** a):
+    if _budget_exceeds(residue_data, x, params.C1):
         raise ResidueBudgetExceeded(
-            f"prod p^f = {budget} exceeds x^C1 with x = {x}, C1 = {params.C1}"
+            f"prod p^f = {_budget_text(residue_data)} exceeds x^C1 with x = {x}, C1 = {params.C1}"
         )
     nu = distinct_prime_count(x)
     quotient_exponent = nu + rank_sum + 1

@@ -392,10 +392,14 @@ def fixed_signature_sequence(
     """Synthetic degree-2d fields with r2 = t and a level-independent rd cap.
 
     rd bound = 2 c0^((2 + t delta)/2); no defining polynomials exist for
-    these levels, so descriptors carry numbers only.
+    these levels, so descriptors carry numbers only.  The t complex places of
+    k(sqrt alpha) lie over t real places of the level-0 field, so t cannot
+    exceed base_degree.
     """
     if t < 1:
         raise InvalidT(f"t must be >= 1, got {t}")
+    if t > entry.base_degree:
+        raise InvalidT(f"t must be <= the base degree {entry.base_degree}, got {t}")
     delta = delta_universal(precision)
     wp = precision + 16
     expo = (delta * t + 2) * Fraction(1, 2)

@@ -71,20 +71,13 @@ def local_factor(
 
 # ============================================================= prime splitting
 
-class PrimeSplitting(NamedTuple):
-    p: int
-    residue_degrees: Tuple[int, ...]
-    ramified: bool
-    conservative: bool  # ramified verdict forced by disc(Z[theta]), not the field disc
+def prime_splitting(k: NumberField, p: int) -> Tuple[int, ...]:
+    """Residue degrees of the primes above p, ascending, from the defining
+    polynomial; () when p divides disc(Z[theta]).
 
-
-def prime_splitting(k: NumberField, p: int) -> PrimeSplitting:
-    """Residue degrees of p from the defining polynomial.
-
-    The Euler pass's one bad-prime test: p | disc(Z[theta]) is reported
-    ramified; if the field discriminant is prime to p, this is only an index
-    obstruction, flagged `conservative` (the true splitting is unknown
-    without the maximal order).
+    That is the Euler pass's one bad-prime test: at such p the splitting is
+    unknown without the maximal order, whether p divides the field
+    discriminant or only the index.
 
     At every other p, Stickelberger's theorem (Swan, Pacific J. Math. 12,
     1962) ties the number r of irreducible factors of f mod p to the
@@ -105,27 +98,27 @@ def prime_splitting(k: NumberField, p: int) -> PrimeSplitting:
     """
     disc = k.zk_disc
     if disc % p == 0:
-        return PrimeSplitting(p, (), True, k.abs_disc % p != 0)
+        return ()
     d = k.degree
     if d == 1:
-        return PrimeSplitting(p, (1,), False, False)
+        return (1,)
     key = None
     if d == 3 and disc > 0 and (m := isqrt(disc)) * m == disc:
         key = p % m
         degs = k.frobenius_classes.get(key)
         if degs is not None:
-            return PrimeSplitting(p, degs, False, False)
+            return degs
     elif d <= 3:
         square = disc % 8 == 1 if p == 2 else pow(disc, (p - 1) // 2, p) == 1
         if d == 2:
-            return PrimeSplitting(p, (1, 1) if square else (2,), False, False)
+            return (1, 1) if square else (2,)
         if not square:
-            return PrimeSplitting(p, (1, 2), False, False)
+            return (1, 2)
     degs = distinct_degree_degrees(k.min_poly.coefficients, p)
     assert sum(degs) == d
     if key is not None:
         k.frobenius_classes[key] = degs
-    return PrimeSplitting(p, degs, False, False)
+    return degs
 
 
 # ======================================================== zeta Euler products
@@ -144,8 +137,9 @@ def _zeta_pass(
     """One pass over the primes <= bounds[-1] for every s in s_values.
 
     Per s, lo and hi are fixed-point integers scaled by 2^(precision + _GUARD):
-    each unramified factor q/(q-1), q = p^(f s), is applied to lo rounded
-    down and to hi rounded up, and a ramified p multiplies only hi, by
+    each factor q/(q-1), q = p^(f s), of a prime with known residue degrees
+    is applied to lo rounded down and to hi rounded up, and a p whose
+    splitting is unknown multiplies only hi, by the totally split factor
     (1-p^-s)^-d.  At each bound (ascending order) the tail
     sum_{p > bound} p^-s <= bound^(1-s)/(s-1) is applied to hi, and the result
     is a dict s -> enclosure on the 2^-precision grid.
@@ -155,6 +149,7 @@ def _zeta_pass(
     if bounds[0] < 2:
         raise ValueError("prime_bound must be >= 2")
     d = k.degree
+    split = (1,) * d
     s_values = sorted(set(s_values))
     one = 1 << (precision + _GUARD)
     lo = dict.fromkeys(s_values, one)
@@ -165,16 +160,13 @@ def _zeta_pass(
     for bound in bounds:
         stop = bisect_right(primes, bound)
         for p in primes[start:stop]:
-            sp = prime_splitting(k, p)
+            degs = prime_splitting(k, p)
             for s in s_values:
-                for f in sp.residue_degrees:
+                for f in degs or split:
                     q1 = p ** (f * s) - 1
-                    lo[s] += lo[s] // q1
+                    if degs:
+                        lo[s] += lo[s] // q1
                     hi[s] += -(-hi[s] // q1)
-                if sp.ramified:
-                    q1 = p ** s - 1
-                    for _ in range(d):
-                        hi[s] += -(-hi[s] // q1)
         start = stop
         snapshot = {}
         for s in s_values:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import latcount
+import latcount.counting as counting
 import latcount.numfield as numfield
 import latcount.pisot_tower as pisot_tower
 from latcount.cli import _DESCRIPTION, _build_parser, entry, run
@@ -25,7 +26,7 @@ from latcount.pisot_tower import (
     quadratic_extension,
     tower_lookup,
 )
-from latcount.prasad import covolume_synthetic, covolume_upper_c1, prime_splitting
+from latcount.prasad import covolume_synthetic, covolume_upper_c1
 
 from oracles import real_cyclotomic
 
@@ -210,6 +211,20 @@ def test_tower_t_below_one_is_an_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: t must be >= 1, got {t}\n"
+
+
+@pytest.mark.parametrize("t", ["21", "100000"])
+def test_tower_t_above_the_base_degree_is_an_error(capsys, monkeypatch, t):
+    # martinet's level 0 has degree 20, so k(sqrt alpha) has at most 20
+    # complex places; the refusal comes before delta or any power is computed
+    def no_delta(precision):
+        raise AssertionError("delta computed for an impossible t")
+
+    monkeypatch.setattr(pisot_tower, "delta_universal", no_delta)
+    assert entry(["tower", "--name", "martinet", "--t", t, "--levels", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: t must be <= the base degree 20, got {t}\n"
 
 
 _TOWER_ROW = {"name": "t", "base_degree": 2, "degree_rule": "doubling",
@@ -777,6 +792,31 @@ def test_growth_upper_with_a_large_c1_builds_no_power():
     assert f"\n{10 ** 30} " in proc.stdout  # the scan's last row
 
 
+@pytest.mark.parametrize("f", [10 ** 6, 10 ** 7])
+def test_growth_upper_refuses_an_unprintable_budget_unbuilt(capsys, monkeypatch, f):
+    # 3^f has about 0.48 f digits: built exactly, it took up to seconds and
+    # ended on the digit limit (exit 1); bit lengths settle it, and the
+    # message gives it in factored form
+    def no_product(*args):
+        raise AssertionError("the residue budget was built")
+
+    monkeypatch.setattr(counting, "prod", no_product, raising=False)
+    assert entry(["growth", "upper", "--residues", f"3:{f}"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: prod p^f = 3^{f} exceeds x^C1 with x = 100, C1 = 1\n"
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_growth_upper_prints_a_printable_budget_exactly(capsys, monkeypatch, limit):
+    # 3^9012 has 4300 digits and 3^9013 one more; where Python has no limit
+    # (0), the budget is printed as under the default 4300
+    monkeypatch.setattr(counting, "str_digit_limit", lambda: limit)
+    for f, text in ((9012, str(3 ** 9012)), (9013, "3^9013")):
+        assert entry(["growth", "upper", "--residues", f"3:{f}"]) == 5
+        assert capsys.readouterr().err == f"error: prod p^f = {text} exceeds x^C1 with x = 100, C1 = 1\n"
+
+
 def test_digit_limit_error_text_when_parsing(capsys):
     # Python 3.10 words the same int() failure "limit (4300) for"
     assert entry(["field", "--poly", "x^2-" + "7" * 5000]) == 1
@@ -835,7 +875,6 @@ RECORDS = {
     "QuadraticExtensionData": (_rational_extension, "t"),
     "TowerEntry": (_martinet, "rd_constant"),
     "SyntheticField": (lambda: fixed_signature_sequence(_martinet(), 1, 1)[0], "rd_bound"),
-    "PrimeSplitting": (lambda: prime_splitting(field_from_polynomial("x^2-5"), 5), "ramified"),
     "CovolumeResult": (
         lambda: covolume_synthetic(_martinet().rd_constant, 2, parse_type("A1"), 2), "value"
     ),

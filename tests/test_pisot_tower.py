@@ -369,6 +369,9 @@ def test_fixed_signature_sequence_level_independent():
     assert all(s.rd_bound == first for s in seq[1:])
     with pytest.raises(InvalidT):
         fixed_signature_sequence(entry, t=0)
+    assert fixed_signature_sequence(entry, t=20, levels=1)[0].r2 == 20
+    with pytest.raises(InvalidT):
+        fixed_signature_sequence(entry, t=21)
 
 
 def test_tower_catalog_reads_without_importlib_resources():

@@ -93,33 +93,18 @@ def test_local_factor():
 
 def test_prime_splitting_golden():
     k = field_from_polynomial("x^2-x-1", known_disc=5)
-    inert = prime_splitting(k, 2)
-    assert inert.residue_degrees == (2,) and not inert.ramified
-    ram = prime_splitting(k, 5)
-    assert ram.ramified and not ram.conservative
-    split = prime_splitting(k, 11)
-    assert split.residue_degrees == (1, 1)
-
-
-def test_prime_splitting_conservative_flag():
-    # x^2-5 has disc(Z[theta]) = 20; with the true field disc 5 supplied,
-    # p = 2 is an index obstruction only
-    with_disc = field_from_polynomial("x^2-5", known_disc=5)
-    sp = prime_splitting(with_disc, 2)
-    assert sp.ramified and sp.conservative
-    without = field_from_polynomial("x^2-5")
-    sp2 = prime_splitting(without, 2)
-    assert sp2.ramified and not sp2.conservative
+    assert prime_splitting(k, 2) == (2,)
+    assert prime_splitting(k, 5) == ()
+    assert prime_splitting(k, 11) == (1, 1)
 
 
 def test_prime_splitting_cubic():
     k = field_from_polynomial("x^3-x-1")
-    assert prime_splitting(k, 23).ramified
+    assert prime_splitting(k, 23) == ()
     expected = {2: (3,), 3: (3,), 5: (1, 2), 7: (1, 2), 11: (1, 2), 13: (3,),
                 29: (3,), 59: (1, 1, 1)}
     for p, degs in expected.items():
-        sp = prime_splitting(k, p)
-        assert sp.residue_degrees == degs and not sp.ramified, p
+        assert prime_splitting(k, p) == degs, p
 
 
 def _chi(disc, p):
@@ -128,14 +113,10 @@ def _chi(disc, p):
 
 
 def _assert_splitting_matches_ddf(k, primes):
+    # () exactly at the primes dividing disc(Z[theta]), known_disc or not
     for p in primes:
-        sp = prime_splitting(k, p)
-        if k.zk_disc % p == 0:
-            assert sp.ramified and sp.residue_degrees == (), p
-            assert sp.conservative == (k.abs_disc % p != 0), p
-            continue
-        assert not sp.ramified
-        assert sp.residue_degrees == distinct_degree_degrees(k.min_poly.coefficients, p), p
+        expected = () if k.zk_disc % p == 0 else distinct_degree_degrees(k.min_poly.coefficients, p)
+        assert prime_splitting(k, p) == expected, p
 
 
 # (polynomial, known_disc).  x^2-x-1 (D = 5) and x^2-x-3 (D = 13) are 5 mod 8,
@@ -145,9 +126,9 @@ def _assert_splitting_matches_ddf(k, primes):
 # cyclic, D = m^2, split by residue class mod m: x^3-3x+1 and x^3-x^2-4x-1
 # (m = 9, 13), x^3-3x^2-6x-1 (m = 27, conductor 9, index 3), x^3-3x^2-16x-1
 # (m = 133 = 7*19, where "p splits iff p is a cube mod m" is wrong) and
-# x^3-3x^2-18x-8 (m = 126, conductor 63: 2 divides only the index, so p = 2
-# is conservative).  x^4+8x+12 has D = 576^2 but Galois group A4, so its
-# residue degrees are not a function of p mod 576.
+# x^3-3x^2-18x-8 (m = 126, conductor 63: 2 divides only the index, and its
+# splitting is still reported unknown).  x^4+8x+12 has D = 576^2 but Galois
+# group A4, so its residue degrees are not a function of p mod 576.
 SPLITTING_CORPUS = [
     ("x^2-x-1", None), ("x^2-82", None), ("x^2+x+1", None), ("x^2+x+2", None),
     ("x^2-x-3", None), ("x^2-45", 5), ("x^3-x-1", None), ("x^3-3x+1", None),
@@ -171,6 +152,20 @@ def test_cyclic_cubic_splitting_does_not_depend_on_prime_order():
         prime_splitting(ascending, p)
     assert len(ascending.frobenius_classes) == 108  # phi(133)
     assert descending.frobenius_classes == ascending.frobenius_classes
+
+
+@pytest.mark.parametrize("poly, known_disc", [
+    ("x^2-45", 5), ("x^2-5", 5), ("x^3-3x^2-18x-8", 3969),
+])
+def test_euler_factor_does_not_read_known_disc(poly, known_disc):
+    # each known_disc differs from disc(Z[theta]); the Euler pass reads only
+    # disc(Z[theta]), so the primes dividing just the index stay unknown
+    data = parse_type("A2")
+    told = field_from_polynomial(poly, known_disc=known_disc)
+    untold = field_from_polynomial(poly)
+    assert told.abs_disc != untold.abs_disc
+    bounds = [100, 2000]
+    assert prasad.euler_product_E(told, data, bounds) == prasad.euler_product_E(untold, data, bounds)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

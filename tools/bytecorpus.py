@@ -12,8 +12,9 @@ one, then diffing the two files.
 
 The argv are every `perfbench/workloads.py` invocation of seeds 1-3, the
 README's example block, and a few extras: slow paths, Pisot and sign
-certificates at a non-default place or precision, and usage, help and error
-texts.
+certificates at a non-default place or precision, prime splitting that no
+workload reaches, refusals of oversized arguments, and usage, help and
+error texts.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ EXTRAS = (
     "pisot --poly x^3-3x+1 --place 1 --radius 3",
     "covolume --field x^3-3x+1 --type A2 --outer --alpha=-1,1,0 --prime-bound 1000 --prec 64",
     "covolume --field x^2-x-1 --type A2 --outer --alpha=-3,1 --prime-bound 1000 --prec 64",
+    # the distinct-degree splitting of a non-cyclic cubic and of a quartic
+    "covolume --field x^3-x-1 --type A1 --prime-bound 10000",
+    "covolume --field x^4-4x^2+2 --type A1 --prime-bound 1000",
+    # refusals: an unprintable residue budget, and t past the base degree
+    "growth upper --residues 3:1000000",
+    "growth upper --residues 3:10000000",
+    "tower --name martinet --t 21 --levels 1",
+    "tower --name martinet --t 100000",
     # usage, help and error texts, which depend on how the parser is built
     "",
     "--help",

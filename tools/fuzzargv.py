@@ -13,12 +13,14 @@ per call.  A call fails the check when
 - it is still running at its cap.
 
 The draw covers every subcommand with valid and invalid values: 18-digit
-primes for --p0, --pprime and --residues, tower levels up to 10^5 for
-`covolume --tower --level`, `growth lower --levels` and `tower --levels`,
---prec up to 10^4, --config and --extra files with wrong types, and argv
-that argparse must reject.  Sizes whose work has no cap yet stay small:
-`pisot --radius` <= 8, `tower --t` <= 4, `--s-param` <= 5, `lie dump
---max-rank` <= 40 and Lie type ranks <= 12 (ROADMAP item 14 lists them).
+primes for --p0, --pprime and --residues, residue degrees up to 10^7,
+tower levels up to 10^5 for `covolume --tower --level`, `growth lower
+--levels` and `tower --levels`, `tower --t` on both sides of the base
+degree 20 and up to 10^18 + 3, --prec up to 10^4, --config and --extra
+files with wrong types, and argv that argparse must reject.  Sizes whose
+work has no cap yet stay small: `pisot --radius` <= 8, `--s-param` <= 5,
+`lie dump --max-rank` <= 40 and Lie type ranks <= 12 (ROADMAP item 14 lists
+them).
 
 Each failure is printed with its argv (the files they name are rewritten
 from FILES on every run); the exit status is 1 if there is one.  Needs a
@@ -202,7 +204,7 @@ def _tower_cmd(rng: random.Random) -> list:
     if rng.random() < 0.8:
         argv += ["--name", _tower(rng), "--levels", _level(rng, (1, 2, 3, 5, 12))]
     if rng.random() < 0.4:
-        argv += ["--t", _int(rng, (1, 2, 3, 4), large=False)]
+        argv += ["--t", _int(rng, (1, 2, 3, 4, 20, 21, 10 ** 5))]
     return argv
 
 
@@ -240,7 +242,7 @@ def _growth_upper(rng: random.Random) -> list:
         pairs = []
         for _ in range(rng.randint(1, 3)):
             p = _prime(rng) if rng.random() < 0.7 else rng.choice(("x", "2:", ":1", "2:0", "2:-1"))
-            f = str(rng.choice((1, 1, 2, 3, 100, 10000)))
+            f = str(rng.choice((1, 1, 2, 3, 100, 10000, 10 ** 6, 10 ** 7)))
             pairs.append(p if ":" in p else f"{p}:{f}")
         argv += ["--residues", ",".join(pairs)]
     if rng.random() < 0.5:

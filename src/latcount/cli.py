@@ -11,10 +11,10 @@ accepted and validated for compatibility but has no effect.
 
 from __future__ import annotations
 
-import argparse
 import io
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .counting import (
@@ -430,117 +430,190 @@ def cmd_lie_dump(args, params: BoundParams) -> Report:
 
 # ================================================================== plumbing
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default, which collides with the
-    # ReduciblePolynomial exit code; route usage problems to 64 instead.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(64)
+# The command line, declared once.  An option is (flag, kind, default, help):
+# kind is int, str, a tuple of choices or _SWITCH (store_true); default is a
+# value, _REQUIRED, or _ONE_OF for the flags of which a call gives exactly
+# one.  Its attribute is argparse's dest: the flag without its leading dashes,
+# with - read as _.  _parse_plain reads the table for a well-formed argv and
+# _build_parser hands it to argparse for everything else.
+_SWITCH = "switch"
+_REQUIRED = "required"
+_ONE_OF = "one of"
 
+# accepted before the subcommand and after it
+_GLOBAL_FLAGS = (
+    ("--prec", int, None, "working precision in bits (default 128, min 64)"),
+    ("--prime-bound", int, None, "Euler product truncation for fields of degree >= 2 (default 100000, min 100)"),
+    ("--format", ("table", "json", "csv"), None, None),
+    ("--config", str, None, "JSON config file"),
+    ("--threads", int, None, "accepted for compatibility; must be >= 1, has no effect"),
+    ("--extra", str, None, "extra tower catalog JSON file, read by tower, covolume --tower and growth lower"),
+)
 
-def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # registered on the main parser and again on every subparser (with
-    # SUPPRESS defaults there, so a pre-subcommand value is not clobbered);
-    # the flags therefore work in either position.
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--prec", type=int, default=default, help="working precision in bits (default 128, min 64)")
-    parser.add_argument("--prime-bound", type=int, default=default, help="Euler product truncation for fields of degree >= 2 (default 100000, min 100)")
-    parser.add_argument("--format", choices=("table", "json", "csv"), default=default)
-    parser.add_argument("--config", default=default, help="JSON config file")
-    parser.add_argument("--threads", type=int, default=default, help="accepted for compatibility; must be >= 1, has no effect")
-    parser.add_argument("--extra", default=default, help="extra tower catalog JSON file, read by tower, covolume --tower and growth lower")
-
-
-def _field_arguments(parser, common) -> None:
-    parser.add_argument("--poly", required=True)
-    parser.add_argument("--known-disc", type=int, default=None)
-    parser.set_defaults(handler=cmd_field)
-
-
-def _pisot_arguments(parser, common) -> None:
-    parser.add_argument("--poly", required=True)
-    parser.add_argument("--place", type=int, default=0)
-    parser.add_argument("--radius", type=int, default=5)
-    parser.set_defaults(handler=cmd_pisot)
-
-
-def _tower_arguments(parser, common) -> None:
-    parser.add_argument("--name", default=None)
-    parser.add_argument("--levels", type=int, default=3)
-    parser.add_argument("--t", type=int, default=None)
-    parser.set_defaults(handler=cmd_tower)
-
-
-def _covolume_arguments(parser, common) -> None:
-    src = parser.add_mutually_exclusive_group(required=True)
-    src.add_argument("--field", default=None, help="defining polynomial, or Q")
-    src.add_argument("--tower", default=None, help="catalog tower name")
-    parser.add_argument("--level", type=int, default=0)
-    parser.add_argument("--type", required=True, help="Lie type, e.g. A1")
-    parser.add_argument("--outer", action="store_true")
-    parser.add_argument("--s-param", type=int, default=None)
-    parser.add_argument("--alpha", default=None, help="element coordinates, e.g. 0,1; "
-                        "attach a leading minus with =, as in --alpha=-1,0,1")
-    parser.add_argument("--p0", type=int, default=None, help="distinguished prime")
-    parser.set_defaults(handler=cmd_covolume)
-
-
-def _growth_arguments(parser, common) -> None:
-    growth_sub = parser.add_subparsers(dest="growth_cmd", required=True)
-    p_lower = growth_sub.add_parser("lower", help="tower-based lower growth report", parents=[common])
-    p_lower.add_argument("--tower", required=True)
-    p_lower.add_argument("--type", required=True)
-    p_lower.add_argument("--pprime", type=int, required=True)
-    p_lower.add_argument("--p0", type=int, default=2)
-    p_lower.add_argument("--c4", default=None, help="conjugacy discount exponent (rational)")
-    p_lower.add_argument("--levels", type=int, default=3)
-    p_lower.add_argument("--out", default=None, help="write PREFIX.json and PREFIX.csv")
-    p_lower.add_argument("--rank-override", action="store_true")
-    p_lower.set_defaults(handler=cmd_growth_lower)
-    p_upper = growth_sub.add_parser("upper", help="conditional upper growth scan", parents=[common])
-    p_upper.add_argument("--x-min", type=int, default=100)
-    p_upper.add_argument("--x-max", type=int, default=1000000)
-    p_upper.add_argument("--residues", default="", help="residue data, e.g. 2:1,3:1")
-    p_upper.add_argument("--C1", default=None, help="override the residue budget exponent")
-    p_upper.add_argument("--s-embed", type=int, default=None)
-    p_upper.set_defaults(handler=cmd_growth_upper)
-
-
-def _lie_arguments(parser, common) -> None:
-    lie_sub = parser.add_subparsers(dest="lie_cmd", required=True)
-    p_dump = lie_sub.add_parser("dump", help="dump the invariant table", parents=[common])
-    p_dump.add_argument("--max-rank", type=int, default=12)
-    p_dump.set_defaults(handler=cmd_lie_dump)
-
-
-# subcommand -> (help, the function that adds its arguments), in listing order
+# command -> (help, handler, options), in listing order; growth and lie have
+# no handler, and {subcommand: (help, handler, options)} in place of options
 _COMMANDS = {
-    "field": ("inspect a number field", _field_arguments),
-    "pisot": ("find a certified Pisot element", _pisot_arguments),
-    "tower": ("list or expand tower catalog entries", _tower_arguments),
-    "covolume": ("volume-formula enclosure", _covolume_arguments),
-    "growth": ("growth-constant reports", _growth_arguments),
-    "lie": ("root-system data tables", _lie_arguments),
+    "field": ("inspect a number field", cmd_field, (
+        ("--poly", str, _REQUIRED, None),
+        ("--known-disc", int, None, None),
+    )),
+    "pisot": ("find a certified Pisot element", cmd_pisot, (
+        ("--poly", str, _REQUIRED, None),
+        ("--place", int, 0, None),
+        ("--radius", int, 5, None),
+    )),
+    "tower": ("list or expand tower catalog entries", cmd_tower, (
+        ("--name", str, None, None),
+        ("--levels", int, 3, None),
+        ("--t", int, None, None),
+    )),
+    "covolume": ("volume-formula enclosure", cmd_covolume, (
+        ("--field", str, _ONE_OF, "defining polynomial, or Q"),
+        ("--tower", str, _ONE_OF, "catalog tower name"),
+        ("--level", int, 0, None),
+        ("--type", str, _REQUIRED, "Lie type, e.g. A1"),
+        ("--outer", _SWITCH, False, None),
+        ("--s-param", int, None, None),
+        ("--alpha", str, None, "element coordinates, e.g. 0,1; "
+         "attach a leading minus with =, as in --alpha=-1,0,1"),
+        ("--p0", int, None, "distinguished prime"),
+    )),
+    "growth": ("growth-constant reports", None, {
+        "lower": ("tower-based lower growth report", cmd_growth_lower, (
+            ("--tower", str, _REQUIRED, None),
+            ("--type", str, _REQUIRED, None),
+            ("--pprime", int, _REQUIRED, None),
+            ("--p0", int, 2, None),
+            ("--c4", str, None, "conjugacy discount exponent (rational)"),
+            ("--levels", int, 3, None),
+            ("--out", str, None, "write PREFIX.json and PREFIX.csv"),
+            ("--rank-override", _SWITCH, False, None),
+        )),
+        "upper": ("conditional upper growth scan", cmd_growth_upper, (
+            ("--x-min", int, 100, None),
+            ("--x-max", int, 1000000, None),
+            ("--residues", str, "", "residue data, e.g. 2:1,3:1"),
+            ("--C1", str, None, "override the residue budget exponent"),
+            ("--s-embed", int, None, None),
+        )),
+    }),
+    "lie": ("root-system data tables", None, {
+        "dump": ("dump the invariant table", cmd_lie_dump, (
+            ("--max-rank", int, 12, None),
+        )),
+    }),
 }
 
 
-def _build_parser(argv: list) -> _Parser:
-    """The parser for one call.  Every subcommand is registered, so usage,
-    help and choice errors read the same whatever argv is, but only the one
-    that argv[0] names gets its arguments.  When argv[0] names none (a global
-    flag first, -h, a typo, no argv), the subcommand, if any, comes later and
-    every one is filled."""
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _parse_plain(argv: list):
+    """The namespace argparse builds for a well-formed argv, or None.
+
+    Well-formed is a command (and a growth or lie subcommand) followed by
+    exact flag names, each at most once, each value one token that does not
+    start with '-', with ints read by int() as argparse's type=int reads them,
+    and choices, required flags and the one-of group holding.  Anything else
+    (help, a global flag before the command, --flag=value, abbreviations,
+    repeats and every error) is left to argparse and its texts."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values = {_dest(flag): default for flag, _, default, _ in _GLOBAL_FLAGS}
+    values["cmd"] = argv[0]
+    _, handler, options = _COMMANDS[argv[0]]
+    rest = argv[1:]
+    if handler is None:
+        if not rest or rest[0] not in options:
+            return None
+        values[f"{argv[0]}_cmd"] = rest[0]
+        _, handler, options = options[rest[0]]
+        rest = rest[1:]
+    kinds = {flag: kind for flag, kind, *_ in _GLOBAL_FLAGS}
+    for flag, kind, default, _ in options:
+        kinds[flag] = kind
+        values[_dest(flag)] = None if default is _REQUIRED or default is _ONE_OF else default
+    given = set()
+    tokens = iter(rest)
+    for flag in tokens:
+        kind = kinds.get(flag)
+        if kind is None or flag in given:
+            return None
+        given.add(flag)
+        if kind is _SWITCH:
+            values[_dest(flag)] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and value not in kind:
+            return None
+        values[_dest(flag)] = value
+    if any(default is _REQUIRED and flag not in given for flag, _, default, _ in options):
+        return None
+    one_of = {flag for flag, _, default, _ in options if default is _ONE_OF}
+    if one_of and len(one_of & given) != 1:
+        return None
+    values["handler"] = handler
+    return SimpleNamespace(**values)
+
+
+def _build_parser():
+    """argparse's parser over the same table, for help, usage and error texts
+    and for the argv that _parse_plain leaves alone."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits 2 on usage errors by default, which collides with the
+        # ReduciblePolynomial exit code; route usage problems to 64 instead.
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(64)
+
+    def add(parser, flag, kind, default, text):
+        kwargs = {"help": text}
+        if kind is _SWITCH:
+            kwargs["action"] = "store_true"
+        elif kind is int:
+            kwargs["type"] = int
+        elif isinstance(kind, tuple):
+            kwargs["choices"] = kind
+        if default is _REQUIRED:
+            kwargs["required"] = True
+        else:
+            kwargs["default"] = None if default is _ONE_OF else default
+        parser.add_argument(flag, **kwargs)
+
+    def fill(subparsers, commands):
+        for name, (text, handler, options) in commands.items():
+            command = subparsers.add_parser(name, help=text, parents=[common])
+            if handler is None:
+                fill(command.add_subparsers(dest=f"{name}_cmd", required=True), options)
+                continue
+            group = None
+            for flag, kind, default, help_text in options:
+                target = command
+                if default is _ONE_OF:
+                    group = group or command.add_mutually_exclusive_group(required=True)
+                    target = group
+                add(target, flag, kind, default, help_text)
+            command.set_defaults(handler=handler)
+
     parser = _Parser(prog="latcount", description=_DESCRIPTION)
-    _global_flags(parser, suppress=False)
+    # every subcommand takes the global flags again, with SUPPRESS defaults
+    # so that a value given before the subcommand is not clobbered
     common = _Parser(add_help=False)
-    _global_flags(common, suppress=True)
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
-    for name, (text, add_arguments) in _COMMANDS.items():
-        command = sub.add_parser(name, help=text, parents=[common])
-        if chosen in (None, name):
-            add_arguments(command, common)
+    for flag, kind, default, text in _GLOBAL_FLAGS:
+        add(parser, flag, kind, default, text)
+        add(common, flag, kind, argparse.SUPPRESS, text)
+    fill(parser.add_subparsers(dest="cmd", required=True), _COMMANDS)
     return parser
 
 
@@ -591,7 +664,7 @@ def _resolve(args, config):
     for attr in ("c4", "C1", "s_embed"):
         value = getattr(args, attr, None)
         if value is not None:
-            # argparse already made --s-embed an int
+            # the parser already made --s-embed an int
             flags[attr] = value if attr == "s_embed" else read_rational(value, f"--{attr}")
     return BoundParams(
         **{**params.as_dict(), **flags},
@@ -601,7 +674,7 @@ def _resolve(args, config):
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_plain(argv) or _build_parser().parse_args(argv)
     params = _resolve(args, _load_config(args.config))
     report = args.handler(args, params)
     if getattr(args, "out", None):

@@ -393,11 +393,13 @@ def fixed_signature_sequence(
 
     rd bound = 2 c0^((2 + t delta)/2); no defining polynomials exist for
     these levels, so descriptors carry numbers only.  The t complex places of
-    k(sqrt alpha) lie over t real places of the level-0 field, so t cannot
-    exceed base_degree.
+    k(sqrt alpha) lie over t real places of the level-0 field, so the tower
+    must be totally real and t cannot exceed base_degree.
     """
     if t < 1:
         raise InvalidT(f"t must be >= 1, got {t}")
+    if not entry.total_real:
+        raise InvalidT(f"t needs a totally real tower, and {entry.name!r} is not")
     if t > entry.base_degree:
         raise InvalidT(f"t must be <= the base degree {entry.base_degree}, got {t}")
     delta = delta_universal(precision)

@@ -1,4 +1,3 @@
-import argparse
 import gc
 import json
 import os
@@ -14,7 +13,7 @@ import latcount
 import latcount.counting as counting
 import latcount.numfield as numfield
 import latcount.pisot_tower as pisot_tower
-from latcount.cli import _DESCRIPTION, _build_parser, entry, run
+from latcount.cli import _DESCRIPTION, entry, run
 from latcount.counting import BoundParams, lower_growth_assemble, upper_growth_assemble
 from latcount.errors import LatcountError
 from latcount.interval import RealInterval, interval_strs, str_digit_limit
@@ -229,6 +228,21 @@ def test_tower_t_above_the_base_degree_is_an_error(capsys, monkeypatch, t):
 
 _TOWER_ROW = {"name": "t", "base_degree": 2, "degree_rule": "doubling",
               "rd_constant": ["2", "3"], "total_real": True}
+
+
+@pytest.mark.parametrize("name, extra", [("golod-shafarevich", False), ("t", True)])
+def test_tower_t_on_a_row_that_is_not_totally_real_is_an_error(capsys, tmp_path, name, extra):
+    # every extension of a totally complex base is totally complex, so no
+    # level of such a tower has the real places that r2 = t needs
+    argv = ["tower", "--name", name, "--t", "1", "--levels", "2"]
+    if extra:
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps([dict(_TOWER_ROW, total_real=False)]))
+        argv += ["--extra", str(path)]
+    assert entry(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: t needs a totally real tower, and {name!r} is not\n"
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -933,25 +947,6 @@ def test_primality_past_psi_13_is_an_error(capsys):
         "error: primality not certified for 3317044064679887385961981")
 
 
-def _subcommands(parser) -> dict:
-    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
-
-
-def test_parser_fills_only_the_named_subcommand():
-    choices = _subcommands(_build_parser(["field", "--poly", "x^2-2"]))
-    assert list(choices) == ["field", "pisot", "tower", "covolume", "growth", "lie"]
-    assert "--poly" in choices["field"]._option_string_actions
-    assert "--type" not in choices["covolume"]._option_string_actions
-    assert "--prec" in choices["covolume"]._option_string_actions
-    # a global flag first hides which subcommand follows
-    choices = _subcommands(_build_parser(["--prec", "64", "field"]))
-    assert "--type" in choices["covolume"]._option_string_actions
-    assert "--max-rank" in _subcommands(choices["lie"])["dump"]._option_string_actions
-    growth = _subcommands(_build_parser(["growth", "--prec", "96", "upper"]))["growth"]
-    assert "--pprime" in _subcommands(growth)["lower"]._option_string_actions
-
-
 @pytest.mark.parametrize("argv, loaded", [
     ([], "False False"),
     (["--format", "json"], "True False"),
@@ -967,6 +962,49 @@ def test_reports_load_json_and_csv_on_demand(argv, loaded):
                           env=_latcount_env(), timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == loaded
+
+
+_SHAPES = (
+    "field --poly x^2-2",
+    "pisot --poly x^2-x-1",
+    "tower --name martinet --t 1 --levels 1",
+    "covolume --field Q --type A1",
+    "covolume --tower martinet --type A1",
+    "growth lower --tower martinet --type A2 --pprime 3 --levels 1",
+    "growth upper --x-max 1000",
+    "lie dump --max-rank 1",
+)
+
+
+def test_well_formed_calls_never_load_argparse():
+    # one main() per subcommand shape in one fresh process; after each, the
+    # parser's stdlib chain (argparse, its gettext and gettext's locale) is
+    # still unloaded
+    code = ("import sys, latcount.__main__ as m\n"
+            f"for argv in {_SHAPES!r}:\n"
+            "    sys.argv = ['latcount'] + argv.split()\n"
+            "    code = m.main()\n"
+            "    loaded = [n for n in ('argparse', 'gettext', 'locale') if n in sys.modules]\n"
+            "    print('RESULT', argv, code, loaded, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_latcount_env(), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    results = [line for line in proc.stderr.splitlines() if line.startswith("RESULT ")]
+    assert results == [f"RESULT {argv} 0 []" for argv in _SHAPES]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["--help"], 0, ""),
+    (["field", "--pol"], 64, "latcount field: error: argument --poly: expected one argument\n"),
+])
+def test_help_and_usage_errors_still_come_from_argparse(argv, code, err):
+    proc = subprocess.run([sys.executable, "-m", "latcount"] + argv, capture_output=True,
+                          text=True, env=_latcount_env(), timeout=10)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("" if code == 0 else "usage: latcount field [-h]")
+    assert proc.stderr.endswith(err)
+    if code == 0:
+        assert proc.stdout.startswith("usage: latcount [-h]")
 
 
 @pytest.mark.parametrize("argv", ["field --poly x^2-2", "lie dump --max-rank 1"])

@@ -372,6 +372,12 @@ def test_fixed_signature_sequence_level_independent():
     assert fixed_signature_sequence(entry, t=20, levels=1)[0].r2 == 20
     with pytest.raises(InvalidT):
         fixed_signature_sequence(entry, t=21)
+    # the t complex places need t real places below them; golod-shafarevich
+    # has an imaginary quadratic base
+    golod = tower_lookup("golod-shafarevich")[0]
+    for t in (1, 2):
+        with pytest.raises(InvalidT, match="not$"):
+            fixed_signature_sequence(golod, t=t, levels=1)
 
 
 def test_tower_catalog_reads_without_importlib_resources():

@@ -48,6 +48,7 @@ EXTRAS = (
     "growth upper --residues 3:10000000",
     "tower --name martinet --t 21 --levels 1",
     "tower --name martinet --t 100000",
+    "tower --name golod-shafarevich --t 1",
     # usage, help and error texts, which depend on how the parser is built
     "",
     "--help",
@@ -85,6 +86,15 @@ EXTRAS = (
     "lie dump --max-rank x",
     "--config /nonexistent field --poly x^2-2",
     "--format csv lie dump --max-rank 1",
+    # the edge of the parse that skips argparse: a repeated flag (the last
+    # one wins), an attached value, an int that int() reads with a space but
+    # not in hex, a global flag first, and flags in any order
+    "field --poly x^2-2 --poly x^2-3",
+    "field --poly=x^2-2",
+    "field --poly x^2-2 --prec ' 64'",
+    "field --poly x^2-2 --prec 0x40",
+    "--prec 96 field --poly x^2-2",
+    "covolume --type A1 --field Q --prec 96 --format json",
 )
 CALL_LIMIT_S = 600
 JOBS = 4
@@ -103,7 +113,7 @@ def corpus() -> list:
     start = readme.index("```\n", readme.index("\nExamples:")) + 4
     block = readme[start : readme.index("```", start)]
     argvs += [shlex.split(line)[1:] for line in block.splitlines()]
-    argvs += [line.split() for line in EXTRAS]
+    argvs += [shlex.split(line) for line in EXTRAS]
     return list(dict.fromkeys(shlex.join(argv) for argv in argvs))
 
 

@@ -376,7 +376,7 @@ def test_fixed_signature_sequence_level_independent():
     # has an imaginary quadratic base
     golod = tower_lookup("golod-shafarevich")[0]
     for t in (1, 2):
-        with pytest.raises(InvalidT, match="not$"):
+        with pytest.raises(InvalidT, match="needs a totally real tower"):
             fixed_signature_sequence(golod, t=t, levels=1)
 
 

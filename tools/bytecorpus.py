@@ -43,7 +43,8 @@ EXTRAS = (
     # the distinct-degree splitting of a non-cyclic cubic and of a quartic
     "covolume --field x^3-x-1 --type A1 --prime-bound 10000",
     "covolume --field x^4-4x^2+2 --type A1 --prime-bound 1000",
-    # refusals: an unprintable residue budget, and t past the base degree
+    # refusals: an unprintable residue budget, t past the base degree, and t on
+    # a tower that is not totally real
     "growth upper --residues 3:1000000",
     "growth upper --residues 3:10000000",
     "tower --name martinet --t 21 --levels 1",

@@ -268,8 +268,10 @@ def cmd_tower(args, params: BoundParams) -> Report:
 
 def _lie_from_args(args):
     data = parse_type(args.type)
-    if getattr(args, "outer", False):
-        data = with_form(data, OUTER_2, args.s_param)
+    if args.outer:
+        return with_form(data, OUTER_2, args.s_param)
+    if args.s_param is not None:
+        raise LatcountError("--s-param needs --outer: s is a parameter of outer forms only")
     return data
 
 
@@ -516,8 +518,8 @@ def _parse_plain(argv: list):
     exact flag names, each at most once, each value one token that does not
     start with '-', with ints read by int() as argparse's type=int reads them,
     and choices, required flags and the one-of group holding.  Anything else
-    (help, a global flag before the command, --flag=value, abbreviations,
-    repeats and every error) is left to argparse and its texts."""
+    (help, a global flag before the command, --flag=value, repeats and every
+    error, an abbreviated flag among them) is left to argparse and its texts."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     values = {_dest(flag): default for flag, _, default, _ in _GLOBAL_FLAGS}
@@ -593,7 +595,7 @@ def _build_parser():
 
     def fill(subparsers, commands):
         for name, (text, handler, options) in commands.items():
-            command = subparsers.add_parser(name, help=text, parents=[common])
+            command = subparsers.add_parser(name, help=text, parents=[common], allow_abbrev=False)
             if handler is None:
                 fill(command.add_subparsers(dest=f"{name}_cmd", required=True), options)
                 continue
@@ -606,10 +608,12 @@ def _build_parser():
                 add(target, flag, kind, default, help_text)
             command.set_defaults(handler=handler)
 
-    parser = _Parser(prog="latcount", description=_DESCRIPTION)
+    # allow_abbrev=False on every parser: a flag is spelled in full, as the
+    # plain parse reads it, so no prefix such as --pol stands for --poly
+    parser = _Parser(prog="latcount", description=_DESCRIPTION, allow_abbrev=False)
     # every subcommand takes the global flags again, with SUPPRESS defaults
     # so that a value given before the subcommand is not clobbered
-    common = _Parser(add_help=False)
+    common = _Parser(add_help=False, allow_abbrev=False)
     for flag, kind, default, text in _GLOBAL_FLAGS:
         add(parser, flag, kind, default, text)
         add(common, flag, kind, argparse.SUPPRESS, text)

@@ -19,7 +19,6 @@ refinement budget when the images cannot decide.
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from math import ceil, isqrt, lcm
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -308,6 +307,41 @@ def quadratic_extension(k: NumberField, alpha: FieldElement) -> QuadraticExtensi
 
 # ================================================================== towers
 
+# The shipped towers, in listing order; an --extra row may not reuse a name.
+# test_pisot_tower holds each entry to the rules _entry_from_row applies to
+# --extra rows.
+_CATALOG = (
+    TowerEntry(
+        name="golod-shafarevich",
+        base_degree=2,
+        degree_rule="class field tower (existence only; no explicit degrees)",
+        rd_constant=RealInterval(2, 1000000),
+        total_real=False,
+        source="Golod & Shafarevich (1964): imaginary quadratic fields with enough "
+        "ramified primes have an infinite unramified tower; the interval is a "
+        "placeholder spanning known examples",
+    ),
+    TowerEntry(
+        name="martinet",
+        base_degree=20,
+        degree_rule="doubling (degrees are powers of 2 times the base)",
+        rd_constant=RealInterval(Fraction("1058.565"), Fraction("1058.566")),
+        total_real=True,
+        source="Martinet (1978): totally real tower with root discriminant "
+        "1058.565..., printed digits bracketed",
+    ),
+    TowerEntry(
+        name="hajir-maire",
+        base_degree=20,
+        degree_rule="doubling (degrees are powers of 2 times the base)",
+        rd_constant=RealInterval(Fraction("954.3"), Fraction("954.4")),
+        total_real=True,
+        source="Hajir & Maire (2001): totally real tower improving Martinet's "
+        "constant to 954.3..., printed digits bracketed",
+    ),
+)
+
+
 def _entry_from_row(row, where: str) -> TowerEntry:
     """One catalog row; a malformed row raises LatcountError naming the row and key."""
     if not isinstance(row, dict):
@@ -348,27 +382,24 @@ def _entry_from_row(row, where: str) -> TowerEntry:
 
 
 def tower_catalog(extra_path: Optional[str] = None) -> list:
-    """Packaged tower entries, optionally extended from a user JSON file; a
+    """The shipped tower entries, optionally extended from a user JSON file; a
     name that appears twice across the two raises LatcountError."""
-    import json  # only catalog reads load it
-    sources = []
-    packaged = os.path.join(os.path.dirname(__file__), "data", "tower_catalog.json")
-    for where, path in (("tower catalog", packaged), (extra_path, extra_path)):
-        if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                sources.append((where, json.load(fh)))
-    entries = []
-    first_row = {}  # name -> the row that introduced it
-    for where, rows in sources:
-        if not isinstance(rows, list):
-            raise LatcountError(f"{where}: the catalog must be a JSON list of rows")
-        for i, row in enumerate(rows):
-            here = f"{where} row {i}"
-            entry = _entry_from_row(row, here)
-            first = first_row.setdefault(entry.name, here)
-            if first != here:
-                raise LatcountError(f"{here}: key 'name' repeats {entry.name!r} from {first}")
-            entries.append(entry)
+    entries = list(_CATALOG)
+    if extra_path is None:
+        return entries
+    import json  # only an --extra file loads it
+    with open(extra_path, "r", encoding="utf-8") as fh:
+        rows = json.load(fh)
+    if not isinstance(rows, list):
+        raise LatcountError(f"{extra_path}: the catalog must be a JSON list of rows")
+    first_row = {e.name: f"tower catalog row {i}" for i, e in enumerate(_CATALOG)}
+    for i, row in enumerate(rows):
+        here = f"{extra_path} row {i}"
+        entry = _entry_from_row(row, here)
+        first = first_row.setdefault(entry.name, here)
+        if first != here:
+            raise LatcountError(f"{here}: key 'name' repeats {entry.name!r} from {first}")
+        entries.append(entry)
     return entries
 
 

@@ -168,12 +168,13 @@ def test_exhausted_budget_exits_3(capsys, monkeypatch):
 
 
 def test_usage_errors_exit_64(capsys):
-    with pytest.raises(SystemExit) as exc:
-        entry(["covolume", "--type", "A1"])  # neither --field nor --tower
-    assert exc.value.code == 64
-    with pytest.raises(SystemExit) as exc:
-        entry(["no-such-command"])
-    assert exc.value.code == 64
+    # neither --field nor --tower, an unknown command, and flag prefixes: every
+    # flag is spelled in full, before the command and after it
+    for argv in ("covolume --type A1", "no-such-command", "field --pol x^2-2",
+                 "--pre 64 field --poly x^2-2", "field --poly x^2-2 --pre 64"):
+        with pytest.raises(SystemExit) as exc:
+            entry(argv.split())
+        assert exc.value.code == 64, argv
     capsys.readouterr()
 
 
@@ -371,6 +372,7 @@ def test_covolume_negative_alpha_needs_equals(capsys):
 
 _OUTER_A2 = ["covolume", "--field", "x^2-x-1", "--type", "A2", "--outer",
              "--alpha", "0,1", "--prime-bound", "100"]
+_S_WITHOUT_OUTER = "--s-param needs --outer: s is a parameter of outer forms only"
 
 
 def test_less_used_flags(capsys):
@@ -390,6 +392,8 @@ def test_less_used_flags(capsys):
     (["pisot", "--poly", "x^2-x-1", "--radius", "0"],
      "no Pisot element at place 0 within radius 0"),
     (_OUTER_A2 + ["--s-param", "4"], "outer form needs s >= 5, got 4"),
+    (["covolume", "--field", "Q", "--type", "A1", "--s-param", "7"], _S_WITHOUT_OUTER),
+    (["covolume", "--tower", "martinet", "--type", "A1", "--s-param", "7"], _S_WITHOUT_OUTER),
     (["covolume", "--tower", "martinet", "--type", "A2", "--outer"],
      "outer form needs the relative-discriminant constant c0'"),
     (["covolume", "--field", "Q", "--type", "E6", "--outer", "--alpha", "-3"],
@@ -953,15 +957,21 @@ def test_primality_past_psi_13_is_an_error(capsys):
     (["--format", "csv"], "False True"),
 ], ids=["table", "json", "csv"])
 def test_reports_load_json_and_csv_on_demand(argv, loaded):
-    code = ("import sys, latcount.__main__ as m; "
-            f"sys.argv = ['latcount', 'field', '--poly', 'x^2-2'] + {argv!r}; "
-            "code = m.main(); "
-            "print(*(name in sys.modules for name in ('json', 'csv'))); "
-            "raise SystemExit(code)")
+    # a field report, and the three commands that read the tower catalog, whose
+    # shipped rows are constants: only an --extra file is JSON
+    shapes = ("field --poly x^2-2", "tower", "covolume --tower martinet --type A1",
+              "growth lower --tower martinet --type A2 --pprime 3 --levels 1")
+    code = ("import sys, latcount.__main__ as m\n"
+            f"for shape in {shapes!r}:\n"
+            f"    sys.argv = ['latcount'] + shape.split() + {argv!r}\n"
+            "    code = m.main()\n"
+            "    print('RESULT', code, *(name in sys.modules for name in ('json', 'csv')),\n"
+            "          file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_latcount_env(), timeout=10)
+                          env=_latcount_env(), timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == loaded
+    results = [line for line in proc.stderr.splitlines() if line.startswith("RESULT ")]
+    assert results == [f"RESULT 0 {loaded}"] * len(shapes)
 
 
 _SHAPES = (
@@ -995,7 +1005,7 @@ def test_well_formed_calls_never_load_argparse():
     results = [line for line in proc.stderr.splitlines() if line.startswith("RESULT ")]
     assert results == [f"RESULT {argv} 0 []" for argv in _SHAPES] + [
         "RESULT field --pol 64 ['argparse']", "RESULT --help 0 ['argparse']"]
-    assert "latcount field: error: argument --poly: expected one argument\n" in proc.stderr
+    assert "latcount field: error: the following arguments are required: --poly\n" in proc.stderr
     assert "usage: latcount [-h]" in proc.stdout
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -29,6 +30,8 @@ from latcount.numfield import (
     minkowski_degree_bound,
 )
 from latcount.pisot_tower import (
+    _CATALOG,
+    _entry_from_row,
     _norm_cap,
     _within_norm_cap,
     certified_signs,
@@ -339,6 +342,15 @@ def test_tower_catalog():
     martinet = tower_lookup("martinet")[0]
     assert martinet.rd_constant.lo > 1058 and martinet.rd_constant.hi < 1059
     assert tower_lookup("no-such-tower") == []
+
+
+def test_shipped_towers_keep_the_extra_rules():
+    # the shipped rows are constants that no load validates, so each must come
+    # back unchanged from the checks an --extra row of the same shape passes
+    assert len({e.name for e in _CATALOG}) == len(_CATALOG) == 3
+    for i, e in enumerate(_CATALOG):
+        row = dict(e._asdict(), rd_constant=[str(e.rd_constant.lo), str(e.rd_constant.hi)])
+        assert _entry_from_row(json.loads(json.dumps(row)), f"row {i}") == e
 
 
 def test_tower_degrees_double():

@@ -43,13 +43,14 @@ EXTRAS = (
     # the distinct-degree splitting of a non-cyclic cubic and of a quartic
     "covolume --field x^3-x-1 --type A1 --prime-bound 10000",
     "covolume --field x^4-4x^2+2 --type A1 --prime-bound 1000",
-    # refusals: an unprintable residue budget, t past the base degree, and t on
-    # a tower that is not totally real
+    # refusals: an unprintable residue budget, t past the base degree, t on a
+    # tower that is not totally real, and --s-param without --outer
     "growth upper --residues 3:1000000",
     "growth upper --residues 3:10000000",
     "tower --name martinet --t 21 --levels 1",
     "tower --name martinet --t 100000",
     "tower --name golod-shafarevich --t 1",
+    "covolume --field Q --type A1 --s-param 7",
     # usage, help and error texts, which depend on how the parser is built
     "",
     "--help",
@@ -77,6 +78,7 @@ EXTRAS = (
     "--prec 64 field --poly x^2-2",
     "--format=json field --poly x^2-2",
     "--pre 64 field --poly x^2-2",
+    "field --pol x^2-2",
     "--prec abc field --poly x^2-2",
     "--prec 64",
     "field --poly x^2-2 --pre 64",

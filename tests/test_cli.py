@@ -392,12 +392,12 @@ def test_less_used_flags(capsys):
     (["pisot", "--poly", "x^2-x-1", "--radius", "0"],
      "no Pisot element at place 0 within radius 0"),
     (_OUTER_A2 + ["--s-param", "4"], "outer form needs s >= 5, got 4"),
-    (["covolume", "--field", "Q", "--type", "A1", "--s-param", "7"], _S_WITHOUT_OUTER),
-    (["covolume", "--tower", "martinet", "--type", "A1", "--s-param", "7"], _S_WITHOUT_OUTER),
     (["covolume", "--tower", "martinet", "--type", "A2", "--outer"],
      "outer form needs the relative-discriminant constant c0'"),
     (["covolume", "--field", "Q", "--type", "E6", "--outer", "--alpha", "-3"],
      "no shipped sign table for outer E6"),
+    (["covolume", "--field", "Q", "--type", "A1", "--s-param", "7"], _S_WITHOUT_OUTER),
+    (["covolume", "--tower", "martinet", "--type", "A1", "--s-param", "7"], _S_WITHOUT_OUTER),
 ])
 def test_less_used_flag_errors(capsys, argv, message):
     assert entry(argv) == 1

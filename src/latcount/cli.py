@@ -268,11 +268,7 @@ def cmd_tower(args, params: BoundParams) -> Report:
 
 def _lie_from_args(args):
     data = parse_type(args.type)
-    if args.outer:
-        return with_form(data, OUTER_2, args.s_param)
-    if args.s_param is not None:
-        raise LatcountError("--s-param needs --outer: s is a parameter of outer forms only")
-    return data
+    return with_form(data, OUTER_2, args.s_param) if args.outer else data
 
 
 def cmd_covolume(args, params: BoundParams) -> Report:
@@ -309,8 +305,6 @@ def cmd_covolume(args, params: BoundParams) -> Report:
             ext = quadratic_extension(k, alpha)
             report.extra["alpha"] = args.alpha
             report.extra["t"] = ext.t
-        elif data.s_param:
-            raise LatcountError("outer forms need --alpha for the relative discriminant")
         result = covolume(k, ext, data, p0=args.p0, prime_bound=args.prime_bound)
         report.extra["field"] = k.min_poly
         if result.coarse_value is not None:
@@ -432,12 +426,17 @@ def cmd_lie_dump(args, params: BoundParams) -> Report:
 
 # ================================================================== plumbing
 
-# The command line, declared once.  An option is (flag, kind, default, help):
-# kind is int, str, a tuple of choices or _SWITCH (store_true); default is a
-# value, _REQUIRED, or _ONE_OF for the flags of which a call gives exactly
-# one.  Its attribute is argparse's dest: the flag without its leading dashes,
-# with - read as _.  _parse_plain reads the table for a well-formed argv and
-# _build_parser hands it to argparse for everything else.
+# The command line, declared once.  An option is (flag, kind, default, help),
+# with (needs, refusal) appended for a flag that means something only beside
+# another.  kind is int, str, a tuple of choices or _SWITCH (store_true);
+# default is a value, _REQUIRED, or _ONE_OF for the flags of which a call
+# gives exactly one.  needs lists alternatives such as "covolume --tower": a
+# call that gives the flag must hold every word of one of them among its
+# command words and the flags it gives, or exit 1 with refusal.  An option's
+# attribute is argparse's dest: the flag without its leading dashes, with -
+# read as _.  _parse_plain reads the table for a well-formed argv,
+# _build_parser hands it to argparse for everything else, and _refuse_unread
+# checks needs on the namespace that either one builds.
 _SWITCH = "switch"
 _REQUIRED = "required"
 _ONE_OF = "one of"
@@ -449,7 +448,9 @@ _GLOBAL_FLAGS = (
     ("--format", ("table", "json", "csv"), None, None),
     ("--config", str, None, "JSON config file"),
     ("--threads", int, None, "accepted for compatibility; must be >= 1, has no effect"),
-    ("--extra", str, None, "extra tower catalog JSON file, read by tower, covolume --tower and growth lower"),
+    ("--extra", str, None, "extra tower catalog JSON file, read by tower, covolume --tower and growth lower",
+     ("tower", "covolume --tower", "growth lower"),
+     "--extra is read only by tower, covolume --tower and growth lower"),
 )
 
 # command -> (help, handler, options), in listing order; growth and lie have
@@ -466,18 +467,21 @@ _COMMANDS = {
     )),
     "tower": ("list or expand tower catalog entries", cmd_tower, (
         ("--name", str, None, None),
-        ("--levels", int, 3, None),
-        ("--t", int, None, None),
+        ("--levels", int, 3, None, ("--name",), "--levels needs --name: levels belong to a named tower"),
+        ("--t", int, None, None, ("--name",), "--t needs --name: t counts places over one named tower"),
     )),
     "covolume": ("volume-formula enclosure", cmd_covolume, (
         ("--field", str, _ONE_OF, "defining polynomial, or Q"),
         ("--tower", str, _ONE_OF, "catalog tower name"),
-        ("--level", int, 0, None),
+        ("--level", int, 0, None, ("--tower",), "--level needs --tower: levels belong to a catalog tower"),
         ("--type", str, _REQUIRED, "Lie type, e.g. A1"),
-        ("--outer", _SWITCH, False, None),
-        ("--s-param", int, None, None),
+        ("--outer", _SWITCH, False, None, ("--alpha",),
+         "outer forms need --alpha for the relative discriminant"),
+        ("--s-param", int, None, None, ("--outer",),
+         "--s-param needs --outer: s is a parameter of outer forms only"),
         ("--alpha", str, None, "element coordinates, e.g. 0,1; "
-         "attach a leading minus with =, as in --alpha=-1,0,1"),
+         "attach a leading minus with =, as in --alpha=-1,0,1",
+         ("--field",), "--alpha needs --field: alpha is an element of the base field"),
         ("--p0", int, None, "distinguished prime"),
     )),
     "growth": ("growth-constant reports", None, {
@@ -511,6 +515,11 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
+def _unset(default):
+    """The attribute of an option that a call does not give."""
+    return None if default is _REQUIRED or default is _ONE_OF else default
+
+
 def _parse_plain(argv: list):
     """The namespace argparse builds for a well-formed argv, or None.
 
@@ -522,7 +531,7 @@ def _parse_plain(argv: list):
     error, an abbreviated flag among them) is left to argparse and its texts."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    values = {_dest(flag): default for flag, _, default, _ in _GLOBAL_FLAGS}
+    values = {_dest(flag): default for flag, _, default, *_ in _GLOBAL_FLAGS}
     values["cmd"] = argv[0]
     _, handler, options = _COMMANDS[argv[0]]
     rest = argv[1:]
@@ -533,9 +542,9 @@ def _parse_plain(argv: list):
         _, handler, options = options[rest[0]]
         rest = rest[1:]
     kinds = {flag: kind for flag, kind, *_ in _GLOBAL_FLAGS}
-    for flag, kind, default, _ in options:
+    for flag, kind, default, *_ in options:
         kinds[flag] = kind
-        values[_dest(flag)] = None if default is _REQUIRED or default is _ONE_OF else default
+        values[_dest(flag)] = _unset(default)
     given = set()
     tokens = iter(rest)
     for flag in tokens:
@@ -557,9 +566,9 @@ def _parse_plain(argv: list):
         elif isinstance(kind, tuple) and value not in kind:
             return None
         values[_dest(flag)] = value
-    if any(default is _REQUIRED and flag not in given for flag, _, default, _ in options):
+    if any(default is _REQUIRED and flag not in given for flag, _, default, *_ in options):
         return None
-    one_of = {flag for flag, _, default, _ in options if default is _ONE_OF}
+    one_of = {flag for flag, _, default, *_ in options if default is _ONE_OF}
     if one_of and len(one_of & given) != 1:
         return None
     values["handler"] = handler
@@ -590,7 +599,7 @@ def _build_parser():
         if default is _REQUIRED:
             kwargs["required"] = True
         else:
-            kwargs["default"] = None if default is _ONE_OF else default
+            kwargs["default"] = _unset(default)
         parser.add_argument(flag, **kwargs)
 
     def fill(subparsers, commands):
@@ -600,7 +609,7 @@ def _build_parser():
                 fill(command.add_subparsers(dest=f"{name}_cmd", required=True), options)
                 continue
             group = None
-            for flag, kind, default, help_text in options:
+            for flag, kind, default, help_text, *_ in options:
                 target = command
                 if default is _ONE_OF:
                     group = group or command.add_mutually_exclusive_group(required=True)
@@ -614,11 +623,30 @@ def _build_parser():
     # every subcommand takes the global flags again, with SUPPRESS defaults
     # so that a value given before the subcommand is not clobbered
     common = _Parser(add_help=False, allow_abbrev=False)
-    for flag, kind, default, text in _GLOBAL_FLAGS:
+    for flag, kind, default, text, *_ in _GLOBAL_FLAGS:
         add(parser, flag, kind, default, text)
         add(common, flag, kind, argparse.SUPPRESS, text)
     fill(parser.add_subparsers(dest="cmd", required=True), _COMMANDS)
     return parser
+
+
+def _refuse_unread(args) -> None:
+    """Refuse a flag that args' call would not read: one given without the
+    companion its table row needs (see _COMMANDS).  A flag is given when its
+    attribute differs from its table default."""
+    _, handler, options = _COMMANDS[args.cmd]
+    words = {args.cmd}
+    if handler is None:
+        sub = getattr(args, f"{args.cmd}_cmd")
+        words.add(sub)
+        options = options[sub][2]
+    rows = _GLOBAL_FLAGS + options
+    words |= {flag for flag, _, default, *_ in rows if getattr(args, _dest(flag)) != _unset(default)}
+    for flag, _, _, _, *rule in rows:
+        if rule and flag in words:
+            needs, refusal = rule
+            if not any(set(need.split()) <= words for need in needs):
+                raise LatcountError(refusal)
 
 
 def _load_config(path):
@@ -679,6 +707,7 @@ def _resolve(args, config):
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_plain(argv) or _build_parser().parse_args(argv)
+    _refuse_unread(args)
     params = _resolve(args, _load_config(args.config))
     report = args.handler(args, params)
     if getattr(args, "out", None):

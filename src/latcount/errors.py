@@ -25,6 +25,11 @@ class SearchExhausted(LatcountError):
     """No certified element found within the search radius."""
 
 
+class PastCap(LatcountError):
+    """A requested size is past the cap on its work: a Pisot search box or a
+    Lie type rank."""
+
+
 class InvalidT(LatcountError):
     """Requested number of Pisot places is out of range."""
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from typing import NamedTuple, Optional, Tuple
 
-from .errors import InconsistentOverride, InvalidType
+from .errors import InconsistentOverride, InvalidType, PastCap
 from .interval import RealInterval
 
 INNER_SPLIT = "inner-split"
@@ -28,6 +28,16 @@ _OUTER2_OK = {
 
 # conservative default: the s-parameter of an outer form is only known to be >= 5
 _OUTER_S_DEFAULT = 5
+
+# the largest rank root_system and dump_table accept: a rank-32 covolume over
+# a quartic field takes under 3 s at the default prime bound on a shared
+# 2-core host
+MAX_RANK = 32
+
+
+def _refuse_past_cap(rank: int) -> None:
+    if rank > MAX_RANK:
+        raise PastCap(f"rank {rank} is past the cap: Lie type ranks run up to {MAX_RANK}")
 
 
 class _LieFields(NamedTuple):
@@ -83,7 +93,9 @@ def _exponents(family: str, rank: int) -> Optional[Tuple[int, ...]]:
 
 
 def root_system(family: str, rank: int) -> LieTypeData:
-    """Table lookup for the split simple type; raises InvalidType otherwise."""
+    """Table lookup for the split simple type; raises PastCap for a rank past
+    MAX_RANK and InvalidType for any other missing type."""
+    _refuse_past_cap(rank)
     exps = _exponents(family, rank)
     if exps is None:
         raise InvalidType(f"no simple type ({family}, {rank})")
@@ -155,7 +167,8 @@ def gamma_h(h: int, prec: int = 128) -> RealInterval:
 
 
 def dump_table(max_rank: int = 12) -> list:
-    """All valid (family, rank) entries with rank <= max_rank, as dicts."""
+    """All valid (family, rank) entries with rank <= max_rank <= MAX_RANK, as dicts."""
+    _refuse_past_cap(max_rank)
     rows = []
     for family in FAMILIES:
         for rank in range(1, max_rank + 1):

@@ -29,6 +29,7 @@ from .errors import (
     InvalidT,
     LatcountError,
     NotTotallyReal,
+    PastCap,
     PrecisionExhausted,
     SearchExhausted,
     SignUncertifiable,
@@ -45,6 +46,9 @@ from .numfield import (
 )
 
 _PREFILTER_MARGIN = 1e-6
+# the most candidates, (2r+1)^d, that find_pisot tries: a degree-10 search
+# of 3^10 candidates that finds none takes about 2 s on a shared 2-core host
+MAX_SEARCH = 10 ** 5
 
 
 # ==================================================================== types
@@ -189,6 +193,11 @@ def find_pisot(
     if not 0 <= place_index < k.r1:
         raise ValueError(f"place_index {place_index} out of range")
     d = k.degree
+    if search_radius > 0 and (2 * search_radius + 1) ** d > MAX_SEARCH:
+        raise PastCap(
+            f"search radius {search_radius} is past the cap: at degree {d} the "
+            f"(2r+1)^{d} candidates must number at most {MAX_SEARCH}"
+        )
     roots = _float_roots(k)
     m = _PREFILTER_MARGIN
     unit = tuple([1] + [0] * (d - 1))

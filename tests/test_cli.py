@@ -13,13 +13,14 @@ import latcount
 import latcount.counting as counting
 import latcount.numfield as numfield
 import latcount.pisot_tower as pisot_tower
-from latcount.cli import _DESCRIPTION, entry, run
+from latcount.cli import _DESCRIPTION, _parse_plain, entry, run
 from latcount.counting import BoundParams, lower_growth_assemble, upper_growth_assemble
 from latcount.errors import LatcountError
 from latcount.interval import RealInterval, interval_strs, str_digit_limit
-from latcount.liedata import parse_type
+from latcount.liedata import MAX_RANK, parse_type
 from latcount.numfield import Polynomial, field_from_polynomial
 from latcount.pisot_tower import (
+    MAX_SEARCH,
     find_pisot,
     fixed_signature_sequence,
     quadratic_extension,
@@ -393,7 +394,7 @@ def test_less_used_flags(capsys):
      "no Pisot element at place 0 within radius 0"),
     (_OUTER_A2 + ["--s-param", "4"], "outer form needs s >= 5, got 4"),
     (["covolume", "--tower", "martinet", "--type", "A2", "--outer"],
-     "outer form needs the relative-discriminant constant c0'"),
+     "outer forms need --alpha for the relative discriminant"),
     (["covolume", "--field", "Q", "--type", "E6", "--outer", "--alpha", "-3"],
      "no shipped sign table for outer E6"),
     (["covolume", "--field", "Q", "--type", "A1", "--s-param", "7"], _S_WITHOUT_OUTER),
@@ -403,6 +404,69 @@ def test_less_used_flag_errors(capsys, argv, message):
     assert entry(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+_EXTRA_UNREAD = "--extra is read only by tower, covolume --tower and growth lower"
+_RANK_300 = "rank 300 is past the cap: Lie type ranks run up to 32"
+
+
+# each flag-needs-flag rule and each cap, under the spelling _parse_plain takes
+# and under one that only argparse takes
+@pytest.mark.parametrize("plain, other, message", [
+    ("covolume --field Q --type A1 --s-param 7",
+     "covolume --field=Q --type A1 --s-param=7", _S_WITHOUT_OUTER),
+    ("covolume --tower martinet --type A2 --outer",
+     "--prec 128 covolume --tower martinet --type A2 --outer",
+     "outer forms need --alpha for the relative discriminant"),
+    ("covolume --tower martinet --type A1 --alpha 0,1",
+     "covolume --tower martinet --type A1 --alpha=0,1",
+     "--alpha needs --field: alpha is an element of the base field"),
+    ("covolume --field Q --type A1 --level 3",
+     "--format json covolume --field Q --type A1 --level 3",
+     "--level needs --tower: levels belong to a catalog tower"),
+    ("tower --t 1", "tower --t=1", "--t needs --name: t counts places over one named tower"),
+    ("tower --levels 5", "--prec 96 tower --levels 5",
+     "--levels needs --name: levels belong to a named tower"),
+    ("field --poly x^2-2 --extra /nonexistent.json",
+     "--extra /nonexistent.json field --poly x^2-2", _EXTRA_UNREAD),
+    ("covolume --field Q --type A1 --extra /nonexistent.json",
+     "covolume --field Q --type A1 --extra=/nonexistent.json", _EXTRA_UNREAD),
+    ("lie dump --extra /nonexistent.json", "lie --extra /nonexistent.json dump", _EXTRA_UNREAD),
+    ("pisot --poly x^4-4x^2+2 --radius 100", "pisot --poly=x^4-4x^2+2 --radius 100",
+     "search radius 100 is past the cap: at degree 4 the (2r+1)^4 candidates must number at most 100000"),
+    ("pisot --poly x^2-x-1 --radius 1000", "pisot --poly x^2-x-1 --radius=1000",
+     "search radius 1000 is past the cap: at degree 2 the (2r+1)^2 candidates must number at most 100000"),
+    ("lie dump --max-rank 100000", "lie dump --max-rank=100000",
+     "rank 100000 is past the cap: Lie type ranks run up to 32"),
+    ("covolume --field Q --type A300", "covolume --field Q --type=A300", _RANK_300),
+    ("covolume --tower martinet --type A300 --level 0",
+     "--prec 128 covolume --tower martinet --type A300 --level 0", _RANK_300),
+    ("growth lower --tower martinet --type A300 --pprime 3 --levels 1",
+     "growth --prec 128 lower --tower martinet --type A300 --pprime 3 --levels 1", _RANK_300),
+])
+def test_unread_flags_and_sizes_past_a_cap_exit_1(capsys, plain, other, message):
+    assert _parse_plain(shlex.split(plain)) is not None
+    assert _parse_plain(shlex.split(other)) is None
+    for argv in (plain, other):
+        assert entry(shlex.split(argv)) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
+def test_caps_sit_at_their_constants(capsys):
+    # the largest search box and rank are accepted, one past them is not, and
+    # every type lie dump can list is a type covolume takes
+    assert (2 * 157 + 1) ** 2 <= MAX_SEARCH < (2 * 158 + 1) ** 2
+    assert entry(["pisot", "--poly", "x^2-x-1", "--radius", "157"]) == 0
+    assert entry(["pisot", "--poly", "x^2-x-1", "--radius", "158"]) == 1
+    capsys.readouterr()
+    doc = _run_json(capsys, ["lie", "dump", "--max-rank", str(MAX_RANK), "--format", "json"])
+    largest = {row["name"][0]: row["name"] for row in doc["rows"]}
+    assert sorted(largest.values()) == [f"A{MAX_RANK}", f"B{MAX_RANK}", f"C{MAX_RANK}",
+                                        f"D{MAX_RANK}", "E8", "F4", "G2"]
+    for name in largest.values():
+        assert entry(["covolume", "--field", "Q", "--type", name]) == 0, name
+    assert entry(["lie", "dump", "--max-rank", str(MAX_RANK + 1)]) == 1
+    assert entry(["covolume", "--field", "Q", "--type", f"A{MAX_RANK + 1}"]) == 1
 
 
 def test_covolume_tower_bound(capsys):

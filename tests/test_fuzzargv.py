@@ -14,8 +14,12 @@ def test_fuzzed_argv_fail_only_in_latcount_words():
     assert [(r.argv, r.problem) for r in results if r.problem] == []
     assert {r.code for r in results} <= fuzzargv.EXIT_CODES
     # the draw reaches what it is meant to: successes, usage errors, the
-    # files with wrong types, 18-digit primes and levels past 10^3
+    # files with wrong types, 18-digit primes, levels past 10^3, flags without
+    # the flag they need and sizes past a cap
     text = [" ".join(r.argv) for r in results]
+    errors = "".join(r.err for r in results)
+    assert " needs --" in errors and "--extra is read only by" in errors
+    assert " is past the cap" in errors
     assert {0, 1, 64} <= {r.code for r in results}
     assert any("--config" in t for t in text) and any("--extra" in t for t in text)
     assert any(re.search(r"--(p0|pprime|residues) \d{18}\b", t) for t in text)

@@ -51,6 +51,18 @@ EXTRAS = (
     "tower --name martinet --t 100000",
     "tower --name golod-shafarevich --t 1",
     "covolume --field Q --type A1 --s-param 7",
+    # the other flags without the flag they need, --extra on a call that does
+    # not read the catalog, and sizes past a cap (kept small enough that a
+    # tree without the caps finishes them in seconds)
+    "covolume --tower martinet --type A2 --outer",
+    "covolume --tower martinet --type A1 --alpha 0,1",
+    "covolume --field Q --type A1 --level 3",
+    "tower --t 1",
+    "tower --levels 5",
+    "field --poly x^2-2 --extra /nonexistent.json",
+    "pisot --poly x^2-x-1 --radius 1000",
+    "lie dump --max-rank 1000",
+    "covolume --field Q --type A100",
     # usage, help and error texts, which depend on how the parser is built
     "",
     "--help",

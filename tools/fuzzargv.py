@@ -16,11 +16,13 @@ The draw covers every subcommand with valid and invalid values: 18-digit
 primes for --p0, --pprime and --residues, residue degrees up to 10^7,
 tower levels up to 10^5 for `covolume --tower --level`, `growth lower
 --levels` and `tower --levels`, `tower --t` on both sides of the base
-degree 20 and up to 10^18 + 3, --prec up to 10^4, --config and --extra
-files with wrong types, and argv that argparse must reject.  Sizes whose
-work has no cap yet stay small: `pisot --radius` <= 8, `--s-param` <= 5,
-`lie dump --max-rank` <= 40 and Lie type ranks <= 12 (ROADMAP item 14 lists
-them).
+degree 20 and up to 10^18 + 3, `pisot --radius`, `lie dump --max-rank` and
+Lie type ranks up to 10^18 + 3, past their caps, --prec up to 10^4,
+--config and --extra files with wrong types, --extra on calls that do not
+read the catalog, flags without the flag they need (`covolume --tower
+--alpha`, `covolume --field --level`, `tower --t` or `--levels` without
+`--name`), and argv that argparse must reject.  `--s-param`, whose work has
+no cap yet, stays <= 5.
 
 Each failure is printed with its argv (the files they name are rewritten
 from FILES on every run); the exit status is 1 if there is one.  Needs a
@@ -45,7 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from latcount.cli import entry  # noqa: E402
-from latcount.liedata import dump_table  # noqa: E402
+from latcount.liedata import MAX_RANK, dump_table  # noqa: E402
 from latcount.polymod import is_prime  # noqa: E402
 
 # `tower --levels 14280` prints 31 MB in about 2 s, and `tower --t 3 --prec
@@ -159,8 +161,10 @@ def _type(rng: random.Random) -> str:
     r = rng.random()
     if r < 0.7:
         return rng.choice(TYPES)
-    if r < 0.9:
+    if r < 0.85:
         return rng.choice(FAMILIES) + str(rng.randint(1, 12))
+    if r < 0.9:
+        return rng.choice("ABCD") + str(rng.choice((MAX_RANK, MAX_RANK + 1, 300, 10 ** 18 + 3)))
     return rng.choice(("A0", "E9", "Z3", "G3", "A", "a2", "B1", "D3", "F5", "A-1"))
 
 
@@ -195,14 +199,16 @@ def _pisot(rng: random.Random) -> list:
     if rng.random() < 0.3:
         argv += ["--place", _int(rng, (0, 1, 2, 3, 5))]
     if rng.random() < 0.3:
-        argv += ["--radius", _int(rng, (0, 1, 3, 5, 8), large=False)]
+        argv += ["--radius", _int(rng, (0, 1, 3, 5, 8, 157, 158))]
     return argv
 
 
 def _tower_cmd(rng: random.Random) -> list:
     argv = ["tower"]
     if rng.random() < 0.8:
-        argv += ["--name", _tower(rng), "--levels", _level(rng, (1, 2, 3, 5, 12))]
+        argv += ["--name", _tower(rng)]
+    if rng.random() < 0.8:
+        argv += ["--levels", _level(rng, (1, 2, 3, 5, 12))]
     if rng.random() < 0.4:
         argv += ["--t", _int(rng, (1, 2, 3, 4, 20, 21, 10 ** 5))]
     return argv
@@ -210,11 +216,17 @@ def _tower_cmd(rng: random.Random) -> list:
 
 def _covolume(rng: random.Random) -> list:
     argv = ["covolume", "--type", _type(rng)]
+    # --level needs --tower and --alpha needs --field; each sometimes comes
+    # with the other
     if rng.random() < 0.5:
         argv += ["--tower", _tower(rng), "--level", _level(rng, (0, 1, 2, 3, 5))]
+        if rng.random() < 0.1:
+            argv += ["--alpha", "0,1"]
     else:
         argv += ["--field", rng.choice(("Q", "Q", "x^2-5", "x^2-x-1", "x^2+1", "x^3-x-1")),
                  "--prime-bound", rng.choice(("100", "1000", "10000", "99"))]
+        if rng.random() < 0.1:
+            argv += ["--level", _level(rng, (1, 2, 3))]
         if rng.random() < 0.3:
             argv += ["--outer", "--alpha=" + rng.choice(("-3", "-1,0", "1,1", "0,1", "-1,1", "x"))]
             if rng.random() < 0.5:
@@ -255,7 +267,7 @@ def _growth_upper(rng: random.Random) -> list:
 
 
 def _lie(rng: random.Random) -> list:
-    return ["lie", "dump", "--max-rank", _int(rng, (1, 4, 8, 12, 40), large=False)]
+    return ["lie", "dump", "--max-rank", _int(rng, (1, 4, 8, 12, MAX_RANK, MAX_RANK + 1))]
 
 
 def _rejected(rng: random.Random) -> list:

@@ -11,16 +11,15 @@ quantities are the growth constants themselves, which involve logarithms.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import ceil, prod
-from typing import NamedTuple, Sequence, Tuple, Union
 
 from .errors import EmptyReport, ResidueBudgetExceeded
 from .interval import RealInterval, log2_fraction, refuse_unprintable_power, str_digit_limit
 from .liedata import LieTypeData
 from .polymod import is_prime
-
-Rat = Union[int, Fraction]
 
 
 # ===================================================== exact subgroup counts
@@ -121,17 +120,10 @@ def read_int(value, label: str) -> int:
     raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
-class _BoundFields(NamedTuple):
-    C: Fraction = Fraction(1)
-    C1: Fraction = Fraction(1)
-    C2: Fraction = Fraction(1)
-    c4: Fraction = Fraction(1)
-    f1: Fraction = Fraction(1)
-    s_embed: int = 2
-    defaulted: Tuple[str, ...] = ("C", "C1", "C2", "c4", "f1", "s_embed")
-
-
-class BoundParams(_BoundFields):
+class BoundParams(namedtuple(
+    "BoundParams", "C C1 C2 c4 f1 s_embed defaulted",
+    defaults=(Fraction(1),) * 5 + (2, ("C", "C1", "C2", "c4", "f1", "s_embed")),
+)):
     """Non-explicit constants of the counting chain, supplied not derived.
 
     The source arguments only prove these exist; every report echoes the
@@ -143,7 +135,7 @@ class BoundParams(_BoundFields):
     def __new__(cls, *args, **kwargs):
         # C1 = 0 (empty residue budget) and c4 = 0 (no conjugacy discount)
         # are meaningful degenerate settings; the rest must be positive.
-        given = _BoundFields(*args, **kwargs)
+        given = super().__new__(cls, *args, **kwargs)
         self = super().__new__(cls, *map(Fraction, given[:5]), *given[5:])
         if self.C <= 0 or self.C2 <= 0 or self.f1 <= 0:
             raise ValueError("C, C2, f1 must be strictly positive")
@@ -180,27 +172,17 @@ class BoundParams(_BoundFields):
 
 # =============================================== lower growth: tower report
 
-class GrowthRow(NamedTuple):
-    degree: int
-    covolume_bound: RealInterval
-    subgroup_exponent: int
-    index_bound: int
-    conjugacy_discount: int
-    net_count_exponent: int
-    included: bool
+class GrowthRow(namedtuple("GrowthRow", [
+    "degree", "covolume_bound", "subgroup_exponent", "index_bound",
+    "conjugacy_discount", "net_count_exponent", "included",
+])):
+    __slots__ = ()
 
 
-class GrowthReport(NamedTuple):
-    rows: Tuple[GrowthRow, ...]
-    c1: RealInterval
-    c2: RealInterval
-    c2_exponent: Fraction
-    c3: int
-    p_prime: int
-    lie_name: str
-    a: RealInterval
+class GrowthReport(namedtuple("GrowthReport", "rows c1 c2 c2_exponent c3 p_prime lie_name a")):
+    __slots__ = ()
 
-    def included_rows(self) -> Tuple[GrowthRow, ...]:
+    def included_rows(self) -> tuple[GrowthRow, ...]:
         return tuple(r for r in self.rows if r.included)
 
 
@@ -208,7 +190,7 @@ def lower_growth_assemble(
     c1: RealInterval,
     data: LieTypeData,
     p_prime: int,
-    c4: Rat,
+    c4: int | Fraction,
     degrees: Sequence[int],
     precision: int = 128,
 ) -> GrowthReport:
@@ -273,16 +255,13 @@ def lower_growth_assemble(
 
 # ============================================== upper growth: bound per x
 
-class UpperGrowthBound(NamedTuple):
+class UpperGrowthBound(namedtuple("UpperGrowthBound", [
+    "x", "nu", "rank_sum", "quotient_exponent", "composition_exponent", "B",
+    "residue_data",
+])):
     """Exponent B with its additive breakdown: the bound is x^B."""
 
-    x: int
-    nu: int
-    rank_sum: int
-    quotient_exponent: int
-    composition_exponent: int
-    B: int
-    residue_data: Tuple[Tuple[int, int], ...]
+    __slots__ = ()
 
     def breakdown(self) -> str:
         return (
@@ -292,7 +271,7 @@ class UpperGrowthBound(NamedTuple):
         )
 
 
-def _budget_exceeds(residue_data: Sequence[Tuple[int, int]], x: int, C1: Fraction) -> bool:
+def _budget_exceeds(residue_data: Sequence[tuple[int, int]], x: int, C1: Fraction) -> bool:
     """prod p^f > x^C1, that is budget^b > x^a for C1 = a/b.
 
     Settled by bit lengths, then by enclosures of the logarithms, and only
@@ -318,7 +297,7 @@ def _budget_exceeds(residue_data: Sequence[Tuple[int, int]], x: int, C1: Fractio
     return prod(p ** f for p, f in residue_data) ** b > x ** a
 
 
-def _budget_text(residue_data: Sequence[Tuple[int, int]]) -> str:
+def _budget_text(residue_data: Sequence[tuple[int, int]]) -> str:
     """prod p^f in digits within the int->str digit limit (4300 digits where
     Python has none, so every version prints the same), else as the product
     of the powers, such as 3^1000000."""
@@ -334,7 +313,7 @@ def _budget_text(residue_data: Sequence[Tuple[int, int]]) -> str:
 def upper_growth_assemble(
     x: int,
     params: BoundParams,
-    residue_data: Sequence[Tuple[int, int]],
+    residue_data: Sequence[tuple[int, int]],
 ) -> UpperGrowthBound:
     """Conditional bound x^B on the index-x subgroup count.
 

@@ -30,11 +30,8 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
 from .errors import LatcountError
-
-Rat = Union[int, Fraction]
 
 _GUARD = 16  # extra working bits ahead of a final outward rounding
 
@@ -76,7 +73,7 @@ class RealInterval:
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: Rat, hi: Rat):
+    def __init__(self, lo: int | Fraction, hi: int | Fraction):
         lo = Fraction(lo)
         hi = Fraction(hi)
         if lo > hi:
@@ -87,7 +84,7 @@ class RealInterval:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def point(cls, q: Rat) -> "RealInterval":
+    def point(cls, q: int | Fraction) -> "RealInterval":
         q = Fraction(q)
         return cls(q, q)
 
@@ -204,7 +201,7 @@ class RealInterval:
         wp = prec + _GUARD
         return self.ln(wp).div(ln2_interval(wp), prec)
 
-    def pow_frac(self, e: Rat, prec: int) -> "RealInterval":
+    def pow_frac(self, e: int | Fraction, prec: int) -> "RealInterval":
         """self**e for rational e; requires a strictly positive interval."""
         e = Fraction(e)
         if e == 0:
@@ -230,7 +227,7 @@ class RealInterval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, q: Rat) -> bool:
+    def contains(self, q: int | Fraction) -> bool:
         return self.lo <= q <= self.hi
 
     def encloses(self, other: "RealInterval") -> bool:
@@ -381,7 +378,7 @@ def exp1_interval(prec: int) -> RealInterval:
     return _exp_series(1, 1, wp, _series_bits(wp)).round_out(prec)
 
 
-def exp_fraction(q: Rat, prec: int) -> RealInterval:
+def exp_fraction(q: int | Fraction, prec: int) -> RealInterval:
     """Certified enclosure of e**q for rational q."""
     q = Fraction(q)
     if q == 0:
@@ -397,7 +394,7 @@ def exp_fraction(q: Rat, prec: int) -> RealInterval:
     return (acc * frac_part).round_out(prec)
 
 
-def ln_fraction(q: Rat, prec: int) -> RealInterval:
+def ln_fraction(q: int | Fraction, prec: int) -> RealInterval:
     """Certified enclosure of ln(q) for rational q > 0."""
     q = Fraction(q)
     if q <= 0:
@@ -422,7 +419,7 @@ def ln_fraction(q: Rat, prec: int) -> RealInterval:
     return (lnm + e * ln2_interval(wp + abs(e).bit_length() + 2)).round_out(prec)
 
 
-def log2_fraction(q: Rat, prec: int) -> RealInterval:
+def log2_fraction(q: int | Fraction, prec: int) -> RealInterval:
     wp = prec + _GUARD
     return ln_fraction(q, wp).div(ln2_interval(wp), prec)
 
@@ -540,7 +537,7 @@ def digit_limit_error() -> LatcountError:
     return LatcountError(_DIGIT_LIMIT.format(str_digit_limit(), ""))
 
 
-def refuse_unprintable_power(base: Rat, exponent: int) -> None:
+def refuse_unprintable_power(base: int | Fraction, exponent: int) -> None:
     """Raise digit_limit_error() if base^exponent, base > 1, cannot be printed:
     base > 2^b, so the power has more than 0.30102 b exponent digits."""
     base = Fraction(base)

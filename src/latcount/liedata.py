@@ -6,9 +6,8 @@ used by the covolume formula.  Everything here is exact integer data;
 the only numerics is gamma_h, which returns a certified interval.
 """
 
+from collections import namedtuple
 from fractions import Fraction
-
-from typing import NamedTuple, Optional, Tuple
 
 from .errors import InconsistentOverride, InvalidType, PastCap
 from .interval import RealInterval
@@ -33,6 +32,11 @@ _OUTER_S_DEFAULT = 5
 # a quartic field takes under 3 s at the default prime bound on a shared
 # 2-core host
 MAX_RANK = 32
+# the largest s(G) of an outer form of rank <= MAX_RANK in Prasad's table
+# (Publ. IHES 69, 1989, section 0.4).  s is r(r+3)/2 for 2A_r with r even,
+# (r-1)(r+2)/2 for 2A_r with r odd, 2r-1 for 2D_r and 26 for 2E_6, so the
+# largest is 2A_32's 560
+MAX_S_PARAM = MAX_RANK * (MAX_RANK + 3) // 2
 
 
 def _refuse_past_cap(rank: int) -> None:
@@ -40,17 +44,9 @@ def _refuse_past_cap(rank: int) -> None:
         raise PastCap(f"rank {rank} is past the cap: Lie type ranks run up to {MAX_RANK}")
 
 
-class _LieFields(NamedTuple):
-    family: str
-    rank: int
-    dim: int
-    exponents: Tuple[int, ...]
-    coxeter: int
-    form: str = INNER_SPLIT
-    s_param: int = 0
-
-
-class LieTypeData(_LieFields):
+class LieTypeData(namedtuple(
+    "LieTypeData", "family rank dim exponents coxeter form s_param", defaults=(INNER_SPLIT, 0)
+)):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -71,7 +67,7 @@ class LieTypeData(_LieFields):
         return f"{self.family}{self.rank}"
 
 
-def _exponents(family: str, rank: int) -> Optional[Tuple[int, ...]]:
+def _exponents(family: str, rank: int) -> tuple[int, ...] | None:
     r = rank
     if family == "A" and r >= 1:
         return tuple(range(1, r + 1))
@@ -104,7 +100,7 @@ def root_system(family: str, rank: int) -> LieTypeData:
     return LieTypeData(family, rank, dim, exps, h)
 
 
-def with_form(data: LieTypeData, form: str, s_param: Optional[int] = None) -> LieTypeData:
+def with_form(data: LieTypeData, form: str, s_param: int | None = None) -> LieTypeData:
     """Re-tag a split table entry as an inner or outer form."""
     if form == INNER_SPLIT:
         return LieTypeData(**{**data._asdict(), "form": form, "s_param": 0})
@@ -116,12 +112,15 @@ def with_form(data: LieTypeData, form: str, s_param: Optional[int] = None) -> Li
     if check is None or not check(data.rank):
         raise InvalidType(f"{data.name} has no order-2 diagram automorphism")
     s = _OUTER_S_DEFAULT if s_param is None else s_param
+    if s > MAX_S_PARAM:
+        raise PastCap(f"s-parameter {s} is past the cap: outer forms of rank up to "
+                      f"{MAX_RANK} have s up to {MAX_S_PARAM}")
     if s < 5:
         raise InconsistentOverride(f"outer form needs s >= 5, got {s}")
     return LieTypeData(**{**data._asdict(), "form": form, "s_param": s})
 
 
-def s_parameter(data: LieTypeData, override: Optional[int] = None) -> int:
+def s_parameter(data: LieTypeData, override: int | None = None) -> int:
     """s from the type, or a validated override."""
     if override is None:
         return 0 if data.form == INNER_SPLIT else max(data.s_param, _OUTER_S_DEFAULT)
@@ -136,7 +135,7 @@ def s_parameter(data: LieTypeData, override: Optional[int] = None) -> int:
     return override
 
 
-def outer2_signs(data: LieTypeData) -> Tuple[int, ...]:
+def outer2_signs(data: LieTypeData) -> tuple[int, ...]:
     """Sign vector of the quasi-split order-2 outer form's point-count formula.
 
     Shipped for families A and D only; the D vector flips exactly one of the
@@ -153,7 +152,7 @@ def outer2_signs(data: LieTypeData) -> Tuple[int, ...]:
     raise InvalidType(f"no shipped sign table for outer {data.name}")
 
 
-def split_signs(data: LieTypeData) -> Tuple[int, ...]:
+def split_signs(data: LieTypeData) -> tuple[int, ...]:
     return (-1,) * data.rank
 
 

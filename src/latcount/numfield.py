@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import cos, factorial, isqrt, ldexp, sin, tau
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     InvalidDiscriminant,
@@ -75,11 +76,7 @@ def doublings(start: int, exhausted: Exception):
 # ===================================================================== basic
 # polynomial type
 
-class _Coefficients(NamedTuple):
-    coefficients: Tuple[int, ...]
-
-
-class Polynomial(_Coefficients):
+class Polynomial(namedtuple("Polynomial", "coefficients")):
     """Integer polynomial, constant coefficient first; leading coeff nonzero."""
 
     __slots__ = ()
@@ -215,7 +212,7 @@ def element_norm(element: "FieldElement") -> Fraction:
 
 # ===================================================================== roots
 
-def _value_at(f: Sequence[int], x: int, y: int, k: int) -> Tuple[int, int]:
+def _value_at(f: Sequence[int], x: int, y: int, k: int) -> tuple[int, int]:
     """2^(k deg f) f((x + iy) / 2^k) as (re, im) for an integer polynomial f,
     by Horner with shifts.  A negative k scales the point to integers and
     returns f there, which keeps the signs."""
@@ -411,7 +408,7 @@ class NumberField:
     def abs_disc(self) -> int:
         return abs(self.disc)
 
-    def embeddings(self, prec: Optional[int] = None):
+    def embeddings(self, prec: int | None = None):
         """(real enclosures ascending, upper-half boxes), one per infinite place."""
         prec = prec or self.precision
         if prec not in self._emb_cache:
@@ -497,9 +494,9 @@ def _assert_irreducible(poly: Polynomial, zk_disc: int) -> None:
 
 
 def field_from_polynomial(
-    poly: Union[Polynomial, Sequence[int], str],
+    poly: Polynomial | Sequence[int] | str,
     precision: int = 128,
-    known_disc: Optional[int] = None,
+    known_disc: int | None = None,
 ) -> NumberField:
     """Build a NumberField: irreducibility first, then the roots and signature.
 

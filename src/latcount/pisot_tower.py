@@ -19,9 +19,9 @@ refinement budget when the images cannot decide.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil, isqrt, lcm
-from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     AlphaPossiblySquare,
@@ -53,46 +53,37 @@ MAX_SEARCH = 10 ** 5
 
 # ==================================================================== types
 
-class PisotCertificate(NamedTuple):
+class PisotCertificate(namedtuple("PisotCertificate", [
+    "element", "place_index", "enclosures",
+    "norm_one_minus",  # exact N(1 - theta)
+    "delta_bound",     # the norm cap D^delta; a point for square D
+    "precision",
+])):
     """An element with interval proofs of the one-big-place condition."""
 
-    element: FieldElement
-    place_index: int
-    enclosures: Tuple[RealInterval, ...]
-    norm_one_minus: Fraction      # exact N(1 - theta)
-    delta_bound: RealInterval     # the norm cap D^delta; a point for square D
-    precision: int
+    __slots__ = ()
 
     @property
     def field(self) -> NumberField:
         return self.element.field
 
 
-class QuadraticExtensionData(NamedTuple):
-    base: NumberField
-    alpha: FieldElement
-    t: int
-    disc_bound: int
-    rd_bound: RealInterval
-    sign_pattern: Tuple[int, ...]
+class QuadraticExtensionData(namedtuple(
+    "QuadraticExtensionData", "base alpha t disc_bound rd_bound sign_pattern"
+)):
+    __slots__ = ()
 
 
-class TowerEntry(NamedTuple):
-    name: str
-    base_degree: int
-    degree_rule: str
-    rd_constant: RealInterval
-    total_real: bool
-    source: str
+class TowerEntry(namedtuple(
+    "TowerEntry", "name base_degree degree_rule rd_constant total_real source"
+)):
+    __slots__ = ()
 
 
-class SyntheticField(NamedTuple):
+class SyntheticField(namedtuple("SyntheticField", "degree r2 rd_bound level")):
     """Degree/signature/rd data without a defining polynomial."""
 
-    degree: int
-    r2: int
-    rd_bound: RealInterval
-    level: int
+    __slots__ = ()
 
 
 # ==================================================================== delta
@@ -249,7 +240,7 @@ def reverify_certificate(cert: PisotCertificate) -> bool:
 
 def pisot_product_alpha(
     k: NumberField, t: int, search_radius: int = 5
-) -> Tuple[FieldElement, Tuple[int, ...]]:
+) -> tuple[FieldElement, tuple[int, ...]]:
     """alpha = (1-theta_1)...(1-theta_t), negative at exactly the first t places."""
     if k.r2 != 0 or k.degree < 2:
         raise NotTotallyReal(f"{k!r} is not totally real of degree >= 2")
@@ -277,7 +268,7 @@ def certified_signs(k: NumberField, element: FieldElement):
             return signs
 
 
-def splitting_pattern(k: NumberField, element: FieldElement) -> Tuple[str, ...]:
+def splitting_pattern(k: NumberField, element: FieldElement) -> tuple[str, ...]:
     """Per real place: 'split' where the element is positive, else 'nonsplit'."""
     return tuple(
         "split" if s > 0 else "nonsplit" for s in certified_signs(k, element)
@@ -390,7 +381,7 @@ def _entry_from_row(row, where: str) -> TowerEntry:
     )
 
 
-def tower_catalog(extra_path: Optional[str] = None) -> list:
+def tower_catalog(extra_path: str | None = None) -> list:
     """The shipped tower entries, optionally extended from a user JSON file; a
     name that appears twice across the two raises LatcountError."""
     entries = list(_CATALOG)
@@ -412,7 +403,7 @@ def tower_catalog(extra_path: Optional[str] = None) -> list:
     return entries
 
 
-def tower_lookup(name: str, extra_path: Optional[str] = None) -> list:
+def tower_lookup(name: str, extra_path: str | None = None) -> list:
     return [e for e in tower_catalog(extra_path) if e.name == name]
 
 

@@ -22,9 +22,11 @@ certified interval, so the reported covolume is a true enclosure.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, factorial, isqrt
-from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import NonIntegralOrder
 from .interval import (
@@ -43,7 +45,7 @@ from .polymod import distinct_degree_degrees, prime_list
 # ========================================================== finite group data
 
 def finite_group_order(
-    data: LieTypeData, q: int, signs: Optional[Sequence[int]] = None
+    data: LieTypeData, q: int, signs: Sequence[int] | None = None
 ) -> int:
     """#M(F_q) = q^dim prod_i (1 + s_i q^-(m_i+1)), exact."""
     if q < 2:
@@ -63,7 +65,7 @@ def finite_group_order(
 
 
 def local_factor(
-    data: LieTypeData, q: int, signs: Optional[Sequence[int]] = None
+    data: LieTypeData, q: int, signs: Sequence[int] | None = None
 ) -> Fraction:
     """e_v = q^dim / #M(F_q), exact rational."""
     return Fraction(q ** data.dim, finite_group_order(data, q, signs))
@@ -71,7 +73,7 @@ def local_factor(
 
 # ============================================================= prime splitting
 
-def prime_splitting(k: NumberField, p: int) -> Tuple[int, ...]:
+def prime_splitting(k: NumberField, p: int) -> tuple[int, ...]:
     """Residue degrees of the primes above p, ascending, from the defining
     polynomial; () when p divides disc(Z[theta]).
 
@@ -229,15 +231,12 @@ def euler_product_E(
 
 # ================================================================= covolume
 
-class CovolumeResult(NamedTuple):
-    value: RealInterval
-    disc_factor: RealInterval
-    arch_factor: RealInterval
-    euler_factor: RealInterval
-    lambda_bound: RealInterval
-    prime_bound_used: int
+class CovolumeResult(namedtuple("CovolumeResult", [
+    "value", "disc_factor", "arch_factor", "euler_factor", "lambda_bound", "prime_bound_used",
     # value at coarse_bound(prime_bound_used), when that bound is lower
-    coarse_value: Optional[RealInterval] = None
+    "coarse_value",
+], defaults=(None,))):
+    __slots__ = ()
 
     def factor_product(self) -> RealInterval:
         return (
@@ -258,9 +257,9 @@ def _arch_unit(data: LieTypeData, wp: int) -> RealInterval:
 
 def covolume(
     k: NumberField,
-    ext: Optional[QuadraticExtensionData],
+    ext: QuadraticExtensionData | None,
     data: LieTypeData,
-    p0: Optional[int] = None,
+    p0: int | None = None,
     prime_bound: int = 100000,
 ) -> CovolumeResult:
     """Volume-formula enclosure for a concrete base field, worked at
@@ -307,14 +306,16 @@ def covolume(
     )
 
 
+@lru_cache(maxsize=8)
 def _c1_factors(
     c0: RealInterval, data: LieTypeData, p0: int, wp: int
-) -> Tuple[RealInterval, RealInterval, RealInterval, RealInterval]:
+) -> tuple[RealInterval, RealInterval, RealInterval, RealInterval]:
     """The per-degree factors (disc, arch, lambda, euler) of c1.
 
     The Euler factor is prod_i zeta(m_i + 1) from interval.zeta_interval: a
     degree-d field has zeta_K(s) <= zeta(s)^d for real s > 1, so the field's
-    Euler product is at most this factor to the d-th power.
+    Euler product is at most this factor to the d-th power.  Cached, so that
+    covolume_upper_c1 and covolume_synthetic on one tower level share them.
     """
     if data.s_param:
         raise ValueError("outer form needs the relative-discriminant constant c0'")

@@ -13,11 +13,12 @@ import latcount
 import latcount.counting as counting
 import latcount.numfield as numfield
 import latcount.pisot_tower as pisot_tower
+import latcount.prasad as prasad
 from latcount.cli import _DESCRIPTION, _parse_plain, entry, run
 from latcount.counting import BoundParams, lower_growth_assemble, upper_growth_assemble
 from latcount.errors import LatcountError
 from latcount.interval import RealInterval, interval_strs, str_digit_limit
-from latcount.liedata import MAX_RANK, parse_type
+from latcount.liedata import MAX_RANK, MAX_S_PARAM, parse_type
 from latcount.numfield import Polynomial, field_from_polynomial
 from latcount.pisot_tower import (
     MAX_SEARCH,
@@ -408,6 +409,7 @@ def test_less_used_flag_errors(capsys, argv, message):
 
 _EXTRA_UNREAD = "--extra is read only by tower, covolume --tower and growth lower"
 _RANK_300 = "rank 300 is past the cap: Lie type ranks run up to 32"
+_S_561 = "s-parameter 561 is past the cap: outer forms of rank up to 32 have s up to 560"
 
 
 # each flag-needs-flag rule and each cap, under the spelling _parse_plain takes
@@ -443,6 +445,8 @@ _RANK_300 = "rank 300 is past the cap: Lie type ranks run up to 32"
      "--prec 128 covolume --tower martinet --type A300 --level 0", _RANK_300),
     ("growth lower --tower martinet --type A300 --pprime 3 --levels 1",
      "growth --prec 128 lower --tower martinet --type A300 --pprime 3 --levels 1", _RANK_300),
+    ("covolume --field x^2-x-1 --type A2 --outer --alpha 0,1 --s-param 561",
+     "covolume --field x^2-x-1 --type A2 --outer --alpha=0,1 --s-param=561", _S_561),
 ])
 def test_unread_flags_and_sizes_past_a_cap_exit_1(capsys, plain, other, message):
     assert _parse_plain(shlex.split(plain)) is not None
@@ -453,8 +457,8 @@ def test_unread_flags_and_sizes_past_a_cap_exit_1(capsys, plain, other, message)
 
 
 def test_caps_sit_at_their_constants(capsys):
-    # the largest search box and rank are accepted, one past them is not, and
-    # every type lie dump can list is a type covolume takes
+    # the largest search box, rank and s-parameter are accepted, one past them
+    # is not, and every type lie dump can list is a type covolume takes
     assert (2 * 157 + 1) ** 2 <= MAX_SEARCH < (2 * 158 + 1) ** 2
     assert entry(["pisot", "--poly", "x^2-x-1", "--radius", "157"]) == 0
     assert entry(["pisot", "--poly", "x^2-x-1", "--radius", "158"]) == 1
@@ -467,6 +471,23 @@ def test_caps_sit_at_their_constants(capsys):
         assert entry(["covolume", "--field", "Q", "--type", name]) == 0, name
     assert entry(["lie", "dump", "--max-rank", str(MAX_RANK + 1)]) == 1
     assert entry(["covolume", "--field", "Q", "--type", f"A{MAX_RANK + 1}"]) == 1
+    capsys.readouterr()
+    # 2A_r has s = r(r+3)/2 for even r, the most of any outer form at a rank
+    assert MAX_S_PARAM == 560 == MAX_RANK * (MAX_RANK + 3) // 2
+    doc = _run_json(capsys, _OUTER_A2 + ["--s-param", str(MAX_S_PARAM), "--format", "json"])
+    assert doc["type"] == "A2 (outer)"
+    assert entry(_OUTER_A2 + ["--s-param", str(MAX_S_PARAM + 1)]) == 1
+    assert capsys.readouterr() == ("", f"error: {_S_561}\n")
+
+
+def test_covolume_tower_computes_c1_factors_once(capsys, monkeypatch):
+    # covolume_upper_c1 and covolume_synthetic share one level's factors
+    arch_unit, calls = prasad._arch_unit, []
+    monkeypatch.setattr(prasad, "_arch_unit", lambda *a: calls.append(a) or arch_unit(*a))
+    prasad._c1_factors.cache_clear()
+    assert entry(["covolume", "--tower", "martinet", "--type", "A2", "--level", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_covolume_tower_bound(capsys):
@@ -985,6 +1006,16 @@ def test_process_entry_freezes_the_import_heap():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_latcount_env(), timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+
+def test_import_loads_no_typing_json_csv_or_argparse():
+    # every report pays for the import; -S, since a site module may load
+    # typing before latcount does
+    code = ("import sys, latcount.cli; "
+            "print(sorted({'typing', 'json', 'csv', 'argparse'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=_latcount_env(), timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_entry_leaves_the_collector_alone(capsys):

@@ -63,6 +63,9 @@ EXTRAS = (
     "pisot --poly x^2-x-1 --radius 1000",
     "lie dump --max-rank 1000",
     "covolume --field Q --type A100",
+    # the largest s(G) of an outer form up to the rank cap, and one past it
+    "covolume --field x^2-x-1 --type A2 --outer --alpha=0,1 --s-param 560",
+    "covolume --field x^2-x-1 --type A2 --outer --alpha=0,1 --s-param 561",
     # usage, help and error texts, which depend on how the parser is built
     "",
     "--help",

@@ -16,13 +16,12 @@ The draw covers every subcommand with valid and invalid values: 18-digit
 primes for --p0, --pprime and --residues, residue degrees up to 10^7,
 tower levels up to 10^5 for `covolume --tower --level`, `growth lower
 --levels` and `tower --levels`, `tower --t` on both sides of the base
-degree 20 and up to 10^18 + 3, `pisot --radius`, `lie dump --max-rank` and
-Lie type ranks up to 10^18 + 3, past their caps, --prec up to 10^4,
---config and --extra files with wrong types, --extra on calls that do not
-read the catalog, flags without the flag they need (`covolume --tower
---alpha`, `covolume --field --level`, `tower --t` or `--levels` without
-`--name`), and argv that argparse must reject.  `--s-param`, whose work has
-no cap yet, stays <= 5.
+degree 20 and up to 10^18 + 3, `pisot --radius`, `lie dump --max-rank`,
+Lie type ranks and `covolume --s-param` up to 10^18 + 3, past their caps,
+--prec up to 10^4, --config and --extra files with wrong types, --extra on
+calls that do not read the catalog, flags without the flag they need
+(`covolume --tower --alpha`, `covolume --field --level`, `tower --t` or
+`--levels` without `--name`), and argv that argparse must reject.
 
 Each failure is printed with its argv (the files they name are rewritten
 from FILES on every run); the exit status is 1 if there is one.  Needs a
@@ -47,7 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from latcount.cli import entry  # noqa: E402
-from latcount.liedata import MAX_RANK, dump_table  # noqa: E402
+from latcount.liedata import MAX_RANK, MAX_S_PARAM, dump_table  # noqa: E402
 from latcount.polymod import is_prime  # noqa: E402
 
 # `tower --levels 14280` prints 31 MB in about 2 s, and `tower --t 3 --prec
@@ -127,14 +126,13 @@ def _prime18(rng: random.Random) -> int:
     return n
 
 
-def _int(rng: random.Random, typical: tuple, large: bool = True) -> str:
-    """A typical value mostly, sometimes an edge value or text int() rejects.
-    large=False keeps the edge values small, for a size whose work has no cap."""
+def _int(rng: random.Random, typical: tuple) -> str:
+    """A typical value mostly, sometimes an edge value or text int() rejects."""
     r = rng.random()
     if r < 0.8:
         return str(rng.choice(typical))
     if r < 0.9:
-        return str(rng.choice((0, -1, 1) + ((10 ** 5, 10 ** 18 + 3) if large else ())))
+        return str(rng.choice((0, -1, 1, 10 ** 5, 10 ** 18 + 3)))
     return rng.choice(("abc", "1.5", "", "0x10", "1e3", "--"))
 
 
@@ -230,7 +228,7 @@ def _covolume(rng: random.Random) -> list:
         if rng.random() < 0.3:
             argv += ["--outer", "--alpha=" + rng.choice(("-3", "-1,0", "1,1", "0,1", "-1,1", "x"))]
             if rng.random() < 0.5:
-                argv += ["--s-param", _int(rng, (3, 5), large=False)]
+                argv += ["--s-param", _int(rng, (3, 5, MAX_S_PARAM, MAX_S_PARAM + 1))]
     if rng.random() < 0.3:
         argv += ["--p0", _prime(rng)]
     return argv

@@ -9,7 +9,7 @@ the only numerics is gamma_h, which returns a certified interval.
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import InconsistentOverride, InvalidType, PastCap
+from .errors import LatcountError
 from .interval import RealInterval
 
 INNER_SPLIT = "inner-split"
@@ -41,7 +41,7 @@ MAX_S_PARAM = MAX_RANK * (MAX_RANK + 3) // 2
 
 def _refuse_past_cap(rank: int) -> None:
     if rank > MAX_RANK:
-        raise PastCap(f"rank {rank} is past the cap: Lie type ranks run up to {MAX_RANK}")
+        raise LatcountError(f"rank {rank} is past the cap: Lie type ranks run up to {MAX_RANK}")
 
 
 class LieTypeData(namedtuple(
@@ -89,12 +89,12 @@ def _exponents(family: str, rank: int) -> tuple[int, ...] | None:
 
 
 def root_system(family: str, rank: int) -> LieTypeData:
-    """Table lookup for the split simple type; raises PastCap for a rank past
-    MAX_RANK and InvalidType for any other missing type."""
+    """Table lookup for the split simple type; raises LatcountError for a rank
+    past MAX_RANK or any other missing type."""
     _refuse_past_cap(rank)
     exps = _exponents(family, rank)
     if exps is None:
-        raise InvalidType(f"no simple type ({family}, {rank})")
+        raise LatcountError(f"no simple type ({family}, {rank})")
     h = exps[-1] + 1
     dim = sum(2 * m + 1 for m in exps)
     return LieTypeData(family, rank, dim, exps, h)
@@ -105,18 +105,18 @@ def with_form(data: LieTypeData, form: str, s_param: int | None = None) -> LieTy
     if form == INNER_SPLIT:
         return LieTypeData(**{**data._asdict(), "form": form, "s_param": 0})
     if form == OUTER_3:
-        raise InvalidType("order-3 outer forms (triality) are out of scope")
+        raise LatcountError("order-3 outer forms (triality) are out of scope")
     if form != OUTER_2:
-        raise InvalidType(f"unknown form {form!r}")
+        raise LatcountError(f"unknown form {form!r}")
     check = _OUTER2_OK.get(data.family)
     if check is None or not check(data.rank):
-        raise InvalidType(f"{data.name} has no order-2 diagram automorphism")
+        raise LatcountError(f"{data.name} has no order-2 diagram automorphism")
     s = _OUTER_S_DEFAULT if s_param is None else s_param
     if s > MAX_S_PARAM:
-        raise PastCap(f"s-parameter {s} is past the cap: outer forms of rank up to "
-                      f"{MAX_RANK} have s up to {MAX_S_PARAM}")
+        raise LatcountError(f"s-parameter {s} is past the cap: outer forms of rank up to "
+                            f"{MAX_RANK} have s up to {MAX_S_PARAM}")
     if s < 5:
-        raise InconsistentOverride(f"outer form needs s >= 5, got {s}")
+        raise LatcountError(f"outer form needs s >= 5, got {s}")
     return LieTypeData(**{**data._asdict(), "form": form, "s_param": s})
 
 
@@ -126,12 +126,12 @@ def s_parameter(data: LieTypeData, override: int | None = None) -> int:
         return 0 if data.form == INNER_SPLIT else max(data.s_param, _OUTER_S_DEFAULT)
     if data.form == INNER_SPLIT:
         if override != 0:
-            raise InconsistentOverride(
+            raise LatcountError(
                 f"inner-split forms have s = 0, got override {override}"
             )
         return 0
     if override < 5:
-        raise InconsistentOverride(f"outer forms have s >= 5, got {override}")
+        raise LatcountError(f"outer forms have s >= 5, got {override}")
     return override
 
 
@@ -142,14 +142,14 @@ def outer2_signs(data: LieTypeData) -> tuple[int, ...]:
     two exponent copies equal to rank-1.
     """
     if data.form != OUTER_2:
-        raise InvalidType("sign table applies to outer-2 forms only")
+        raise LatcountError("sign table applies to outer-2 forms only")
     if data.family == "A":
         return tuple((-1) ** m for m in data.exponents)
     if data.family == "D":
         signs = [-1] * data.rank
         signs[data.exponents.index(data.rank - 1)] = 1
         return tuple(signs)
-    raise InvalidType(f"no shipped sign table for outer {data.name}")
+    raise LatcountError(f"no shipped sign table for outer {data.name}")
 
 
 def split_signs(data: LieTypeData) -> tuple[int, ...]:
@@ -190,9 +190,9 @@ def parse_type(text: str) -> LieTypeData:
     """Parse 'A1', 'C2', 'E8' style names."""
     name = text.strip().upper()
     if len(name) < 2 or name[0] not in FAMILIES:
-        raise InvalidType(f"cannot parse Lie type {text!r}")
+        raise LatcountError(f"cannot parse Lie type {text!r}")
     try:
         rank = int(name[1:])
     except ValueError:
-        raise InvalidType(f"cannot parse Lie type {text!r}") from None
+        raise LatcountError(f"cannot parse Lie type {text!r}") from None
     return root_system(name[0], rank)

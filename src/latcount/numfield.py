@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import cos, factorial, isqrt, ldexp, sin, tau
 
 from .errors import (
-    InvalidDiscriminant,
+    LatcountError,
     PrecisionExhausted,
     ReduciblePolynomial,
     SearchExhausted,
@@ -64,13 +64,14 @@ from .polymod import (
 _MAX_REFINE_ROUNDS = 10
 
 
-def doublings(start: int, exhausted: Exception):
-    """Precisions start, 2 start, ... for _MAX_REFINE_ROUNDS rounds; then raise exhausted."""
+def doublings(start: int, what: str):
+    """Precisions start, 2 start, ... for _MAX_REFINE_ROUNDS rounds; then raise
+    PrecisionExhausted(what)."""
     prec = start
     for _ in range(_MAX_REFINE_ROUNDS):
         yield prec
         prec *= 2
-    raise exhausted
+    raise PrecisionExhausted(what)
 
 
 # ===================================================================== basic
@@ -372,8 +373,7 @@ def _certified_roots(poly: Polynomial, prec: int):
     if poly.degree == 1:
         return (RealInterval.point(-poly.coefficients[0]),), ()
     workprec = max(2 * prec, 128, 2 * max(abs(c) for c in poly.coefficients).bit_length())
-    exhausted = PrecisionExhausted(f"embeddings of {poly} at {prec} bits")
-    for wp in doublings(workprec, exhausted):
+    for wp in doublings(workprec, f"embeddings of {poly} at {prec} bits"):
         roots = _aberth_roots(poly, wp)
         if roots is None:
             continue
@@ -515,7 +515,7 @@ def field_from_polynomial(
         raise ValueError("defining polynomial must have degree >= 1")
 
     if d == 1 and known_disc not in (None, 1):
-        raise InvalidDiscriminant(f"the rationals have disc 1, not {known_disc}")
+        raise LatcountError(f"the rationals have disc 1, not {known_disc}")
     zk_disc = poly_discriminant(poly)
     if zk_disc == 0:
         raise ReduciblePolynomial(f"{poly} has a repeated factor")
@@ -530,24 +530,24 @@ def field_from_polynomial(
 
     if known_disc is not None:
         if known_disc == 0:
-            raise InvalidDiscriminant("known_disc must divide disc(Z[theta])")
+            raise LatcountError("known_disc must divide disc(Z[theta])")
         if (known_disc < 0) != (field.r2 % 2 == 1):
-            raise InvalidDiscriminant(
+            raise LatcountError(
                 f"known_disc sign {known_disc} contradicts signature (r2={field.r2})"
             )
         if zk_disc % known_disc != 0:
-            raise InvalidDiscriminant("known_disc must divide disc(Z[theta])")
+            raise LatcountError("known_disc must divide disc(Z[theta])")
         q = zk_disc // known_disc
         if q <= 0 or isqrt(q) ** 2 != q:
-            raise InvalidDiscriminant(
+            raise LatcountError(
                 "disc(Z[theta]) / known_disc must be a positive square"
             )
         if known_disc % 4 not in (0, 1):
-            raise InvalidDiscriminant(
+            raise LatcountError(
                 f"known_disc {known_disc} is not 0 or 1 mod 4 (Stickelberger)"
             )
         if abs(known_disc) < 3 or d > minkowski_degree_bound(abs(known_disc)):
-            raise InvalidDiscriminant(
+            raise LatcountError(
                 f"no field of degree {d} has |disc| = {abs(known_disc)} (Minkowski)"
             )
         field.disc = known_disc
@@ -674,10 +674,9 @@ def _stirling_floor(d: int, r2: int, prec: int) -> RealInterval:
 def minkowski_degree_bound(abs_disc: int, prec: int = 64) -> int:
     """Largest degree compatible with |disc| = abs_disc for any signature."""
     if abs_disc < 3:
-        raise InvalidDiscriminant("degree bound needs |disc| >= 3")
-    exhausted = PrecisionExhausted(f"degree bound for |disc| = {abs_disc}")
+        raise LatcountError("degree bound needs |disc| >= 3")
     for d in itertools.count(3):
-        for wp in doublings(prec, exhausted):
+        for wp in doublings(prec, f"degree bound for |disc| = {abs_disc}"):
             floor_iv = _stirling_floor(d, d // 2, wp)
             if abs_disc > floor_iv.hi:
                 break

@@ -25,14 +25,9 @@ from math import ceil, isqrt, lcm
 
 from .errors import (
     AlphaPossiblySquare,
-    AlphaZero,
-    InvalidT,
     LatcountError,
-    NotTotallyReal,
-    PastCap,
     PrecisionExhausted,
     SearchExhausted,
-    SignUncertifiable,
 )
 from .counting import read_int, read_rational
 from .interval import RealInterval, int_str, log2_fraction
@@ -157,8 +152,7 @@ def _certify_pisot(
     if not _within_norm_cap(abs(n1), d, D):
         return None
     v1_cap_sq = 4 ** (d - 1) * D
-    exhausted = PrecisionExhausted(f"pisot certification of {element}")
-    for prec in doublings(start_prec, exhausted):
+    for prec in doublings(start_prec, f"pisot certification of {element}"):
         vals = evaluate_at_embeddings(element, prec)
         vp = vals[place_index]
         others = [v.abs() for j, v in enumerate(vals) if j != place_index]
@@ -180,16 +174,19 @@ def find_pisot(
     """Lexicographically first certified Pisot element with coordinates of
     sup-norm <= search_radius, certified from k.precision upward."""
     if k.r2 != 0 or k.degree < 2:
-        raise NotTotallyReal(f"{k!r} is not totally real of degree >= 2")
+        raise LatcountError(f"{k!r} is not totally real of degree >= 2")
     if not 0 <= place_index < k.r1:
         raise ValueError(f"place_index {place_index} out of range")
     d = k.degree
     if search_radius > 0 and (2 * search_radius + 1) ** d > MAX_SEARCH:
-        raise PastCap(
+        raise LatcountError(
             f"search radius {search_radius} is past the cap: at degree {d} the "
             f"(2r+1)^{d} candidates must number at most {MAX_SEARCH}"
         )
-    roots = _float_roots(k)
+    # the powers of each root, once; the Pisot place is tested first, and the
+    # other places only for the candidates that pass it
+    powers = [[r ** i for i in range(d)] for r in _float_roots(k)]
+    big = powers.pop(place_index)
     m = _PREFILTER_MARGIN
     unit = tuple([1] + [0] * (d - 1))
     for coords in itertools.product(range(-search_radius, search_radius + 1), repeat=d):
@@ -197,12 +194,9 @@ def find_pisot(
             continue
         if coords == unit or coords == tuple(-c for c in unit):
             continue  # the elements +-1 sit exactly on the unit circle
-        vals = [sum(c * r ** i for i, c in enumerate(coords)) for r in roots]
-        if vals[place_index] <= 1 - m:
+        if sum(c * p for c, p in zip(coords, big)) <= 1 - m:
             continue
-        if any(
-            abs(v) >= 1 + m for j, v in enumerate(vals) if j != place_index
-        ):
+        if any(abs(sum(c * p for c, p in zip(coords, pw))) >= 1 + m for pw in powers):
             continue
         element = k.element(coords)
         res = _certify_pisot(k, element, place_index, k.precision)
@@ -243,9 +237,9 @@ def pisot_product_alpha(
 ) -> tuple[FieldElement, tuple[int, ...]]:
     """alpha = (1-theta_1)...(1-theta_t), negative at exactly the first t places."""
     if k.r2 != 0 or k.degree < 2:
-        raise NotTotallyReal(f"{k!r} is not totally real of degree >= 2")
+        raise LatcountError(f"{k!r} is not totally real of degree >= 2")
     if not 1 <= t <= k.degree:
-        raise InvalidT(f"t must be in 1..{k.degree}, got {t}")
+        raise LatcountError(f"t must be in 1..{k.degree}, got {t}")
     certs = [find_pisot(k, i, search_radius) for i in range(t)]
     alpha = k.one()
     for cert in certs:
@@ -259,9 +253,8 @@ def pisot_product_alpha(
 def certified_signs(k: NumberField, element: FieldElement):
     """Sign of the element at every real place, certified from k.precision upward."""
     if element.is_zero():
-        raise AlphaZero("the zero element has no signs")
-    exhausted = SignUncertifiable(f"sign of {element} straddles zero")
-    for prec in doublings(k.precision, exhausted):
+        raise LatcountError("the zero element has no signs")
+    for prec in doublings(k.precision, f"sign of {element} straddles zero"):
         vals = evaluate_at_embeddings(element, prec)
         signs = tuple((v.lo > 0) - (v.hi < 0) for v in vals)
         if 0 not in signs:
@@ -283,7 +276,7 @@ def quadratic_extension(k: NumberField, alpha: FieldElement) -> QuadraticExtensi
     on the 2^-k.precision grid.
     """
     if alpha.is_zero():
-        raise AlphaZero("alpha must be nonzero")
+        raise LatcountError("alpha must be nonzero")
     signs = certified_signs(k, alpha)
     t = sum(1 for s in signs if s < 0)
     norm = abs(element_norm(alpha))
@@ -428,11 +421,11 @@ def fixed_signature_sequence(
     must be totally real and t cannot exceed base_degree.
     """
     if t < 1:
-        raise InvalidT(f"t must be >= 1, got {t}")
+        raise LatcountError(f"t must be >= 1, got {t}")
     if not entry.total_real:
-        raise InvalidT(f"t needs a totally real tower, and {entry.name!r} is not")
+        raise LatcountError(f"t needs a totally real tower, and {entry.name!r} is not")
     if t > entry.base_degree:
-        raise InvalidT(f"t must be <= the base degree {entry.base_degree}, got {t}")
+        raise LatcountError(f"t must be <= the base degree {entry.base_degree}, got {t}")
     delta = delta_universal(precision)
     wp = precision + 16
     expo = (delta * t + 2) * Fraction(1, 2)

@@ -28,11 +28,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial, isqrt
 
-from .errors import NonIntegralOrder
+from .errors import LatcountError
 from .interval import (
     RealInterval,
     exp_fraction,
     pi_interval,
+    refuse_unprintable_power,
     round_down,
     round_up,
     zeta_interval,
@@ -58,7 +59,7 @@ def finite_group_order(
     for s, m in zip(signs, data.exponents):
         val *= 1 + Fraction(s, q ** (m + 1))
     if val.denominator != 1:
-        raise NonIntegralOrder(
+        raise LatcountError(
             f"sign vector {tuple(signs)} gives a non-integral order for {data.name}"
         )
     return int(val)
@@ -287,6 +288,9 @@ def covolume(
             RealInterval.point(rel_int).pow_frac(Fraction(s, 2), wp)
         )
     arch = _arch_unit(data, wp).pow_int(d, wp)
+    # value.hi >= disc.hi arch.hi, since the Euler and lambda brackets reach 1:
+    # refuse a value that cannot be printed before the Euler pass
+    refuse_unprintable_power(disc.hi * arch.hi, 1)
     coarse = coarse_bound(prime_bound)
     bounds = [coarse, prime_bound] if coarse < prime_bound else [prime_bound]
     *coarse_euler, euler = euler_product_E(k, data, bounds, wp)

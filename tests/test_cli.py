@@ -824,6 +824,28 @@ def test_growth_lower_past_the_digit_limit_fails_fast(levels):
     )
 
 
+@pytest.mark.skipif(str_digit_limit() == 0, reason="this Python has no int->str digit limit")
+def test_covolume_field_past_the_digit_limit_fails_fast(monkeypatch, capsys):
+    # disc^(dim/2) arch^d alone cannot print, so the Euler pass, about a
+    # second here, is never entered
+    def no_euler_pass(*args):
+        raise AssertionError("the Euler pass ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(prasad, "euler_product_E", no_euler_pass)
+        assert entry(["covolume", "--field", "x^4-4x^2+2", "--type", "B32"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: Exceeds the limit ({str_digit_limit()} digits) for integer string "
+        "conversion; use sys.set_int_max_str_digits() to increase the limit\n"
+    )
+    # over the golden field the same type still prints
+    assert entry(["covolume", "--field", "x^2-x-1", "--type", "B32"]) == 0
+    out, err = capsys.readouterr()
+    assert "value: [" in out and err == ""
+
+
 _LATE_FAILURES = [
     "growth lower --tower martinet --type E6 --pprime 3",
     "growth lower --tower martinet --type A8 --pprime 3",

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import libmp, mp
 
 from latcount.errors import (
-    InvalidDiscriminant,
+    LatcountError,
     PrecisionExhausted,
     ReduciblePolynomial,
     SearchExhausted,
@@ -186,25 +186,25 @@ def test_known_disc_validation():
     assert field_from_polynomial("x^2-5", known_disc=5).disc == 5
     assert field_from_polynomial("x^2-12", known_disc=12).disc == 12
     assert field_from_polynomial("x^3-3x+1", known_disc=81).disc == 81
-    with pytest.raises(InvalidDiscriminant):
+    with pytest.raises(LatcountError, match=r"^known_disc sign -5 contradicts signature"):
         field_from_polynomial("x^2-5", known_disc=-5)   # wrong sign
-    with pytest.raises(InvalidDiscriminant):
+    with pytest.raises(LatcountError, match=r"^known_disc must divide disc\(Z\[theta\]\)$"):
         field_from_polynomial("x^2-5", known_disc=3)    # not a divisor
-    with pytest.raises(InvalidDiscriminant):
+    with pytest.raises(LatcountError, match=r"^disc\(Z\[theta\]\) / known_disc must be a positive square$"):
         field_from_polynomial("x^2-5", known_disc=10)   # quotient 2 not square
     # zero is refused by one text, whatever the signature
     for spec in ("x^2-5", "x^2+1"):
-        with pytest.raises(InvalidDiscriminant, match=r"^known_disc must divide disc\(Z\[theta\]\)$"):
+        with pytest.raises(LatcountError, match=r"^known_disc must divide disc\(Z\[theta\]\)$"):
             field_from_polynomial(spec, known_disc=0)
     # divisors with a square quotient that no field of the degree can have
-    for spec, disc in (
-        ("x^2+1", -1),      # 3 mod 4 (Stickelberger), |disc| < 3
-        ("x^2-12", 3),      # 3 mod 4
-        ("x^3-3x+1", 1),    # |disc| < 3
-        ("x^3-3x+1", 9),    # cubic fields have |disc| >= 23
-        ("x-1", 7),         # the rationals have disc 1
+    for spec, disc, text in (
+        ("x^2+1", -1, "Stickelberger"),     # 3 mod 4, |disc| < 3
+        ("x^2-12", 3, "Stickelberger"),     # 3 mod 4
+        ("x^3-3x+1", 1, "Minkowski"),       # |disc| < 3
+        ("x^3-3x+1", 9, "Minkowski"),       # cubic fields have |disc| >= 23
+        ("x-1", 7, "the rationals have disc 1, not 7"),
     ):
-        with pytest.raises(InvalidDiscriminant):
+        with pytest.raises(LatcountError, match=text):
             field_from_polynomial(spec, known_disc=disc)
 
 
@@ -276,7 +276,7 @@ def test_minkowski_degree_bound():
     assert minkowski_degree_bound(5) == 2
     assert minkowski_degree_bound(3) == 2
     assert minkowski_degree_bound(10 ** 6) == 10
-    with pytest.raises(InvalidDiscriminant):
+    with pytest.raises(LatcountError, match=r"^degree bound needs \|disc\| >= 3$"):
         minkowski_degree_bound(2)
 
 

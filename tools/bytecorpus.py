@@ -66,6 +66,8 @@ EXTRAS = (
     # the largest s(G) of an outer form up to the rank cap, and one past it
     "covolume --field x^2-x-1 --type A2 --outer --alpha=0,1 --s-param 560",
     "covolume --field x^2-x-1 --type A2 --outer --alpha=0,1 --s-param 561",
+    # a covolume that cannot print, refused before its Euler pass
+    "covolume --field x^4-4x^2+2 --type B32",
     # usage, help and error texts, which depend on how the parser is built
     "",
     "--help",

@@ -31,8 +31,9 @@ from .errors import (
     ReduciblePolynomial,
     ResidueBudgetExceeded,
 )
-from .interval import RealInterval, int_str, interval_strs, log2_fraction, refuse_unprintable_power
-from .liedata import dump_table, gamma_h, parse_type, with_form, OUTER_2
+from .interval import (RealInterval, int_str, interval_strs, log2_fraction, refuse_unprintable_bits,
+                       refuse_unprintable_power)
+from .liedata import dump_table, gamma_h, outer_form, parse_type
 from .numfield import (
     field_from_polynomial,
     minkowski_norm_bound,
@@ -51,6 +52,10 @@ from .polymod import is_prime
 from .prasad import coarse_bound, covolume, covolume_synthetic, covolume_upper_c1
 
 _DIGITS = 12  # decimal places on every rendered endpoint
+# the largest --prec and --prime-bound: field --poly x^2-2 at 2^15 bits and
+# covolume --field x^2-x-1 --type A1 at 10^7 each take seconds
+MAX_PREC = 1 << 15
+MAX_PRIME_BOUND = 10 ** 7
 
 _DESCRIPTION = (
     "Certified enclosures for number fields, Pisot elements, class field "
@@ -268,7 +273,7 @@ def cmd_tower(args, params: BoundParams) -> Report:
 
 def _lie_from_args(args):
     data = parse_type(args.type)
-    return with_form(data, OUTER_2, args.s_param) if args.outer else data
+    return outer_form(data, args.s_param) if args.outer else data
 
 
 def cmd_covolume(args, params: BoundParams) -> Report:
@@ -278,6 +283,7 @@ def cmd_covolume(args, params: BoundParams) -> Report:
     if args.tower:
         entry = _tower_entry(args.tower, args.extra)
         p0 = args.p0 if args.p0 is not None else 2
+        refuse_unprintable_bits(entry.base_degree.bit_length() - 1 + args.level)
         degree = entry.base_degree << args.level
         c1 = covolume_upper_c1(entry.rd_constant, data, p0, args.prec)
         # value.hi = c1.hi^d and lambda_bound.hi = p0^(dim d) are printed; the
@@ -443,8 +449,9 @@ _ONE_OF = "one of"
 
 # accepted before the subcommand and after it
 _GLOBAL_FLAGS = (
-    ("--prec", int, None, "working precision in bits (default 128, min 64)"),
-    ("--prime-bound", int, None, "Euler product truncation for fields of degree >= 2 (default 100000, min 100)"),
+    ("--prec", int, None, f"working precision in bits (default 128, min 64, max {MAX_PREC})"),
+    ("--prime-bound", int, None,
+     f"Euler product truncation for fields of degree >= 2 (default 100000, min 100, max {MAX_PRIME_BOUND})"),
     ("--format", ("table", "json", "csv"), None, None),
     ("--config", str, None, "JSON config file"),
     ("--threads", int, None, "accepted for compatibility; must be >= 1, has no effect"),
@@ -678,8 +685,12 @@ def _resolve(args, config):
         raise LatcountError(f"unknown format {args.format!r} in config")
     if args.prec < 64:
         raise LatcountError("precision must be at least 64 bits")
+    if args.prec > MAX_PREC:
+        raise LatcountError(f"precision {args.prec} is past the cap: precisions run up to {MAX_PREC} bits")
     if args.prime_bound < 100:
         raise LatcountError("prime bound must be at least 100")
+    if args.prime_bound > MAX_PRIME_BOUND:
+        raise LatcountError(f"prime bound {args.prime_bound} is past the cap: prime bounds run up to {MAX_PRIME_BOUND}")
     if args.threads < 1:
         raise LatcountError("thread count must be positive")
     p0 = getattr(args, "p0", None)

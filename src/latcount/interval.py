@@ -539,10 +539,13 @@ def digit_limit_error() -> LatcountError:
 
 def refuse_unprintable_power(base: int | Fraction, exponent: int) -> None:
     """Raise digit_limit_error() if base^exponent, base > 1, cannot be printed:
-    base > 2^b, so the power has more than 0.30102 b exponent digits."""
-    base = Fraction(base)
-    b = base.numerator.bit_length() - base.denominator.bit_length() - 1
-    if b * exponent * 30102 // 100000 >= str_digit_limit() > 0:
+    it is at least 2^(b exponent), b = bitlen(numerator) - bitlen(denominator) - 1."""
+    refuse_unprintable_bits((base.numerator.bit_length() - base.denominator.bit_length() - 1) * exponent)
+
+
+def refuse_unprintable_bits(bits: int) -> None:
+    """Raise digit_limit_error() if an integer >= 2^bits (of > 0.30102 bits digits) cannot print."""
+    if bits * 30102 // 100000 >= str_digit_limit() > 0:
         raise digit_limit_error()
 
 

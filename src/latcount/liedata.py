@@ -1,9 +1,10 @@
 """Static root-system data for the absolutely simple Lie types.
 
-Tables carry the rank, dimension, Lie exponents and Coxeter number for
-A, B, C, D, E, F, G, plus the inner/outer form tag and the s-parameter
-used by the covolume formula.  Everything here is exact integer data;
-the only numerics is gamma_h, which returns a certified interval.
+A type is its family, rank and Lie exponents m_i for A, B, C, D, E, F, G,
+plus the s-parameter the covolume formula reads for an outer form; the
+dimension sum(2 m_i + 1) and the Coxeter number m_r + 1 follow from the
+exponents.  Everything here is exact integer data; the only numerics is
+gamma_h, which returns a certified interval.
 """
 
 from collections import namedtuple
@@ -12,18 +13,10 @@ from fractions import Fraction
 from .errors import LatcountError
 from .interval import RealInterval
 
-INNER_SPLIT = "inner-split"
-OUTER_2 = "outer-2"
-OUTER_3 = "outer-3"
-
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
-# families with a diagram automorphism of order 2 (triality handled separately)
-_OUTER2_OK = {
-    "A": lambda r: r >= 2,
-    "D": lambda r: r >= 4,
-    "E": lambda r: r == 6,
-}
+# families with a diagram automorphism of order 2, at the ranks that have one
+_OUTER2_OK = {"A": lambda r: r >= 2, "D": lambda r: r >= 4, "E": lambda r: r == 6}
 
 # conservative default: the s-parameter of an outer form is only known to be >= 5
 _OUTER_S_DEFAULT = 5
@@ -44,23 +37,19 @@ def _refuse_past_cap(rank: int) -> None:
         raise LatcountError(f"rank {rank} is past the cap: Lie type ranks run up to {MAX_RANK}")
 
 
-class LieTypeData(namedtuple(
-    "LieTypeData", "family rank dim exponents coxeter form s_param", defaults=(INNER_SPLIT, 0)
-)):
+class LieTypeData(namedtuple("LieTypeData", "family rank exponents s_param", defaults=(0,))):
+    """s_param 0 is the inner split form; s_param >= 5 the quasi-split
+    order-2 outer form with that s(G)."""
+
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        r = self.rank
-        assert self.dim == sum(2 * m + 1 for m in self.exponents)
-        assert self.dim == r * (self.coxeter + 1)
-        assert self.coxeter == self.exponents[-1] + 1
-        assert len(self.exponents) == r
-        if self.form == INNER_SPLIT:
-            assert self.s_param == 0
-        else:
-            assert self.s_param >= 5
-        return self
+    @property
+    def dim(self) -> int:
+        return sum(2 * m + 1 for m in self.exponents)
+
+    @property
+    def coxeter(self) -> int:
+        return self.exponents[-1] + 1
 
     @property
     def name(self) -> str:
@@ -95,42 +84,30 @@ def root_system(family: str, rank: int) -> LieTypeData:
     exps = _exponents(family, rank)
     if exps is None:
         raise LatcountError(f"no simple type ({family}, {rank})")
-    h = exps[-1] + 1
-    dim = sum(2 * m + 1 for m in exps)
-    return LieTypeData(family, rank, dim, exps, h)
+    return LieTypeData(family, rank, exps)
 
 
-def with_form(data: LieTypeData, form: str, s_param: int | None = None) -> LieTypeData:
-    """Re-tag a split table entry as an inner or outer form."""
-    if form == INNER_SPLIT:
-        return LieTypeData(**{**data._asdict(), "form": form, "s_param": 0})
-    if form == OUTER_3:
-        raise LatcountError("order-3 outer forms (triality) are out of scope")
-    if form != OUTER_2:
-        raise LatcountError(f"unknown form {form!r}")
-    check = _OUTER2_OK.get(data.family)
-    if check is None or not check(data.rank):
+def outer_form(data: LieTypeData, s: int | None = None) -> LieTypeData:
+    """The quasi-split order-2 outer form of a split table entry, with s(G) = s
+    (default 5, the least s of any outer form)."""
+    if not _OUTER2_OK.get(data.family, lambda r: False)(data.rank):
         raise LatcountError(f"{data.name} has no order-2 diagram automorphism")
-    s = _OUTER_S_DEFAULT if s_param is None else s_param
+    s = _OUTER_S_DEFAULT if s is None else s
     if s > MAX_S_PARAM:
         raise LatcountError(f"s-parameter {s} is past the cap: outer forms of rank up to "
                             f"{MAX_RANK} have s up to {MAX_S_PARAM}")
     if s < 5:
         raise LatcountError(f"outer form needs s >= 5, got {s}")
-    return LieTypeData(**{**data._asdict(), "form": form, "s_param": s})
+    return data._replace(s_param=s)
 
 
 def s_parameter(data: LieTypeData, override: int | None = None) -> int:
     """s from the type, or a validated override."""
     if override is None:
-        return 0 if data.form == INNER_SPLIT else max(data.s_param, _OUTER_S_DEFAULT)
-    if data.form == INNER_SPLIT:
-        if override != 0:
-            raise LatcountError(
-                f"inner-split forms have s = 0, got override {override}"
-            )
-        return 0
-    if override < 5:
+        return data.s_param
+    if not data.s_param and override != 0:
+        raise LatcountError(f"inner-split forms have s = 0, got override {override}")
+    if data.s_param and override < 5:
         raise LatcountError(f"outer forms have s >= 5, got {override}")
     return override
 
@@ -141,7 +118,7 @@ def outer2_signs(data: LieTypeData) -> tuple[int, ...]:
     Shipped for families A and D only; the D vector flips exactly one of the
     two exponent copies equal to rank-1.
     """
-    if data.form != OUTER_2:
+    if not data.s_param:
         raise LatcountError("sign table applies to outer-2 forms only")
     if data.family == "A":
         return tuple((-1) ** m for m in data.exponents)
@@ -171,18 +148,10 @@ def dump_table(max_rank: int = 12) -> list:
     rows = []
     for family in FAMILIES:
         for rank in range(1, max_rank + 1):
-            if _exponents(family, rank) is None:
-                continue
-            data = root_system(family, rank)
-            rows.append(
-                {
-                    "family": family,
-                    "rank": rank,
-                    "dim": data.dim,
-                    "exponents": list(data.exponents),
-                    "coxeter": data.coxeter,
-                }
-            )
+            if _exponents(family, rank) is not None:
+                data = root_system(family, rank)
+                rows.append({"family": family, "rank": rank, "dim": data.dim,
+                             "exponents": list(data.exponents), "coxeter": data.coxeter})
     return rows
 
 

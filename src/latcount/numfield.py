@@ -235,16 +235,32 @@ def _cauchy_exponent(coeffs) -> int:
     return bound.bit_length()
 
 
+def _newton_start(coeffs, lo: int, hi: int) -> list:
+    """(e, t) for d start points 2^e (cos t + i sin t): j - i points on the
+    circle of radius 2^round((b_i - b_j)/(j - i)), e clamped to [lo, hi], for
+    each edge (i, j) of the upper hull of the points (i, b_i = bitlen|a_i|)
+    (Bini, Numer. Algorithms 13, 1996).  The e ascend; the points of one
+    circle, which several edges may share, are spread evenly on it."""
+    b, es, i = [abs(c).bit_length() for c in coeffs], [], 0
+    while i < len(b) - 1:  # the next hull vertex j is the one of greatest slope from i
+        j = max(range(i + 1, len(b)), key=lambda j: Fraction(b[j] - b[i], j - i))
+        es += [max(lo, min(hi, round(Fraction(b[i] - b[j], j - i))))] * (j - i)
+        i = j
+    return [(e, tau * ((k - es.index(e)) / es.count(e) + es.index(e) / len(es)) + 0.7)
+            for k, e in enumerate(es)]
+
+
 def _aberth_roots(poly: Polynomial, workprec: int):
     """Uncertified roots (real seeds, upper-half-plane seeds), or None.
 
     Aberth-Ehrlich iteration with in-place updates on Gaussian integers
-    scaled by 2^L, from the circle of radius 2^m (every root lies inside it)
-    at angles off the axes.  A sweep at scale 2^L is settled one sweep after
-    every correction fell below 2^-(L/2).  The points settle first at a
-    scale of 64 + 2m bits, which is cheap, then at L = F = workprec; a
-    failure at F returns None.  The points are rounded to the 2^-(F-16)
-    grid, so integer and Gaussian-integer roots come out exact.
+    scaled by 2^L, from the circles of the Newton polygon, at angles off the
+    axes; each radius lies between 2^(53-L), so that no start point rounds
+    away, and 2^m, which every root lies inside.  A sweep at scale 2^L is
+    settled one sweep after every correction fell below 2^-(L/2).  The
+    points settle first at L = min(F, 64 + 2m), which is cheap, then at L =
+    F = workprec; a failure at F returns None.  The points are rounded to
+    the 2^-(F-16) grid, so integer and Gaussian-integer roots come out exact.
 
     A point with |Im| < 2^-(F/2) is a real seed, given by its real part as
     an integer scaled by 2^F, ascending.  The upper seeds are pairs (x, y)
@@ -255,9 +271,8 @@ def _aberth_roots(poly: Polynomial, workprec: int):
     """
     F, d, m = workprec, poly.degree, _cauchy_exponent(poly.coefficients)
     L0 = min(F, 64 + 2 * m)
-    r = L0 + m - 53
-    zs = [(int(ldexp(cos(t), 53)) << r, int(ldexp(sin(t), 53)) << r)
-          for t in (tau * k / d + 0.7 for k in range(d))]
+    zs = [(int(ldexp(cos(t), 53)) << L0 + e - 53, int(ldexp(sin(t), 53)) << L0 + e - 53)
+          for e, t in _newton_start(poly.coefficients, 53 - L0, m)]
     try:
         for L in sorted({L0, F}):
             zs = [(x << L - L0, y << L - L0) for x, y in zs]

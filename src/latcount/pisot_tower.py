@@ -30,7 +30,7 @@ from .errors import (
     SearchExhausted,
 )
 from .counting import read_int, read_rational
-from .interval import RealInterval, int_str, log2_fraction
+from .interval import RealInterval, int_str, log2_fraction, refuse_unprintable_bits
 from .numfield import (
     FieldElement,
     NumberField,
@@ -401,8 +401,9 @@ def tower_lookup(name: str, extra_path: str | None = None) -> list:
 
 
 def tower_degrees(entry: TowerEntry, levels: int) -> list:
-    """Level degrees; every catalog rule doubles the degree per level.  An
-    unprintable last degree is refused before the list is built."""
+    """Level degrees; every catalog rule doubles the degree per level.  A last
+    degree that cannot print is refused (from its bit length if it is huge)."""
+    refuse_unprintable_bits(entry.base_degree.bit_length() + levels - 2)
     int_str(entry.base_degree << (levels - 1))
     return [entry.base_degree << i for i in range(levels)]
 

@@ -38,7 +38,7 @@ from .interval import (
     round_up,
     zeta_interval,
 )
-from .liedata import OUTER_2, LieTypeData, outer2_signs, split_signs
+from .liedata import LieTypeData, outer2_signs, split_signs
 from .numfield import NumberField
 from .pisot_tower import QuadraticExtensionData
 from .polymod import distinct_degree_degrees, prime_list
@@ -211,7 +211,7 @@ def euler_product_E(
     [zeta_k(2s)/zeta_k(s), zeta_k(s)], with zeta_k(2s) taken the same way.
     """
     wp = precision + 16
-    signs = outer2_signs(data) if data.form == OUTER_2 else split_signs(data)
+    signs = outer2_signs(data) if data.s_param else split_signs(data)
     twisted = [2 * m + 2 for m, sign in zip(data.exponents, signs) if sign == 1]
     s_values = [m + 1 for m in data.exponents] + twisted
     if k.degree == 1:

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import latcount.counting as counting
 import latcount.numfield as numfield
 import latcount.pisot_tower as pisot_tower
 import latcount.prasad as prasad
-from latcount.cli import _DESCRIPTION, _parse_plain, entry, run
+from latcount.cli import MAX_PREC, MAX_PRIME_BOUND, _DESCRIPTION, _parse_plain, entry, run
 from latcount.counting import BoundParams, lower_growth_assemble, upper_growth_assemble
 from latcount.errors import LatcountError
 from latcount.interval import RealInterval, interval_strs, str_digit_limit
@@ -930,6 +931,55 @@ def test_growth_upper_refuses_an_unprintable_budget_unbuilt(capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: prod p^f = 3^{f} exceeds x^C1 with x = 100, C1 = 1\n"
+
+
+_DIGIT_LIMIT_TEXT = ("Exceeds the limit (4300 digits) for integer string conversion; "
+                     "use sys.set_int_max_str_digits() to increase the limit")
+_HAS_DIGIT_LIMIT = pytest.mark.skipif(str_digit_limit() == 0,
+                                      reason="this Python has no int->str digit limit")
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param("tower --name martinet --levels 10000000000000000000", _DIGIT_LIMIT_TEXT,
+                 marks=_HAS_DIGIT_LIMIT),
+    pytest.param("growth lower --tower martinet --type A2 --pprime 3 --levels 10000000000000000000",
+                 _DIGIT_LIMIT_TEXT, marks=_HAS_DIGIT_LIMIT),
+    pytest.param("covolume --tower martinet --type A2 --level 10000000000000000000", _DIGIT_LIMIT_TEXT,
+                 marks=_HAS_DIGIT_LIMIT),
+    ("covolume --field x^2-5 --type A1 --prime-bound 10000000000000000000",
+     "prime bound 10000000000000000000 is past the cap: prime bounds run up to 10000000"),
+    ("--prec 100000000000000000000 field --poly x^2-2",
+     "precision 100000000000000000000 is past the cap: precisions run up to 32768 bits"),
+])
+def test_oversized_levels_precisions_and_prime_bounds_are_refused_unbuilt(argv, message):
+    # the level's degree base_degree << level, the sieve up to the prime bound
+    # and the root iteration at the precision each ended in a traceback
+    # (MemoryError or OverflowError); the degree's bit length and the caps
+    # refuse them before anything that size is built
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "latcount"] + argv.split(),
+                          capture_output=True, text=True, env=_latcount_env(), timeout=10)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_prec_and_prime_bound_caps_sit_at_their_constants(capsys, tmp_path):
+    assert (MAX_PREC, MAX_PRIME_BOUND) == (1 << 15, 10 ** 7)
+    for argv in (["--prec", str(MAX_PREC), "lie", "dump"], ["--prime-bound", str(MAX_PRIME_BOUND), "lie", "dump"]):
+        assert entry(argv) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    for doc, message in (
+        ({"prec": MAX_PREC + 1}, "precision 32769 is past the cap: precisions run up to 32768 bits"),
+        ({"prime_bound": MAX_PRIME_BOUND + 1},
+         "prime bound 10000001 is past the cap: prime bounds run up to 10000000"),
+    ):
+        cfg.write_text(json.dumps(doc))
+        key, value = next(iter(doc.items()))
+        for argv in (["--config", str(cfg), "lie", "dump"],
+                     [f"--{key.replace('_', '-')}", str(value), "lie", "dump"]):
+            assert entry(argv) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("limit", [4300, 0])

@@ -5,17 +5,15 @@ import pytest
 from latcount.errors import LatcountError
 from latcount.interval import RealInterval
 from latcount.liedata import (
-    INNER_SPLIT,
-    OUTER_2,
-    OUTER_3,
+    LieTypeData,
     dump_table,
     gamma_h,
     outer2_signs,
+    outer_form,
     parse_type,
     root_system,
     s_parameter,
     split_signs,
-    with_form,
 )
 
 
@@ -73,25 +71,27 @@ def test_invalid_types():
             root_system(fam, rank)
 
 
+def test_record_is_family_rank_exponents_and_s():
+    assert LieTypeData._fields == ("family", "rank", "exponents", "s_param")
+    assert root_system("B", 3) == ("B", 3, (1, 3, 5), 0)
+
+
 def test_forms():
     a2 = root_system("A", 2)
-    outer = with_form(a2, OUTER_2)
-    assert outer.form == OUTER_2 and outer.s_param == 5
-    assert with_form(a2, OUTER_2, 9).s_param == 9
-    assert with_form(outer, INNER_SPLIT).s_param == 0
+    outer = outer_form(a2)
+    assert outer.s_param == 5 and outer[:3] == a2[:3]
+    assert outer_form(a2, 9).s_param == 9
     for data in (a2, parse_type("A3")):
         with pytest.raises(LatcountError, match=r"^outer form needs s >= 5, got 4$"):
-            with_form(data, OUTER_2, 4)
+            outer_form(data, 4)
     with pytest.raises(LatcountError, match=r"^A1 has no order-2 diagram automorphism$"):
-        with_form(root_system("A", 1), OUTER_2)
+        outer_form(root_system("A", 1))
     with pytest.raises(LatcountError, match=r"^E7 has no order-2 diagram automorphism$"):
-        with_form(root_system("E", 7), OUTER_2)
-    with pytest.raises(LatcountError, match=r"^order-3 outer forms \(triality\) are out of scope$"):
-        with_form(root_system("D", 4), OUTER_3)
-    with pytest.raises(LatcountError, match=r"^unknown form 'twisted'$"):
-        with_form(a2, "twisted")
-    assert with_form(root_system("D", 4), OUTER_2).form == OUTER_2
-    assert with_form(root_system("E", 6), OUTER_2).form == OUTER_2
+        outer_form(root_system("E", 7))
+    with pytest.raises(LatcountError, match=r"^s-parameter 561 is past the cap: "):
+        outer_form(a2, 561)
+    assert outer_form(root_system("D", 4)).s_param == 5
+    assert outer_form(root_system("E", 6)).s_param == 5
 
 
 def test_s_parameter():
@@ -100,7 +100,7 @@ def test_s_parameter():
     assert s_parameter(split, 0) == 0
     with pytest.raises(LatcountError, match=r"^inner-split forms have s = 0, got override 3$"):
         s_parameter(split, 3)
-    outer = with_form(root_system("A", 2), OUTER_2)
+    outer = outer_form(root_system("A", 2))
     assert s_parameter(outer) == 5
     assert s_parameter(outer, 7) == 7
     with pytest.raises(LatcountError, match=r"^outer forms have s >= 5, got 4$"):
@@ -108,17 +108,17 @@ def test_s_parameter():
 
 
 def test_sign_vectors():
-    outer_a2 = with_form(root_system("A", 2), OUTER_2)
+    outer_a2 = outer_form(root_system("A", 2))
     assert outer2_signs(outer_a2) == (-1, 1)
-    outer_a3 = with_form(root_system("A", 3), OUTER_2)
+    outer_a3 = outer_form(root_system("A", 3))
     assert outer2_signs(outer_a3) == (-1, 1, -1)
-    outer_d4 = with_form(root_system("D", 4), OUTER_2)
+    outer_d4 = outer_form(root_system("D", 4))
     # exponents (1, 3, 3, 5): exactly one of the two middle copies flips
     assert outer2_signs(outer_d4) == (-1, 1, -1, -1)
     with pytest.raises(LatcountError, match=r"^sign table applies to outer-2 forms only$"):
         outer2_signs(root_system("A", 2))
     with pytest.raises(LatcountError, match=r"^no shipped sign table for outer E6$"):
-        outer2_signs(with_form(root_system("E", 6), OUTER_2))
+        outer2_signs(outer_form(root_system("E", 6)))
     assert split_signs(root_system("B", 3)) == (-1, -1, -1)
 
 

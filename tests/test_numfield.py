@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import tau
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -635,3 +636,24 @@ def test_complex_seeds_none_when_the_count_disagrees():
     # the three points around the triple root of x^3 settle off the axis, two
     # above it and one below: 0 + 2 * 2 is not 3
     assert numfield._aberth_roots(Polynomial((0, 0, 0, 1)), 128) is None
+
+
+def test_aberth_starts_on_the_newton_polygon_circles():
+    # x^24 + 1000003x + 1 has one root near -10^-6 and 23 near the circle of
+    # radius 1000003^(1/23): the hull edges (0, 1) and (1, 24) of (i,
+    # bitlen|a_i|) put one point on 2^-19 and 23 on 2^1
+    start = numfield._newton_start((1, 1000003) + (0,) * 22 + (1,), -100, 20)
+    assert [e for e, _ in start] == [-19] + [1] * 23
+    # the exponents are clamped to [lo, hi]; the 23 points of one circle are
+    # tau/23 apart
+    start = numfield._newton_start((1, 1000003) + (0,) * 22 + (1,), -10, 0)
+    assert [e for e, _ in start] == [-10] + [0] * 23
+    assert all(abs(b - a - tau / 23) < 1e-12 for (_, a), (_, b) in zip(start[1:], start[2:]))
+    # two edges meet one circle here: its eight points are spread evenly, so
+    # no two start points coincide and Aberth reaches all nine roots
+    f = (-15, -5, -15, 14, 2, -7, 20, 5, 17, 1)
+    start = numfield._newton_start(f, -100, 5)
+    assert [e for e, _ in start] == [0] * 8 + [4]
+    assert len(set(start)) == 9
+    xs, upper = numfield._aberth_roots(Polynomial(f), 128)
+    assert len(xs) + 2 * len(upper) == 9

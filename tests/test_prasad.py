@@ -10,12 +10,11 @@ from latcount.cli import entry
 from latcount.errors import ReduciblePolynomial
 from latcount.interval import RealInterval
 from latcount.liedata import (
-    OUTER_2,
     dump_table,
     outer2_signs,
+    outer_form,
     parse_type,
     root_system,
-    with_form,
 )
 from latcount.numfield import field_from_polynomial
 from latcount.pisot_tower import (
@@ -59,7 +58,7 @@ def test_orders_match_brute_force():
 
 
 def test_outer_order_su3():
-    outer_a2 = with_form(root_system("A", 2), OUTER_2)
+    outer_a2 = outer_form(root_system("A", 2))
     signs = outer2_signs(outer_a2)
     assert finite_group_order(outer_a2, 2, signs) == su3_order_f2() == 216
 
@@ -348,7 +347,7 @@ def test_covolume_lambda_bracket():
 
 def test_covolume_outer_needs_extension():
     k = field_from_polynomial("x^2-x-1", known_disc=5)
-    outer_a2 = with_form(root_system("A", 2), OUTER_2)
+    outer_a2 = outer_form(root_system("A", 2))
     with pytest.raises(ValueError):
         covolume(k, None, outer_a2, prime_bound=100)
     theta = k.element([0, 1])
@@ -366,7 +365,7 @@ def test_outer_euler_factor_contains_the_twisted_product(capsys):
     # zeta(2) L(3, chi_-3) = 1.4541... lies below zeta(2) zeta(3) = 1.9773...
     exact = RealInterval(*zeta2_l3_chi_minus3_bracket())
     assert Fraction("1.4541") < exact.lo < exact.hi < Fraction("1.4542")
-    outer_a2 = with_form(root_system("A", 2), OUTER_2)
+    outer_a2 = outer_form(root_system("A", 2))
     q = field_from_polynomial("x-1")
     coarse, fine = prasad.euler_product_E(q, outer_a2, [10 ** 3, 10 ** 4])
     assert fine.encloses(exact) and coarse.encloses(fine)
@@ -375,7 +374,7 @@ def test_outer_euler_factor_contains_the_twisted_product(capsys):
     assert "\neuler_factor: [1.392165592104, 1.977304350298]\n" in capsys.readouterr().out
     # outer D4 twists one of its two exponents 3: the lower end is then
     # zeta(2) zeta(6) zeta(8), not zeta(2) zeta(6) zeta(8)^2 / zeta(4)
-    outer_d4 = with_form(root_system("D", 4), OUTER_2)
+    outer_d4 = outer_form(root_system("D", 4))
     (euler,) = prasad.euler_product_E(q, outer_d4, [10 ** 4])
     pi = pi_bracket()
     z2, z6, z8 = (zeta_even_bracket(s, pi) for s in (2, 6, 8))
@@ -391,7 +390,7 @@ def test_c1_martinet_pin():
     closed = entry.rd_constant.pow_frac(Fraction(3, 2), 160) * Fraction(1, 3)
     assert c1.intersect(closed) is not None
     with pytest.raises(ValueError):
-        covolume_upper_c1(entry.rd_constant, with_form(root_system("A", 2), OUTER_2), 2)
+        covolume_upper_c1(entry.rd_constant, outer_form(root_system("A", 2)), 2)
 
 
 def _c1_reference(c0: Fraction, data, prec: int) -> Fraction:

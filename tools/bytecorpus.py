@@ -13,8 +13,8 @@ one, then diffing the two files.
 The argv are every `perfbench/workloads.py` invocation of seeds 1-3, the
 README's example block, and a few extras: slow paths, Pisot and sign
 certificates at a non-default place or precision, prime splitting that no
-workload reaches, refusals of oversized arguments, and usage, help and
-error texts.
+workload reaches, refusals of oversized arguments (tower levels, prime
+bounds and precisions among them), and usage, help and error texts.
 """
 
 from __future__ import annotations
@@ -68,6 +68,13 @@ EXTRAS = (
     "covolume --field x^2-x-1 --type A2 --outer --alpha=0,1 --s-param 561",
     # a covolume that cannot print, refused before its Euler pass
     "covolume --field x^4-4x^2+2 --type B32",
+    # a tower level, prime bound and precision too large to build: refused
+    # from the level's bit length and the caps, a traceback without them
+    "tower --name martinet --levels 10000000000000000000",
+    "growth lower --tower martinet --type A2 --pprime 3 --levels 10000000000000000000",
+    "covolume --tower martinet --type A2 --level 10000000000000000000",
+    "covolume --field x^2-5 --type A1 --prime-bound 10000000000000000000",
+    "--prec 100000000000000000000 field --poly x^2-2",
     # usage, help and error texts, which depend on how the parser is built
     "",
     "--help",

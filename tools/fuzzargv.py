@@ -14,11 +14,13 @@ per call.  A call fails the check when
 
 The draw covers every subcommand with valid and invalid values: 18-digit
 primes for --p0, --pprime and --residues, residue degrees up to 10^7,
-tower levels up to 10^5 for `covolume --tower --level`, `growth lower
---levels` and `tower --levels`, `tower --t` on both sides of the base
-degree 20 and up to 10^18 + 3, `pisot --radius`, `lie dump --max-rank`,
-Lie type ranks and `covolume --s-param` up to 10^18 + 3, past their caps,
---prec up to 10^4, --config and --extra files with wrong types, --extra on
+tower levels up to 10^5 and 10^18 + 3 for `covolume --tower --level`,
+`growth lower --levels` and `tower --levels`, `tower --t` on both sides of
+the base degree 20 and up to 10^18 + 3, `pisot --radius`, `lie dump
+--max-rank`, Lie type ranks, `covolume --s-param`, --prec and --prime-bound
+one past their caps and at 10^18 + 3, --prec up to 10^4 below its cap
+(never at it: a call there can outrun the alarm), --config and --extra
+files with wrong types, --extra on
 calls that do not read the catalog, flags without the flag they need
 (`covolume --tower --alpha`, `covolume --field --level`, `tower --t` or
 `--levels` without `--name`), and argv that argparse must reject.
@@ -45,7 +47,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from latcount.cli import entry  # noqa: E402
+from latcount.cli import MAX_PREC, MAX_PRIME_BOUND, entry  # noqa: E402
 from latcount.liedata import MAX_RANK, MAX_S_PARAM, dump_table  # noqa: E402
 from latcount.polymod import is_prime  # noqa: E402
 
@@ -146,13 +148,13 @@ def _prime(rng: random.Random) -> str:
 
 
 def _level(rng: random.Random, typical: tuple) -> str:
-    """Levels: mostly typical, sometimes up to 10^5 or not positive."""
+    """Levels: mostly typical, sometimes up to 10^5, 10^18 + 3 or not positive."""
     r = rng.random()
     if r < 0.75:
         return str(rng.choice(typical))
     if r < 0.95:
         return str(int(10 ** rng.uniform(1, 5)))
-    return str(rng.choice((0, -1)))
+    return str(rng.choice((0, -1, 10 ** 18 + 3)))
 
 
 def _type(rng: random.Random) -> str:
@@ -289,7 +291,7 @@ def _globals(rng: random.Random, files: Path) -> list:
     argv = []
     if rng.random() < 0.3:
         argv += ["--prec", rng.choice(("64", "96", "128", "256", "512", "63", "2048"))
-                 if rng.random() < 0.95 else "10000"]
+                 if rng.random() < 0.9 else rng.choice(("10000", str(MAX_PREC + 1), str(10 ** 18 + 3)))]
     if rng.random() < 0.2:
         argv += ["--format", rng.choice(("json", "csv", "table"))]
     for flag, prefix in (("--config", ""), ("--extra", "extra-")):
@@ -302,7 +304,7 @@ def _globals(rng: random.Random, files: Path) -> list:
     if rng.random() < 0.05:
         argv += ["--threads", rng.choice(("0", "1", "8"))]
     if rng.random() < 0.05:
-        argv += ["--prime-bound", rng.choice(("99", "100", "1000"))]
+        argv += ["--prime-bound", rng.choice(("99", "100", "1000", str(MAX_PRIME_BOUND + 1), str(10 ** 18 + 3)))]
     return argv
 
 

@@ -19,7 +19,9 @@ terms plus an explicit truncation bound the upper end (Brent & Zimmermann,
 Modern Computer Arithmetic, section 4.4).  The constants pi, ln 2 and e are
 kept per precision in small LRU caches.  zeta(s) at integers s >= 2 is summed
 the same way from P. Borwein's alternating series, whose integer coefficients
-are kept per length in a small LRU cache as well.
+are kept per length in a small LRU cache as well.  The Dedekind zeta of a real
+quadratic field at even s is an exact rational times pi^(2s)/sqrt(d_K), from
+Bernoulli numbers and the field's Kronecker character.
 
 Nothing in here consults floating point.
 """
@@ -27,11 +29,13 @@ Nothing in here consults floating point.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import LatcountError
+from .polymod import prime_list
 
 _GUARD = 16  # extra working bits ahead of a final outward rounding
 
@@ -479,6 +483,86 @@ def zeta_interval(s: int, prec: int) -> RealInterval:
     lo = (lo - (3 << F)) << (s - 1 + prec)
     hi = (hi + (3 << F)) << (s - 1 + prec)
     return RealInterval(Fraction(lo // denom, 1 << prec), Fraction(-(-hi // denom), 1 << prec))
+
+
+def _bernoulli_numbers(n: int) -> list:
+    """B_0, ..., B_n with B_1 = -1/2, from sum_{k<=m} C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m) if b[k]) / (m + 1))
+    return b
+
+
+def _kronecker_table(f: int, size: int) -> list:
+    """chi(a) = (f/a), the Kronecker symbol, for 0 <= a < size, where f > 1 is
+    a fundamental discriminant.  chi is completely multiplicative and chi(p) =
+    f^((p-1)/2) mod p at odd p (0 where p | f); chi(2) is 0 for even f, else
+    +1 or -1 as f = 1 or 5 mod 8."""
+    chi = [1] * size
+    chi[0] = 0
+    for p in prime_list(size - 1):
+        if p == 2:
+            c = 0 if f % 2 == 0 else 1 if f % 8 == 1 else -1
+        else:
+            c = pow(f, (p - 1) // 2, p)
+            c = -1 if c == p - 1 else c
+        if c == 0:
+            chi[p::p] = [0] * len(range(p, size, p))
+        elif c == -1:
+            q = p
+            while q < size:  # a gets (-1)^v_p(a): one sign flip per power of p dividing it
+                chi[q::q] = [-x for x in chi[q::q]]
+                q *= p
+    return chi
+
+
+def real_quadratic_zeta_intervals(f: int, s_values, prec: int) -> dict:
+    """s -> enclosure of zeta_K(s), of width below 2^(2-prec), for the real
+    quadratic field K of discriminant f > 1 and even s >= 2, no prime visited.
+
+    zeta_K = zeta L(., chi) for chi = (f/.), an even primitive character mod f
+    with Gauss sum sqrt f.  At even n both values at 1 - n are rational
+    (Washington, GTM 83, Thm 4.2), zeta(1 - n) = -B_n/n and L(1 - n, chi) =
+    -B_(n,chi)/n, with
+
+        B_(n,chi) = f^(n-1) sum_(a<=f) chi(a) B_n(a/f)
+                  = 2 sum_(k<=n) C(n,k) B_k f^(k-1) sum_(a<f/2) chi(a) a^(n-k),
+
+    since chi(f - a) = chi(a), B_n(1 - x) = B_n(x) at even n and chi(f/2) = 0.
+    The functional equations of zeta and L(., chi) then give
+
+        zeta_K(n) = zeta_K(1 - n) (2 pi)^(2n) / (4 ((n-1)!)^2 f^(n-1) sqrt f).
+
+    The rational part is exact; only pi^(2n) and sqrt f are enclosed, at
+    prec + 4 + bitlen(2 max s) working bits, and the quotient is rounded
+    outward.
+    """
+    if f < 2 or any(n < 2 or n % 2 for n in s_values):
+        raise ValueError("the closed form needs a discriminant f > 1 and even s >= 2")
+    top = max(s_values)
+    half = (f + 1) // 2
+    chi = _kronecker_table(f, half)
+    ones = [a for a in range(1, half) if chi[a] == 1]
+    minus = [a for a in range(1, half) if chi[a] == -1]
+    sums = []  # sum_(a<f/2) chi(a) a^j for j = 0, ..., top
+    up, down = [1] * len(ones), [1] * len(minus)
+    for j in range(top + 1):
+        sums.append(sum(up) - sum(down))
+        if j < top:
+            up = list(map(operator.mul, up, ones))
+            down = list(map(operator.mul, down, minus))
+    b = _bernoulli_numbers(top)
+    wp = prec + 4 + (2 * top).bit_length()
+    pi, root = pi_interval(wp), RealInterval.point(f).sqrt(wp)
+    out = {}
+    for n in set(s_values):
+        # f B_(n,chi) / 2, then zeta_K(1 - n) = B_n B_(n,chi) / n^2
+        half_f_bchi = sum(math.comb(n, k) * b[k] * f ** k * sums[n - k]
+                          for k in range(n + 1) if b[k])
+        zeta_neg = 2 * b[n] * half_f_bchi / (f * n * n)
+        scale = zeta_neg * 4 ** n / (4 * math.factorial(n - 1) ** 2 * f ** (n - 1))
+        out[n] = RealInterval(scale * pi.lo ** (2 * n), scale * pi.hi ** (2 * n)).div(root, prec)
+    return out
 
 
 # ---------------------------------------------------------------- boxes

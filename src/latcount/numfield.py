@@ -36,6 +36,7 @@ import re
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cached_property
 from math import cos, factorial, isqrt, ldexp, sin, tau
 
 from .errors import (
@@ -57,6 +58,7 @@ from .polymod import (
     _trim,
     distinct_degree_blocks,
     equal_degree_split,
+    fundamental_discriminant,
     hensel_lift,
     prime_list,
 )
@@ -413,7 +415,9 @@ class NumberField:
         self.zk_disc = zk_disc    # signed disc(Z[theta])
         self.precision = precision
         self._emb_cache = {precision: roots}  # precision -> certified embeddings
-        self.frobenius_classes = {}  # cyclic cubics: p mod sqrt(zk_disc) -> residue degrees, filled by prasad
+        # p mod |zk_disc| (quadratic) or sqrt(zk_disc) (cyclic cubic) -> residue
+        # degrees, filled by prasad
+        self.frobenius_classes = {}
 
     @property
     def signature(self):
@@ -422,6 +426,15 @@ class NumberField:
     @property
     def abs_disc(self) -> int:
         return abs(self.disc)
+
+    @cached_property
+    def fundamental_disc(self) -> int | None:
+        """d_K where disc(Z[theta]) alone certifies it: 1 over Q, and over a
+        quadratic field the fundamental discriminant of disc(Z[theta]), which
+        refuses a |disc| past polymod.MAX_FACTOR; None at degree >= 3."""
+        if self.degree > 2:
+            return None
+        return fundamental_discriminant(self.zk_disc) if self.degree == 2 else 1
 
     def embeddings(self, prec: int | None = None):
         """(real enclosures ascending, upper-half boxes), one per infinite place."""

@@ -1,4 +1,5 @@
-"""Dense polynomial arithmetic over F_p, a prime sieve and certified primality.
+"""Dense polynomial arithmetic over F_p, a prime sieve, certified primality and
+the squarefree part of an integer up to MAX_FACTOR.
 
 Polynomials are lists of ints (constant coefficient first), reduced mod p.
 Only what the splitting and irreducibility code needs: distinct-degree,
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 from itertools import compress
 from math import isqrt
+
+from .errors import LatcountError
 
 
 def primes_up_to(n: int) -> list:
@@ -73,6 +76,50 @@ def is_prime(n: int) -> bool:
         raise ValueError(f"primality not certified for {n}: the strong probable-prime "
                          f"tests to the first 13 prime bases prove it only below {_PSI_13}")
     return True
+
+
+# |n| past this is not factored: squarefree_part sieves to 2^20, past its cube root
+MAX_FACTOR = 10 ** 18
+
+
+def squarefree_part(n: int) -> int:
+    """The squarefree s, sign kept, with n = s m^2 for an integer m; n != 0.
+
+    Trial division by the primes p with p^3 <= |n| (sieved up to
+    2^ceil(bitlen/3), at least the cube root) leaves a cofactor whose prime
+    factors all exceed the cube root, so it has at most two: it is
+    1, a prime, a product of two distinct primes (all squarefree) or the
+    square of a prime, which the isqrt test tells apart.  An |n| past
+    MAX_FACTOR raises a LatcountError.
+    """
+    if abs(n) > MAX_FACTOR:
+        raise LatcountError(
+            f"{n} is past the factoring cap: squarefree parts, and so the d_K of a "
+            f"quadratic field, are certified for |n| <= {MAX_FACTOR}"
+        )
+    rest, core = abs(n), 1
+    for p in prime_list(1 << -(-rest.bit_length() // 3)):
+        if p * p * p > rest:
+            break
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e % 2:
+            core *= p
+    r = isqrt(rest)
+    if r * r != rest:
+        core *= rest
+    return core if n > 0 else -core
+
+
+def fundamental_discriminant(disc: int) -> int:
+    """d_K of the quadratic field of a polynomial discriminant disc = 0, 1 mod 4
+    (not a square): disc = d_K m^2, and d_K = s if s = 1 mod 4 else 4 s for
+    s = squarefree_part(disc).  A disc = s m^2 with s = 2, 3 mod 4 has m even,
+    since disc = 0 mod 4, so disc / (4 s) is the square (m / 2)^2."""
+    s = squarefree_part(disc)
+    return s if s % 4 == 1 else 4 * s
 
 
 def _trim(f: list) -> list:

@@ -12,11 +12,16 @@ bounds, and the assembly of the volume formula
 
 Over Q each zeta(s) is enclosed to the working precision by P. Borwein's
 alternating series with its explicit error bound (interval.zeta_interval),
-so no prime is visited and the prime bound changes nothing.  Over a field of
-degree >= 2 the truncated Euler products come from one pass over the primes
-that keeps floor- and ceil-rounded fixed-point integers per zeta argument, so
-they enclose the exact rational products; every transcendental enters as a
-certified interval, so the reported covolume is a true enclosure.
+so no prime is visited and the prime bound changes nothing.  The same holds
+over a real quadratic field of discriminant d_K <= CLOSED_FORM_MAX_DISC when
+every zeta argument is even: there zeta_K(s) is a rational multiple of
+pi^(2s)/sqrt(d_K) (interval.real_quadratic_zeta_intervals).  Over every
+other field of degree >= 2 the truncated Euler products come from one pass
+over the primes that keeps floor- and ceil-rounded fixed-point integers per
+zeta argument, so they enclose the exact rational products; every
+transcendental enters as a certified interval, so the reported covolume is a
+true enclosure.  Over every quadratic field D is d_K, the fundamental
+discriminant of disc(Z[theta]).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .interval import (
     RealInterval,
     exp_fraction,
     pi_interval,
+    real_quadratic_zeta_intervals,
     refuse_unprintable_power,
     round_down,
     round_up,
@@ -74,6 +80,18 @@ def local_factor(
 
 # ============================================================= prime splitting
 
+# a quadratic field keeps (D/p) per class of p mod |D| only up to this |D|:
+# past it the classes stop recurring below the prime bounds in use, and the
+# kept classes would cost more memory (40 MB at |D| = 4 10^6 and a prime
+# bound of 10^7) than the Legendre symbols they save
+_MAX_CLASS_MODULUS = 1 << 16
+
+
+def _square_mod(disc: int, p: int) -> bool:
+    """(disc/p) = +1 for p not dividing disc; at p = 2 Kronecker's symbol."""
+    return disc % 8 == 1 if p == 2 else pow(disc, (p - 1) // 2, p) == 1
+
+
 def prime_splitting(k: NumberField, p: int) -> tuple[int, ...]:
     """Residue degrees of the primes above p, ascending, from the defining
     polynomial; () when p divides disc(Z[theta]).
@@ -87,7 +105,10 @@ def prime_splitting(k: NumberField, p: int) -> tuple[int, ...]:
     quadratic character of D = disc(f) = disc(Z[theta]), never a supplied
     known_disc: (D/p) = (-1)^(d - r).  For p = 2 the symbol is Kronecker's,
     +1 iff D = 1 mod 8 (an odd D is 1 mod 4).  That settles degree 1 and 2
-    outright and the (1, 2) pattern of a cubic.
+    outright and the (1, 2) pattern of a cubic.  D = 0, 1 mod 4, so (D/p) is
+    a character of p mod |D|: over a quadratic field with |D| <=
+    _MAX_CLASS_MODULUS it is computed once per class and kept in
+    `k.frobenius_classes`.
 
     A cubic with D = m^2 is cyclic, and (D/p) = +1 at every unramified p.
     Its conductor f_K divides m (d_K = f_K^2 by the conductor-discriminant
@@ -111,12 +132,16 @@ def prime_splitting(k: NumberField, p: int) -> tuple[int, ...]:
         degs = k.frobenius_classes.get(key)
         if degs is not None:
             return degs
-    elif d <= 3:
-        square = disc % 8 == 1 if p == 2 else pow(disc, (p - 1) // 2, p) == 1
-        if d == 2:
-            return (1, 1) if square else (2,)
-        if not square:
-            return (1, 2)
+    elif d == 2:
+        if abs(disc) > _MAX_CLASS_MODULUS:
+            return (1, 1) if _square_mod(disc, p) else (2,)
+        key = p % abs(disc)
+        degs = k.frobenius_classes.get(key)
+        if degs is None:
+            degs = k.frobenius_classes[key] = (1, 1) if _square_mod(disc, p) else (2,)
+        return degs
+    elif d == 3 and not _square_mod(disc, p):
+        return (1, 2)
     degs = distinct_degree_degrees(k.min_poly.coefficients, p)
     assert sum(degs) == d
     if key is not None:
@@ -127,6 +152,10 @@ def prime_splitting(k: NumberField, p: int) -> tuple[int, ...]:
 # ======================================================== zeta Euler products
 
 _GUARD = 64  # fixed-point bits below the output grid of the Euler pass
+# the largest d_K whose zeta_K(s) comes from the closed form rather than the
+# Euler pass: there the closed form of zeta_K(2) costs about what the pass at
+# the default prime bound does
+CLOSED_FORM_MAX_DISC = 10 ** 5
 
 
 def coarse_bound(prime_bound: int) -> int:
@@ -201,8 +230,10 @@ def euler_product_E(
     """prod_i zeta_k(m_i + 1) as a certified interval at each ascending prime
     bound, from one pass over the primes.
 
-    Over Q every zeta(s) comes from interval.zeta_interval instead, which does
-    not depend on the bound, so each bound gets the same interval.
+    Over Q every zeta(s) comes from interval.zeta_interval instead, and over a
+    real quadratic field with d_K <= CLOSED_FORM_MAX_DISC, when every s is
+    even, from interval.real_quadratic_zeta_intervals; neither depends on the
+    bound, so each bound gets the same interval.
 
     An outer form's factor at the exponents where outer2_signs is +1 is
     L(s, chi) for the quadratic character chi of the splitting field, s =
@@ -216,6 +247,12 @@ def euler_product_E(
     s_values = [m + 1 for m in data.exponents] + twisted
     if k.degree == 1:
         passes = [{s: zeta_interval(s, wp) for s in set(s_values)}] * len(bounds)
+    elif (
+        k.degree == 2
+        and 0 < k.fundamental_disc <= CLOSED_FORM_MAX_DISC
+        and all(s % 2 == 0 for s in s_values)
+    ):
+        passes = [real_quadratic_zeta_intervals(k.fundamental_disc, s_values, wp)] * len(bounds)
     else:
         passes = _zeta_pass(k, s_values, bounds, wp)
     out = []
@@ -266,18 +303,22 @@ def covolume(
     """Volume-formula enclosure for a concrete base field, worked at
     k.precision + 16 bits.
 
-    The relative-discriminant factor (D_rel)^(s/2) is folded into
+    D is |d_K| over Q and over a quadratic field (k.fundamental_disc, which
+    refuses a disc(Z[theta]) it cannot factor), else |k.disc|.  The
+    relative-discriminant factor (D_rel)^(s/2) is folded into
     disc_factor as the bracket [1, rel_bound^(s/2)], rel_bound =
-    ceil(ext.disc_bound / D^2) the extension's own cap; lambda_bound is
+    ceil(ext.disc_bound / |k.disc|^2) = 4^d N(alpha) c^(2d), the extension's
+    own cap (dividing by d_K^2 instead would only widen it); lambda_bound is
     [1, p0^(d dim)] when a distinguished ramified place is declared.  The
     same Euler pass also yields coarse_value, the covolume truncated at
     coarse_bound(prime_bound), whenever that bound is below prime_bound;
-    over Q, where no prime is visited, it equals value.
+    where no prime is visited, it equals value.
     """
     wp = k.precision + 16
     d = k.degree
     s = data.s_param
-    disc = RealInterval.point(k.abs_disc).pow_frac(Fraction(data.dim, 2), wp)
+    abs_disc = abs(k.fundamental_disc or k.disc)
+    disc = RealInterval.point(abs_disc).pow_frac(Fraction(data.dim, 2), wp)
     if s:
         if ext is None:
             raise ValueError(

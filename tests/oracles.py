@@ -338,3 +338,44 @@ def zeta_odd_bracket(s: int):
     """[lo, hi] for zeta(s), s in (3, 5, 7): the 50-decimal truncation and 10^-50 above it."""
     lo = Fraction(ZETA_ODD_50[s])
     return lo, lo + Fraction(1, 10 ** 50)
+
+
+# ---------------------------------------------------------- real quadratics
+
+def squarefree_core(n: int) -> int:
+    """The squarefree s, sign kept, with n = s m^2, by trial division to sqrt |n|."""
+    core, rest, p = 1, abs(n), 2
+    while p * p <= rest:
+        while rest % (p * p) == 0:
+            rest //= p * p
+        if rest % p == 0:
+            core *= p
+            rest //= p
+        p += 1
+    return (core * rest) * (1 if n > 0 else -1)
+
+
+def quadratic_field_disc(disc: int) -> int:
+    """d_K of Q(theta) for a monic quadratic of discriminant disc."""
+    s = squarefree_core(disc)
+    return s if s % 4 == 1 else 4 * s
+
+
+def _sigma(k: int, n: int) -> int:
+    """The sum of d^k over the divisors d of n >= 1."""
+    total = 0
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            total += d ** k + ((n // d) ** k if d * d != n else 0)
+    return total
+
+
+def siegel_zeta_neg(D: int, m: int) -> Fraction:
+    """zeta_K(-m), m = 1 or 3, of the real quadratic field of discriminant D
+    (Siegel; Cohen, Math. Ann. 217, 1975): the sum over b = D mod 2, b^2 < D,
+    of sigma_m((D - b^2)/4), over 60 for m = 1 and 120 for m = 3."""
+    total, b = 0, D % 2
+    while b * b < D:
+        total += _sigma(m, (D - b * b) // 4) * (1 if b == 0 else 2)
+        b += 2
+    return Fraction(total, {1: 60, 3: 120}[m])

@@ -963,6 +963,24 @@ def test_oversized_levels_precisions_and_prime_bounds_are_refused_unbuilt(argv, 
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
+def test_quadratic_past_the_factoring_cap_prints_no_covolume(capsys):
+    # d_K of x^2 - (10^18 + 3) needs the squarefree part of 4 (10^18 + 3),
+    # past polymod.MAX_FACTOR: covolume refuses rather than print a bracket
+    # built on disc(Z[theta]), and field still prints disc(Z[theta])
+    start = time.perf_counter()
+    assert entry(["covolume", "--field", "x^2-1000000000000000003", "--type", "A1"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", (
+        "error: 4000000000000000012 is past the factoring cap: squarefree parts, and so "
+        "the d_K of a quadratic field, are certified for |n| <= 1000000000000000000\n"))
+    assert entry(["field", "--poly", "x^2-1000000000000000003"]) == 0
+    assert "\ndisc: 4000000000000000012\n" in capsys.readouterr().out
+    # at the cap d_K is certified: disc = 4 * 249999999999999999 = 10^18 - 4
+    assert entry(["covolume", "--field", "x^2-249999999999999999", "--type", "A1",
+                  "--prime-bound", "1000"]) == 0
+    assert "\nnesting_check: ok\n" in capsys.readouterr().out
+
+
 def test_prec_and_prime_bound_caps_sit_at_their_constants(capsys, tmp_path):
     assert (MAX_PREC, MAX_PRIME_BOUND) == (1 << 15, 10 ** 7)
     for argv in (["--prec", str(MAX_PREC), "lie", "dump"], ["--prime-bound", str(MAX_PRIME_BOUND), "lie", "dump"]):
@@ -1022,6 +1040,9 @@ def test_readme_examples(capsys):
     assert field[field.index("poly:") :] in outputs['latcount field --poly "x^3-x-1"']
     value = _readme_block("and the rationals' A1 covolume")
     assert value in outputs["latcount covolume --field Q --type A1"]
+    value = _readme_block("The A1 covolume over Q(sqrt 5)")
+    assert value == "value: [0.008333333333, 0.008333333334]\n"
+    assert value in outputs["latcount covolume --field x^2-x-1 --type A1 --prime-bound 10000"]
 
 
 def _martinet():

@@ -585,8 +585,8 @@ place,kind,re_lo,re_hi,im_lo,im_hi
 # type: A1
 # field: x^2 + 3
 # nesting_check: ok
-# value: [0.028565278492, 0.064274447534]
-# disc_factor: [41.569219381653, 41.569219381654]
+# value: [0.003570659811, 0.008034305942]
+# disc_factor: [5.196152422706, 5.196152422707]
 # arch_factor: [0.00064162389, 0.000641623891]
 # euler_factor: [1.07099160559, 2.409827503751]
 # lambda_bound: [1, 1]

@@ -1,22 +1,27 @@
 import random
-from math import isqrt
+from math import isqrt, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from latcount.errors import LatcountError
 from latcount.numfield import field_from_polynomial
 from latcount.polymod import (
+    MAX_FACTOR,
     distinct_degree_blocks,
     distinct_degree_degrees,
     equal_degree_split,
+    fundamental_discriminant,
     hensel_lift,
     poly_gcd,
     poly_powmod,
     prime_list,
     primes_up_to,
+    squarefree_part,
 )
 from latcount.prasad import prime_splitting
 
-from oracles import cyclotomic, discriminant_oracle
+from oracles import cyclotomic, discriminant_oracle, squarefree_core
 
 
 def test_prime_sieve():
@@ -305,3 +310,34 @@ def test_hensel_lift_products_and_residues():
             assert len(lift) == len(g) and lift[-1] == 1, (f, p, k)
             assert all(0 <= c < q for c in lift), (f, p, k)
             assert [c % p for c in lift] == g, (f, p, k)
+
+
+def test_squarefree_part_matches_trial_division():
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randrange(1, 10 ** 9) * rng.choice((1, -1))
+        assert squarefree_part(n) == squarefree_core(n), n
+    # D < 10^12 built from a known core: q^2 and p^2 q with q near 10^6, two
+    # large primes, and three small ones times a square
+    small, large = prime_list(1000), prime_list(10 ** 6)[-2000:]
+    for _ in range(200):
+        p, q, r = rng.choice(small), rng.choice(large), rng.choice(large)
+        trio = rng.sample(small, 3)
+        for n, core in ((q * q, 1), (p * p * q, q), (q * r, q * r if q != r else 1),
+                        (prod(trio) * p * p, prod(trio))):
+            assert squarefree_part(n) == core and squarefree_part(-n) == -core, n
+
+
+def test_squarefree_part_refuses_past_the_cap():
+    assert squarefree_part(MAX_FACTOR) == 1  # 10^18 = (10^9)^2
+    assert squarefree_part(-(MAX_FACTOR - 1)) == -squarefree_core(MAX_FACTOR - 1)
+    with pytest.raises(LatcountError, match="past the factoring cap"):
+        squarefree_part(MAX_FACTOR + 1)
+
+
+@pytest.mark.parametrize("disc, d_k", [
+    (5, 5), (45, 5), (20, 5), (8, 8), (32, 8), (12, 12), (24, 24), (96, 24), (188, 188),
+    (752, 188), (13 * 49, 13), (-3, -3), (-12, -3), (-4, -4), (-16, -4), (-7 * 64, -7),
+])
+def test_fundamental_discriminant(disc, d_k):
+    assert fundamental_discriminant(disc) == d_k

@@ -8,7 +8,7 @@ from mpmath import libmp, mp
 from latcount import prasad
 from latcount.cli import entry
 from latcount.errors import ReduciblePolynomial
-from latcount.interval import RealInterval
+from latcount.interval import RealInterval, real_quadratic_zeta_intervals
 from latcount.liedata import (
     dump_table,
     outer2_signs,
@@ -25,6 +25,7 @@ from latcount.pisot_tower import (
 )
 from latcount.polymod import distinct_degree_degrees, prime_list
 from latcount.prasad import (
+    CLOSED_FORM_MAX_DISC,
     CovolumeResult,
     covolume,
     covolume_synthetic,
@@ -39,7 +40,10 @@ from oracles import (
     bernoulli,
     dirichlet_l2_bracket,
     pi_bracket,
+    quadratic_field_disc,
+    siegel_zeta_neg,
     sl2_order_brute,
+    squarefree_core,
     sp4_order_f2,
     su3_order_f2,
     zeta2_bracket,
@@ -153,6 +157,19 @@ def test_cyclic_cubic_splitting_does_not_depend_on_prime_order():
     assert descending.frobenius_classes == ascending.frobenius_classes
 
 
+@pytest.mark.parametrize("poly, classes", [
+    ("x^2-82", 160), ("x^2+x+2", 6), ("x^2-45", 48), ("x^2+x+100001", 0),
+])
+def test_quadratic_splitting_is_kept_per_class_mod_disc(poly, classes):
+    # (D/p) depends on p mod |D| alone, so one class per unit mod |D|, kept
+    # only while |D| <= 2^16 (D = -400003 keeps none)
+    k = field_from_polynomial(poly)
+    unramified = [p for p in prime_list(10 ** 4) if k.zk_disc % p]
+    expected = [(1, 1) if _chi(k.zk_disc, p) else (2,) for p in unramified]
+    assert [prime_splitting(k, p) for p in unramified] == expected
+    assert len(k.frobenius_classes) == classes  # phi(|D|) or 0
+
+
 @pytest.mark.parametrize("poly, known_disc", [
     ("x^2-45", 5), ("x^2-5", 5), ("x^3-3x^2-18x-8", 3969),
 ])
@@ -215,7 +232,7 @@ def test_cubic_covolume_factors_only_primes_with_square_discriminant(
 
 
 @pytest.mark.parametrize("field, euler", [
-    ("x^2-x-28", "[1.946053718411, 1.94713726248]"),
+    ("x^2-x-28", "[1.9462250911, 1.946225091101]"),
     ("x^3-x-1", "[1.105797525919, 1.112759829069]"),
     ("x^3+2x+1", "[1.471619479643, 1.473772479974]"),
     ("x^3-x^2-4x-1", "[1.159995212922, 1.181541668972]"),
@@ -312,7 +329,7 @@ def test_covolume_over_q_contains_bernoulli_closed_form(family, rank):
 
 
 def _refuse(*args):
-    raise AssertionError("the rationals reached the prime loop")
+    raise AssertionError("the prime loop ran")
 
 
 @pytest.mark.parametrize("argv", [
@@ -336,6 +353,104 @@ def test_covolume_over_q_is_the_same_at_every_bound(type_name):
     res = covolume(q, None, data, prime_bound=10 ** 5)
     assert res.coarse_value == res.value
     assert covolume(q, None, data, prime_bound=100).value == res.value
+
+
+# ------------------------------------------------ real quadratic closed form
+
+def _real_quadratic_presentations() -> list:
+    """50 monic quadratics of real quadratic fields, 22 of them non-maximal:
+    x^2 - d and x^2 - 9d, and x^2 - x - (d-1)/4 where d = 1 mod 4, over
+    squarefree d, and x^2-45, x^2-24, x^2-5 and x^2-188.  Every x^2 - d with
+    d = 1 mod 4 and every x^2 - 9d is non-maximal as well."""
+    polys = ["x^2-45", "x^2-24", "x^2-5", "x^2-188"]
+    for d in range(2, 46):
+        if squarefree_core(d) == d:
+            polys.append(f"x^2-{d}")
+            if d % 4 == 1:
+                polys.append(f"x^2-x-{(d - 1) // 4}")
+            if d < 20:
+                polys.append(f"x^2-{9 * d}")
+    return list(dict.fromkeys(polys))
+
+
+REAL_QUADRATICS = _real_quadratic_presentations()
+
+
+@pytest.mark.parametrize("poly", REAL_QUADRATICS)
+def test_real_quadratic_covolume_is_siegels_value(poly):
+    # over a totally real K of degree 2 an all-odd type has covolume
+    # prod |zeta_K(-m_i)| / 2^(2 rank): zeta_K(-1)/4 for A1, and
+    # zeta_K(-1) zeta_K(-3)/16 for B2, from Siegel's sigma_1 and sigma_3 sums
+    k = field_from_polynomial(poly)
+    dk = quadratic_field_disc(k.zk_disc)
+    assert k.fundamental_disc == dk
+    z1, z3 = siegel_zeta_neg(dk, 1), siegel_zeta_neg(dk, 3)
+    a1 = covolume(k, None, A1, prime_bound=1000)
+    assert a1.value.contains(z1 / 4) and a1.value.width() < a1.value.lo / 2 ** 100
+    assert a1.coarse_value == a1.value
+    b2 = covolume(k, None, parse_type("B2"), prime_bound=100)
+    assert b2.value.contains(z1 * z3 / 16) and b2.value.width() < b2.value.lo / 2 ** 90
+
+
+@pytest.mark.parametrize("poly", ["x^2-x-1", "x^2-2", "x^2-45", "x^2-188", "x^2-x-28", "x^2-24"])
+def test_closed_form_lies_inside_the_euler_pass(poly):
+    k = field_from_polynomial(poly)
+    closed = real_quadratic_zeta_intervals(k.fundamental_disc, [2, 4, 6], 144)
+    (euler,) = prasad._zeta_pass(k, [2, 4, 6], [10 ** 4], 144)
+    for s in (2, 4, 6):
+        assert euler[s].encloses(closed[s]), s
+        assert closed[s].width() < Fraction(1, 2 ** 140)
+
+
+@pytest.mark.parametrize("type_name", ["A1", "B2", "G2", "E8"])
+def test_presentations_of_one_field_give_one_covolume(type_name):
+    data = parse_type(type_name)
+    values = [covolume(field_from_polynomial(poly), None, data, prime_bound=100).value
+              for poly in ("x^2-5", "x^2-x-1", "x^2-45")]
+    assert values[0] == values[1] == values[2]
+
+
+@pytest.mark.parametrize("argv", [
+    "--type A1",
+    "--type G2 --prime-bound 1000",
+    "--type D4 --outer --alpha=-1,1",
+])
+def test_real_quadratic_at_even_s_visits_no_prime(monkeypatch, capsys, argv):
+    monkeypatch.setattr(prasad, "_zeta_pass", _refuse)
+    monkeypatch.setattr(prasad, "prime_list", _refuse)
+    assert entry(["covolume", "--field", "x^2-x-1", *argv.split()]) == 0
+    assert "\nnesting_check: ok\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("poly, type_name, dk", [
+    ("x^2+3", "A1", -3),  # imaginary
+    ("x^2-45", "A2", 5),  # odd s
+    ("x^2-400196", "A1", 100049),  # d_K past CLOSED_FORM_MAX_DISC, non-maximal
+])
+def test_euler_pass_fields_take_the_disc_factor_of_d_k(monkeypatch, poly, type_name, dk):
+    calls = []
+    euler_pass = prasad._zeta_pass
+    monkeypatch.setattr(prasad, "_zeta_pass", lambda *a: calls.append(1) or euler_pass(*a))
+    k, data = field_from_polynomial(poly), parse_type(type_name)
+    res = covolume(k, None, data, prime_bound=1000)
+    assert calls == [1] and abs(k.zk_disc) != abs(dk) and k.fundamental_disc == dk
+    wp = k.precision + 16
+    assert res.disc_factor == RealInterval.point(abs(dk)).pow_frac(Fraction(data.dim, 2), wp)
+    if dk > CLOSED_FORM_MAX_DISC:
+        assert res.value.contains(siegel_zeta_neg(dk, 1) / 4)
+
+
+def test_imaginary_non_maximal_bracket_contains_the_truth():
+    # covolume of A1 over Q(sqrt -3) = 3^(3/2) (2 pi)^-4 zeta(2) L(2, chi_-3),
+    # about 0.004285; disc(Z[theta]) = -12 for x^2+3 put it at 8 times that
+    res = covolume(field_from_polynomial("x^2+3"), None, A1, prime_bound=10 ** 4)
+    pi_lo, pi_hi = pi_bracket()
+    chi = RealInterval(*dirichlet_l2_bracket((0, 1, -1), 3, 4000))
+    l2 = RealInterval(*zeta2_bracket(4000)) * chi
+    r = isqrt(27 << 400)  # r / 2^200 <= 3^(3/2) < (r + 1) / 2^200
+    truth = RealInterval(Fraction(r, 1 << 200) / (2 * pi_hi) ** 4,
+                         Fraction(r + 1, 1 << 200) / (2 * pi_lo) ** 4) * l2
+    assert res.value.encloses(truth)
 
 
 def test_covolume_lambda_bracket():

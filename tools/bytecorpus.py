@@ -13,7 +13,8 @@ one, then diffing the two files.
 The argv are every `perfbench/workloads.py` invocation of seeds 1-3, the
 README's example block, and a few extras: slow paths, Pisot and sign
 certificates at a non-default place or precision, prime splitting that no
-workload reaches, refusals of oversized arguments (tower levels, prime
+workload reaches, quadratic fields on each side of the closed-form cutoff
+and the factoring cap, refusals of oversized arguments (tower levels, prime
 bounds and precisions among them), and usage, help and error texts.
 """
 
@@ -68,6 +69,18 @@ EXTRAS = (
     "covolume --field x^2-x-1 --type A2 --outer --alpha=0,1 --s-param 561",
     # a covolume that cannot print, refused before its Euler pass
     "covolume --field x^4-4x^2+2 --type B32",
+    # quadratic fields at the default bound: a non-maximal and an imaginary
+    # Z[theta] (d_K 5 and -3), the closed form at s = 2, 4 and 2, 6, an outer
+    # form with an odd s over a non-maximal order, the Euler pass at d_K =
+    # 100049 past the closed-form cutoff, and a disc(Z[theta]) past the
+    # factoring cap, refused
+    "covolume --field x^2-45 --type A1",
+    "covolume --field x^2+3 --type A1",
+    "covolume --field x^2-10 --type B2",
+    "covolume --field x^2-x-1 --type G2",
+    "covolume --field x^2-5 --type A2 --outer --alpha 1,1",
+    "covolume --field x^2-100049 --type A1",
+    "covolume --field x^2-1000000000000000003 --type A1",
     # a tower level, prime bound and precision too large to build: refused
     # from the level's bit length and the caps, a traceback without them
     "tower --name martinet --levels 10000000000000000000",

@@ -18,10 +18,11 @@ tower levels up to 10^5 and 10^18 + 3 for `covolume --tower --level`,
 `growth lower --levels` and `tower --levels`, `tower --t` on both sides of
 the base degree 20 and up to 10^18 + 3, `pisot --radius`, `lie dump
 --max-rank`, Lie type ranks, `covolume --s-param`, --prec and --prime-bound
-one past their caps and at 10^18 + 3, --prec up to 10^4 below its cap
-(never at it: a call there can outrun the alarm), --config and --extra
-files with wrong types, --extra on
-calls that do not read the catalog, flags without the flag they need
+one past their caps and at 10^18 + 3, covolumes over a quadratic field
+whose disc(Z[theta]) is past the factoring cap, --prec up to 10^4 below
+its cap (never at it: a call there can outrun the alarm), --config and
+--extra files with wrong types, --extra on calls that do not read the
+catalog, flags without the flag they need
 (`covolume --tower --alpha`, `covolume --field --level`, `tower --t` or
 `--levels` without `--name`), and argv that argparse must reject.
 
@@ -68,6 +69,8 @@ TYPES = tuple(f"{row['family']}{row['rank']}" for row in dump_table(12))
 POLYS = ("x^2-5", "x^2-x-1", "x^2-2", "x^2+1", "x^2-45", "x^3-x-1", "x^3-3x+1",
          "x^3-x^2-3x+1", "x^4-4x^2+2", "x^5-x-1", "x^6+x+1", "Q", "x-1", "x^2",
          "x^2-1", "2x^2-1", "x^2+x", "x^^2", "x^2-", "", "abc", "x^-1", "y^2-2")
+# a quadratic whose disc(Z[theta]) = 4 (10^18 + 3) is past polymod.MAX_FACTOR
+PAST_FACTOR_CAP = "x^2-1000000000000000003"
 TOTALLY_REAL = ("x^2-x-1", "x^2-2", "x^2-5", "x^3-3x+1", "x^3-x^2-2x+1", "x^4-4x^2+2")
 _ROW = {"name": "t", "base_degree": 2, "degree_rule": "doubling",
         "rd_constant": ["2", "3"], "total_real": True}
@@ -223,7 +226,8 @@ def _covolume(rng: random.Random) -> list:
         if rng.random() < 0.1:
             argv += ["--alpha", "0,1"]
     else:
-        argv += ["--field", rng.choice(("Q", "Q", "x^2-5", "x^2-x-1", "x^2+1", "x^3-x-1")),
+        argv += ["--field", rng.choice(("Q", "Q", "x^2-5", "x^2-x-1", "x^2+1", "x^2+3",
+                                        "x^3-x-1", PAST_FACTOR_CAP)),
                  "--prime-bound", rng.choice(("100", "1000", "10000", "99"))]
         if rng.random() < 0.1:
             argv += ["--level", _level(rng, (1, 2, 3))]

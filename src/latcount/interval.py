@@ -12,16 +12,17 @@ The enclosure discipline used throughout the package:
 * everything else (division, roots, exp, log, pi, ...) rounds outward only,
   so the returned interval always contains the exact result.
 
-The exp, ln, atan and atanh series behind the transcendental kernels are
-summed in fixed-point integers scaled by 2^F, with F a few guard bits above
-the working precision: floor-rounded terms give the lower end, ceil-rounded
-terms plus an explicit truncation bound the upper end (Brent & Zimmermann,
-Modern Computer Arithmetic, section 4.4).  The constants pi, ln 2 and e are
-kept per precision in small LRU caches.  zeta(s) at integers s >= 2 is summed
-the same way from P. Borwein's alternating series, whose integer coefficients
-are kept per length in a small LRU cache as well.  The Dedekind zeta of a real
-quadratic field at even s is an exact rational times pi^(2s)/sqrt(d_K), from
-Bernoulli numbers and the field's Kronecker character.
+The transcendental kernels rest on two series, exp's Taylor series and one
+arctangent-family series (atan for pi by Machin's formula, atanh for ln 2
+and ln), summed in fixed-point integers scaled by 2^F, with F a few guard
+bits above the working precision: floor-rounded terms give the lower end,
+ceil-rounded terms plus an explicit truncation bound the upper end (Brent &
+Zimmermann, Modern Computer Arithmetic, section 4.4).  The constants pi, ln 2
+and e are kept per precision in small LRU caches.  zeta(s) at integers s >= 2
+is summed the same way from P. Borwein's alternating series, whose integer
+coefficients are kept per length in a small LRU cache as well.  The Dedekind
+zeta of a real quadratic field at even s is an exact rational times
+pi^(2s)/sqrt(d_K), from Bernoulli numbers and the field's Kronecker character.
 
 Nothing in here consults floating point.
 """
@@ -35,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import LatcountError
-from .polymod import prime_list
+from .polymod import kronecker, prime_list
 
 _GUARD = 16  # extra working bits ahead of a final outward rounding
 
@@ -286,74 +287,56 @@ def _from_fixed(lo: int, hi: int, F: int) -> RealInterval:
 def pi_interval(prec: int) -> RealInterval:
     """Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239), from fixed-point series."""
     wp = prec + _GUARD
-    s = 16 * _atan_inv(5, wp) - 4 * _atan_inv(239, wp)
+    s = 16 * _arctan_fixed(1, 5, -1, wp) - 4 * _arctan_fixed(1, 239, -1, wp)
     return s.round_out(prec)
-
-
-def _atan_inv(m: int, prec: int) -> RealInterval:
-    # atan(1/m) = sum (-1)^k / ((2k+1) m^(2k+1)); alternating, so the
-    # truncation error is bounded by the first omitted term.  p_lo and p_hi
-    # are exactly floor and ceil of 2^F / m^(2k+1), because repeated floor
-    # (ceil) division equals one floor (ceil) division by the product.
-    F = _series_bits(prec)
-    cut = 1 << (F - prec - 4)  # 2^-(prec+4) at scale 2^F
-    m2 = m * m
-    p_lo = (1 << F) // m
-    p_hi = -(-(1 << F) // m)
-    lo = hi = 0
-    k = 0
-    while True:
-        t_lo = p_lo // (2 * k + 1)
-        t_hi = -(-p_hi // (2 * k + 1))
-        if t_hi < cut:
-            return _from_fixed(lo - t_hi, hi + t_hi, F)
-        if k % 2 == 0:
-            lo += t_lo
-            hi += t_hi
-        else:
-            lo -= t_hi
-            hi -= t_lo
-        k += 1
-        p_lo //= m2
-        p_hi = -(-p_hi // m2)
 
 
 @lru_cache(maxsize=32)
 def ln2_interval(prec: int) -> RealInterval:
-    return _atanh_series(Fraction(1, 3), prec + _GUARD).round_out(prec)
+    return (2 * _arctan_fixed(1, 3, 1, prec + _GUARD)).round_out(prec)
 
 
-def _atanh_fixed(a: int, b: int, prec: int) -> tuple:
-    """(lo, hi) with [lo, hi] / 2^_series_bits(prec) enclosing 2 atanh(a/b).
+def _arctan_fixed(a: int, b: int, sign: int, prec: int) -> RealInterval:
+    """sum_k sign^k z^(2k+1) / (2k+1) for 0 <= z = a/b < 1, to 2^-(prec+2):
+    atan(z) for sign = -1, atanh(z) for sign = +1.
 
-    2 atanh(z) = ln((1+z)/(1-z)) for 0 <= z = a/b < 1; a monotone series
-    with the geometric tail bound z^(2N+1) / ((2N+1)(1-z^2)).
+    z^(2k+1) 2^F, F = _series_bits(prec), runs down a floor-rounded and a
+    ceil-rounded chain, each step a product with z^2 = z2 / (b2 2^s).  For a
+    short b that is a^2 / b^2 exactly, and as repeated floor (ceil) division
+    is one by the product, for a = 1 the chains are exactly floor and ceil of
+    2^F / b^(2k+1).  A b longer than F/4 bits, where dividing by b^2 costs more
+    than a shift, gives way to z^2 2^F rounded down and up (b2 = 1, s = F).
+
+    The rest after the terms summed is at most the next term t for atan
+    (alternating, decreasing) and at most t / (1 - z2_hi / (b2 2^s)) for atanh
+    (positive, ratios z^2 <= z2_hi / (b2 2^s)).  That last inequality is
+    proof-only on the grid: z2_lo in its place moves the rest by under one
+    unit of 2^-F, which no test can see.  The sum stops once the rest is below
+    2^-(prec+4), that is once t <= t_max.
     """
     F = _series_bits(prec)
     cut = 1 << (F - prec - 4)
-    z_lo = (a << F) // b
-    z_hi = -(-(a << F) // b)
-    z2_lo = (z_lo * z_lo) >> F
-    z2_hi = -(-(z_hi * z_hi) >> F)
-    one_minus_z2 = (1 << F) - z2_hi  # <= (1 - z^2) 2^F
-    p_lo, p_hi = z_lo, z_hi  # z^(2k+1) 2^F, rounded down and up
-    lo = hi = 0
-    k = 0
+    p_lo, p_hi = (a << F) // b, -(-(a << F) // b)
+    if 4 * b.bit_length() > F:
+        z2_lo, z2_hi, b2, s = p_lo * p_lo >> F, -(-(p_hi * p_hi) >> F), 1, F
+    else:
+        z2_lo = z2_hi = a * a
+        b2, s = b * b, 0
+    one = b2 << s
+    den = one if sign < 0 else one - z2_hi
+    t_max = (cut - 1) * den // one  # the largest t whose rest t one / den is below cut
+    lo = hi = k = 0
     while True:
-        lo += p_lo // (2 * k + 1)
-        hi += -(-p_hi // (2 * k + 1))
-        p_lo = (p_lo * z2_lo) >> F
-        p_hi = -(-(p_hi * z2_hi) >> F)
+        t_lo, t_hi = p_lo // (2 * k + 1), -(-p_hi // (2 * k + 1))
+        if t_hi <= t_max:
+            rest = -(-(t_hi * one) // den)
+            return _from_fixed(lo - rest if sign < 0 else lo, hi + rest, F)
+        if sign > 0 or k % 2 == 0:
+            lo, hi = lo + t_lo, hi + t_hi
+        else:
+            lo, hi = lo - t_hi, hi - t_lo
         k += 1
-        tail = -(-(p_hi << F) // ((2 * k + 1) * one_minus_z2))
-        if tail < cut:
-            return 2 * lo, 2 * (hi + tail)
-
-
-def _atanh_series(z: Fraction, prec: int) -> RealInterval:
-    assert 0 <= z < 1
-    lo, hi = _atanh_fixed(z.numerator, z.denominator, prec)
-    return _from_fixed(lo, hi, _series_bits(prec))
+        p_lo, p_hi = (p_lo * z2_lo >> s) // b2, -((-(p_hi * z2_hi) >> s) // b2)
 
 
 def _exp_series(r: int, d: int, prec: int, F: int) -> RealInterval:
@@ -418,8 +401,7 @@ def ln_fraction(q: int | Fraction, prec: int) -> RealInterval:
         num <<= 1
         e -= 1
     # ln m = 2 atanh(z) with z = (m - 1) / (m + 1)
-    lo, hi = _atanh_fixed(num - den, num + den, wp)
-    lnm = _from_fixed(lo, hi, _series_bits(wp))
+    lnm = 2 * _arctan_fixed(num - den, num + den, 1, wp)
     return (lnm + e * ln2_interval(wp + abs(e).bit_length() + 2)).round_out(prec)
 
 
@@ -495,17 +477,11 @@ def _bernoulli_numbers(n: int) -> list:
 
 def _kronecker_table(f: int, size: int) -> list:
     """chi(a) = (f/a), the Kronecker symbol, for 0 <= a < size, where f > 1 is
-    a fundamental discriminant.  chi is completely multiplicative and chi(p) =
-    f^((p-1)/2) mod p at odd p (0 where p | f); chi(2) is 0 for even f, else
-    +1 or -1 as f = 1 or 5 mod 8."""
+    a fundamental discriminant: chi is completely multiplicative."""
     chi = [1] * size
     chi[0] = 0
     for p in prime_list(size - 1):
-        if p == 2:
-            c = 0 if f % 2 == 0 else 1 if f % 8 == 1 else -1
-        else:
-            c = pow(f, (p - 1) // 2, p)
-            c = -1 if c == p - 1 else c
+        c = kronecker(f, p)
         if c == 0:
             chi[p::p] = [0] * len(range(p, size, p))
         elif c == -1:

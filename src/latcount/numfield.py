@@ -578,6 +578,10 @@ def field_from_polynomial(
             raise LatcountError(
                 f"no field of degree {d} has |disc| = {abs(known_disc)} (Minkowski)"
             )
+        if d == 2 and known_disc != field.fundamental_disc:
+            raise LatcountError(
+                f"known_disc {known_disc} is not d_K = {field.fundamental_disc} of this quadratic field"
+            )
         field.disc = known_disc
     return field
 

@@ -122,6 +122,15 @@ def fundamental_discriminant(disc: int) -> int:
     return s if s % 4 == 1 else 4 * s
 
 
+def kronecker(D: int, p: int) -> int:
+    """Kronecker's symbol (D/p) at a prime p: 0 where p | D; at odd p Euler's
+    criterion D^((p-1)/2) mod p; at p = 2, +1 or -1 as D = +-1 or +-3 mod 8."""
+    if p == 2:
+        return 0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1
+    c = pow(D, (p - 1) // 2, p)
+    return -1 if c == p - 1 else c
+
+
 def _trim(f: list) -> list:
     while f and f[-1] == 0:
         f.pop()

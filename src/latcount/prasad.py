@@ -47,7 +47,7 @@ from .interval import (
 from .liedata import LieTypeData, outer2_signs, split_signs
 from .numfield import NumberField
 from .pisot_tower import QuadraticExtensionData
-from .polymod import distinct_degree_degrees, prime_list
+from .polymod import distinct_degree_degrees, kronecker, prime_list
 
 # ========================================================== finite group data
 
@@ -87,11 +87,6 @@ def local_factor(
 _MAX_CLASS_MODULUS = 1 << 16
 
 
-def _square_mod(disc: int, p: int) -> bool:
-    """(disc/p) = +1 for p not dividing disc; at p = 2 Kronecker's symbol."""
-    return disc % 8 == 1 if p == 2 else pow(disc, (p - 1) // 2, p) == 1
-
-
 def prime_splitting(k: NumberField, p: int) -> tuple[int, ...]:
     """Residue degrees of the primes above p, ascending, from the defining
     polynomial; () when p divides disc(Z[theta]).
@@ -129,21 +124,18 @@ def prime_splitting(k: NumberField, p: int) -> tuple[int, ...]:
     key = None
     if d == 3 and disc > 0 and (m := isqrt(disc)) * m == disc:
         key = p % m
-        degs = k.frobenius_classes.get(key)
-        if degs is not None:
-            return degs
-    elif d == 2:
-        if abs(disc) > _MAX_CLASS_MODULUS:
-            return (1, 1) if _square_mod(disc, p) else (2,)
+    elif d == 2 and abs(disc) <= _MAX_CLASS_MODULUS:
         key = p % abs(disc)
-        degs = k.frobenius_classes.get(key)
-        if degs is None:
-            degs = k.frobenius_classes[key] = (1, 1) if _square_mod(disc, p) else (2,)
+    degs = k.frobenius_classes.get(key)
+    if degs is not None:
         return degs
-    elif d == 3 and not _square_mod(disc, p):
-        return (1, 2)
-    degs = distinct_degree_degrees(k.min_poly.coefficients, p)
-    assert sum(degs) == d
+    if d <= 3 and kronecker(disc, p) == -1:
+        degs = (1,) * (d - 2) + (2,)
+    elif d == 2:
+        degs = (1, 1)
+    else:
+        degs = distinct_degree_degrees(k.min_poly.coefficients, p)
+        assert sum(degs) == d
     if key is not None:
         k.frobenius_classes[key] = degs
     return degs

@@ -130,6 +130,8 @@ def test_exit_codes(capsys, tmp_path):
         assert capsys.readouterr() == ("", "error: C1 and c4 must be nonnegative\n")
     assert entry(["field", "--poly", "x^2+1", "--known-disc", "-1"]) == 1
     assert "Stickelberger" in capsys.readouterr().err
+    assert entry(["field", "--poly", "x^2-45", "--known-disc", "45"]) == 1
+    assert capsys.readouterr() == ("", "error: known_disc 45 is not d_K = 5 of this quadratic field\n")
     for argv, flag in (
         (["growth", "upper", "--residues", "2:x"], "--residues"),
         (["growth", "upper", "--residues", "2:1:3"], "--residues"),

@@ -10,8 +10,7 @@ from mpmath import libmp, mp
 from latcount.errors import LatcountError
 from latcount.interval import (
     RealInterval,
-    _atan_inv,
-    _atanh_series,
+    _arctan_fixed,
     decimal_str,
     exp1_interval,
     exp_fraction,
@@ -226,9 +225,10 @@ def test_log2_fraction_encloses(prec, q):
 @KERNEL_SETTINGS
 @given(d=_ints, data=st.data())
 def test_atanh_series_encloses(prec, d, data):
-    z = Fraction(data.draw(st.integers(0, d // 3)), d)
-    iv = _atanh_series(z, prec)
-    _assert_encloses(iv, lambda x: 2 * mp.atanh(x), z, prec)
+    # up to z = 9/10, where the geometric rest bound is ten times the next term
+    a = data.draw(st.integers(0, 9 * d // 10))
+    iv = _arctan_fixed(a, d, 1, prec)
+    _assert_encloses(iv, mp.atanh, Fraction(a, d), prec)
     assert iv.width() <= Fraction(1, 2 ** (prec + 2))
 
 
@@ -236,7 +236,7 @@ def test_atanh_series_encloses(prec, d, data):
 @KERNEL_SETTINGS
 @given(m=st.integers(2, 1000))
 def test_atan_inv_encloses(prec, m):
-    iv = _atan_inv(m, prec)
+    iv = _arctan_fixed(1, m, -1, prec)
     _assert_encloses(iv, lambda x: mp.atan(1 / x), Fraction(m), prec)
     assert iv.width() <= Fraction(1, 2 ** (prec + 2))
 

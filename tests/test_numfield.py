@@ -193,6 +193,13 @@ def test_known_disc_validation():
         field_from_polynomial("x^2-5", known_disc=3)    # not a divisor
     with pytest.raises(LatcountError, match=r"^disc\(Z\[theta\]\) / known_disc must be a positive square$"):
         field_from_polynomial("x^2-5", known_disc=10)   # quotient 2 not square
+    # a quadratic's known_disc must be d_K itself, not another divisor with a
+    # square quotient; past the factoring cap d_K cannot be certified
+    with pytest.raises(LatcountError, match=r"^known_disc 45 is not d_K = 5 of this quadratic field$"):
+        field_from_polynomial("x^2-45", known_disc=45)
+    assert field_from_polynomial("x^2-45", known_disc=5).disc == 5
+    with pytest.raises(LatcountError, match="past the factoring cap"):
+        field_from_polynomial("x^2-1000000000000000005", known_disc=1000000000000000005)
     # zero is refused by one text, whatever the signature
     for spec in ("x^2-5", "x^2+1"):
         with pytest.raises(LatcountError, match=r"^known_disc must divide disc\(Z\[theta\]\)$"):

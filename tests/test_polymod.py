@@ -13,6 +13,7 @@ from latcount.polymod import (
     equal_degree_split,
     fundamental_discriminant,
     hensel_lift,
+    kronecker,
     poly_gcd,
     poly_powmod,
     prime_list,
@@ -341,3 +342,16 @@ def test_squarefree_part_refuses_past_the_cap():
 ])
 def test_fundamental_discriminant(disc, d_k):
     assert fundamental_discriminant(disc) == d_k
+
+
+def test_kronecker_matches_squares_mod_p():
+    # at odd p, +1 exactly on the nonzero squares; at p = 2, Kronecker's
+    # extension: +1 for D = +-1 mod 8, -1 for D = +-3 mod 8
+    for p in prime_list(60):
+        squares = {x * x % p for x in range(1, p)}
+        for D in range(-100, 101):
+            if p == 2:
+                expected = 0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1
+            else:
+                expected = 0 if D % p == 0 else 1 if D % p in squares else -1
+            assert kronecker(D, p) == expected, (D, p)

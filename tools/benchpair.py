@@ -8,8 +8,9 @@ each tree, with that tree as the working directory and that tree's own
 perfbench, so each side is measured by the harness it ships.  The side that
 goes first alternates from pair to pair, so a drift in host speed falls on
 both sides alike.  From each run it keeps the JSON summary on the last line
-of stdout and the batch_s note (host-clock batch and speed factor) of the
-tree's `.bench_build/records/W-seedS-trace0.json`.
+of stdout, and from the tree's `.bench_build/records/W-seedS-trace0.json` the
+batch_s note (host-clock batch and speed factor) and each call's argv,
+`failed`, `bits` and `wall`.
 
 FILE holds one entry per workload; a run replaces its own workload's entry
 and keeps the others.  The entry gives, per end-to-end metric, every value of
@@ -18,6 +19,13 @@ change did better (the direction is the change tree's BENCHMARK.json; values
 equal to nine digits tie and count for neither side).  It also gives
 `correct` and `failed` per run, the command, and `git rev-parse HEAD` of each
 tree that is a git checkout.
+
+A `paired` block lists the argv that print on both sides, on the parent only
+and on the change only; an argv prints on a side when none of its calls there
+failed.  Over the calls of the both-print set it gives each side's mean bits
+and median host-clock wall per call, so that a change which turns failures
+into brackets can be told from one that widens them: enclosure_bits.mean
+averages only the calls that print.  It is reported, not gated.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shlex
 import statistics
 import subprocess
 import sys
@@ -44,8 +53,11 @@ def _run(tree: Path, command: list, workload: str, seed: int) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(command)} failed in {tree}:\n{proc.stderr}")
     summary = json.loads(lines[-1])
-    record = tree / ".bench_build" / "records" / f"{workload}-seed{seed}-trace0.json"
-    summary["batch_note"] = json.loads(record.read_text())["notes"]["batch_s"]
+    record = json.loads((tree / ".bench_build" / "records"
+                         / f"{workload}-seed{seed}-trace0.json").read_text())
+    summary["batch_note"] = record["notes"]["batch_s"]
+    summary["calls"] = [(shlex.join(c["argv"]), c["failed"], c["bits"], c["wall"])
+                        for c in record["calls"]]
     return summary
 
 
@@ -58,6 +70,22 @@ def _spread(values: list) -> dict:
     q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                  if len(values) > 1 else values * 3)
     return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def _paired(runs: dict) -> dict:
+    calls = {side: [c for r in runs[side] for c in r["calls"]] for side in SIDES}
+    prints = {side: {c[0] for c in calls[side]} - {c[0] for c in calls[side] if c[1]}
+              for side in SIDES}
+    both = prints["parent"] & prints["change"]
+    block = {"both": sorted(both),
+             "parent_only": sorted(prints["parent"] - prints["change"]),
+             "change_only": sorted(prints["change"] - prints["parent"])}
+    for side in SIDES:
+        kept = [c for c in calls[side] if c[0] in both]
+        bits = [b for _, _, b, _ in kept if b is not None]
+        block[side] = {"bits_mean": statistics.fmean(bits) if bits else None,
+                       "wall_p50": statistics.median(w for _, _, _, w in kept) if kept else None}
+    return block
 
 
 def main() -> int:
@@ -105,6 +133,7 @@ def main() -> int:
                    for side in SIDES},
         "batch_note": {side: [r["batch_note"] for r in runs[side]] for side in SIDES},
         "metrics": metrics,
+        "paired": _paired(runs),
     }
     args.out.write_text(json.dumps(dict(sorted(doc.items())), indent=1) + "\n",
                         encoding="utf-8")

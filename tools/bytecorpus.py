@@ -12,9 +12,10 @@ one, then diffing the two files.
 
 The argv are every `perfbench/workloads.py` invocation of seeds 1-3, the
 README's example block, and a few extras: slow paths, Pisot and sign
-certificates at a non-default place or precision, prime splitting that no
-workload reaches, quadratic fields on each side of the closed-form cutoff
-and the factoring cap, refusals of oversized arguments (tower levels, prime
+certificates at a non-default place or precision, logarithms and pi past 512
+bits, prime splitting that no workload reaches, quadratic fields on each side
+of the closed-form cutoff and the factoring cap, a quadratic's --known-disc
+other than d_K, refusals of oversized arguments (tower levels, prime
 bounds and precisions among them), and usage, help and error texts.
 """
 
@@ -88,6 +89,15 @@ EXTRAS = (
     "covolume --tower martinet --type A2 --level 10000000000000000000",
     "covolume --field x^2-5 --type A1 --prime-bound 10000000000000000000",
     "--prec 100000000000000000000 field --poly x^2-2",
+    # logarithms and pi above 512 bits, which no workload reaches
+    "growth lower --tower golod-shafarevich --type B4 --pprime 5 --levels 4 --c4 7/1000000 --prec 10000",
+    "growth lower --tower martinet --type A2 --pprime 3 --prec 2048",
+    "tower --name martinet --t 3 --prec 4096",
+    "growth upper --residues 2:1,3:1 --prec 4096",
+    "covolume --tower hajir-maire --type B2 --level 1 --prec 2048",
+    # a quadratic's known disc must be d_K: 45 is refused, 5 is kept
+    "field --poly x^2-45 --known-disc 45",
+    "field --poly x^2-45 --known-disc 5",
     # usage, help and error texts, which depend on how the parser is built
     "",
     "--help",

@@ -21,8 +21,9 @@ Zimmermann, Modern Computer Arithmetic, section 4.4).  The constants pi, ln 2
 and e are kept per precision in small LRU caches.  zeta(s) at integers s >= 2
 is summed the same way from P. Borwein's alternating series, whose integer
 coefficients are kept per length in a small LRU cache as well.  The Dedekind
-zeta of a real quadratic field at even s is an exact rational times
-pi^(2s)/sqrt(d_K), from Bernoulli numbers and the field's Kronecker character.
+zeta of a real quadratic or cyclic cubic field at even s is an exact rational
+times pi^(d s)/sqrt(d_K), from generalized Bernoulli numbers of the field's
+character of order d = 2 or 3.
 
 Nothing in here consults floating point.
 """
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import LatcountError
-from .polymod import kronecker, prime_list
+from .polymod import is_prime, kronecker, prime_list
 
 _GUARD = 16  # extra working bits ahead of a final outward rounding
 
@@ -52,15 +53,27 @@ def round_up(x: Fraction, prec: int) -> Fraction:
 
 
 def iroot_floor(n: int, k: int) -> int:
-    """floor(n**(1/k)) for n >= 0, k >= 1 (integer Newton, exact)."""
+    """floor(n**(1/k)) for n >= 0, k >= 1 (integer Newton, exact).
+
+    Newton's integer step from any seed x >= r = floor(n**(1/k)) falls
+    strictly until it reaches r, and the first step that does not fall
+    returns it.  A root of more than 64 bits is seeded from the root of the
+    radicand's top half: with n >> (k j) = t, (r_t + 1)^k > t gives the seed
+    (r_t + 1) 2^j >= r, good to about half of r's bits, so a few full-width
+    steps remain where a power-of-two seed, up to twice r, would first creep
+    down by factors near (k-1)/k.
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if k == 1 or n < 2:
         return n
     if k == 2:
         return math.isqrt(n)
-    # seed >= true root: 2^ceil(bitlength/k)
-    x = 1 << -((-n.bit_length()) // k)
+    j = n.bit_length() // (2 * k)
+    if j > 32:
+        x = (iroot_floor(n >> (k * j), k) + 1) << j
+    else:  # 2^ceil(bitlength/k) >= r
+        x = 1 << -((-n.bit_length()) // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -492,52 +505,91 @@ def _kronecker_table(f: int, size: int) -> list:
     return chi
 
 
-def real_quadratic_zeta_intervals(f: int, s_values, prec: int) -> dict:
-    """s -> enclosure of zeta_K(s), of width below 2^(2-prec), for the real
-    quadratic field K of discriminant f > 1 and even s >= 2, no prime visited.
+def _cubic_table(f: int, size: int) -> list:
+    """ind_g(a) mod 3 for 0 <= a < size, None where gcd(a, f) > 1, for the
+    least generator g of the cyclic group (Z/f)^*, f = 9 or a prime = 1 mod 3:
+    chi(a) = omega^ind_g(a), omega = exp(2 pi i / 3), is then a primitive
+    cubic character mod f, and even: chi(-1)^2 = chi(-1)^3 = 1."""
+    phi = 6 if f == 9 else f - 1
+    if phi % 3 or not (f == 9 or is_prime(f)):
+        raise ValueError(f"no cyclic cubic field has conductor {f}")
+    factors = [q for q in prime_list(phi) if phi % q == 0]
+    g = next(g for g in range(2, f) if math.gcd(g, f) == 1
+             and all(pow(g, phi // q, f) != 1 for q in factors))
+    table = [None] * f
+    x = 1
+    for i in range(phi):
+        table[x] = i % 3
+        x = x * g % f
+    return table[:size]
 
-    zeta_K = zeta L(., chi) for chi = (f/.), an even primitive character mod f
-    with Gauss sum sqrt f.  At even n both values at 1 - n are rational
-    (Washington, GTM 83, Thm 4.2), zeta(1 - n) = -B_n/n and L(1 - n, chi) =
-    -B_(n,chi)/n, with
+
+def cyclic_zeta_intervals(f: int, order: int, s_values, prec: int) -> dict:
+    """s -> enclosure of zeta_K(s), of width below 2^(2-prec), for even s >= 2
+    and the real cyclic field K of degree d = order (2 or 3) and conductor f,
+    no prime visited: the real quadratic field of discriminant f > 1, or the
+    cyclic cubic field of conductor f = 9 or a prime = 1 mod 3.
+
+    K is cut out by an even primitive character chi of order d mod f:
+    Kronecker's (f/.) for d = 2, and omega^(ind_g(a) mod 3) for d = 3 (see
+    _cubic_table), so zeta_K = zeta prod_chi L(., chi) over chi^1, ...,
+    chi^(d-1), d_K = f^(d-1), and the Gauss sums' product is sqrt(d_K).  At
+    even n every value at 1 - n is rational or in Z[omega] (Washington, GTM
+    83, Thm 4.2), zeta(1 - n) = -B_n/n and L(1 - n, chi) = -B_(n,chi)/n,
+    with
 
         B_(n,chi) = f^(n-1) sum_(a<=f) chi(a) B_n(a/f)
                   = 2 sum_(k<=n) C(n,k) B_k f^(k-1) sum_(a<f/2) chi(a) a^(n-k),
 
     since chi(f - a) = chi(a), B_n(1 - x) = B_n(x) at even n and chi(f/2) = 0.
-    The functional equations of zeta and L(., chi) then give
+    The power sums are taken per value of chi, so B_(n,chi) = U + V omega is
+    exact in Z[omega] for d = 3, and the conjugate pair chi, chi-bar gives
+    |B_(n,chi)|^2 = U^2 - U V + V^2.  So zeta_K(1 - n) = (-B_n/n) prod_chi
+    (-B_(n,chi)/n), and the functional equation of zeta_K gives
 
-        zeta_K(n) = zeta_K(1 - n) (2 pi)^(2n) / (4 ((n-1)!)^2 f^(n-1) sqrt f).
+        zeta_K(n) = zeta_K(1 - n) [(-1)^(n/2) (2 pi)^n / (2 (n-1)!)]^d d_K^(1/2-n).
 
-    The rational part is exact; only pi^(2n) and sqrt f are enclosed, at
-    prec + 4 + bitlen(2 max s) working bits, and the quotient is rounded
-    outward.
+    The rational part is exact; only pi^(d n) and, for d = 2, sqrt f are
+    enclosed, at prec + 4 + bitlen(d max s) working bits, and the quotient
+    is rounded outward.
     """
-    if f < 2 or any(n < 2 or n % 2 for n in s_values):
-        raise ValueError("the closed form needs a discriminant f > 1 and even s >= 2")
-    top = max(s_values)
-    half = (f + 1) // 2
-    chi = _kronecker_table(f, half)
-    ones = [a for a in range(1, half) if chi[a] == 1]
-    minus = [a for a in range(1, half) if chi[a] == -1]
-    sums = []  # sum_(a<f/2) chi(a) a^j for j = 0, ..., top
-    up, down = [1] * len(ones), [1] * len(minus)
-    for j in range(top + 1):
-        sums.append(sum(up) - sum(down))
-        if j < top:
-            up = list(map(operator.mul, up, ones))
-            down = list(map(operator.mul, down, minus))
+    if order not in (2, 3) or f < 2 or any(n < 2 or n % 2 for n in s_values):
+        raise ValueError("the closed form needs order 2 or 3, a conductor f > 1 and even s >= 2")
+    d, top, half = order, max(s_values), (f + 1) // 2
+    # table[a] = labels[c] where chi(a) = (-1)^c for d = 2 and omega^c for d = 3
+    if d == 2:
+        table, labels = _kronecker_table(f, half), (1, -1)
+    else:
+        table, labels = _cubic_table(f, half), (0, 1, 2)
+    sums = []  # sums[c][j] = sum of a^j over a < f/2 with table[a] = labels[c], j <= top
+    for label in labels:
+        members = [a for a in range(1, half) if table[a] == label]
+        row, powers = [], [1] * len(members)
+        for j in range(top + 1):
+            row.append(sum(powers))
+            if j < top:
+                powers = list(map(operator.mul, powers, members))
+        sums.append(row)
     b = _bernoulli_numbers(top)
-    wp = prec + 4 + (2 * top).bit_length()
-    pi, root = pi_interval(wp), RealInterval.point(f).sqrt(wp)
+    wp = prec + 4 + (d * top).bit_length()
+    pi = pi_interval(wp)
+    root = RealInterval.point(f).sqrt(wp) if d == 2 else RealInterval.point(1)
     out = {}
     for n in set(s_values):
-        # f B_(n,chi) / 2, then zeta_K(1 - n) = B_n B_(n,chi) / n^2
-        half_f_bchi = sum(math.comb(n, k) * b[k] * f ** k * sums[n - k]
-                          for k in range(n + 1) if b[k])
-        zeta_neg = 2 * b[n] * half_f_bchi / (f * n * n)
-        scale = zeta_neg * 4 ** n / (4 * math.factorial(n - 1) ** 2 * f ** (n - 1))
-        out[n] = RealInterval(scale * pi.lo ** (2 * n), scale * pi.hi ** (2 * n)).div(root, prec)
+        # f B_(n,chi) / 2 = sum_c zeta_d^c part[c], zeta_d = -1 or omega
+        part = [sum(math.comb(n, k) * b[k] * f ** k * row[n - k] for k in range(n + 1) if b[k])
+                for row in sums]
+        if d == 2:
+            norm = part[0] - part[1]
+        else:
+            u, v = part[0] - part[2], part[1] - part[2]
+            norm = u * u - u * v + v * v
+        # prod_chi B_(n,chi) = norm (2/f)^(d-1), so zeta_K(1 - n) = (-1)^d B_n norm (2/f)^(d-1) / n^d
+        zeta_neg = (-1) ** d * b[n] * norm * Fraction(2, f) ** (d - 1) / n ** d
+        # times [(-1)^(n/2) 2^n / (2 (n-1)!)]^d / d_K^(n-1/2), less the pi^(d n) and sqrt f enclosed below
+        scale = (zeta_neg * Fraction((-1) ** (n // 2) * 2 ** n, 2 * math.factorial(n - 1)) ** d
+                 / f ** ((d - 1) * (2 * n - 1) // 2))
+        out[n] = RealInterval(scale * pi.lo ** (d * n), scale * pi.hi ** (d * n)).div(root, prec)
     return out
 
 

@@ -13,10 +13,12 @@ bounds, and the assembly of the volume formula
 Over Q each zeta(s) is enclosed to the working precision by P. Borwein's
 alternating series with its explicit error bound (interval.zeta_interval),
 so no prime is visited and the prime bound changes nothing.  The same holds
-over a real quadratic field of discriminant d_K <= CLOSED_FORM_MAX_DISC when
-every zeta argument is even: there zeta_K(s) is a rational multiple of
-pi^(2s)/sqrt(d_K) (interval.real_quadratic_zeta_intervals).  Over every
-other field of degree >= 2 the truncated Euler products come from one pass
+when every zeta argument is even over a real quadratic field and over a cyclic
+cubic field whose disc(Z[theta]) is m^2 with m prime or 9, for a conductor (d_K
+or m) up to CLOSED_FORM_MAX_CONDUCTOR: there zeta_K(s) is a rational multiple
+of pi^(d s)/sqrt(d_K), from the generalized Bernoulli numbers of the field's
+character of order d (interval.cyclic_zeta_intervals).  Over every other
+field of degree >= 2 the truncated Euler products come from one pass
 over the primes that keeps floor- and ceil-rounded fixed-point integers per
 zeta argument, so they enclose the exact rational products; every
 transcendental enters as a certified interval, so the reported covolume is a
@@ -36,9 +38,9 @@ from math import ceil, factorial, isqrt
 from .errors import LatcountError
 from .interval import (
     RealInterval,
+    cyclic_zeta_intervals,
     exp_fraction,
     pi_interval,
-    real_quadratic_zeta_intervals,
     refuse_unprintable_power,
     round_down,
     round_up,
@@ -47,7 +49,7 @@ from .interval import (
 from .liedata import LieTypeData, outer2_signs, split_signs
 from .numfield import NumberField
 from .pisot_tower import QuadraticExtensionData
-from .polymod import distinct_degree_degrees, kronecker, prime_list
+from .polymod import distinct_degree_degrees, is_prime, kronecker, prime_list
 
 # ========================================================== finite group data
 
@@ -144,10 +146,10 @@ def prime_splitting(k: NumberField, p: int) -> tuple[int, ...]:
 # ======================================================== zeta Euler products
 
 _GUARD = 64  # fixed-point bits below the output grid of the Euler pass
-# the largest d_K whose zeta_K(s) comes from the closed form rather than the
-# Euler pass: there the closed form of zeta_K(2) costs about what the pass at
-# the default prime bound does
-CLOSED_FORM_MAX_DISC = 10 ** 5
+# the largest conductor whose zeta_K(s) comes from the closed form rather than
+# the Euler pass (a real quadratic field's conductor is d_K): there the closed
+# form of zeta_K(2) costs about what the pass at the default prime bound does
+CLOSED_FORM_MAX_CONDUCTOR = 10 ** 5
 
 
 def coarse_bound(prime_bound: int) -> int:
@@ -216,16 +218,36 @@ def dedekind_zeta_partial(k: NumberField, s: int, prime_bound: int) -> RealInter
     return _zeta_pass(k, [s], [prime_bound], k.precision)[0][s]
 
 
+def closed_form_character(k: NumberField) -> tuple[int, int] | None:
+    """(conductor f, order d) of the even primitive character that cuts out k
+    when interval.cyclic_zeta_intervals serves it, else None: a real quadratic
+    field, f = d_K, and a cubic with disc(Z[theta]) = m^2 for m prime or 9.
+    Such a cubic is cyclic with conductor f_K dividing m, f_K > 1, and f_K is
+    9 or a product of primes = 1 mod 3, so f_K = m: d_K = f_K^2 = m^2 and
+    Z[theta] is maximal, with no factoring.  f is at most
+    CLOSED_FORM_MAX_CONDUCTOR."""
+    if k.degree == 2 and 0 < k.fundamental_disc <= CLOSED_FORM_MAX_CONDUCTOR:
+        return k.fundamental_disc, 2
+    disc = k.zk_disc
+    if k.degree == 3 and disc > 0 and (m := isqrt(disc)) * m == disc:
+        if m <= CLOSED_FORM_MAX_CONDUCTOR and (m == 9 or is_prime(m)):
+            return m, 3
+    return None
+
+
 def euler_product_E(
     k: NumberField, data: LieTypeData, bounds: Sequence[int], precision: int = 128
 ) -> list:
     """prod_i zeta_k(m_i + 1) as a certified interval at each ascending prime
     bound, from one pass over the primes.
 
-    Over Q every zeta(s) comes from interval.zeta_interval instead, and over a
-    real quadratic field with d_K <= CLOSED_FORM_MAX_DISC, when every s is
-    even, from interval.real_quadratic_zeta_intervals; neither depends on the
-    bound, so each bound gets the same interval.
+    Over Q every zeta(s) comes from interval.zeta_interval instead, and when
+    every s is even over a real quadratic field with d_K <=
+    CLOSED_FORM_MAX_CONDUCTOR or a cyclic cubic of prime conductor or
+    conductor 9 (closed_form_character), from interval.cyclic_zeta_intervals;
+    neither depends on the bound, so each bound gets the same interval.
+    Every other cubic, one of composite sqrt(disc(Z[theta])) or an odd s
+    among them, takes the pass.
 
     An outer form's factor at the exponents where outer2_signs is +1 is
     L(s, chi) for the quadratic character chi of the splitting field, s =
@@ -239,12 +261,8 @@ def euler_product_E(
     s_values = [m + 1 for m in data.exponents] + twisted
     if k.degree == 1:
         passes = [{s: zeta_interval(s, wp) for s in set(s_values)}] * len(bounds)
-    elif (
-        k.degree == 2
-        and 0 < k.fundamental_disc <= CLOSED_FORM_MAX_DISC
-        and all(s % 2 == 0 for s in s_values)
-    ):
-        passes = [real_quadratic_zeta_intervals(k.fundamental_disc, s_values, wp)] * len(bounds)
+    elif all(s % 2 == 0 for s in s_values) and (character := closed_form_character(k)):
+        passes = [cyclic_zeta_intervals(*character, s_values, wp)] * len(bounds)
     else:
         passes = _zeta_pass(k, s_values, bounds, wp)
     out = []

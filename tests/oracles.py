@@ -8,7 +8,7 @@ brackets.  Slow and obviously correct beats fast and shared-with-the-code.
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, isqrt
+from math import comb, factorial, gcd, isqrt
 
 
 # ------------------------------------------------ resultants / discriminants
@@ -379,3 +379,40 @@ def siegel_zeta_neg(D: int, m: int) -> Fraction:
         total += _sigma(m, (D - b * b) // 4) * (1 if b == 0 else 2)
         b += 2
     return Fraction(total, {1: 60, 3: 120}[m])
+
+
+# ---------------------------------------------------------- cyclic cubics
+
+def _cubic_character_by_root_counts(coeffs, f: int) -> dict:
+    """a mod f -> j, with chi(a) = omega^j, for the cyclic cubic field of
+    conductor f cut out by the monic cubic coeffs (constant first), read off
+    the number of roots of coeffs mod primes p not dividing f: chi(p) = 1
+    iff there are 3, so those p fill the kernel H of chi; the first p with
+    none gets chi(p) = omega, and then chi = omega^j on p^j H."""
+    classes = {}
+    p = 2
+    while len(classes) < sum(1 for a in range(f) if gcd(a, f) == 1):
+        if f % p and all(p % q for q in range(2, isqrt(p) + 1)):
+            roots = sum(1 for x in range(p) if sum(c * x ** i for i, c in enumerate(coeffs)) % p == 0)
+            assert roots in (0, 3), (coeffs, p, roots)
+            classes.setdefault(p % f, roots)
+        p += 1
+    kernel = [a for a, roots in classes.items() if roots == 3]
+    inert = min(a for a, roots in classes.items() if roots == 0)
+    chi = {a * inert ** j % f: j for a in kernel for j in range(3)}
+    assert len(chi) == len(classes) == 3 * len(kernel)
+    return chi
+
+
+def cyclic_cubic_zeta_neg(coeffs, f: int, n: int) -> Fraction:
+    """zeta_K(1 - n) at even n for the cyclic cubic field of conductor f cut
+    out by coeffs: (-B_n/n) |B_(n,chi)/n|^2 with B_(n,chi) = f^(n-1)
+    sum_(a=1..f) chi(a) B_n(a/f) = x + y omega summed over the whole period,
+    and |x + y omega|^2 = x^2 - x y + y^2."""
+    chi = _cubic_character_by_root_counts(coeffs, f)
+    xy = [Fraction(0)] * 3
+    for a, j in chi.items():
+        xy[j] += f ** (n - 1) * sum(comb(n, k) * bernoulli(k) * Fraction(a, f) ** (n - k)
+                                    for k in range(n + 1))
+    x, y = xy[0] - xy[2], xy[1] - xy[2]  # omega^2 = -1 - omega
+    return -bernoulli(n) / n * (x * x - x * y + y * y) / n ** 2

@@ -1045,6 +1045,10 @@ def test_readme_examples(capsys):
     value = _readme_block("The A1 covolume over Q(sqrt 5)")
     assert value == "value: [0.008333333333, 0.008333333334]\n"
     assert value in outputs["latcount covolume --field x^2-x-1 --type A1 --prime-bound 10000"]
+    value = _readme_block("The A1 covolume over the cyclic cubic field")
+    assert value == "value: [0.041666666666, 0.041666666667]\n"
+    assert entry(["covolume", "--field", "x^3-x^2-4x-1", "--type", "A1"]) == 0
+    assert value in capsys.readouterr().out
 
 
 def _martinet():

@@ -71,6 +71,19 @@ def test_iroot():
         assert (c - 1) ** k < n <= c ** k
 
 
+def test_iroot_of_long_radicands():
+    # long roots start from the root of the radicand's top half; perfect
+    # powers and their neighbours check the floor at the edge
+    rng = random.Random(11)
+    for _ in range(300):
+        k = rng.randint(3, 64)
+        n = rng.getrandbits(rng.randint(1, 20000))
+        r = iroot_floor(n, k)
+        assert r ** k <= n < (r + 1) ** k
+        m = rng.getrandbits(rng.randint(60, 400)) + 1
+        assert [iroot_floor(m ** k + e, k) - m for e in (-1, 0, 1)] == [-1, 0, 0]
+
+
 def test_pi_and_transcendentals():
     pi = pi_interval(160)
     assert pi.contains(PI_50)

@@ -8,7 +8,7 @@ from mpmath import libmp, mp
 from latcount import prasad
 from latcount.cli import entry
 from latcount.errors import ReduciblePolynomial
-from latcount.interval import RealInterval, real_quadratic_zeta_intervals
+from latcount.interval import RealInterval, cyclic_zeta_intervals
 from latcount.liedata import (
     dump_table,
     outer2_signs,
@@ -25,7 +25,7 @@ from latcount.pisot_tower import (
 )
 from latcount.polymod import distinct_degree_degrees, prime_list
 from latcount.prasad import (
-    CLOSED_FORM_MAX_DISC,
+    CLOSED_FORM_MAX_CONDUCTOR,
     CovolumeResult,
     covolume,
     covolume_synthetic,
@@ -38,6 +38,7 @@ from latcount.prasad import (
 
 from oracles import (
     bernoulli,
+    cyclic_cubic_zeta_neg,
     dirichlet_l2_bracket,
     pi_bracket,
     quadratic_field_disc,
@@ -216,8 +217,9 @@ def test_covolume_of_degree_at_most_two_skips_distinct_degree(monkeypatch, capsy
 def test_cubic_covolume_factors_only_primes_with_square_discriminant(
     monkeypatch, capsys, field
 ):
+    # A2's odd s keeps the cyclic cubic's Euler pass, which A1 skips
     calls = _count_ddf(monkeypatch)
-    assert entry(["covolume", "--field", field, "--type", "A1", "--prime-bound", "10000"]) == 0
+    assert entry(["covolume", "--field", field, "--type", "A2", "--prime-bound", "10000"]) == 0
     disc = field_from_polynomial(field).zk_disc
     unramified = [p for p in prime_list(10 ** 4) if disc % p]
     m = isqrt(disc) if disc > 0 else 0
@@ -235,7 +237,7 @@ def test_cubic_covolume_factors_only_primes_with_square_discriminant(
     ("x^2-x-28", "[1.9462250911, 1.946225091101]"),
     ("x^3-x-1", "[1.105797525919, 1.112759829069]"),
     ("x^3+2x+1", "[1.471619479643, 1.473772479974]"),
-    ("x^3-x^2-4x-1", "[1.159995212922, 1.181541668972]"),
+    ("x^3-x^2-4x-1", "[1.16691147756, 1.166911477561]"),  # the closed form
     ("x^3-3x^2-16x-1", "[1.051126357664, 1.128220884002]"),
 ])
 def test_covolume_euler_factor_golden(capsys, field, euler):
@@ -244,8 +246,9 @@ def test_covolume_euler_factor_golden(capsys, field, euler):
 
 
 def test_covolume_euler_factor_golden_at_default_bound(capsys):
-    assert entry(["covolume", "--field", "x^3-x^2-4x-1", "--type", "A1"]) == 0
-    assert "euler_factor: [1.16000574368, 1.18091452928]\n" in capsys.readouterr().out
+    # A2 has an odd s, so the cyclic cubic takes the Euler pass
+    assert entry(["covolume", "--field", "x^3-x^2-4x-1", "--type", "A2"]) == 0
+    assert "euler_factor: [1.19089671068, 1.214019284824]\n" in capsys.readouterr().out
 
 
 def test_zeta_rationals_pi_squared_over_six():
@@ -392,10 +395,12 @@ def test_real_quadratic_covolume_is_siegels_value(poly):
     assert b2.value.contains(z1 * z3 / 16) and b2.value.width() < b2.value.lo / 2 ** 90
 
 
-@pytest.mark.parametrize("poly", ["x^2-x-1", "x^2-2", "x^2-45", "x^2-188", "x^2-x-28", "x^2-24"])
+@pytest.mark.parametrize("poly", ["x^2-x-1", "x^2-2", "x^2-45", "x^2-188", "x^2-x-28", "x^2-24",
+                                  "x^3+x^2-2x-1", "x^3-3x+1", "x^3-x^2-4x-1", "x^3-2x^2-5x-1",
+                                  "x^3-4x^2-7x-1"])
 def test_closed_form_lies_inside_the_euler_pass(poly):
     k = field_from_polynomial(poly)
-    closed = real_quadratic_zeta_intervals(k.fundamental_disc, [2, 4, 6], 144)
+    closed = cyclic_zeta_intervals(*prasad.closed_form_character(k), [2, 4, 6], 144)
     (euler,) = prasad._zeta_pass(k, [2, 4, 6], [10 ** 4], 144)
     for s in (2, 4, 6):
         assert euler[s].encloses(closed[s]), s
@@ -425,7 +430,7 @@ def test_real_quadratic_at_even_s_visits_no_prime(monkeypatch, capsys, argv):
 @pytest.mark.parametrize("poly, type_name, dk", [
     ("x^2+3", "A1", -3),  # imaginary
     ("x^2-45", "A2", 5),  # odd s
-    ("x^2-400196", "A1", 100049),  # d_K past CLOSED_FORM_MAX_DISC, non-maximal
+    ("x^2-400196", "A1", 100049),  # d_K past CLOSED_FORM_MAX_CONDUCTOR, non-maximal
 ])
 def test_euler_pass_fields_take_the_disc_factor_of_d_k(monkeypatch, poly, type_name, dk):
     calls = []
@@ -436,8 +441,71 @@ def test_euler_pass_fields_take_the_disc_factor_of_d_k(monkeypatch, poly, type_n
     assert calls == [1] and abs(k.zk_disc) != abs(dk) and k.fundamental_disc == dk
     wp = k.precision + 16
     assert res.disc_factor == RealInterval.point(abs(dk)).pow_frac(Fraction(data.dim, 2), wp)
-    if dk > CLOSED_FORM_MAX_DISC:
+    if dk > CLOSED_FORM_MAX_CONDUCTOR:
         assert res.value.contains(siegel_zeta_neg(dk, 1) / 4)
+
+
+# ------------------------------------------------ cyclic cubic closed form
+
+# poly -> (coefficients, constant first; conductor f; zeta_K(-1)): x^3+x^2-2x-1
+# and x^3-3x+1 (f = 7 and 9), and the Shanks cubics x^3 - a x^2 - (a+3) x - 1
+# for a = 1, 2 and 4, whose disc(Z[theta]) is (a^2 + 3a + 9)^2
+CYCLIC_CUBICS = {
+    "x^3+x^2-2x-1": ([-1, -2, 1, 1], 7, Fraction(-1, 21)),
+    "x^3-3x+1": ([1, -3, 0, 1], 9, Fraction(-1, 9)),
+    "x^3-x^2-4x-1": ([-1, -4, -1, 1], 13, Fraction(-1, 3)),
+    "x^3-2x^2-5x-1": ([-1, -5, -2, 1], 19, Fraction(-1)),
+    "x^3-4x^2-7x-1": ([-1, -7, -4, 1], 37, Fraction(-7)),
+}
+
+
+@pytest.mark.parametrize("poly", CYCLIC_CUBICS)
+def test_cyclic_cubic_covolume_is_the_bernoulli_value(poly):
+    # over a totally real cubic an all-odd type has covolume
+    # prod |zeta_K(-m_i)| / 2^(3 rank); the oracle takes chi from root counts
+    coeffs, f, z1 = CYCLIC_CUBICS[poly]
+    k = field_from_polynomial(poly)
+    assert k.zk_disc == f * f and prasad.closed_form_character(k) == (f, 3)
+    zeta_neg = {m: cyclic_cubic_zeta_neg(coeffs, f, m + 1) for m in (1, 3, 5)}
+    assert zeta_neg[1] == z1
+    a1 = covolume(k, None, A1, prime_bound=1000)
+    assert a1.value.contains(abs(z1) / 8) and a1.value.width() < a1.value.lo / 2 ** 100
+    assert a1.coarse_value == a1.value
+    for type_name, m in (("B2", 3), ("G2", 5)):
+        res = covolume(k, None, parse_type(type_name), prime_bound=100)
+        exact = abs(zeta_neg[1] * zeta_neg[m]) / 64
+        assert res.value.contains(exact) and res.value.width() < res.value.lo / 2 ** 90
+
+
+@pytest.mark.parametrize("argv", [
+    "x^3+x^2-2x-1 --type A1",
+    "x^3-3x+1 --type G2 --prime-bound 1000",
+    "x^3-4x^2-7x-1 --type E8",
+])
+def test_cyclic_cubic_at_even_s_visits_no_prime(monkeypatch, capsys, argv):
+    monkeypatch.setattr(prasad, "_zeta_pass", _refuse)
+    monkeypatch.setattr(prasad, "prime_list", _refuse)
+    assert entry(["covolume", "--field", *argv.split()]) == 0
+    assert "\nnesting_check: ok\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("poly, type_name", [
+    ("x^3-3x^2-6x-1", "A1"),  # Shanks a = 3: disc(Z[theta]) = 27^2, conductor 9
+    ("x^3+x^2-2x-1", "A2"),  # odd s
+    ("x^3-x-1", "A1"),  # not cyclic
+])
+def test_other_cubics_take_the_euler_pass(monkeypatch, poly, type_name):
+    calls = []
+    euler_pass = prasad._zeta_pass
+    monkeypatch.setattr(prasad, "_zeta_pass", lambda *a: calls.append(1) or euler_pass(*a))
+    covolume(field_from_polynomial(poly), None, parse_type(type_name), prime_bound=1000)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("f, order, s", [(27, 3, 2), (15, 3, 2), (5, 3, 2), (7, 3, 3), (7, 4, 2)])
+def test_cyclic_zeta_refuses_what_it_cannot_serve(f, order, s):
+    with pytest.raises(ValueError):
+        cyclic_zeta_intervals(f, order, [s], 64)
 
 
 def test_imaginary_non_maximal_bracket_contains_the_truth():

@@ -5,16 +5,19 @@
 
 `record` runs each argv as a fresh `python -m latcount` with
 PYTHONPATH=TREE/src and stores its exit code and the sha256 of its stdout
-and stderr.  `diff` lists every argv whose record differs between two files
-and exits 1 if there is one.  A change that should not alter any report is
-checked by recording the parent tree (a `git archive` copy) and the changed
-one, then diffing the two files.
+and stderr, and the stderr text itself where it is not empty, so that a
+failure seen once can be read afterwards.  `diff` lists every argv whose
+exit code or digests differ between two files and exits 1 if there is one.
+A change that should not alter any report is checked by recording the
+parent tree (a `git archive` copy) and the changed one, then diffing the
+two files.
 
 The argv are every `perfbench/workloads.py` invocation of seeds 1-3, the
 README's example block, and a few extras: slow paths, Pisot and sign
 certificates at a non-default place or precision, logarithms and pi past 512
 bits, prime splitting that no workload reaches, quadratic fields on each side
-of the closed-form cutoff and the factoring cap, a quadratic's --known-disc
+of the closed-form cutoff and the factoring cap, cyclic cubics with and
+without the closed form, a quadratic's --known-disc
 other than d_K, refusals of oversized arguments (tower levels, prime
 bounds and precisions among them), and usage, help and error texts.
 """
@@ -82,6 +85,32 @@ EXTRAS = (
     "covolume --field x^2-5 --type A2 --outer --alpha 1,1",
     "covolume --field x^2-100049 --type A1",
     "covolume --field x^2-1000000000000000003 --type A1",
+    # cyclic cubics of conductor 7, 9, 13, 19 and 37 (the last three Shanks's
+    # x^3 - a x^2 - (a+3) x - 1 for a = 1, 2, 4) at even s, where zeta_K is
+    # exact, and two that keep the Euler pass: Shanks's a = 3, whose
+    # disc(Z[theta]) is 27^2, and A2's odd s
+    "covolume --field x^3+x^2-2x-1 --type A1",
+    "covolume --field x^3+x^2-2x-1 --type B2",
+    "covolume --field x^3+x^2-2x-1 --type G2",
+    "covolume --field x^3+x^2-2x-1 --type E8",
+    "covolume --field x^3-3x+1 --type A1",
+    "covolume --field x^3-3x+1 --type B2",
+    "covolume --field x^3-3x+1 --type G2",
+    "covolume --field x^3-3x+1 --type E8",
+    "covolume --field x^3-x^2-4x-1 --type A1",
+    "covolume --field x^3-x^2-4x-1 --type B2",
+    "covolume --field x^3-x^2-4x-1 --type G2",
+    "covolume --field x^3-x^2-4x-1 --type E8",
+    "covolume --field x^3-2x^2-5x-1 --type A1",
+    "covolume --field x^3-2x^2-5x-1 --type B2",
+    "covolume --field x^3-2x^2-5x-1 --type G2",
+    "covolume --field x^3-2x^2-5x-1 --type E8",
+    "covolume --field x^3-4x^2-7x-1 --type A1",
+    "covolume --field x^3-4x^2-7x-1 --type B2",
+    "covolume --field x^3-4x^2-7x-1 --type G2",
+    "covolume --field x^3-4x^2-7x-1 --type E8",
+    "covolume --field x^3-3x^2-6x-1 --type A1",
+    "covolume --field x^3+x^2-2x-1 --type A2",
     # a tower level, prime bound and precision too large to build: refused
     # from the level's bit length and the caps, a traceback without them
     "tower --name martinet --levels 10000000000000000000",
@@ -174,8 +203,11 @@ def _run(tree: Path, key: str, cwd: str) -> dict:
                               capture_output=True, env=env, cwd=cwd, timeout=CALL_LIMIT_S)
     except subprocess.TimeoutExpired:
         return {"exit": "timeout"}
-    return {"exit": proc.returncode, "stdout": hashlib.sha256(proc.stdout).hexdigest(),
-            "stderr": hashlib.sha256(proc.stderr).hexdigest()}
+    out = {"exit": proc.returncode, "stdout": hashlib.sha256(proc.stdout).hexdigest(),
+           "stderr": hashlib.sha256(proc.stderr).hexdigest()}
+    if proc.stderr:
+        out["stderr_text"] = proc.stderr.decode("utf-8", "replace")
+    return out
 
 
 def record(tree: str, out: str) -> int:
@@ -190,11 +222,13 @@ def record(tree: str, out: str) -> int:
 
 def diff(a: str, b: str) -> int:
     docs = [json.loads(Path(p).read_text(encoding="utf-8")) for p in (a, b)]
-    differ = [key for key in dict.fromkeys(list(docs[0]) + list(docs[1]))
-              if docs[0].get(key) != docs[1].get(key)]
-    for key in differ:
-        fields = [f for f in ("exit", "stdout", "stderr")
-                  if (docs[0].get(key) or {}).get(f) != (docs[1].get(key) or {}).get(f)]
+    differ = {}
+    for key in dict.fromkeys(list(docs[0]) + list(docs[1])):
+        sides = [doc.get(key) or {} for doc in docs]
+        fields = [f for f in ("exit", "stdout", "stderr") if sides[0].get(f) != sides[1].get(f)]
+        if fields:
+            differ[key] = fields
+    for key, fields in differ.items():
         print(f"{key}: {', '.join(fields)} differ")
     print(f"{len(differ)} of {len(set(docs[0]) | set(docs[1]))} argv differ")
     return 1 if differ else 0

@@ -387,11 +387,11 @@ def _cubic_character_by_root_counts(coeffs, f: int) -> dict:
     """a mod f -> j, with chi(a) = omega^j, for the cyclic cubic field of
     conductor f cut out by the monic cubic coeffs (constant first), read off
     the number of roots of coeffs mod primes p not dividing f: chi(p) = 1
-    iff there are 3, so those p fill the kernel H of chi; the first p with
-    none gets chi(p) = omega, and then chi = omega^j on p^j H."""
-    classes = {}
+    iff there are 3, so those p fill the kernel H of chi; the least class c
+    of a p with none gets chi(c) = omega, and then chi = omega^j on c^j H."""
+    classes, units = {}, sum(1 for a in range(f) if gcd(a, f) == 1)
     p = 2
-    while len(classes) < sum(1 for a in range(f) if gcd(a, f) == 1):
+    while len(classes) < units:
         if f % p and all(p % q for q in range(2, isqrt(p) + 1)):
             roots = sum(1 for x in range(p) if sum(c * x ** i for i, c in enumerate(coeffs)) % p == 0)
             assert roots in (0, 3), (coeffs, p, roots)

@@ -20,10 +20,12 @@ ceil-rounded terms plus an explicit truncation bound the upper end (Brent &
 Zimmermann, Modern Computer Arithmetic, section 4.4).  The constants pi, ln 2
 and e are kept per precision in small LRU caches.  zeta(s) at integers s >= 2
 is summed the same way from P. Borwein's alternating series, whose integer
-coefficients are kept per length in a small LRU cache as well.  The Dedekind
-zeta of a real quadratic or cyclic cubic field at even s is an exact rational
-times pi^(d s)/sqrt(d_K), from generalized Bernoulli numbers of the field's
-character of order d = 2 or 3.
+coefficients are kept per length in a small LRU cache as well, and one chain
+of its terms gives zeta(m) at every m of one parity at once.  The Dedekind
+zeta of a quadratic or cyclic cubic field is zeta(s) times the L-values of
+the field's character of order d = 2 or 3: at even s over a real field an
+exact rational times pi^(d s)/sqrt(d_K), from generalized Bernoulli numbers,
+and at every other s a Hurwitz zeta series in the values zeta(s + k).
 
 Nothing in here consults floating point.
 """
@@ -454,15 +456,13 @@ def zeta_interval(s: int, prec: int) -> RealInterval:
     integer d_n is the rational lower bound that turns the error term into
     3 / (d_n (1 - 2^(1-s))).  The alternating sum is taken in fixed-point
     integers at scale 2^F d_n: floor-rounded terms give the lower end,
-    ceil-rounded ones the upper end, and each end moves out by the error term.
+    ceil-rounded ones the upper end, and each end moves out by the error term
+    (_borwein_ends).
     """
     if s < 2:
         raise ValueError("zeta_interval needs an integer s >= 2")
-    # d_n > (3+sqrt 8)^n / 2 >= 2^(2.54 n - 1) >= 2^(prec + 7)
-    n = (prec + 8) * 50 // 127 + 1
-    d = _borwein_d(n)
+    n, d, F = _borwein_length(prec)
     dn = d[n]
-    F = n.bit_length() + 4  # the n rounding units of the sum stay below 2^F / 16
     lo = hi = 0
     for k in range(n):
         num = (dn - d[k]) << F
@@ -473,11 +473,63 @@ def zeta_interval(s: int, prec: int) -> RealInterval:
         else:
             lo -= -(-num // den)
             hi -= num // den
+    lo, hi = _borwein_ends(lo, hi, s, dn, F, prec)
+    return RealInterval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec))
+
+
+def _borwein_length(prec: int) -> tuple:
+    """(n, (d_0, ..., d_n), F): the length of Borwein's sum for 2^-prec and
+    the fixed-point bits that keep its n rounding units below 2^F / 16."""
+    # d_n > (3+sqrt 8)^n / 2 >= 2^(2.54 n - 1) >= 2^(prec + 7)
+    n = (prec + 8) * 50 // 127 + 1
+    return n, _borwein_d(n), n.bit_length() + 4
+
+
+def _borwein_ends(lo: int, hi: int, s: int, dn: int, F: int, prec: int) -> tuple:
+    """The ends of zeta(s) 2^prec from the alternating sum's fixed-point ends
+    lo <= hi, each moved out by the error term 3 (in units of 2^F) and rounded
+    outward."""
     # zeta = sum / (2^F d_n (1 - 2^(1-s))) and 1 - 2^(1-s) = (2^(s-1) - 1) / 2^(s-1)
     denom = (dn * ((1 << (s - 1)) - 1)) << F
     lo = (lo - (3 << F)) << (s - 1 + prec)
     hi = (hi + (3 << F)) << (s - 1 + prec)
-    return RealInterval(Fraction(lo // denom, 1 << prec), Fraction(-(-hi // denom), 1 << prec))
+    return lo // denom, -(-hi // denom)
+
+
+def _zeta_chain(m0: int, top: int, prec: int) -> dict:
+    """m -> (lo, hi), the ends of zeta_interval(m, prec) times 2^prec, for m =
+    m0, m0 + 2, ..., up to top, m0 >= 2, from one set of terms.
+
+    Borwein's numerators (d_n - d_k) 2^F do not depend on m, and floor(floor(x
+    / a) / b) = floor(x / (a b)) (ceil likewise), so the terms at m + 2 are
+    those at m divided by (k+1)^2: one short division each, the same integers
+    as summed afresh.  The terms fall in k and in m, so once the last term's
+    floor is 0 (its ceiling 1), it stays so: it is counted as zeta_interval
+    counts it, +1 on the upper end for even k and -1 on the lower for odd k,
+    and dropped.  A large m then sums about 2^((prec + F +
+    8) / m) terms, as few as the Dirichlet series with an integral tail would.
+    """
+    n, d, F = _borwein_length(prec)
+    lo, hi = [], []
+    for k in range(n):
+        num, den = (d[n] - d[k]) << F, (k + 1) ** m0
+        lo.append(num // den)
+        hi.append(-(-num // den))
+    squares = [(k + 1) ** 2 for k in range(n)]
+    dropped = [0, 0]  # dropped terms of even and of odd k
+    out = {}
+    for m in range(m0, top + 1, 2):
+        if m > m0:
+            lo = list(map(operator.floordiv, lo, squares))
+            hi = [-(-x // q) for x, q in zip(hi, squares)]
+        while len(lo) > 1 and lo[-1] == 0:
+            dropped[(len(hi) - 1) % 2] += 1
+            lo.pop()
+            hi.pop()
+        s_lo = sum(lo[::2]) - sum(hi[1::2]) - dropped[1]
+        s_hi = sum(hi[::2]) - sum(lo[1::2]) + dropped[0]
+        out[m] = _borwein_ends(s_lo, s_hi, m, d[n], F, prec)
+    return out
 
 
 def _bernoulli_numbers(n: int) -> list:
@@ -489,8 +541,8 @@ def _bernoulli_numbers(n: int) -> list:
 
 
 def _kronecker_table(f: int, size: int) -> list:
-    """chi(a) = (f/a), the Kronecker symbol, for 0 <= a < size, where f > 1 is
-    a fundamental discriminant: chi is completely multiplicative."""
+    """chi(a) = (f/a), the Kronecker symbol, for 0 <= a < size, where f is a
+    fundamental discriminant, of either sign: chi is completely multiplicative."""
     chi = [1] * size
     chi[0] = 0
     for p in prime_list(size - 1):
@@ -524,18 +576,78 @@ def _cubic_table(f: int, size: int) -> list:
     return table[:size]
 
 
-def cyclic_zeta_intervals(f: int, order: int, s_values, prec: int) -> dict:
-    """s -> enclosure of zeta_K(s), of width below 2^(2-prec), for even s >= 2
-    and the real cyclic field K of degree d = order (2 or 3) and conductor f,
-    no prime visited: the real quadratic field of discriminant f > 1, or the
-    cyclic cubic field of conductor f = 9 or a prime = 1 mod 3.
+def _character_classes(f: int, order: int) -> list:
+    """members[c] = the a < |f|/2 with chi(a) = (-1)^c (order 2, chi = (f/.)
+    for a fundamental discriminant f) or omega^c (order 3, f a conductor that
+    _cubic_table takes)."""
+    half = (abs(f) + 1) // 2
+    if order == 2:
+        table, labels = _kronecker_table(f, half), (1, -1)
+    else:
+        table, labels = _cubic_table(f, half), (0, 1, 2)
+    return [[a for a in range(1, half) if table[a] == label] for label in labels]
 
-    K is cut out by an even primitive character chi of order d mod f:
-    Kronecker's (f/.) for d = 2, and omega^(ind_g(a) mod 3) for d = 3 (see
-    _cubic_table), so zeta_K = zeta prod_chi L(., chi) over chi^1, ...,
-    chi^(d-1), d_K = f^(d-1), and the Gauss sums' product is sqrt(d_K).  At
-    even n every value at 1 - n is rational or in Z[omega] (Washington, GTM
-    83, Thm 4.2), zeta(1 - n) = -B_n/n and L(1 - n, chi) = -B_(n,chi)/n,
+
+def _power_sums(members: list, top: int) -> list:
+    """sums[c][j] = the sum of a^j over members[c], j <= top, exact."""
+    sums = []
+    for group in members:
+        row, powers = [], [1] * len(group)
+        for j in range(top + 1):
+            row.append(sum(powers))
+            if j < top:
+                powers = list(map(operator.mul, powers, group))
+        sums.append(row)
+    return sums
+
+
+def _class_norm(parts: list):
+    """prod_chi of sum_c chi(class c) parts[c] over chi^1, ..., chi^(d-1), d =
+    len(parts): part[0] - part[1] for d = 2, and for d = 3 the norm U^2 - U V +
+    V^2 of U + V omega, U = part[0] - part[2] and V = part[1] - part[2] (since
+    1 + omega + omega^2 = 0).  Exact on rationals, sound on intervals."""
+    if len(parts) == 2:
+        return parts[0] - parts[1]
+    u, v = parts[0] - parts[2], parts[1] - parts[2]
+    return u ** 2 - u * v + v ** 2
+
+
+def cyclic_zeta_intervals(f: int, order: int, s_values, prec: int) -> dict:
+    """s -> enclosure of zeta_K(s), of width below 2^(2-prec), for integers s
+    >= 2 and the cyclic field K of degree d = order (2 or 3) cut out by a
+    primitive character chi of order d, no prime visited: the quadratic field
+    of fundamental discriminant f (real for f > 0, imaginary for f < 0), chi =
+    (f/.) of conductor |f|, or the cyclic cubic field of conductor f = 9 or a
+    prime = 1 mod 3, chi = omega^(ind_g(a) mod 3) (see _cubic_table).
+
+    zeta_K = zeta prod_chi L(., chi) over chi^1, ..., chi^(d-1).  At an even s
+    over a real field (chi(-1) = (-1)^s = 1) the values are exact rationals
+    times pi^(d s)/sqrt(d_K) (_bernoulli_zeta); every other s, and every s over
+    an imaginary field, takes zeta(s) from zeta_interval and the L-values from
+    the Hurwitz series of _hurwitz_l_values.
+    """
+    if order not in (2, 3) or abs(f) < 3 or (order == 3 and f < 0) or min(s_values) < 2:
+        raise ValueError("cyclic_zeta_intervals needs order 2 or 3, a conductor of at least 3, "
+                         "an odd character only of order 2, and s >= 2")
+    members = _character_classes(f, order)
+    s_values = set(s_values)
+    even = sorted(n for n in s_values if f > 0 and n % 2 == 0)
+    out = _bernoulli_zeta(f, members, even, prec) if even else {}
+    rest = sorted(s_values.difference(even))
+    if rest:
+        wp = prec + 4
+        for n, l_value in _hurwitz_l_values(f, members, rest, wp).items():
+            out[n] = (zeta_interval(n, wp) * l_value).round_out(prec)
+    return out
+
+
+def _bernoulli_zeta(f: int, members: list, s_values: list, prec: int) -> dict:
+    """s -> enclosure of zeta_K(s), of width below 2^(2-prec), for even s >=
+    2 and the real field K of conductor f > 0 whose character classes are
+    members (_character_classes), from exact generalized Bernoulli numbers.
+
+    At even n every value at 1 - n is rational or in Z[omega] (Washington,
+    GTM 83, Thm 4.2), zeta(1 - n) = -B_n/n and L(1 - n, chi) = -B_(n,chi)/n,
     with
 
         B_(n,chi) = f^(n-1) sum_(a<=f) chi(a) B_n(a/f)
@@ -545,7 +657,8 @@ def cyclic_zeta_intervals(f: int, order: int, s_values, prec: int) -> dict:
     The power sums are taken per value of chi, so B_(n,chi) = U + V omega is
     exact in Z[omega] for d = 3, and the conjugate pair chi, chi-bar gives
     |B_(n,chi)|^2 = U^2 - U V + V^2.  So zeta_K(1 - n) = (-B_n/n) prod_chi
-    (-B_(n,chi)/n), and the functional equation of zeta_K gives
+    (-B_(n,chi)/n), and with d_K = f^(d-1) and the Gauss sums' product
+    sqrt(d_K), the functional equation of zeta_K gives
 
         zeta_K(n) = zeta_K(1 - n) [(-1)^(n/2) (2 pi)^n / (2 (n-1)!)]^d d_K^(1/2-n).
 
@@ -553,43 +666,99 @@ def cyclic_zeta_intervals(f: int, order: int, s_values, prec: int) -> dict:
     enclosed, at prec + 4 + bitlen(d max s) working bits, and the quotient
     is rounded outward.
     """
-    if order not in (2, 3) or f < 2 or any(n < 2 or n % 2 for n in s_values):
-        raise ValueError("the closed form needs order 2 or 3, a conductor f > 1 and even s >= 2")
-    d, top, half = order, max(s_values), (f + 1) // 2
-    # table[a] = labels[c] where chi(a) = (-1)^c for d = 2 and omega^c for d = 3
-    if d == 2:
-        table, labels = _kronecker_table(f, half), (1, -1)
-    else:
-        table, labels = _cubic_table(f, half), (0, 1, 2)
-    sums = []  # sums[c][j] = sum of a^j over a < f/2 with table[a] = labels[c], j <= top
-    for label in labels:
-        members = [a for a in range(1, half) if table[a] == label]
-        row, powers = [], [1] * len(members)
-        for j in range(top + 1):
-            row.append(sum(powers))
-            if j < top:
-                powers = list(map(operator.mul, powers, members))
-        sums.append(row)
+    d, top = len(members), max(s_values)
+    sums = _power_sums(members, top)
     b = _bernoulli_numbers(top)
     wp = prec + 4 + (d * top).bit_length()
     pi = pi_interval(wp)
     root = RealInterval.point(f).sqrt(wp) if d == 2 else RealInterval.point(1)
     out = {}
-    for n in set(s_values):
+    for n in s_values:
         # f B_(n,chi) / 2 = sum_c zeta_d^c part[c], zeta_d = -1 or omega
         part = [sum(math.comb(n, k) * b[k] * f ** k * row[n - k] for k in range(n + 1) if b[k])
                 for row in sums]
-        if d == 2:
-            norm = part[0] - part[1]
-        else:
-            u, v = part[0] - part[2], part[1] - part[2]
-            norm = u * u - u * v + v * v
         # prod_chi B_(n,chi) = norm (2/f)^(d-1), so zeta_K(1 - n) = (-1)^d B_n norm (2/f)^(d-1) / n^d
-        zeta_neg = (-1) ** d * b[n] * norm * Fraction(2, f) ** (d - 1) / n ** d
+        zeta_neg = (-1) ** d * b[n] * _class_norm(part) * Fraction(2, f) ** (d - 1) / n ** d
         # times [(-1)^(n/2) 2^n / (2 (n-1)!)]^d / d_K^(n-1/2), less the pi^(d n) and sqrt f enclosed below
         scale = (zeta_neg * Fraction((-1) ** (n // 2) * 2 ** n, 2 * math.factorial(n - 1)) ** d
                  / f ** ((d - 1) * (2 * n - 1) // 2))
         out[n] = RealInterval(scale * pi.lo ** (d * n), scale * pi.hi ** (d * n)).div(root, prec)
+    return out
+
+
+def _hurwitz_l_values(f: int, members: list, s_values: list, prec: int) -> dict:
+    """s -> enclosure of prod_chi L(s, chi), of width below 2^-prec, for
+    integers s >= 2, over the characters chi^1, ..., chi^(d-1) of
+    cyclic_zeta_intervals' field, whose classes are members
+    (_character_classes), at any parity of s and of chi.
+
+    L(s, chi) = F^-s sum_(0<a<F) chi(a) zeta(s, a/F), F = |f| the conductor.
+    Hurwitz's zeta(s, x) = x^-s + sum_k (-1)^k C(s+k-1, k) zeta(s+k) x^k about
+    0 for a < F/2, and zeta(s, 1 - y) = sum_k C(s+k-1, k) zeta(s+k) y^k about 1
+    for a = F - b > F/2; chi(F - b) = eps chi(b), eps = chi(-1), folds the two
+    halves into
+
+        L(s, chi) = sum_(a<F/2) chi(a) a^-s
+                    + 2 eps F^-s sum_(k = (1-eps)/2 mod 2) C(s+k-1, k) zeta(s+k) S_k / F^k,
+
+    S_k = sum_(a<F/2) chi(a) a^k (chi(F/2) = 0).  Per class c the sums
+    S_(k,c) over members[c] are positive integers, as in _bernoulli_zeta, so
+    each class sum X_c is one positive series, summed in fixed point at scale
+    2^G floor- and ceil-rounded, zeta(s+k) from one _zeta_chain per parity of s
+    + k shared by every s, and L = sum_c chi(class c) X_c is combined by
+    _class_norm.
+
+    Tail: with n the number of a < F/2 and A = floor((F-1)/2) the largest,
+    S_(k,c) <= n A^k and zeta(s+k) <= 2, so the k-th term of 2 F^-s X_c's
+    series is at most B_k = 4 n C(s+k-1, k) A^k / F^(s+k), and B_(k+2) / B_k =
+    rho_k = (s+k)(s+k+1) A^2 / ((k+1)(k+2) F^2) falls in k, below 1/4 from
+    some k on, as A/F < 1/2.  The sum stops at the first k with rho_k <= 1/2
+    and B_k below one unit of 2^-G, and the terms from k on, a geometric tail,
+    add at most B_k / (1 - rho_k) <= 2 B_k to the upper end; B_k is carried as
+    a ceiling chain.  Terms shrink like 2^-k, so about G terms are summed.
+    """
+    F = abs(f)
+    eps, k0 = (1, 0) if f > 0 else (-1, 1)
+    n, A = sum(map(len, members)), (F - 1) // 2
+    G = prec + 12 + (F + prec).bit_length()
+    one = 1 << G
+    # stop index and tail bound per s: terms k0, k0 + 2, ..., stop - 2 are summed
+    plan = {}
+    for s in s_values:
+        k = k0
+        bound = -(-((4 * n * math.comb(s + k - 1, k) * A ** k) << G) // F ** (s + k))
+        while True:
+            num, den = (s + k) * (s + k + 1) * A * A, (k + 1) * (k + 2) * F * F
+            if 2 * num <= den and bound <= 1:
+                break
+            bound = -(-(bound * num) // den)
+            k += 2
+        plan[s] = k, bound
+    sums = _power_sums(members, max(stop for stop, _ in plan.values()))
+    zeta = {}  # zeta(m) at scale 2^G, one chain per parity of m
+    top = max(s + stop for s, (stop, _) in plan.items())
+    for parity in {(s + k0) % 2 for s in s_values}:
+        zeta.update(_zeta_chain(min(s + k0 for s in s_values if (s + k0) % 2 == parity), top, G))
+    out = {}
+    for s in s_values:
+        stop, bound = plan[s]
+        parts = []
+        for c, group in enumerate(members):
+            lo = hi = 0
+            den = F ** (s + k0)
+            for k in range(k0, stop, 2):
+                z_lo, z_hi = zeta[s + k]
+                t = 2 * math.comb(s + k - 1, k) * sums[c][k]
+                lo += t * z_lo // den
+                hi += -(-(t * z_hi) // den)
+                den *= F * F
+            hi += 2 * bound
+            if eps < 0:
+                lo, hi = -hi, -lo
+            lo += sum(one // a ** s for a in group)
+            hi += sum(-(-one // a ** s) for a in group)
+            parts.append(RealInterval(Fraction(lo, one), Fraction(hi, one)))
+        out[s] = _class_norm(parts)
     return out
 
 

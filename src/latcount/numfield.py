@@ -56,6 +56,7 @@ from .interval import (
 from .polymod import (
     _poly_mul,
     _trim,
+    cubic_conductors,
     distinct_degree_blocks,
     equal_degree_split,
     fundamental_discriminant,
@@ -429,9 +430,14 @@ class NumberField:
 
     @cached_property
     def fundamental_disc(self) -> int | None:
-        """d_K where disc(Z[theta]) alone certifies it: 1 over Q, and over a
+        """d_K where disc(Z[theta]) alone certifies it: 1 over Q; over a
         quadratic field the fundamental discriminant of disc(Z[theta]), which
-        refuses a |disc| past polymod.MAX_FACTOR; None at degree >= 3."""
+        refuses a |disc| past polymod.MAX_FACTOR; over a cubic with
+        disc(Z[theta]) = m^2 (a cyclic field) f^2 when f is the one conductor
+        that m allows (polymod.cubic_conductors); None otherwise."""
+        if self.degree == 3:
+            conductors = cyclic_cubic_conductors(self)
+            return conductors[0] ** 2 if conductors and len(conductors) == 1 else None
         if self.degree > 2:
             return None
         return fundamental_discriminant(self.zk_disc) if self.degree == 2 else 1
@@ -464,6 +470,16 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({self.min_poly}, disc={self.disc})"
+
+
+def cyclic_cubic_conductors(field: NumberField) -> tuple | None:
+    """The conductors a cubic field with disc(Z[theta]) = m^2 can have
+    (polymod.cubic_conductors), else None: a cubic whose discriminant is a
+    square is cyclic, and its conductor f divides m, with d_K = f^2."""
+    disc = field.zk_disc
+    if field.degree != 3 or disc < 0 or isqrt(disc) ** 2 != disc:
+        return None
+    return cubic_conductors(isqrt(disc))
 
 
 # ---------------------------------------------------------- irreducibility

@@ -1,5 +1,6 @@
-"""Dense polynomial arithmetic over F_p, a prime sieve, certified primality and
-the squarefree part of an integer up to MAX_FACTOR.
+"""Dense polynomial arithmetic over F_p, a prime sieve, certified primality,
+the squarefree part of an integer up to MAX_FACTOR and the factors of one up
+to MAX_TRIAL.
 
 Polynomials are lists of ints (constant coefficient first), reduced mod p.
 Only what the splitting and irreducibility code needs: distinct-degree,
@@ -111,6 +112,42 @@ def squarefree_part(n: int) -> int:
     if r * r != rest:
         core *= rest
     return core if n > 0 else -core
+
+
+# n past this is not factored: factor divides by the primes up to its square root
+MAX_TRIAL = 10 ** 9
+
+
+def factor(n: int) -> dict:
+    """{p: v_p(n)} for 1 <= n <= MAX_TRIAL, by trial division by the primes p
+    with p^2 <= n; what is left above 1 is a prime."""
+    if not 1 <= n <= MAX_TRIAL:
+        raise ValueError(f"factor takes 1 <= n <= {MAX_TRIAL}, not {n}")
+    out = {}
+    for p in prime_list(isqrt(n)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def cubic_conductors(m: int) -> tuple | None:
+    """The conductors f > 1 that a cyclic cubic field with disc(Z[theta]) = m^2
+    can have, ascending: d_K = f^2 and m = index * f, and f is 9 or 1 times
+    distinct primes = 1 mod 3, so every divisor of m of that form.  None for
+    m past MAX_TRIAL."""
+    if m > MAX_TRIAL:
+        return None
+    primes = factor(m)
+    out = [1, 9] if primes.get(3, 0) >= 2 else [1]
+    for p in primes:
+        if p % 3 == 1:
+            out += [f * p for f in out]
+    return tuple(sorted(f for f in out if f > 1))
 
 
 def fundamental_discriminant(disc: int) -> int:

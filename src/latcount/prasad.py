@@ -13,17 +13,19 @@ bounds, and the assembly of the volume formula
 Over Q each zeta(s) is enclosed to the working precision by P. Borwein's
 alternating series with its explicit error bound (interval.zeta_interval),
 so no prime is visited and the prime bound changes nothing.  The same holds
-when every zeta argument is even over a real quadratic field and over a cyclic
-cubic field whose disc(Z[theta]) is m^2 with m prime or 9, for a conductor (d_K
-or m) up to CLOSED_FORM_MAX_CONDUCTOR: there zeta_K(s) is a rational multiple
-of pi^(d s)/sqrt(d_K), from the generalized Bernoulli numbers of the field's
-character of order d (interval.cyclic_zeta_intervals).  Over every other
-field of degree >= 2 the truncated Euler products come from one pass
-over the primes that keeps floor- and ceil-rounded fixed-point integers per
-zeta argument, so they enclose the exact rational products; every
-transcendental enters as a certified interval, so the reported covolume is a
-true enclosure.  Over every quadratic field D is d_K, the fundamental
-discriminant of disc(Z[theta]).
+over a quadratic field and over a cyclic cubic field whose conductor
+disc(Z[theta]) = m^2 fixes, for a conductor up to CLOSED_FORM_MAX_CONDUCTOR
+(interval.cyclic_zeta_intervals): at even zeta arguments over a real field
+zeta_K(s) is a rational multiple of pi^(d s)/sqrt(d_K), from the generalized
+Bernoulli numbers of the field's character of order d, and at every other
+argument of an inner form zeta(s) times L-values from a Hurwitz series, while
+that series' estimated work stays within SERIES_MAX_WORK.  Over every other
+field of degree >= 2, and for an outer form that would need the series, the
+truncated Euler products come from one pass over the primes that keeps
+floor- and ceil-rounded fixed-point integers per zeta argument, so they
+enclose the exact rational products; every transcendental enters as a
+certified interval, so the reported covolume is a true enclosure.  Over every
+quadratic field and every cubic of certified conductor D is d_K.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from .interval import (
     zeta_interval,
 )
 from .liedata import LieTypeData, outer2_signs, split_signs
-from .numfield import NumberField
+from .numfield import NumberField, cyclic_cubic_conductors
 from .pisot_tower import QuadraticExtensionData
-from .polymod import distinct_degree_degrees, is_prime, kronecker, prime_list
+from .polymod import distinct_degree_degrees, kronecker, prime_list
 
 # ========================================================== finite group data
 
@@ -147,9 +149,14 @@ def prime_splitting(k: NumberField, p: int) -> tuple[int, ...]:
 
 _GUARD = 64  # fixed-point bits below the output grid of the Euler pass
 # the largest conductor whose zeta_K(s) comes from the closed form rather than
-# the Euler pass (a real quadratic field's conductor is d_K): there the closed
+# the Euler pass (a quadratic field's conductor is |d_K|): there the closed
 # form of zeta_K(2) costs about what the pass at the default prime bound does
 CLOSED_FORM_MAX_CONDUCTOR = 10 ** 5
+# the largest estimated work, conductor times working bits plus half the
+# working bits squared (power sums and zeta(m) values), of the Hurwitz series
+# that serves the zeta arguments the closed form misses; past it the series
+# would cost more than the pass at the default prime bound, which runs instead
+SERIES_MAX_WORK = 2 * 10 ** 5
 
 
 def coarse_bound(prime_bound: int) -> int:
@@ -219,20 +226,30 @@ def dedekind_zeta_partial(k: NumberField, s: int, prime_bound: int) -> RealInter
 
 
 def closed_form_character(k: NumberField) -> tuple[int, int] | None:
-    """(conductor f, order d) of the even primitive character that cuts out k
-    when interval.cyclic_zeta_intervals serves it, else None: a real quadratic
-    field, f = d_K, and a cubic with disc(Z[theta]) = m^2 for m prime or 9.
-    Such a cubic is cyclic with conductor f_K dividing m, f_K > 1, and f_K is
-    9 or a product of primes = 1 mod 3, so f_K = m: d_K = f_K^2 = m^2 and
-    Z[theta] is maximal, with no factoring.  f is at most
+    """(f, order d) of the primitive character that cuts out k when
+    interval.cyclic_zeta_intervals takes it, else None: a quadratic field, f =
+    d_K (negative, an odd character, for an imaginary field), and a cubic
+    whose d_K = f^2 is certified, disc(Z[theta]) = m^2 with one conductor f
+    that m allows (k.fundamental_disc); that f is 9 or a prime, as 9 p or p q
+    would leave 9 and p or p and q as well.  |f| is at most
     CLOSED_FORM_MAX_CONDUCTOR."""
-    if k.degree == 2 and 0 < k.fundamental_disc <= CLOSED_FORM_MAX_CONDUCTOR:
-        return k.fundamental_disc, 2
-    disc = k.zk_disc
-    if k.degree == 3 and disc > 0 and (m := isqrt(disc)) * m == disc:
-        if m <= CLOSED_FORM_MAX_CONDUCTOR and (m == 9 or is_prime(m)):
-            return m, 3
+    dk = k.fundamental_disc
+    if k.degree == 2 and abs(dk) <= CLOSED_FORM_MAX_CONDUCTOR:
+        return dk, 2
+    if k.degree == 3 and dk and (f := isqrt(dk)) <= CLOSED_FORM_MAX_CONDUCTOR:
+        return f, 3
     return None
+
+
+def _takes_closed_form(f: int, s_values: Sequence[int], outer: bool, wp: int) -> bool:
+    """Whether zeta_K at s_values comes from cyclic_zeta_intervals for the
+    character (f, order) of closed_form_character: always when every s is even
+    and the field real (the Bernoulli closed form alone); else, when the
+    Hurwitz series is needed, for an inner form whose estimated work is at
+    most SERIES_MAX_WORK."""
+    if f > 0 and all(s % 2 == 0 for s in s_values):
+        return True
+    return not outer and abs(f) * wp + wp * wp // 2 <= SERIES_MAX_WORK
 
 
 def euler_product_E(
@@ -241,13 +258,15 @@ def euler_product_E(
     """prod_i zeta_k(m_i + 1) as a certified interval at each ascending prime
     bound, from one pass over the primes.
 
-    Over Q every zeta(s) comes from interval.zeta_interval instead, and when
-    every s is even over a real quadratic field with d_K <=
-    CLOSED_FORM_MAX_CONDUCTOR or a cyclic cubic of prime conductor or
-    conductor 9 (closed_form_character), from interval.cyclic_zeta_intervals;
-    neither depends on the bound, so each bound gets the same interval.
-    Every other cubic, one of composite sqrt(disc(Z[theta])) or an odd s
-    among them, takes the pass.
+    Over Q every zeta(s) comes from interval.zeta_interval instead.  Over a
+    quadratic field with |d_K| <= CLOSED_FORM_MAX_CONDUCTOR or a cyclic cubic
+    of certified conductor 9 or a prime up to that cap
+    (closed_form_character), zeta_k comes from interval.cyclic_zeta_intervals:
+    at even s over a real field from the Bernoulli closed form, and at every
+    other s of an inner form from the Hurwitz series while its estimated
+    work stays within SERIES_MAX_WORK (_takes_closed_form).  Neither depends
+    on the bound, so each bound gets the same interval.  Every other field,
+    and an outer form that needs the series, takes the pass.
 
     An outer form's factor at the exponents where outer2_signs is +1 is
     L(s, chi) for the quadratic character chi of the splitting field, s =
@@ -261,7 +280,8 @@ def euler_product_E(
     s_values = [m + 1 for m in data.exponents] + twisted
     if k.degree == 1:
         passes = [{s: zeta_interval(s, wp) for s in set(s_values)}] * len(bounds)
-    elif all(s % 2 == 0 for s in s_values) and (character := closed_form_character(k)):
+    elif (character := closed_form_character(k)) and _takes_closed_form(
+            character[0], s_values, bool(data.s_param), wp):
         passes = [cyclic_zeta_intervals(*character, s_values, wp)] * len(bounds)
     else:
         passes = _zeta_pass(k, s_values, bounds, wp)
@@ -275,6 +295,18 @@ def euler_product_E(
             product = product * z
         out.append(product.round_out(precision))
     return out
+
+
+def _abs_disc_range(k: NumberField) -> tuple[int, int]:
+    """The least and the greatest |d_K| that k's data allow: |d_K| over Q,
+    over a quadratic field and over a cubic of certified d_K
+    (k.fundamental_disc); over a cubic with disc(Z[theta]) = m^2 that allows
+    several conductors f, the least and greatest f^2; else |k.disc|."""
+    if k.fundamental_disc:
+        return abs(k.fundamental_disc), abs(k.fundamental_disc)
+    if conductors := cyclic_cubic_conductors(k):
+        return conductors[0] ** 2, conductors[-1] ** 2
+    return k.abs_disc, k.abs_disc
 
 
 # ================================================================= covolume
@@ -313,8 +345,11 @@ def covolume(
     """Volume-formula enclosure for a concrete base field, worked at
     k.precision + 16 bits.
 
-    D is |d_K| over Q and over a quadratic field (k.fundamental_disc, which
-    refuses a disc(Z[theta]) it cannot factor), else |k.disc|.  The
+    D is |d_K| over Q, over a quadratic field (k.fundamental_disc, which
+    refuses a disc(Z[theta]) it cannot factor) and over a cubic of certified
+    conductor; over a cubic with disc(Z[theta]) = m^2 that allows several
+    conductors f, D^(dim/2) is the hull over f^2 (_abs_disc_range); else D is
+    |k.disc|.  The
     relative-discriminant factor (D_rel)^(s/2) is folded into
     disc_factor as the bracket [1, rel_bound^(s/2)], rel_bound =
     ceil(ext.disc_bound / |k.disc|^2) = 4^d N(alpha) c^(2d), the extension's
@@ -327,8 +362,10 @@ def covolume(
     wp = k.precision + 16
     d = k.degree
     s = data.s_param
-    abs_disc = abs(k.fundamental_disc or k.disc)
-    disc = RealInterval.point(abs_disc).pow_frac(Fraction(data.dim, 2), wp)
+    least, greatest = _abs_disc_range(k)
+    disc = RealInterval.point(least).pow_frac(Fraction(data.dim, 2), wp)
+    if greatest > least:
+        disc = disc.hull(RealInterval.point(greatest).pow_frac(Fraction(data.dim, 2), wp))
     if s:
         if ext is None:
             raise ValueError(

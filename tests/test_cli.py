@@ -1049,6 +1049,10 @@ def test_readme_examples(capsys):
     assert value == "value: [0.041666666666, 0.041666666667]\n"
     assert entry(["covolume", "--field", "x^3-x^2-4x-1", "--type", "A1"]) == 0
     assert value in capsys.readouterr().out
+    value = _readme_block("Imaginary quadratic fields and odd zeta arguments")
+    assert value == "value: [0.004284795203, 0.004284795204]\n"
+    assert entry(["covolume", "--field", "x^2+3", "--type", "A1"]) == 0
+    assert value in capsys.readouterr().out
 
 
 def _martinet():

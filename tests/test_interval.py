@@ -11,6 +11,7 @@ from latcount.errors import LatcountError
 from latcount.interval import (
     RealInterval,
     _arctan_fixed,
+    _zeta_chain,
     decimal_str,
     exp1_interval,
     exp_fraction,
@@ -298,6 +299,19 @@ def test_zeta_interval_inside_the_truncated_euler_product(prec):
     q = field_from_polynomial("x-1")
     for s in range(2, 32):
         assert dedekind_zeta_partial(q, s, 10 ** 4).encloses(zeta_interval(s, prec)), s
+
+
+@pytest.mark.parametrize("prec", [16, 144, 512])
+def test_zeta_chain_is_zeta_interval_at_every_m(prec):
+    # the chained terms are the floors and ceilings summed afresh, and the
+    # dropped terms count as zeta_interval's rounded ones do; past m = prec +
+    # 8 + F one term is left
+    top = prec + 64
+    for m0 in (2, 3):
+        chain = _zeta_chain(m0, top, prec)
+        assert sorted(chain) == list(range(m0, top + 1, 2))
+        for m, (lo, hi) in chain.items():
+            assert RealInterval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)) == zeta_interval(m, prec), m
 
 
 def test_zeta_interval_rejects_s_below_two():

@@ -592,10 +592,10 @@ place,kind,re_lo,re_hi,im_lo,im_hi
 # type: A1
 # field: x^2 + 3
 # nesting_check: ok
-# value: [0.003570659811, 0.008034305942]
+# value: [0.004284795203, 0.004284795204]
 # disc_factor: [5.196152422706, 5.196152422707]
 # arch_factor: [0.00064162389, 0.000641623891]
-# euler_factor: [1.07099160559, 2.409827503751]
+# euler_factor: [1.285190955484, 1.285190955485]
 # lambda_bound: [1, 1]
 # prime_bound_used: 100000
 # note: interval at prime bound 100000 nests inside the bound-10000 interval: ok

@@ -8,11 +8,15 @@ from latcount.errors import LatcountError
 from latcount.numfield import field_from_polynomial
 from latcount.polymod import (
     MAX_FACTOR,
+    MAX_TRIAL,
+    cubic_conductors,
     distinct_degree_blocks,
     distinct_degree_degrees,
     equal_degree_split,
+    factor,
     fundamental_discriminant,
     hensel_lift,
+    is_prime,
     kronecker,
     poly_gcd,
     poly_powmod,
@@ -334,6 +338,29 @@ def test_squarefree_part_refuses_past_the_cap():
     assert squarefree_part(-(MAX_FACTOR - 1)) == -squarefree_core(MAX_FACTOR - 1)
     with pytest.raises(LatcountError, match="past the factoring cap"):
         squarefree_part(MAX_FACTOR + 1)
+
+
+def test_factor_matches_trial_division():
+    rng = random.Random(13)
+    cases = [1, 2, 4, 27, 91, 999999937, MAX_TRIAL, 31607 * 31627]
+    cases += [rng.randrange(1, MAX_TRIAL) for _ in range(200)]
+    for n in cases:
+        primes = factor(n)
+        assert prod(p ** e for p, e in primes.items()) == n, n
+        assert all(e > 0 and is_prime(p) for p, e in primes.items()), n
+    for n in (0, MAX_TRIAL + 1):
+        with pytest.raises(ValueError):
+            factor(n)
+
+
+@pytest.mark.parametrize("m, conductors", [
+    (7, (7,)), (9, (9,)), (27, (9,)), (21, (7,)), (4, ()), (63, (7, 9, 63)),
+    (91, (7, 13, 91)), (2 * 3 * 7 * 13 * 9, (7, 9, 13, 63, 91, 117, 819)),
+    (MAX_TRIAL + 1, None),
+])
+def test_cubic_conductors(m, conductors):
+    # 9 or 1 times distinct primes = 1 mod 3, each dividing m
+    assert cubic_conductors(m) == conductors
 
 
 @pytest.mark.parametrize("disc, d_k", [

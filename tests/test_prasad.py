@@ -8,7 +8,14 @@ from mpmath import libmp, mp
 from latcount import prasad
 from latcount.cli import entry
 from latcount.errors import ReduciblePolynomial
-from latcount.interval import RealInterval, cyclic_zeta_intervals
+from latcount.interval import (
+    RealInterval,
+    _character_classes,
+    _hurwitz_l_values,
+    cyclic_zeta_intervals,
+    pi_interval,
+    zeta_interval,
+)
 from latcount.liedata import (
     dump_table,
     outer2_signs,
@@ -217,10 +224,13 @@ def test_covolume_of_degree_at_most_two_skips_distinct_degree(monkeypatch, capsy
 def test_cubic_covolume_factors_only_primes_with_square_discriminant(
     monkeypatch, capsys, field
 ):
-    # A2's odd s keeps the cyclic cubic's Euler pass, which A1 skips
+    # the inner forms of a cyclic cubic of conductor 13 visit no prime, so
+    # there the outer A2 keeps the Euler pass
     calls = _count_ddf(monkeypatch)
-    assert entry(["covolume", "--field", field, "--type", "A2", "--prime-bound", "10000"]) == 0
     disc = field_from_polynomial(field).zk_disc
+    outer = ["--outer", "--alpha=0,1,0"] if disc > 0 and isqrt(disc) ** 2 == disc else []
+    argv = ["covolume", "--field", field, "--type", "A2", "--prime-bound", "10000", *outer]
+    assert entry(argv) == 0
     unramified = [p for p in prime_list(10 ** 4) if disc % p]
     m = isqrt(disc) if disc > 0 else 0
     if m * m == disc:
@@ -246,9 +256,14 @@ def test_covolume_euler_factor_golden(capsys, field, euler):
 
 
 def test_covolume_euler_factor_golden_at_default_bound(capsys):
-    # A2 has an odd s, so the cyclic cubic takes the Euler pass
-    assert entry(["covolume", "--field", "x^3-x^2-4x-1", "--type", "A2"]) == 0
-    assert "euler_factor: [1.19089671068, 1.214019284824]\n" in capsys.readouterr().out
+    # an outer form over the cyclic cubic takes the Euler pass; the inner A2
+    # is exact from the Hurwitz series at its odd s, inside the pass's
+    # bracket [1.19089671068, 1.214019284824] at this bound
+    argv = ["covolume", "--field", "x^3-x^2-4x-1", "--type", "A2"]
+    assert entry([*argv, "--outer", "--alpha=0,1,0"]) == 0
+    assert "euler_factor: [1.128594856437, 1.214019284824]\n" in capsys.readouterr().out
+    assert entry(argv) == 0
+    assert "euler_factor: [1.198531875465, 1.198531875466]\n" in capsys.readouterr().out
 
 
 def test_zeta_rationals_pi_squared_over_six():
@@ -428,17 +443,20 @@ def test_real_quadratic_at_even_s_visits_no_prime(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("poly, type_name, dk", [
-    ("x^2+3", "A1", -3),  # imaginary
-    ("x^2-45", "A2", 5),  # odd s
+    ("x^2+3", "A1", -3),  # imaginary: the Hurwitz series
+    ("x^2-45", "A2", 5),  # odd s: the Hurwitz series at s = 3
     ("x^2-400196", "A1", 100049),  # d_K past CLOSED_FORM_MAX_CONDUCTOR, non-maximal
 ])
 def test_euler_pass_fields_take_the_disc_factor_of_d_k(monkeypatch, poly, type_name, dk):
+    # every quadratic takes the disc factor of d_K; the Euler pass runs only
+    # past the closed-form conductor cap
     calls = []
     euler_pass = prasad._zeta_pass
     monkeypatch.setattr(prasad, "_zeta_pass", lambda *a: calls.append(1) or euler_pass(*a))
     k, data = field_from_polynomial(poly), parse_type(type_name)
     res = covolume(k, None, data, prime_bound=1000)
-    assert calls == [1] and abs(k.zk_disc) != abs(dk) and k.fundamental_disc == dk
+    assert abs(k.zk_disc) != abs(dk) and k.fundamental_disc == dk
+    assert calls == ([1] if abs(dk) > CLOSED_FORM_MAX_CONDUCTOR else [])
     wp = k.precision + 16
     assert res.disc_factor == RealInterval.point(abs(dk)).pow_frac(Fraction(data.dim, 2), wp)
     if dk > CLOSED_FORM_MAX_CONDUCTOR:
@@ -490,8 +508,7 @@ def test_cyclic_cubic_at_even_s_visits_no_prime(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("poly, type_name", [
-    ("x^3-3x^2-6x-1", "A1"),  # Shanks a = 3: disc(Z[theta]) = 27^2, conductor 9
-    ("x^3+x^2-2x-1", "A2"),  # odd s
+    ("x^3-6x^2-9x-1", "A1"),  # disc(Z[theta]) = 63^2: conductor 7, 9 or 63
     ("x^3-x-1", "A1"),  # not cyclic
 ])
 def test_other_cubics_take_the_euler_pass(monkeypatch, poly, type_name):
@@ -502,25 +519,125 @@ def test_other_cubics_take_the_euler_pass(monkeypatch, poly, type_name):
     assert calls == [1]
 
 
-@pytest.mark.parametrize("f, order, s", [(27, 3, 2), (91, 3, 2), (5, 3, 2), (7, 3, 3), (7, 4, 2)])
+def test_a_cubic_of_several_conductors_takes_the_hull_of_their_discs():
+    # 63 = 7 9 allows the conductors 7, 9 and 63, so d_K is 49, 81 or 3969
+    k = field_from_polynomial("x^3-6x^2-9x-1")
+    assert k.fundamental_disc is None and prasad.closed_form_character(k) is None
+    res = covolume(k, None, A1, prime_bound=100)
+    assert res.disc_factor.lo == 343 and res.disc_factor.hi == 250047  # 7^3, 63^3
+
+
+def test_shanks_a3_is_the_conductor_9_field():
+    # x^3-3x^2-6x-1 has disc(Z[theta]) = 27^2, and 27 allows conductor 9 alone:
+    # the field of x^3-3x+1, whose A1 covolume is 1/72
+    k = field_from_polynomial("x^3-3x^2-6x-1")
+    assert k.zk_disc == 27 ** 2 and k.fundamental_disc == 81
+    assert prasad.closed_form_character(k) == (9, 3)
+    shanks = covolume(k, None, A1, prime_bound=100)
+    assert shanks.value == covolume(field_from_polynomial("x^3-3x+1"), None, A1).value
+    assert shanks.value.contains(Fraction(1, 72))
+
+
+@pytest.mark.parametrize("f, order, s", [(27, 3, 2), (91, 3, 2), (5, 3, 2), (-7, 3, 3), (7, 4, 2)])
 def test_cyclic_zeta_refuses_what_it_cannot_serve(f, order, s):
     # 27 is no conductor, 91 = 7 13 that of four cubic fields, 5 is not 1 mod
-    # 3; then an odd s and an order the kernel has no character for
+    # 3; then a cubic character cannot be odd, and an order the kernel has
+    # no character for
     with pytest.raises(ValueError):
         cyclic_zeta_intervals(f, order, [s], 64)
 
 
 def test_imaginary_non_maximal_bracket_contains_the_truth():
     # covolume of A1 over Q(sqrt -3) = 3^(3/2) (2 pi)^-4 zeta(2) L(2, chi_-3),
-    # about 0.004285; disc(Z[theta]) = -12 for x^2+3 put it at 8 times that
+    # about 0.004285; disc(Z[theta]) = -12 for x^2+3 would put it at 8 times that
     res = covolume(field_from_polynomial("x^2+3"), None, A1, prime_bound=10 ** 4)
-    pi_lo, pi_hi = pi_bracket()
-    chi = RealInterval(*dirichlet_l2_bracket((0, 1, -1), 3, 4000))
-    l2 = RealInterval(*zeta2_bracket(4000)) * chi
-    r = isqrt(27 << 400)  # r / 2^200 <= 3^(3/2) < (r + 1) / 2^200
-    truth = RealInterval(Fraction(r, 1 << 200) / (2 * pi_hi) ** 4,
-                         Fraction(r + 1, 1 << 200) / (2 * pi_lo) ** 4) * l2
-    assert res.value.encloses(truth)
+    with mp.workprec(400):
+        third = mp.mpf(1) / 3
+        l2 = (mp.zeta(2, third) - mp.zeta(2, 2 * third)) / 9
+        value = Fraction(*libmp.to_rational((mp.sqrt(27) * l2 / (96 * mp.pi ** 2))._mpf_))
+    assert res.value.encloses(RealInterval(value * (1 - Fraction(1, 2 ** 300)),
+                                           value * (1 + Fraction(1, 2 ** 300))))
+    assert res.value.width() < res.value.lo / 2 ** 100
+
+
+# ------------------------------------------------ Hurwitz series
+
+# L(2, chi_-4) (Catalan's G) and L(2, chi_-3) to 40 decimals
+CATALAN_40 = Fraction("0.9159655941772190150546035149323841107741")
+L2_CHI_MINUS3_40 = Fraction("0.7813024128964862968671874296240923563651")
+
+
+def _l_values(f, order, s, prec=144):
+    """prod_chi L(s, chi) from the Hurwitz series alone, at any parity."""
+    return _hurwitz_l_values(f, _character_classes(f, order), [s], prec)[s]
+
+
+@pytest.mark.parametrize("f, digits", [(-4, CATALAN_40), (-3, L2_CHI_MINUS3_40)])
+def test_hurwitz_series_gives_catalan_and_l2_chi_minus3(f, digits):
+    l2 = _l_values(f, 2, 2)
+    assert l2.intersect(RealInterval(digits, digits + Fraction(1, 10 ** 40))) is not None
+    assert l2.width() < Fraction(1, 2 ** 140)
+
+
+def test_hurwitz_series_at_a_matching_parity_is_the_closed_form():
+    # L(3, chi_-4) = pi^3 / 32, and the even s of a real field, which the
+    # Bernoulli closed form serves, from the series instead
+    pi = pi_interval(160)
+    assert _l_values(-4, 2, 3).intersect((pi ** 3) * Fraction(1, 32)) is not None
+    for f, order in ((5, 2), (13, 2), (7, 3), (9, 3)):
+        for s in (2, 4):
+            series = zeta_interval(s, 144) * _l_values(f, order, s)
+            closed = cyclic_zeta_intervals(f, order, [s], 144)[s]
+            assert series.intersect(closed) is not None, (f, s)
+
+
+@pytest.mark.parametrize("a", range(1, 61))
+def test_imaginary_quadratic_series_lies_inside_the_euler_pass(a):
+    k = field_from_polynomial(f"x^2+{a}")
+    series = cyclic_zeta_intervals(*prasad.closed_form_character(k), range(2, 7), 144)
+    (euler,) = prasad._zeta_pass(k, range(2, 7), [10 ** 4], 144)
+    for s in range(2, 7):
+        assert euler[s].encloses(series[s]), s
+        assert series[s].width() < Fraction(1, 2 ** 140)
+
+
+@pytest.mark.parametrize("poly", CYCLIC_CUBICS)
+def test_cyclic_cubic_series_at_odd_s_lies_inside_the_euler_pass(poly):
+    k = field_from_polynomial(poly)
+    series = cyclic_zeta_intervals(*prasad.closed_form_character(k), [3, 5], 144)
+    (euler,) = prasad._zeta_pass(k, [3, 5], [10 ** 4], 144)
+    for s in (3, 5):
+        assert euler[s].encloses(series[s]), s
+        assert series[s].width() < Fraction(1, 2 ** 140)
+
+
+@pytest.mark.parametrize("argv", [
+    "x^2+7 --type A1",
+    "x^2+3 --type A2",
+    "x^2+1 --type E8",
+    "x^2-5 --type A2",
+    "x^3+x^2-2x-1 --type A2",
+    "x^3-3x^2-6x-1 --type A1",
+])
+def test_imaginary_fields_and_odd_s_visit_no_prime(monkeypatch, capsys, argv):
+    monkeypatch.setattr(prasad, "_zeta_pass", _refuse)
+    monkeypatch.setattr(prasad, "prime_list", _refuse)
+    assert entry(["covolume", "--field", *argv.split()]) == 0
+    assert "\nnesting_check: ok\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    "x^2-5 --type A2 --outer --alpha 1,1",  # an outer form keeps the pass
+    "x^3+x^2-2x-1 --type A2 --outer --alpha=0,1,0",
+    "x^2+1299 --type A1",  # d_K = -1299: 1299 160 + 160^2 / 2 > SERIES_MAX_WORK
+    "x^2+7 --type A1 --prec 2048",  # 2080^2 / 2 > SERIES_MAX_WORK
+])
+def test_outer_forms_and_work_past_the_cap_take_the_euler_pass(monkeypatch, capsys, argv):
+    calls = []
+    euler_pass = prasad._zeta_pass
+    monkeypatch.setattr(prasad, "_zeta_pass", lambda *a: calls.append(1) or euler_pass(*a))
+    assert entry(["covolume", "--field", *argv.split(), "--prime-bound", "1000"]) == 0
+    assert calls == [1]
 
 
 def test_covolume_lambda_bracket():

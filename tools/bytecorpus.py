@@ -17,7 +17,8 @@ README's example block, and a few extras: slow paths, Pisot and sign
 certificates at a non-default place or precision, logarithms and pi past 512
 bits, prime splitting that no workload reaches, quadratic fields on each side
 of the closed-form cutoff and the factoring cap, cyclic cubics with and
-without the closed form, a quadratic's --known-disc
+without the closed form, the Hurwitz series over imaginary quadratic fields
+and at odd s and the pass past its work cap, a quadratic's --known-disc
 other than d_K, refusals of oversized arguments (tower levels, prime
 bounds and precisions among them), and usage, help and error texts.
 """
@@ -87,8 +88,8 @@ EXTRAS = (
     "covolume --field x^2-1000000000000000003 --type A1",
     # cyclic cubics of conductor 7, 9, 13, 19 and 37 (the last three Shanks's
     # x^3 - a x^2 - (a+3) x - 1 for a = 1, 2, 4) at even s, where zeta_K is
-    # exact, and two that keep the Euler pass: Shanks's a = 3, whose
-    # disc(Z[theta]) is 27^2, and A2's odd s
+    # exact, Shanks's a = 3, whose disc(Z[theta]) is 27^2 (conductor 9), and
+    # A2's odd s
     "covolume --field x^3+x^2-2x-1 --type A1",
     "covolume --field x^3+x^2-2x-1 --type B2",
     "covolume --field x^3+x^2-2x-1 --type G2",
@@ -111,6 +112,19 @@ EXTRAS = (
     "covolume --field x^3-4x^2-7x-1 --type E8",
     "covolume --field x^3-3x^2-6x-1 --type A1",
     "covolume --field x^3+x^2-2x-1 --type A2",
+    # the Hurwitz series: imaginary quadratic fields at even and odd s (d_K
+    # -4, -3, -7 and -24, disc(Z[theta]) = -216), odd s over a real quadratic and a
+    # cyclic cubic, a cubic with disc(Z[theta]) = 63^2 that allows three
+    # conductors (the disc factor's hull, and the pass), and the pass where
+    # the series would cost more: an outer form, d_K = -1299 at the default
+    # precision, and 4096 bits
+    *(f"covolume --field x^2+{a} --type {t}" for a in (1, 3, 7, 54)
+      for t in ("A1", "A2", "B2", "G2", "E8")),
+    "covolume --field x^2-5 --type A2",
+    "covolume --field x^3-6x^2-9x-1 --type A1",
+    "covolume --field x^2+7 --type A2 --outer --alpha 1,1 --prime-bound 10000",
+    "covolume --field x^2+1299 --type A1",
+    "covolume --field x^2+7 --type A1 --prec 4096",
     # a tower level, prime bound and precision too large to build: refused
     # from the level's bit length and the caps, a traceback without them
     "tower --name martinet --levels 10000000000000000000",

@@ -457,23 +457,11 @@ def zeta_interval(s: int, prec: int) -> RealInterval:
     3 / (d_n (1 - 2^(1-s))).  The alternating sum is taken in fixed-point
     integers at scale 2^F d_n: floor-rounded terms give the lower end,
     ceil-rounded ones the upper end, and each end moves out by the error term
-    (_borwein_ends).
+    (_zeta_chain, _borwein_ends).
     """
     if s < 2:
         raise ValueError("zeta_interval needs an integer s >= 2")
-    n, d, F = _borwein_length(prec)
-    dn = d[n]
-    lo = hi = 0
-    for k in range(n):
-        num = (dn - d[k]) << F
-        den = (k + 1) ** s
-        if k % 2 == 0:
-            lo += num // den
-            hi += -(-num // den)
-        else:
-            lo -= -(-num // den)
-            hi -= num // den
-    lo, hi = _borwein_ends(lo, hi, s, dn, F, prec)
+    lo, hi = _zeta_chain(s, s, prec)[s]
     return RealInterval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec))
 
 
@@ -498,36 +486,41 @@ def _borwein_ends(lo: int, hi: int, s: int, dn: int, F: int, prec: int) -> tuple
 
 def _zeta_chain(m0: int, top: int, prec: int) -> dict:
     """m -> (lo, hi), the ends of zeta_interval(m, prec) times 2^prec, for m =
-    m0, m0 + 2, ..., up to top, m0 >= 2, from one set of terms.
+    m0, m0 + 2, ..., up to top, m0 >= 2, from one set of Borwein terms.
 
-    Borwein's numerators (d_n - d_k) 2^F do not depend on m, and floor(floor(x
-    / a) / b) = floor(x / (a b)) (ceil likewise), so the terms at m + 2 are
-    those at m divided by (k+1)^2: one short division each, the same integers
-    as summed afresh.  The terms fall in k and in m, so once the last term's
-    floor is 0 (its ceiling 1), it stays so: it is counted as zeta_interval
-    counts it, +1 on the upper end for even k and -1 on the lower for odd k,
-    and dropped.  A large m then sums about 2^((prec + F +
-    8) / m) terms, as few as the Dirichlet series with an integral tail would.
+    Each term (d_n - d_k) 2^F / (k+1)^m is kept as its floor and a flag for a
+    nonzero remainder, so its ceiling is the floor plus the flag.  The
+    numerators do not depend on m, and floor(floor(x / a) / b) = floor(x /
+    (a b)), so the floors at m + 2 are those at m divided by (k+1)^2, and a
+    flag once set stays set (ceil likewise): one short division each, the
+    same integers as divided afresh.  The terms fall in k and in m, so once
+    the last term's floor is 0 (its ceiling 1), it stays so: it is counted,
+    +1 on the upper end for even k and -1 on the lower for odd k, and
+    dropped.  A large m then sums about 2^((prec + F + 8) / m) terms, as few
+    as the Dirichlet series with an integral tail would.
     """
     n, d, F = _borwein_length(prec)
-    lo, hi = [], []
+    floors, inexact = [], []
     for k in range(n):
-        num, den = (d[n] - d[k]) << F, (k + 1) ** m0
-        lo.append(num // den)
-        hi.append(-(-num // den))
-    squares = [(k + 1) ** 2 for k in range(n)]
+        q, r = divmod((d[n] - d[k]) << F, (k + 1) ** m0)
+        floors.append(q)
+        inexact.append(r > 0)
+    squares = None
     dropped = [0, 0]  # dropped terms of even and of odd k
     out = {}
     for m in range(m0, top + 1, 2):
         if m > m0:
-            lo = list(map(operator.floordiv, lo, squares))
-            hi = [-(-x // q) for x, q in zip(hi, squares)]
-        while len(lo) > 1 and lo[-1] == 0:
-            dropped[(len(hi) - 1) % 2] += 1
-            lo.pop()
-            hi.pop()
-        s_lo = sum(lo[::2]) - sum(hi[1::2]) - dropped[1]
-        s_hi = sum(hi[::2]) - sum(lo[1::2]) + dropped[0]
+            squares = squares or [(k + 1) ** 2 for k in range(n)]
+            steps = list(map(divmod, floors, squares))
+            floors = [q for q, _ in steps]
+            inexact = [e or r > 0 for (_, r), e in zip(steps, inexact)]
+        while len(floors) > 1 and floors[-1] == 0:
+            dropped[(len(floors) - 1) % 2] += 1
+            floors.pop()
+            inexact.pop()
+        even, odd = sum(floors[::2]), sum(floors[1::2])
+        s_lo = even - odd - sum(inexact[1::2]) - dropped[1]
+        s_hi = even + sum(inexact[::2]) - odd + dropped[0]
         out[m] = _borwein_ends(s_lo, s_hi, m, d[n], F, prec)
     return out
 

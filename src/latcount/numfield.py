@@ -434,13 +434,37 @@ class NumberField:
         quadratic field the fundamental discriminant of disc(Z[theta]), which
         refuses a |disc| past polymod.MAX_FACTOR; over a cubic with
         disc(Z[theta]) = m^2 (a cyclic field) f^2 when f is the one conductor
-        that m allows (polymod.cubic_conductors); None otherwise."""
+        that m allows, or Dedekind's criterion certifies Z[theta] maximal and
+        f = m (cyclic_conductors); None otherwise."""
         if self.degree == 3:
-            conductors = cyclic_cubic_conductors(self)
+            conductors = self.cyclic_conductors
             return conductors[0] ** 2 if conductors and len(conductors) == 1 else None
         if self.degree > 2:
             return None
         return fundamental_discriminant(self.zk_disc) if self.degree == 2 else 1
+
+    @cached_property
+    def cyclic_conductors(self) -> tuple | None:
+        """The conductors a cubic field with disc(Z[theta]) = m^2 can have
+        (polymod.cubic_conductors, which runs Dedekind's criterion at each p
+        | m), else None: a cubic whose discriminant is a square is cyclic, and
+        its conductor f divides m, with d_K = f^2."""
+        disc = self.zk_disc
+        if self.degree != 3 or disc < 0 or isqrt(disc) ** 2 != disc:
+            return None
+        return cubic_conductors(isqrt(disc), self.min_poly.coefficients)
+
+    @property
+    def abs_disc_range(self) -> tuple[int, int]:
+        """The least and the greatest |d_K| that the field's data allow: |d_K|
+        where fundamental_disc certifies it; over a cubic with disc(Z[theta])
+        = m^2 that allows several conductors f, the least and greatest f^2;
+        else |disc|."""
+        if self.fundamental_disc:
+            return abs(self.fundamental_disc), abs(self.fundamental_disc)
+        if conductors := self.cyclic_conductors:
+            return conductors[0] ** 2, conductors[-1] ** 2
+        return self.abs_disc, self.abs_disc
 
     def embeddings(self, prec: int | None = None):
         """(real enclosures ascending, upper-half boxes), one per infinite place."""
@@ -470,16 +494,6 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({self.min_poly}, disc={self.disc})"
-
-
-def cyclic_cubic_conductors(field: NumberField) -> tuple | None:
-    """The conductors a cubic field with disc(Z[theta]) = m^2 can have
-    (polymod.cubic_conductors), else None: a cubic whose discriminant is a
-    square is cyclic, and its conductor f divides m, with d_K = f^2."""
-    disc = field.zk_disc
-    if field.degree != 3 or disc < 0 or isqrt(disc) ** 2 != disc:
-        return None
-    return cubic_conductors(isqrt(disc))
 
 
 # ---------------------------------------------------------- irreducibility

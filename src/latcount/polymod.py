@@ -22,7 +22,7 @@ are made canonical only when a result is unpacked to a list.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, zip_longest
 from math import isqrt
 
 from .errors import LatcountError
@@ -135,11 +135,13 @@ def factor(n: int) -> dict:
     return out
 
 
-def cubic_conductors(m: int) -> tuple | None:
-    """The conductors f > 1 that a cyclic cubic field with disc(Z[theta]) = m^2
-    can have, ascending: d_K = f^2 and m = index * f, and f is 9 or 1 times
-    distinct primes = 1 mod 3, so every divisor of m of that form.  None for
-    m past MAX_TRIAL."""
+def cubic_conductors(m: int, poly) -> tuple | None:
+    """The conductors f > 1 that the cyclic cubic field of poly, a monic cubic
+    (coefficients ascending) with disc(Z[theta]) = m^2, can have, ascending:
+    d_K = f^2 and m = index * f, and f is 9 or 1 times distinct primes = 1
+    mod 3, so every divisor of m of that form; but where Dedekind's
+    criterion (dedekind_maximal) holds at every p | m, Z[theta] is maximal,
+    the index is 1 and f = m alone is left.  None for m past MAX_TRIAL."""
     if m > MAX_TRIAL:
         return None
     primes = factor(m)
@@ -147,7 +149,29 @@ def cubic_conductors(m: int) -> tuple | None:
     for p in primes:
         if p % 3 == 1:
             out += [f * p for f in out]
+    if all(dedekind_maximal(poly, p) for p in primes):
+        out = [f for f in out if f == m]
     return tuple(sorted(f for f in out if f > 1))
+
+
+def dedekind_maximal(f, p: int) -> bool:
+    """Whether Z[theta] = Z[x]/(f) is p-maximal, for f monic over Z
+    (coefficients ascending) and p prime: Dedekind's criterion (Cohen, GTM
+    138, Thm 6.1.4).  With g the product of the distinct monic irreducible
+    factors of f mod p and h = f / g mod p, both lifted with coefficients in
+    [0, p), Z[theta] is p-maximal iff gcd(F, g, h) = 1 mod p, F = (g h - f) /
+    p.  g is the lcm over i <= deg f of gcd(f, x^(p^i) - x), whose factors
+    are the distinct irreducible ones of degree dividing i."""
+    fp = poly_mod(f, p)
+    g, frob = [1], [0, 1]
+    for _ in range(len(fp) - 1):
+        frob = poly_powmod(frob, p, fp, p)
+        common = poly_gcd(fp, _poly_sub_xj(frob, 1, p), p)
+        g = poly_mod(_poly_mul(g, _poly_div_exact(common, poly_gcd(g, common, p), p)), p)
+    h = _poly_div_exact(fp, g, p)
+    gh = _poly_mul(g, h)
+    F = poly_mod([(a - b) // p for a, b in zip_longest(gh, f, fillvalue=0)], p)
+    return len(poly_gcd(poly_gcd(F, g, p), h, p)) == 1
 
 
 def fundamental_discriminant(disc: int) -> int:

@@ -49,9 +49,9 @@ from .interval import (
     zeta_interval,
 )
 from .liedata import LieTypeData, outer2_signs, split_signs
-from .numfield import NumberField, cyclic_cubic_conductors
+from .numfield import NumberField
 from .pisot_tower import QuadraticExtensionData
-from .polymod import distinct_degree_degrees, kronecker, prime_list
+from .polymod import distinct_degree_degrees, is_prime, kronecker, prime_list
 
 # ========================================================== finite group data
 
@@ -229,14 +229,15 @@ def closed_form_character(k: NumberField) -> tuple[int, int] | None:
     """(f, order d) of the primitive character that cuts out k when
     interval.cyclic_zeta_intervals takes it, else None: a quadratic field, f =
     d_K (negative, an odd character, for an imaginary field), and a cubic
-    whose d_K = f^2 is certified, disc(Z[theta]) = m^2 with one conductor f
-    that m allows (k.fundamental_disc); that f is 9 or a prime, as 9 p or p q
-    would leave 9 and p or p and q as well.  |f| is at most
+    whose d_K = f^2 is certified (k.fundamental_disc), for f = 9 or a prime:
+    a composite f, 9 p or p q, is the conductor of two cyclic cubic fields,
+    and f alone does not tell their characters apart.  |f| is at most
     CLOSED_FORM_MAX_CONDUCTOR."""
     dk = k.fundamental_disc
     if k.degree == 2 and abs(dk) <= CLOSED_FORM_MAX_CONDUCTOR:
         return dk, 2
-    if k.degree == 3 and dk and (f := isqrt(dk)) <= CLOSED_FORM_MAX_CONDUCTOR:
+    if (k.degree == 3 and dk and (f := isqrt(dk)) <= CLOSED_FORM_MAX_CONDUCTOR
+            and (f == 9 or is_prime(f))):
         return f, 3
     return None
 
@@ -297,18 +298,6 @@ def euler_product_E(
     return out
 
 
-def _abs_disc_range(k: NumberField) -> tuple[int, int]:
-    """The least and the greatest |d_K| that k's data allow: |d_K| over Q,
-    over a quadratic field and over a cubic of certified d_K
-    (k.fundamental_disc); over a cubic with disc(Z[theta]) = m^2 that allows
-    several conductors f, the least and greatest f^2; else |k.disc|."""
-    if k.fundamental_disc:
-        return abs(k.fundamental_disc), abs(k.fundamental_disc)
-    if conductors := cyclic_cubic_conductors(k):
-        return conductors[0] ** 2, conductors[-1] ** 2
-    return k.abs_disc, k.abs_disc
-
-
 # ================================================================= covolume
 
 class CovolumeResult(namedtuple("CovolumeResult", [
@@ -348,7 +337,7 @@ def covolume(
     D is |d_K| over Q, over a quadratic field (k.fundamental_disc, which
     refuses a disc(Z[theta]) it cannot factor) and over a cubic of certified
     conductor; over a cubic with disc(Z[theta]) = m^2 that allows several
-    conductors f, D^(dim/2) is the hull over f^2 (_abs_disc_range); else D is
+    conductors f, D^(dim/2) is the hull over f^2 (k.abs_disc_range); else D is
     |k.disc|.  The
     relative-discriminant factor (D_rel)^(s/2) is folded into
     disc_factor as the bracket [1, rel_bound^(s/2)], rel_bound =
@@ -362,7 +351,7 @@ def covolume(
     wp = k.precision + 16
     d = k.degree
     s = data.s_param
-    least, greatest = _abs_disc_range(k)
+    least, greatest = k.abs_disc_range
     disc = RealInterval.point(least).pow_frac(Fraction(data.dim, 2), wp)
     if greatest > least:
         disc = disc.hull(RealInterval.point(greatest).pow_frac(Fraction(data.dim, 2), wp))

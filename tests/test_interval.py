@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import libmp, mp
 
+from latcount import interval
 from latcount.errors import LatcountError
 from latcount.interval import (
     RealInterval,
     _arctan_fixed,
+    _borwein_ends,
+    _borwein_length,
     _zeta_chain,
     decimal_str,
     exp1_interval,
@@ -301,17 +304,36 @@ def test_zeta_interval_inside_the_truncated_euler_product(prec):
         assert dedekind_zeta_partial(q, s, 10 ** 4).encloses(zeta_interval(s, prec)), s
 
 
+def borwein_sums(s, prec):
+    # Borwein's alternating sum with every floor and ceiling divided afresh
+    n, d, F = _borwein_length(prec)
+    lo = hi = 0
+    for k in range(n):
+        num, den = (d[n] - d[k]) << F, (k + 1) ** s
+        sign = 1 if k % 2 == 0 else -1
+        ends = (sign * num // den, -(-sign * num // den))
+        lo, hi = lo + min(ends), hi + max(ends)
+    return lo, hi
+
+
 @pytest.mark.parametrize("prec", [16, 144, 512])
-def test_zeta_chain_is_zeta_interval_at_every_m(prec):
-    # the chained terms are the floors and ceilings summed afresh, and the
-    # dropped terms count as zeta_interval's rounded ones do; past m = prec +
-    # 8 + F one term is left
+def test_zeta_chain_is_borweins_sum_at_every_m(prec, monkeypatch):
+    # the chained floors and flags are the floors and ceilings divided
+    # afresh, and the dropped terms count as their roundings do; past m =
+    # prec + 8 + F one term is left
+    n, d, F = _borwein_length(prec)
     top = prec + 64
     for m0 in (2, 3):
         chain = _zeta_chain(m0, top, prec)
         assert sorted(chain) == list(range(m0, top + 1, 2))
         for m, (lo, hi) in chain.items():
+            assert (lo, hi) == _borwein_ends(*borwein_sums(m, prec), m, d[n], F, prec), m
             assert RealInterval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)) == zeta_interval(m, prec), m
+    # the fixed-point sums themselves, which the ends' rounding mostly hides
+    monkeypatch.setattr(interval, "_borwein_ends", lambda lo, hi, *rest: (lo, hi))
+    for m0 in (2, 3):
+        for m, sums in _zeta_chain(m0, top, prec).items():
+            assert sums == borwein_sums(m, prec), m
 
 
 def test_zeta_interval_rejects_s_below_two():

@@ -10,6 +10,7 @@ from latcount.polymod import (
     MAX_FACTOR,
     MAX_TRIAL,
     cubic_conductors,
+    dedekind_maximal,
     distinct_degree_blocks,
     distinct_degree_degrees,
     equal_degree_split,
@@ -353,14 +354,51 @@ def test_factor_matches_trial_division():
             factor(n)
 
 
-@pytest.mark.parametrize("m, conductors", [
-    (7, (7,)), (9, (9,)), (27, (9,)), (21, (7,)), (4, ()), (63, (7, 9, 63)),
-    (91, (7, 13, 91)), (2 * 3 * 7 * 13 * 9, (7, 9, 13, 63, 91, 117, 819)),
-    (MAX_TRIAL + 1, None),
+@pytest.mark.parametrize("poly, m, conductors", [
+    ([-1, -2, 1, 1], 7, (7,)),  # x^3+x^2-2x-1
+    ([1, -3, 0, 1], 9, (9,)),  # x^3-3x+1
+    ([-1, -6, -3, 1], 27, (9,)),  # Shanks a = 3: index 3
+    ([-8, -8, 2, 1], 56, (7,)),  # 2 theta of x^3+x^2-2x-1: 2 is no conductor
+    ([-27, -18, 3, 1], 189, (7, 9, 63)),  # 3 theta of x^3+x^2-2x-1
+    ([-343, -196, -7, 1], 4459, (7, 13, 91)),  # 7 theta of x^3-x^2-4x-1
+    ([-1, -16, -3, 1], 133, (7, 19, 133)),  # x^3-3x^2-16x-1: index 7
+    ([-1, -9, -6, 1], 63, (63,)),  # x^3-6x^2-9x-1: maximal at 3 and 7
+    ([-10 ** 15, -2 * 10 ** 10, 10 ** 5, 1], 7 * 10 ** 15, None),  # past MAX_TRIAL
 ])
-def test_cubic_conductors(m, conductors):
-    # 9 or 1 times distinct primes = 1 mod 3, each dividing m
-    assert cubic_conductors(m) == conductors
+def test_cubic_conductors(poly, m, conductors):
+    # 9 or 1 times distinct primes = 1 mod 3, each dividing m; Dedekind's
+    # criterion at every p | m leaves f = m alone
+    assert cubic_conductors(m, poly) == conductors
+
+
+def test_dedekind_maximal_matches_quadratic_and_pure_cubic_indices():
+    # Z[sqrt d] is 2-maximal iff d = 2, 3 mod 4 and p-maximal at odd p iff
+    # p^2 does not divide d; Z[d^(1/3)], d cubefree, is 3-maximal iff d is
+    # not 0, +-1 mod 9 and p-maximal at p != 3 iff p^2 does not divide d
+    for d in range(-300, 301):
+        if d in (0, 1) or d > 0 and isqrt(d) ** 2 == d:
+            continue
+        for p in (2, 3, 5, 7, 11):
+            maximal = d % 4 in (2, 3) if p == 2 else d % (p * p) != 0
+            assert dedekind_maximal([-d, 0, 1], p) == maximal, (d, p)
+        if any(d % (q ** 3) == 0 for q in (2, 3, 5)) or round(abs(d) ** (1 / 3)) ** 3 == abs(d):
+            continue
+        for p in (2, 3, 5, 7, 11):
+            maximal = d % 9 not in (0, 1, 8) if p == 3 else d % (p * p) != 0
+            assert dedekind_maximal([-d, 0, 0, 1], p) == maximal, (d, p)
+
+
+@pytest.mark.parametrize("p", [3, 7, 11])
+def test_dedekind_maximal_at_a_repeated_quadratic_factor(p):
+    # x^2 + 1 is irreducible mod p = 3 mod 4; (x^2+1)^2 + p^2 x puts
+    # (theta^2 + 1) / p in the ring of integers, (x^2+1)^2 + p does not
+    assert not dedekind_maximal([1, p * p, 2, 0, 1], p)
+    assert dedekind_maximal([1 + p, 0, 2, 0, 1], p)
+    rng = random.Random(p)
+    for _ in range(50):  # Eisenstein at p
+        f = [p * rng.randint(-20, 20) for _ in range(rng.randint(2, 7))] + [1]
+        f[0] = p * rng.choice([u for u in range(-20, 21) if u % p])
+        assert dedekind_maximal(f, p), f
 
 
 @pytest.mark.parametrize("disc, d_k", [

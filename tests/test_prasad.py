@@ -508,7 +508,7 @@ def test_cyclic_cubic_at_even_s_visits_no_prime(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("poly, type_name", [
-    ("x^3-6x^2-9x-1", "A1"),  # disc(Z[theta]) = 63^2: conductor 7, 9 or 63
+    ("x^3-6x^2-9x-1", "A1"),  # d_K = 63^2: conductor 63, of two cubic fields
     ("x^3-x-1", "A1"),  # not cyclic
 ])
 def test_other_cubics_take_the_euler_pass(monkeypatch, poly, type_name):
@@ -520,11 +520,26 @@ def test_other_cubics_take_the_euler_pass(monkeypatch, poly, type_name):
 
 
 def test_a_cubic_of_several_conductors_takes_the_hull_of_their_discs():
-    # 63 = 7 9 allows the conductors 7, 9 and 63, so d_K is 49, 81 or 3969
-    k = field_from_polynomial("x^3-6x^2-9x-1")
+    # 133 = 7 19 allows the conductors 7, 19 and 133, and Dedekind's
+    # criterion fails at 7, so Z[theta] is not certified maximal: d_K is 49,
+    # 361 or 17689
+    k = field_from_polynomial("x^3-3x^2-16x-1")
+    assert k.zk_disc == 133 ** 2 and k.cyclic_conductors == (7, 19, 133)
     assert k.fundamental_disc is None and prasad.closed_form_character(k) is None
     res = covolume(k, None, A1, prime_bound=100)
-    assert res.disc_factor.lo == 343 and res.disc_factor.hi == 250047  # 7^3, 63^3
+    assert res.disc_factor.lo == 343 and res.disc_factor.hi == 2352637  # 7^3, 133^3
+
+
+def test_a_maximal_cubic_order_certifies_d_k():
+    # 63 = 7 9 allows the conductors 7, 9 and 63, but Dedekind's criterion
+    # holds at 3 and 7, so Z[theta] is maximal and d_K = 63^2; conductor 63
+    # belongs to two cubic fields, so the pass runs
+    k = field_from_polynomial("x^3-6x^2-9x-1")
+    assert k.cyclic_conductors == (63,) and k.fundamental_disc == 63 ** 2
+    assert k.abs_disc_range == (63 ** 2, 63 ** 2)
+    assert prasad.closed_form_character(k) is None
+    res = covolume(k, None, A1, prime_bound=100)
+    assert res.disc_factor == RealInterval.point(63 ** 3)
 
 
 def test_shanks_a3_is_the_conductor_9_field():

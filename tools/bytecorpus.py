@@ -113,15 +113,17 @@ EXTRAS = (
     "covolume --field x^3-3x^2-6x-1 --type A1",
     "covolume --field x^3+x^2-2x-1 --type A2",
     # the Hurwitz series: imaginary quadratic fields at even and odd s (d_K
-    # -4, -3, -7 and -24, disc(Z[theta]) = -216), odd s over a real quadratic and a
-    # cyclic cubic, a cubic with disc(Z[theta]) = 63^2 that allows three
-    # conductors (the disc factor's hull, and the pass), and the pass where
-    # the series would cost more: an outer form, d_K = -1299 at the default
-    # precision, and 4096 bits
+    # -4, -3, -7 and -24, disc(Z[theta]) = -216), odd s over a real quadratic
+    # and a cyclic cubic, cubics whose disc(Z[theta]) allows three
+    # conductors, one with a maximal Z[theta] (d_K = 63^2, and the pass) and
+    # one without (the disc factor's hull over 7^2, 19^2 and 133^2, and the
+    # pass), and the pass where the series would cost more: an outer form,
+    # d_K = -1299 at the default precision, and 4096 bits
     *(f"covolume --field x^2+{a} --type {t}" for a in (1, 3, 7, 54)
       for t in ("A1", "A2", "B2", "G2", "E8")),
     "covolume --field x^2-5 --type A2",
     "covolume --field x^3-6x^2-9x-1 --type A1",
+    "covolume --field x^3-3x^2-16x-1 --type A1",
     "covolume --field x^2+7 --type A2 --outer --alpha 1,1 --prime-bound 10000",
     "covolume --field x^2+1299 --type A1",
     "covolume --field x^2+7 --type A1 --prec 4096",

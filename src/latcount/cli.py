@@ -3,9 +3,11 @@ construction, covolume evaluation, and the growth-constant assemblies.
 
 Output is deterministic by construction: every number is rendered through
 exact decimal rounding, dictionaries are built in fixed order, and the zeta
-values come from outward-rounded fixed-point integers: Borwein's series over
-Q, one sequential pass over the primes for every other field.  Identical
-invocations therefore produce byte-identical reports.  --threads is
+values come from outward-rounded fixed-point integers or exact rationals:
+Borwein's series over Q, the Bernoulli closed form or the Hurwitz series
+over a quadratic field or a cyclic cubic of one conductor, one sequential
+pass over the primes for every other field.  Identical invocations
+therefore produce byte-identical reports.  --threads is
 accepted and validated for compatibility but has no effect.
 """
 

@@ -429,41 +429,27 @@ class NumberField:
         return abs(self.disc)
 
     @cached_property
-    def fundamental_disc(self) -> int | None:
-        """d_K where disc(Z[theta]) alone certifies it: 1 over Q; over a
-        quadratic field the fundamental discriminant of disc(Z[theta]), which
-        refuses a |disc| past polymod.MAX_FACTOR; over a cubic with
-        disc(Z[theta]) = m^2 (a cyclic field) f^2 when f is the one conductor
-        that m allows, or Dedekind's criterion certifies Z[theta] maximal and
-        f = m (cyclic_conductors); None otherwise."""
-        if self.degree == 3:
-            conductors = self.cyclic_conductors
-            return conductors[0] ** 2 if conductors and len(conductors) == 1 else None
-        if self.degree > 2:
-            return None
-        return fundamental_discriminant(self.zk_disc) if self.degree == 2 else 1
-
-    @cached_property
-    def cyclic_conductors(self) -> tuple | None:
-        """The conductors a cubic field with disc(Z[theta]) = m^2 can have
-        (polymod.cubic_conductors, which runs Dedekind's criterion at each p
-        | m), else None: a cubic whose discriminant is a square is cyclic, and
-        its conductor f divides m, with d_K = f^2."""
+    def conductors(self) -> tuple | None:
+        """The conductors that the field's data allow, ascending: (1,) over Q;
+        (d_K,) over a quadratic field, the fundamental discriminant of
+        disc(Z[theta]), negative for an imaginary field, which refuses a
+        |disc| past polymod.MAX_FACTOR; over a cubic with disc(Z[theta]) =
+        m^2, a cyclic field of conductor f | m and d_K = f^2, the f that
+        polymod.cubic_conductors leaves; None otherwise."""
         disc = self.zk_disc
-        if self.degree != 3 or disc < 0 or isqrt(disc) ** 2 != disc:
-            return None
-        return cubic_conductors(isqrt(disc), self.min_poly.coefficients)
+        if self.degree <= 2:
+            return (fundamental_discriminant(disc) if self.degree == 2 else 1,)
+        if self.degree == 3 and disc > 0 and (m := isqrt(disc)) ** 2 == disc:
+            return cubic_conductors(m, self.min_poly.coefficients)
+        return None
 
     @property
     def abs_disc_range(self) -> tuple[int, int]:
-        """The least and the greatest |d_K| that the field's data allow: |d_K|
-        where fundamental_disc certifies it; over a cubic with disc(Z[theta])
-        = m^2 that allows several conductors f, the least and greatest f^2;
-        else |disc|."""
-        if self.fundamental_disc:
-            return abs(self.fundamental_disc), abs(self.fundamental_disc)
-        if conductors := self.cyclic_conductors:
-            return conductors[0] ** 2, conductors[-1] ** 2
+        """The least and the greatest |d_K| that the field's data allow:
+        |f|^(d-1) over the conductors f, else |disc|."""
+        if conductors := self.conductors:
+            e = self.degree - 1
+            return abs(conductors[0]) ** e, abs(conductors[-1]) ** e
         return self.abs_disc, self.abs_disc
 
     def embeddings(self, prec: int | None = None):
@@ -608,9 +594,9 @@ def field_from_polynomial(
             raise LatcountError(
                 f"no field of degree {d} has |disc| = {abs(known_disc)} (Minkowski)"
             )
-        if d == 2 and known_disc != field.fundamental_disc:
+        if d == 2 and (known_disc,) != field.conductors:
             raise LatcountError(
-                f"known_disc {known_disc} is not d_K = {field.fundamental_disc} of this quadratic field"
+                f"known_disc {known_disc} is not d_K = {field.conductors[0]} of this quadratic field"
             )
         field.disc = known_disc
     return field

@@ -28,20 +28,16 @@ from math import isqrt
 from .errors import LatcountError
 
 
-def primes_up_to(n: int) -> list:
+def prime_list(n: int) -> tuple:
+    """The ascending primes <= n, by the sieve of Eratosthenes."""
     if n < 2:
-        return []
+        return ()
     sieve = bytearray([1]) * (n + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return list(compress(range(n + 1), sieve))
-
-
-def prime_list(n: int) -> tuple:
-    """The ascending primes <= n."""
-    return tuple(primes_up_to(n))
+    return tuple(compress(range(n + 1), sieve))
 
 
 # the first 13 primes; strong probable-prime tests to all of them prove an n
@@ -137,20 +133,19 @@ def factor(n: int) -> dict:
 
 def cubic_conductors(m: int, poly) -> tuple | None:
     """The conductors f > 1 that the cyclic cubic field of poly, a monic cubic
-    (coefficients ascending) with disc(Z[theta]) = m^2, can have, ascending:
-    d_K = f^2 and m = index * f, and f is 9 or 1 times distinct primes = 1
-    mod 3, so every divisor of m of that form; but where Dedekind's
-    criterion (dedekind_maximal) holds at every p | m, Z[theta] is maximal,
-    the index is 1 and f = m alone is left.  None for m past MAX_TRIAL."""
+    (coefficients ascending) with disc(Z[theta]) = m^2, can have, ascending;
+    None for m past MAX_TRIAL.  d_K = f^2 and m = index * f, and f is 9 or 1
+    times distinct primes = 1 mod 3, so v_p(f) is 0 or 2 at p = 3, 0 or 1 at
+    p = 1 mod 3 and 0 at every other p.  Each p | m is decided on its own:
+    where Dedekind's criterion (dedekind_maximal) holds, p does not divide
+    the index and v_p(f) = v_p(m); where it fails, v_p(f) < v_p(m)."""
     if m > MAX_TRIAL:
         return None
-    primes = factor(m)
-    out = [1, 9] if primes.get(3, 0) >= 2 else [1]
-    for p in primes:
-        if p % 3 == 1:
-            out += [f * p for f in out]
-    if all(dedekind_maximal(poly, p) for p in primes):
-        out = [f for f in out if f == m]
+    out = [1]
+    for p, e in factor(m).items():
+        allowed = (0, 2) if p == 3 else (0, 1) if p % 3 == 1 else (0,)
+        maximal = dedekind_maximal(poly, p)
+        out = [f * p ** a for f in out for a in allowed if (a == e if maximal else a < e)]
     return tuple(sorted(f for f in out if f > 1))
 
 

@@ -13,8 +13,8 @@ bounds, and the assembly of the volume formula
 Over Q each zeta(s) is enclosed to the working precision by P. Borwein's
 alternating series with its explicit error bound (interval.zeta_interval),
 so no prime is visited and the prime bound changes nothing.  The same holds
-over a quadratic field and over a cyclic cubic field whose conductor
-disc(Z[theta]) = m^2 fixes, for a conductor up to CLOSED_FORM_MAX_CONDUCTOR
+over a quadratic field and over a cyclic cubic field of one conductor f in
+NumberField.conductors, 9 or a prime, for |f| up to CLOSED_FORM_MAX_CONDUCTOR
 (interval.cyclic_zeta_intervals): at even zeta arguments over a real field
 zeta_K(s) is a rational multiple of pi^(d s)/sqrt(d_K), from the generalized
 Bernoulli numbers of the field's character of order d, and at every other
@@ -24,8 +24,9 @@ field of degree >= 2, and for an outer form that would need the series, the
 truncated Euler products come from one pass over the primes that keeps
 floor- and ceil-rounded fixed-point integers per zeta argument, so they
 enclose the exact rational products; every transcendental enters as a
-certified interval, so the reported covolume is a true enclosure.  Over every
-quadratic field and every cubic of certified conductor D is d_K.
+certified interval, so the reported covolume is a true enclosure.  D is d_K
+over every quadratic field and every cubic of one conductor, and the hull
+over the d_K of a cubic that allows several.
 """
 
 from __future__ import annotations
@@ -225,32 +226,30 @@ def dedekind_zeta_partial(k: NumberField, s: int, prime_bound: int) -> RealInter
     return _zeta_pass(k, [s], [prime_bound], k.precision)[0][s]
 
 
-def closed_form_character(k: NumberField) -> tuple[int, int] | None:
+def _closed_form_character(
+    k: NumberField, s_values: Sequence[int], outer: bool, wp: int
+) -> tuple[int, int] | None:
     """(f, order d) of the primitive character that cuts out k when
-    interval.cyclic_zeta_intervals takes it, else None: a quadratic field, f =
-    d_K (negative, an odd character, for an imaginary field), and a cubic
-    whose d_K = f^2 is certified (k.fundamental_disc), for f = 9 or a prime:
+    interval.cyclic_zeta_intervals serves zeta_K at s_values, else None.
+
+    k is a quadratic or a cubic field with one conductor f in k.conductors
+    (f = d_K, negative for an imaginary quadratic field, whose character is
+    odd), |f| <= CLOSED_FORM_MAX_CONDUCTOR, and for a cubic f = 9 or a prime:
     a composite f, 9 p or p q, is the conductor of two cyclic cubic fields,
-    and f alone does not tell their characters apart.  |f| is at most
-    CLOSED_FORM_MAX_CONDUCTOR."""
-    dk = k.fundamental_disc
-    if k.degree == 2 and abs(dk) <= CLOSED_FORM_MAX_CONDUCTOR:
-        return dk, 2
-    if (k.degree == 3 and dk and (f := isqrt(dk)) <= CLOSED_FORM_MAX_CONDUCTOR
-            and (f == 9 or is_prime(f))):
-        return f, 3
-    return None
-
-
-def _takes_closed_form(f: int, s_values: Sequence[int], outer: bool, wp: int) -> bool:
-    """Whether zeta_K at s_values comes from cyclic_zeta_intervals for the
-    character (f, order) of closed_form_character: always when every s is even
-    and the field real (the Bernoulli closed form alone); else, when the
-    Hurwitz series is needed, for an inner form whose estimated work is at
-    most SERIES_MAX_WORK."""
-    if f > 0 and all(s % 2 == 0 for s in s_values):
-        return True
-    return not outer and abs(f) * wp + wp * wp // 2 <= SERIES_MAX_WORK
+    and f alone does not tell their characters apart.  The Bernoulli closed
+    form serves when every s is even and the field real; the Hurwitz series
+    serves every other s of an inner form whose estimated work is at most
+    SERIES_MAX_WORK.
+    """
+    conductors = k.conductors
+    if not conductors or len(conductors) > 1:
+        return None
+    (f,) = conductors
+    if abs(f) > CLOSED_FORM_MAX_CONDUCTOR or k.degree == 3 and f != 9 and not is_prime(f):
+        return None
+    serves = (f > 0 and all(s % 2 == 0 for s in s_values)
+              or not outer and abs(f) * wp + wp * wp // 2 <= SERIES_MAX_WORK)
+    return (f, k.degree) if serves else None
 
 
 def euler_product_E(
@@ -261,13 +260,13 @@ def euler_product_E(
 
     Over Q every zeta(s) comes from interval.zeta_interval instead.  Over a
     quadratic field with |d_K| <= CLOSED_FORM_MAX_CONDUCTOR or a cyclic cubic
-    of certified conductor 9 or a prime up to that cap
-    (closed_form_character), zeta_k comes from interval.cyclic_zeta_intervals:
-    at even s over a real field from the Bernoulli closed form, and at every
-    other s of an inner form from the Hurwitz series while its estimated
-    work stays within SERIES_MAX_WORK (_takes_closed_form).  Neither depends
-    on the bound, so each bound gets the same interval.  Every other field,
-    and an outer form that needs the series, takes the pass.
+    of one conductor, 9 or a prime up to that cap (_closed_form_character),
+    zeta_k comes from interval.cyclic_zeta_intervals: at even s over a real
+    field from the Bernoulli closed form, and at every other s of an inner
+    form from the Hurwitz series while its estimated work stays within
+    SERIES_MAX_WORK.  Neither depends on the bound, so each bound gets the
+    same interval.  Every other field, and an outer form that needs the
+    series, takes the pass.
 
     An outer form's factor at the exponents where outer2_signs is +1 is
     L(s, chi) for the quadratic character chi of the splitting field, s =
@@ -281,8 +280,7 @@ def euler_product_E(
     s_values = [m + 1 for m in data.exponents] + twisted
     if k.degree == 1:
         passes = [{s: zeta_interval(s, wp) for s in set(s_values)}] * len(bounds)
-    elif (character := closed_form_character(k)) and _takes_closed_form(
-            character[0], s_values, bool(data.s_param), wp):
+    elif character := _closed_form_character(k, s_values, bool(data.s_param), wp):
         passes = [cyclic_zeta_intervals(*character, s_values, wp)] * len(bounds)
     else:
         passes = _zeta_pass(k, s_values, bounds, wp)
@@ -334,11 +332,11 @@ def covolume(
     """Volume-formula enclosure for a concrete base field, worked at
     k.precision + 16 bits.
 
-    D is |d_K| over Q, over a quadratic field (k.fundamental_disc, which
-    refuses a disc(Z[theta]) it cannot factor) and over a cubic of certified
-    conductor; over a cubic with disc(Z[theta]) = m^2 that allows several
-    conductors f, D^(dim/2) is the hull over f^2 (k.abs_disc_range); else D is
-    |k.disc|.  The
+    D^(dim/2) is the hull over the |d_K| that k.conductors allows
+    (k.abs_disc_range): |d_K| itself over Q, over a quadratic field (which
+    refuses a disc(Z[theta]) it cannot factor) and over a cubic of one
+    conductor f; the hull over f^2 for a cubic with disc(Z[theta]) = m^2
+    that allows several; else D is |k.disc|.  The
     relative-discriminant factor (D_rel)^(s/2) is folded into
     disc_factor as the bracket [1, rel_bound^(s/2)], rel_bound =
     ceil(ext.disc_bound / |k.disc|^2) = 4^d N(alpha) c^(2d), the extension's

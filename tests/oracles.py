@@ -404,6 +404,65 @@ def _cubic_character_by_root_counts(coeffs, f: int) -> dict:
     return chi
 
 
+def _is_cubic_conductor(f: int) -> bool:
+    """Whether f > 1 is 9 or 1 times distinct primes = 1 mod 3, by trial
+    division: the form of the conductor of a cyclic cubic field."""
+    n = f // 9 if f % 9 == 0 else f
+    if f < 2 or n % 3 == 0:
+        return False
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0 or q % 3 != 1:
+                return False
+        q += 1
+    return n == 1 or n % 3 == 1
+
+
+def cubic_conductor_divisors(m: int) -> list:
+    """The divisors of m of conductor form (_is_cubic_conductor), ascending."""
+    divisors = {d for a in range(1, isqrt(m) + 1) if m % a == 0 for d in (a, m // a)}
+    return sorted(f for f in divisors if _is_cubic_conductor(f))
+
+
+def _splits_completely(coeffs, p: int) -> bool:
+    """Whether x^p = x modulo the monic cubic coeffs (constant first) and p,
+    by square and multiply on residues a0 + a1 x + a2 x^2."""
+    c0, c1, c2 = coeffs[:3]
+
+    def mul(a, b):
+        (a0, a1, a2), (b0, b1, b2) = a, b
+        x3, x4 = a1 * b2 + a2 * b1, a2 * b2
+        x3 -= x4 * c2  # x^4 = -x (c0 + c1 x + c2 x^2), then x^3 likewise
+        return [(a0 * b0 - x3 * c0) % p,
+                (a0 * b1 + a1 * b0 - x4 * c0 - x3 * c1) % p,
+                (a0 * b2 + a1 * b1 + a2 * b0 - x4 * c1 - x3 * c2) % p]
+
+    power, base, e = [1, 0, 0], [0, 1, 0], p
+    while e:
+        if e & 1:
+            power = mul(power, base)
+        base, e = mul(base, base), e >> 1
+    return power == [0, 1 % p, 0]
+
+
+def cubic_conductor_brute(coeffs, m: int) -> int:
+    """The conductor of the cyclic cubic field of the monic cubic coeffs
+    (constant first) with discriminant m^2: the least divisor f of m of
+    conductor form such that the number of roots of coeffs mod p depends
+    only on p mod f, over the primes p < 4000 not dividing m.  At such p the
+    Frobenius lies in the cyclic Galois group, so there are 3 roots or none,
+    and 3 exactly when x^p = x modulo coeffs and p."""
+    roots = {p: _splits_completely(coeffs, p) for p in range(2, 4000)
+             if m % p and all(p % q for q in range(2, isqrt(p) + 1))}
+    for f in cubic_conductor_divisors(m):
+        classes = {}
+        if all(classes.setdefault(p % f, r) == r for p, r in roots.items()):
+            return f
+    raise AssertionError(f"no divisor of {m} is the conductor of {coeffs}")
+
+
 def cyclic_cubic_zeta_neg(coeffs, f: int, n: int) -> Fraction:
     """zeta_K(1 - n) at even n for the cyclic cubic field of conductor f cut
     out by coeffs: (-B_n/n) |B_(n,chi)/n|^2 with B_(n,chi) = f^(n-1)

@@ -22,19 +22,24 @@ from latcount.polymod import (
     poly_gcd,
     poly_powmod,
     prime_list,
-    primes_up_to,
     squarefree_part,
 )
 from latcount.prasad import prime_splitting
 
-from oracles import cyclotomic, discriminant_oracle, squarefree_core
+from oracles import (
+    cubic_conductor_brute,
+    cubic_conductor_divisors,
+    cyclotomic,
+    discriminant_oracle,
+    squarefree_core,
+)
 
 
 def test_prime_sieve():
-    assert primes_up_to(1) == []
-    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert len(primes_up_to(10 ** 4)) == 1229
-    assert prime_list(100) == tuple(primes_up_to(100))
+    assert prime_list(1) == prime_list(-5) == ()
+    assert prime_list(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    assert len(prime_list(10 ** 4)) == 1229
+    assert prime_list(100) == tuple(p for p in range(100) if is_prime(p))
     assert prime_list(10 ** 5)[-1] == 99991
 
 
@@ -359,16 +364,73 @@ def test_factor_matches_trial_division():
     ([1, -3, 0, 1], 9, (9,)),  # x^3-3x+1
     ([-1, -6, -3, 1], 27, (9,)),  # Shanks a = 3: index 3
     ([-8, -8, 2, 1], 56, (7,)),  # 2 theta of x^3+x^2-2x-1: 2 is no conductor
-    ([-27, -18, 3, 1], 189, (7, 9, 63)),  # 3 theta of x^3+x^2-2x-1
-    ([-343, -196, -7, 1], 4459, (7, 13, 91)),  # 7 theta of x^3-x^2-4x-1
-    ([-1, -16, -3, 1], 133, (7, 19, 133)),  # x^3-3x^2-16x-1: index 7
+    ([-27, -18, 3, 1], 189, (7, 63)),  # 3 theta of x^3+x^2-2x-1: v_3(f) < 3
+    ([-343, -196, -7, 1], 4459, (13, 91)),  # 7 theta of x^3-x^2-4x-1: v_7(f) < 3
+    ([-1, -16, -3, 1], 133, (19,)),  # x^3-3x^2-16x-1: index 7
     ([-1, -9, -6, 1], 63, (63,)),  # x^3-6x^2-9x-1: maximal at 3 and 7
     ([-10 ** 15, -2 * 10 ** 10, 10 ** 5, 1], 7 * 10 ** 15, None),  # past MAX_TRIAL
+    ([-1, 17, -10, 1], 91, (7,)),  # x^3-10x^2+17x-1: index 13
+    ([-19, 45, -24, 1], 333, (9,)),  # x^3-24x^2+45x-19: index 37
+    ([3, 35, -18, 1], 511, (73,)),  # x^3-18x^2+35x+3: index 7
+    ([-1, 12, 15, 1], 189, (7, 63)),  # x^3+15x^2+12x-1: index 27 or 3
 ])
 def test_cubic_conductors(poly, m, conductors):
-    # 9 or 1 times distinct primes = 1 mod 3, each dividing m; Dedekind's
-    # criterion at every p | m leaves f = m alone
+    # 9 or 1 times distinct primes = 1 mod 3, each dividing m; at each p | m
+    # Dedekind's criterion keeps v_p(f) = v_p(m) where it holds and the
+    # exponents below v_p(m) where it fails
     assert cubic_conductors(m, poly) == conductors
+
+
+def _char_poly(coeffs, v, w):
+    """The characteristic polynomial (constant first) of v theta + w theta^2
+    for theta a root of the monic cubic coeffs, from its matrix on 1, theta,
+    theta^2: x^3 - tr A x^2 + (tr(A)^2 - tr(A^2))/2 x - det A."""
+    c0, c1, c2 = coeffs[:3]
+    M = [[0, 0, -c0], [1, 0, -c1], [0, 1, -c2]]
+
+    def mul(X, Y):
+        return [[sum(X[i][k] * Y[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+    M2 = mul(M, M)
+    A = [[v * M[i][j] + w * M2[i][j] for j in range(3)] for i in range(3)]
+    A2 = mul(A, A)
+    t1 = A[0][0] + A[1][1] + A[2][2]
+    t2 = (t1 * t1 - A2[0][0] - A2[1][1] - A2[2][2]) // 2
+    t3 = (A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
+          - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
+          + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
+    return [-t3, t2, -t1, 1]
+
+
+def _cyclic_cubic_corpus(size, seed):
+    """{coefficients: m}: characteristic polynomials of v theta + w theta^2,
+    theta a root of Shanks's x^3 - a x^2 - (a+3) x - 1 for a < 24
+    (conductors up to 657), with a composite m <= 10^6, disc = m^2.  A cubic
+    field has no proper subfield but Q, so each one generates the field of
+    theta, and the index of Z[v theta + w theta^2] spreads over many primes."""
+    rng, corpus = random.Random(seed), {}
+    while len(corpus) < size:
+        a, v, w = rng.randrange(24), rng.randint(-5, 5), rng.randint(-3, 3)
+        if v or w:
+            poly = _char_poly([-1, -a - 3, -a, 1], v, w)
+            m = isqrt(int(discriminant_oracle(poly)))
+            if 1 < m <= 10 ** 6 and not is_prime(m):
+                corpus[tuple(poly)] = m
+    return corpus
+
+
+def test_cubic_conductors_keep_the_brute_force_conductor():
+    # the conductors left prime by prime are divisors of m of conductor form,
+    # and among them is the one that the root counts of the cubic mod p, a
+    # function of p mod f, show; the criterion narrows most of the corpus
+    corpus = _cyclic_cubic_corpus(120, 91)
+    narrowed = 0
+    for poly, m in corpus.items():
+        conductors, divisors = cubic_conductors(m, poly), cubic_conductor_divisors(m)
+        assert set(conductors) <= set(divisors), (poly, m)
+        assert cubic_conductor_brute(poly, m) in conductors, (poly, m)
+        narrowed += len(conductors) < len(divisors)
+    assert 2 * narrowed > len(corpus)
 
 
 def test_dedekind_maximal_matches_quadratic_and_pure_cubic_indices():

@@ -248,7 +248,7 @@ def test_cubic_covolume_factors_only_primes_with_square_discriminant(
     ("x^3-x-1", "[1.105797525919, 1.112759829069]"),
     ("x^3+2x+1", "[1.471619479643, 1.473772479974]"),
     ("x^3-x^2-4x-1", "[1.16691147756, 1.166911477561]"),  # the closed form
-    ("x^3-3x^2-16x-1", "[1.051126357664, 1.128220884002]"),
+    ("x^3-3x^2-16x-1", "[1.121317035807, 1.121317035808]"),  # conductor 19, the closed form
 ])
 def test_covolume_euler_factor_golden(capsys, field, euler):
     assert entry(["covolume", "--field", field, "--type", "A1", "--prime-bound", "10000"]) == 0
@@ -350,6 +350,14 @@ def _refuse(*args):
     raise AssertionError("the prime loop ran")
 
 
+def _count_passes(monkeypatch):
+    """The list that gains one entry per call of prasad._zeta_pass."""
+    calls = []
+    euler_pass = prasad._zeta_pass
+    monkeypatch.setattr(prasad, "_zeta_pass", lambda *a: calls.append(1) or euler_pass(*a))
+    return calls
+
+
 @pytest.mark.parametrize("argv", [
     "--type E8",
     "--type A1 --prime-bound 1000",
@@ -401,7 +409,7 @@ def test_real_quadratic_covolume_is_siegels_value(poly):
     # zeta_K(-1) zeta_K(-3)/16 for B2, from Siegel's sigma_1 and sigma_3 sums
     k = field_from_polynomial(poly)
     dk = quadratic_field_disc(k.zk_disc)
-    assert k.fundamental_disc == dk
+    assert k.conductors == (dk,)
     z1, z3 = siegel_zeta_neg(dk, 1), siegel_zeta_neg(dk, 3)
     a1 = covolume(k, None, A1, prime_bound=1000)
     assert a1.value.contains(z1 / 4) and a1.value.width() < a1.value.lo / 2 ** 100
@@ -415,7 +423,7 @@ def test_real_quadratic_covolume_is_siegels_value(poly):
                                   "x^3-4x^2-7x-1"])
 def test_closed_form_lies_inside_the_euler_pass(poly):
     k = field_from_polynomial(poly)
-    closed = cyclic_zeta_intervals(*prasad.closed_form_character(k), [2, 4, 6], 144)
+    closed = cyclic_zeta_intervals(*k.conductors, k.degree, [2, 4, 6], 144)
     (euler,) = prasad._zeta_pass(k, [2, 4, 6], [10 ** 4], 144)
     for s in (2, 4, 6):
         assert euler[s].encloses(closed[s]), s
@@ -450,12 +458,10 @@ def test_real_quadratic_at_even_s_visits_no_prime(monkeypatch, capsys, argv):
 def test_euler_pass_fields_take_the_disc_factor_of_d_k(monkeypatch, poly, type_name, dk):
     # every quadratic takes the disc factor of d_K; the Euler pass runs only
     # past the closed-form conductor cap
-    calls = []
-    euler_pass = prasad._zeta_pass
-    monkeypatch.setattr(prasad, "_zeta_pass", lambda *a: calls.append(1) or euler_pass(*a))
+    calls = _count_passes(monkeypatch)
     k, data = field_from_polynomial(poly), parse_type(type_name)
     res = covolume(k, None, data, prime_bound=1000)
-    assert abs(k.zk_disc) != abs(dk) and k.fundamental_disc == dk
+    assert abs(k.zk_disc) != abs(dk) and k.conductors == (dk,)
     assert calls == ([1] if abs(dk) > CLOSED_FORM_MAX_CONDUCTOR else [])
     wp = k.precision + 16
     assert res.disc_factor == RealInterval.point(abs(dk)).pow_frac(Fraction(data.dim, 2), wp)
@@ -483,7 +489,7 @@ def test_cyclic_cubic_covolume_is_the_bernoulli_value(poly):
     # prod |zeta_K(-m_i)| / 2^(3 rank); the oracle takes chi from root counts
     coeffs, f, z1 = CYCLIC_CUBICS[poly]
     k = field_from_polynomial(poly)
-    assert k.zk_disc == f * f and prasad.closed_form_character(k) == (f, 3)
+    assert k.zk_disc == f * f and k.conductors == (f,)
     zeta_neg = {m: cyclic_cubic_zeta_neg(coeffs, f, m + 1) for m in (1, 3, 5)}
     assert zeta_neg[1] == z1
     a1 = covolume(k, None, A1, prime_bound=1000)
@@ -512,45 +518,59 @@ def test_cyclic_cubic_at_even_s_visits_no_prime(monkeypatch, capsys, argv):
     ("x^3-x-1", "A1"),  # not cyclic
 ])
 def test_other_cubics_take_the_euler_pass(monkeypatch, poly, type_name):
-    calls = []
-    euler_pass = prasad._zeta_pass
-    monkeypatch.setattr(prasad, "_zeta_pass", lambda *a: calls.append(1) or euler_pass(*a))
+    calls = _count_passes(monkeypatch)
     covolume(field_from_polynomial(poly), None, parse_type(type_name), prime_bound=1000)
     assert calls == [1]
 
 
-def test_a_cubic_of_several_conductors_takes_the_hull_of_their_discs():
-    # 133 = 7 19 allows the conductors 7, 19 and 133, and Dedekind's
-    # criterion fails at 7, so Z[theta] is not certified maximal: d_K is 49,
-    # 361 or 17689
-    k = field_from_polynomial("x^3-3x^2-16x-1")
-    assert k.zk_disc == 133 ** 2 and k.cyclic_conductors == (7, 19, 133)
-    assert k.fundamental_disc is None and prasad.closed_form_character(k) is None
+def test_a_cubic_of_several_conductors_takes_the_hull_of_their_discs(monkeypatch):
+    # 189 = 27 7: Dedekind's criterion fails at 3, so v_3(f) is 0 or 2, and
+    # holds at 7, so v_7(f) = 1: the conductor is 7 or 63, d_K is 49 or 3969,
+    # and the pass runs
+    calls = _count_passes(monkeypatch)
+    k = field_from_polynomial("x^3+15x^2+12x-1")
+    assert k.zk_disc == 189 ** 2 and k.conductors == (7, 63)
+    assert k.abs_disc_range == (7 ** 2, 63 ** 2)
     res = covolume(k, None, A1, prime_bound=100)
-    assert res.disc_factor.lo == 343 and res.disc_factor.hi == 2352637  # 7^3, 133^3
+    assert res.disc_factor.lo == 343 and res.disc_factor.hi == 250047  # 7^3, 63^3
+    assert calls == [1]
 
 
-def test_a_maximal_cubic_order_certifies_d_k():
+def test_a_maximal_cubic_order_certifies_d_k(monkeypatch):
     # 63 = 7 9 allows the conductors 7, 9 and 63, but Dedekind's criterion
     # holds at 3 and 7, so Z[theta] is maximal and d_K = 63^2; conductor 63
     # belongs to two cubic fields, so the pass runs
+    calls = _count_passes(monkeypatch)
     k = field_from_polynomial("x^3-6x^2-9x-1")
-    assert k.cyclic_conductors == (63,) and k.fundamental_disc == 63 ** 2
+    assert k.conductors == (63,)
     assert k.abs_disc_range == (63 ** 2, 63 ** 2)
-    assert prasad.closed_form_character(k) is None
     res = covolume(k, None, A1, prime_bound=100)
     assert res.disc_factor == RealInterval.point(63 ** 3)
+    assert calls == [1]
 
 
-def test_shanks_a3_is_the_conductor_9_field():
+def test_shanks_a3_is_the_conductor_9_field(monkeypatch):
     # x^3-3x^2-6x-1 has disc(Z[theta]) = 27^2, and 27 allows conductor 9 alone:
-    # the field of x^3-3x+1, whose A1 covolume is 1/72
+    # the field of x^3-3x+1, whose A1 covolume is 1/72, from the closed form
     k = field_from_polynomial("x^3-3x^2-6x-1")
-    assert k.zk_disc == 27 ** 2 and k.fundamental_disc == 81
-    assert prasad.closed_form_character(k) == (9, 3)
+    assert k.zk_disc == 27 ** 2 and k.conductors == (9,)
+    assert k.abs_disc_range == (81, 81)
+    monkeypatch.setattr(prasad, "_zeta_pass", _refuse)
     shanks = covolume(k, None, A1, prime_bound=100)
     assert shanks.value == covolume(field_from_polynomial("x^3-3x+1"), None, A1).value
     assert shanks.value.contains(Fraction(1, 72))
+
+
+def test_a_failed_criterion_narrows_the_conductor_prime_by_prime(monkeypatch):
+    # x^3-3x^2-16x-1: 133 = 7 19, the criterion fails at 7 and holds at 19,
+    # so the conductor is 19 alone and zeta_K(2) comes from the closed form:
+    # the A1 covolume is |zeta_K(-1)| / 8 = 1/8, that of x^3-2x^2-5x-1
+    monkeypatch.setattr(prasad, "_zeta_pass", _refuse)
+    k = field_from_polynomial("x^3-3x^2-16x-1")
+    assert k.conductors == (19,)
+    res = covolume(k, None, A1)
+    assert res.value.contains(Fraction(1, 8)) and res.value.width() < res.value.lo / 2 ** 100
+    assert res.value == covolume(field_from_polynomial("x^3-2x^2-5x-1"), None, A1).value
 
 
 @pytest.mark.parametrize("f, order, s", [(27, 3, 2), (91, 3, 2), (5, 3, 2), (-7, 3, 3), (7, 4, 2)])
@@ -609,7 +629,7 @@ def test_hurwitz_series_at_a_matching_parity_is_the_closed_form():
 @pytest.mark.parametrize("a", range(1, 61))
 def test_imaginary_quadratic_series_lies_inside_the_euler_pass(a):
     k = field_from_polynomial(f"x^2+{a}")
-    series = cyclic_zeta_intervals(*prasad.closed_form_character(k), range(2, 7), 144)
+    series = cyclic_zeta_intervals(*k.conductors, k.degree, range(2, 7), 144)
     (euler,) = prasad._zeta_pass(k, range(2, 7), [10 ** 4], 144)
     for s in range(2, 7):
         assert euler[s].encloses(series[s]), s
@@ -619,7 +639,7 @@ def test_imaginary_quadratic_series_lies_inside_the_euler_pass(a):
 @pytest.mark.parametrize("poly", CYCLIC_CUBICS)
 def test_cyclic_cubic_series_at_odd_s_lies_inside_the_euler_pass(poly):
     k = field_from_polynomial(poly)
-    series = cyclic_zeta_intervals(*prasad.closed_form_character(k), [3, 5], 144)
+    series = cyclic_zeta_intervals(*k.conductors, k.degree, [3, 5], 144)
     (euler,) = prasad._zeta_pass(k, [3, 5], [10 ** 4], 144)
     for s in (3, 5):
         assert euler[s].encloses(series[s]), s
@@ -648,9 +668,7 @@ def test_imaginary_fields_and_odd_s_visit_no_prime(monkeypatch, capsys, argv):
     "x^2+7 --type A1 --prec 2048",  # 2080^2 / 2 > SERIES_MAX_WORK
 ])
 def test_outer_forms_and_work_past_the_cap_take_the_euler_pass(monkeypatch, capsys, argv):
-    calls = []
-    euler_pass = prasad._zeta_pass
-    monkeypatch.setattr(prasad, "_zeta_pass", lambda *a: calls.append(1) or euler_pass(*a))
+    calls = _count_passes(monkeypatch)
     assert entry(["covolume", "--field", *argv.split(), "--prime-bound", "1000"]) == 0
     assert calls == [1]
 

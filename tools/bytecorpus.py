@@ -17,9 +17,10 @@ README's example block, and a few extras: slow paths, Pisot and sign
 certificates at a non-default place or precision, logarithms and pi past 512
 bits, prime splitting that no workload reaches, quadratic fields on each side
 of the closed-form cutoff and the factoring cap, cyclic cubics with and
-without the closed form, the Hurwitz series over imaginary quadratic fields
-and at odd s and the pass past its work cap, a quadratic's --known-disc
-other than d_K, refusals of oversized arguments (tower levels, prime
+without the closed form, among them cubics whose conductor Dedekind's
+criterion narrows prime by prime, the Hurwitz series over imaginary
+quadratic fields and at odd s and the pass past its work cap, a quadratic's
+--known-disc other than d_K, refusals of oversized arguments (tower levels, prime
 bounds and precisions among them), and usage, help and error texts.
 """
 
@@ -114,16 +115,23 @@ EXTRAS = (
     "covolume --field x^3+x^2-2x-1 --type A2",
     # the Hurwitz series: imaginary quadratic fields at even and odd s (d_K
     # -4, -3, -7 and -24, disc(Z[theta]) = -216), odd s over a real quadratic
-    # and a cyclic cubic, cubics whose disc(Z[theta]) allows three
-    # conductors, one with a maximal Z[theta] (d_K = 63^2, and the pass) and
-    # one without (the disc factor's hull over 7^2, 19^2 and 133^2, and the
-    # pass), and the pass where the series would cost more: an outer form,
-    # d_K = -1299 at the default precision, and 4096 bits
+    # and a cyclic cubic, and the pass where the series would cost more: an
+    # outer form, d_K = -1299 at the default precision, and 4096 bits
     *(f"covolume --field x^2+{a} --type {t}" for a in (1, 3, 7, 54)
       for t in ("A1", "A2", "B2", "G2", "E8")),
     "covolume --field x^2-5 --type A2",
+    # cyclic cubics whose disc(Z[theta]) = m^2 has several divisors of
+    # conductor form, narrowed prime by prime by Dedekind's criterion: m = 63
+    # (maximal, conductor 63 of two fields, so the pass), m = 133, 91 and 333
+    # (index 7, 13 and 37: conductors 19, 7 and 9, the closed form), m = 511
+    # (index 7: conductor 73, the series at s = 3) and m = 189 (index 27 or 3:
+    # conductors 7 and 63, the hull of their discs and the pass)
     "covolume --field x^3-6x^2-9x-1 --type A1",
     "covolume --field x^3-3x^2-16x-1 --type A1",
+    "covolume --field x^3-10x^2+17x-1 --type A1",
+    "covolume --field x^3-24x^2+45x-19 --type A1",
+    "covolume --field x^3-18x^2+35x+3 --type A2",
+    "covolume --field x^3+15x^2+12x-1 --type A1",
     "covolume --field x^2+7 --type A2 --outer --alpha 1,1 --prime-bound 10000",
     "covolume --field x^2+1299 --type A1",
     "covolume --field x^2+7 --type A1 --prec 4096",
